@@ -76,6 +76,7 @@ func TestInTextOverheadBands(t *testing.T) {
 	if !strings.Contains(out, "paper %") || !strings.Contains(out, "N-1 strided") {
 		t.Fatalf("format:\n%s", out)
 	}
+	checkGolden(t, "intext_quick.txt", out)
 }
 
 func TestElapsedRangeBand(t *testing.T) {
@@ -339,11 +340,13 @@ func TestMatrixSweepOfSingleFramework(t *testing.T) {
 
 func TestFigureCSV(t *testing.T) {
 	o := QuickOptions()
-	o.BlockSizes = o.BlockSizes[:1]
-	csv := Figure2(o).CSV()
-	if !strings.HasPrefix(csv, "block_kb,") || strings.Count(csv, "\n") != 2 {
+	fig := Figure2(o)
+	csv := fig.CSV()
+	if !strings.HasPrefix(csv, "block_kb,") || strings.Count(csv, "\n") != len(o.BlockSizes)+1 {
 		t.Fatalf("csv:\n%s", csv)
 	}
+	checkGolden(t, "fig2_quick.txt", fig.Format())
+	checkGolden(t, "fig2_quick.csv", csv)
 }
 
 func TestScaleForDerivesNObj(t *testing.T) {

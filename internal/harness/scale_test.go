@@ -305,6 +305,8 @@ func TestScaleSweepStrongHalvesPerRank(t *testing.T) {
 	if !strings.Contains(res.Format(), "strong scaling") {
 		t.Fatal("format missing mode")
 	}
+	checkGolden(t, "scale_strong_tracefs_nn.txt", res.Format())
+	checkGolden(t, "scale_strong_tracefs_nn.csv", res.CSV())
 }
 
 // TestScaleSweepDeterministic runs the same sweep twice and requires
@@ -377,6 +379,12 @@ func TestScaleMatrixCoversRegistry(t *testing.T) {
 	if !strings.Contains(out, "scaling matrix") || strings.Count(out, "# scale:") != len(m.Series) {
 		t.Fatalf("matrix format:\n%s", out)
 	}
+	checkGolden(t, "scale_matrix_smoke.txt", out)
+	var csv strings.Builder
+	for _, s := range m.Series {
+		csv.WriteString("# " + s.Framework + "\n" + s.CSV())
+	}
+	checkGolden(t, "scale_matrix_smoke.csv", csv.String())
 }
 
 func TestStrongScaleFloorsAtOneBlock(t *testing.T) {

@@ -113,6 +113,12 @@ func TestServerMatrixCoversRegistry(t *testing.T) {
 	if !strings.Contains(out, "server-count matrix") || strings.Count(out, "# servers:") != len(m.Series) {
 		t.Fatalf("matrix format:\n%s", out)
 	}
+	checkGolden(t, "server_matrix_smoke.txt", out)
+	var csv strings.Builder
+	for _, s := range m.Series {
+		csv.WriteString("# " + s.Framework + "\n" + s.CSV())
+	}
+	checkGolden(t, "server_matrix_smoke.csv", csv.String())
 }
 
 // TestServerSweepDeterministic runs the same server sweep twice and requires
@@ -153,6 +159,7 @@ func TestPlacementSweepDeterministic(t *testing.T) {
 	if !strings.Contains(a, "4 ranks/node") {
 		t.Fatalf("placement label missing:\n%s", a)
 	}
+	checkGolden(t, "scale_placement4_tracefs.txt", a)
 }
 
 // TestPlacementChangesContention sanity-checks the placement axis: packing 4
