@@ -6,8 +6,8 @@
 //
 // The tracer observes the same application simultaneously at three layers —
 // the MPI library boundary, the system-call boundary, and the VFS/file-
-// system boundary — then correlates events by interval containment within
-// each rank to attribute every I/O call's latency to a layer:
+// system boundary — then correlates each rank's events through the causal
+// spans they carry to attribute every I/O call's latency to a layer:
 //
 //	library  = MPI call time not spent in system calls
 //	kernel   = system-call time not spent in the file system
@@ -302,36 +302,11 @@ type Breakdown struct {
 	Orphan int // syscall/FS events not attributable to any MPI call
 }
 
-// within reports interval containment with a small tolerance for the probe
-// costs charged between layers.
-func within(inner, outer *trace.Record, slack sim.Duration) bool {
-	return inner.Time >= outer.Time-slack &&
-		inner.Time+inner.Dur <= outer.Time+outer.Dur+slack
-}
-
-// searchFrom returns the first index in time-sorted recs whose start time
-// is >= t: the left edge of an interval's candidate window.
-func searchFrom(recs []trace.Record, t sim.Time) int {
-	return sort.Search(len(recs), func(i int) bool { return recs[i].Time >= t })
-}
-
-// sortedByTime returns recs ordered by start time. Per-rank records are
-// emitted by a single sequential process and thus already time-ordered, so
-// this is normally a copy; the stable sort keeps emission order on ties,
-// preserving the matching semantics of an in-order scan.
-func sortedByTime(recs []trace.Record) []trace.Record {
-	out := make([]trace.Record, len(recs))
-	copy(out, recs)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
 // Analyze correlates the three client layers' events per rank by exact
 // causal join: every record carries the span of the operation that issued it
 // (Parent), so a syscall belongs to the MPI call whose span it names and an
 // FS op to the syscall whose span it names — no time windows, no slack, no
-// ambiguity between back-to-back calls. AnalyzeWindowed retains the interval
-// sweep as a cross-check oracle.
+// ambiguity between back-to-back calls.
 func (s *Session) Analyze() Breakdown {
 	var out Breakdown
 	fsByRank := make(map[int][]trace.Record)
@@ -387,85 +362,6 @@ func (s *Session) Analyze() Breakdown {
 		}
 		out.Orphan += len(sysRecs) - attributedSys
 		out.Orphan += len(fsRecs) - attributedFS
-	}
-	sort.SliceStable(out.Calls, func(i, j int) bool { return out.Calls[i].Rank < out.Calls[j].Rank })
-	return out
-}
-
-// AnalyzeWindowed correlates the layers by interval containment, the
-// pre-span approach. Because each layer's records are time-sorted, the
-// candidates nested inside an interval form a contiguous window: a binary
-// search finds its left edge and a bounded forward sweep consumes it,
-// replacing the all-pairs O(lib x sys x fs) scan with
-// O((lib + sys + fs) log n + matches). Kept as the oracle the exact span
-// join is tested against.
-func (s *Session) AnalyzeWindowed() Breakdown {
-	const slack = 50 * sim.Microsecond
-	var out Breakdown
-	// Index FS records by rank.
-	fsByRank := make(map[int][]trace.Record)
-	for _, fl := range s.fs {
-		fsByRank[fl.rank] = append(fsByRank[fl.rank], fl.col.Records...)
-	}
-	for rank := range s.lib {
-		libRecs := sortedByTime(s.lib[rank].Records)
-		sysRecs := sortedByTime(s.sys[rank].Records)
-		fsRecs := sortedByTime(fsByRank[rank])
-		usedSys := make([]bool, len(sysRecs))
-		usedFS := make([]bool, len(fsRecs))
-
-		for i := range libRecs {
-			mpiRec := &libRecs[i]
-			if !strings.HasPrefix(mpiRec.Name, "MPI_File_") {
-				continue
-			}
-			cb := CallBreakdown{
-				Rank:  mpiRec.Rank,
-				Name:  mpiRec.Name,
-				Path:  mpiRec.Path,
-				Bytes: mpiRec.Bytes,
-				Total: mpiRec.Dur,
-			}
-			var sysTime, fsTime sim.Duration
-			mpiEnd := mpiRec.Time + mpiRec.Dur
-			for j := searchFrom(sysRecs, mpiRec.Time-slack); j < len(sysRecs) && sysRecs[j].Time <= mpiEnd+slack; j++ {
-				if usedSys[j] || !within(&sysRecs[j], mpiRec, slack) {
-					continue
-				}
-				usedSys[j] = true
-				cb.NestedSyscalls++
-				sysTime += sysRecs[j].Dur
-				sysEnd := sysRecs[j].Time + sysRecs[j].Dur
-				for k := searchFrom(fsRecs, sysRecs[j].Time-slack); k < len(fsRecs) && fsRecs[k].Time <= sysEnd+slack; k++ {
-					if usedFS[k] || !within(&fsRecs[k], &sysRecs[j], slack) {
-						continue
-					}
-					usedFS[k] = true
-					cb.NestedFSOps++
-					fsTime += fsRecs[k].Dur
-				}
-			}
-			cb.Library = cb.Total - sysTime
-			cb.Kernel = sysTime - fsTime
-			cb.Storage = fsTime
-			if cb.Library < 0 {
-				cb.Library = 0
-			}
-			if cb.Kernel < 0 {
-				cb.Kernel = 0
-			}
-			out.Calls = append(out.Calls, cb)
-		}
-		for j := range sysRecs {
-			if !usedSys[j] {
-				out.Orphan++
-			}
-		}
-		for k := range fsRecs {
-			if !usedFS[k] {
-				out.Orphan++
-			}
-		}
 	}
 	sort.SliceStable(out.Calls, func(i, j int) bool { return out.Calls[i].Rank < out.Calls[j].Rank })
 	return out
