@@ -56,7 +56,7 @@ func BenchmarkFigure1_SampleOutputs(b *testing.B) {
 
 // --- FIG2/FIG3/FIG4: bandwidth vs block size, traced vs untraced ---
 
-func benchFigure(b *testing.B, fig func(harness.Options) harness.FigureResult) {
+func benchFigure(b *testing.B, fig func(harness.Options) harness.Series) {
 	var lastOvh float64
 	for i := 0; i < b.N; i++ {
 		res := fig(benchOptions())
@@ -240,26 +240,27 @@ func BenchmarkMatrixSweepWarm(b *testing.B) {
 
 // --- SCALING: overhead vs rank count ---
 
-// BenchmarkScaleSweep measures the rank-scaling engine on a small ladder:
-// the engine behind `tracebench -exp scaling` and `iotaxo -exp scaling`.
+// BenchmarkScaleSweep measures the sweep engine along RankAxis on a small
+// ladder: the sweep behind `tracebench -exp scaling` and `iotaxo -exp
+// scaling`.
 // The key metric is the top rung's elapsed overhead; wall time per op
 // tracks whether the hot-path trims keep high-rank rungs CI-affordable.
 func BenchmarkScaleSweep(b *testing.B) {
 	for _, mode := range []harness.ScaleMode{harness.WeakScaling, harness.StrongScaling} {
 		mode := mode
 		b.Run(mode.String(), func(b *testing.B) {
-			o := harness.ScaleSmokeOptions()
+			o := harness.LadderSmokeOptions()
 			o.ScaleMode = mode
 			var topOvh float64
 			for i := 0; i < b.N; i++ {
-				res, err := harness.ScaleSweep(
+				res, err := harness.Sweep(harness.RankAxis,
 					workloadFramework(), workload.PatternWorkload(workload.N1Strided), o)
 				if err != nil {
 					b.Fatal(err)
 				}
 				top := res.Points[len(res.Points)-1]
-				if top.Ranks != 16 {
-					b.Fatalf("top rung = %d ranks", top.Ranks)
+				if top.Rung != 16 {
+					b.Fatalf("top rung = %d ranks", top.Rung)
 				}
 				topOvh = top.ElapsedOvhFrac
 			}
@@ -330,16 +331,16 @@ func BenchmarkSim65536Ranks(b *testing.B) {
 	benchSimRanks(b, 65536)
 }
 
-// BenchmarkServerSweep measures the storage-scaling engine on the smoke
-// ladder: the engine behind `tracebench -exp servers` and `iotaxo -exp
+// BenchmarkServerSweep measures the sweep engine along ServerAxis on the
+// smoke ladder: the sweep behind `tracebench -exp servers` and `iotaxo -exp
 // servers`. The key metric is the overhead gap between the 1-server and
 // top-rung points — the server axis exists to expose tracer cost once the
 // file system stops being the bottleneck.
 func BenchmarkServerSweep(b *testing.B) {
-	o := harness.ServerSmokeOptions()
+	o := harness.LadderSmokeOptions()
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		res, err := harness.ServerSweep(
+		res, err := harness.Sweep(harness.ServerAxis,
 			workloadFramework(), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			b.Fatal(err)

@@ -78,9 +78,9 @@ func main() {
 	if *exp != "" {
 		switch *exp {
 		case "scaling":
-			runScaling(cache, *scaleMode, *maxRanks, *ranksPerNode, *wlName)
+			runLadder(cache, harness.RankAxis, "ranks", *scaleMode, *maxRanks, *maxServers, *ranksPerNode, *wlName)
 		case "servers":
-			runServers(cache, *maxServers, *ranksPerNode, *wlName)
+			runLadder(cache, harness.ServerAxis, "PFS object servers", *scaleMode, *maxRanks, *maxServers, *ranksPerNode, *wlName)
 		default:
 			fmt.Fprintf(os.Stderr, "iotaxo: unknown experiment %q (have scaling, servers)\n", *exp)
 			os.Exit(2)
@@ -181,38 +181,19 @@ func resolveCache(dir string, noCache bool) *harness.Cache {
 	return harness.NewCache(dir)
 }
 
-// runScaling measures overhead vs rank count for every registered
-// framework: the -exp scaling experiment. Flag resolution (mode, rank
-// ladder, placement, workload axis) is shared with tracebench via
-// harness.ResolveScaleOptions.
-func runScaling(cache *harness.Cache, mode string, maxRanks, ranksPerNode int, wlName string) {
-	o, err := harness.ResolveScaleOptions(harness.ScaleOptions(), mode, maxRanks, ranksPerNode, wlName)
+// runLadder measures overhead along one testbed axis for every registered
+// framework: the -exp scaling (ranks) and -exp servers (PFS object servers)
+// experiments. Flag resolution is shared with tracebench via
+// harness.ResolveLadderOptions.
+func runLadder(cache *harness.Cache, ax harness.Axis, label, mode string, maxRanks, maxServers, ranksPerNode int, wlName string) {
+	o, err := harness.ResolveLadderOptions(harness.LadderOptions(), mode, maxRanks, maxServers, 0, ranksPerNode, wlName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
 		os.Exit(2)
 	}
 	o.Cache = cache
-	fmt.Println("# measuring overhead vs ranks on the simulated cluster...")
-	res, err := harness.ScaleMatrixSweep(o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Format())
-	fmt.Fprintln(os.Stderr, res.Stats.Footer())
-}
-
-// runServers measures overhead vs object server count for every registered
-// framework: the -exp servers experiment, the storage dual of -exp scaling.
-func runServers(cache *harness.Cache, maxServers, ranksPerNode int, wlName string) {
-	o, err := harness.ResolveServerOptions(harness.ServerOptions(), maxServers, 0, ranksPerNode, wlName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(2)
-	}
-	o.Cache = cache
-	fmt.Println("# measuring overhead vs PFS object servers on the simulated cluster...")
-	res, err := harness.ServerMatrixSweep(o)
+	fmt.Printf("# measuring overhead vs %s on the simulated cluster...\n", label)
+	res, err := harness.SeriesMatrixSweep(ax, o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
 		os.Exit(1)

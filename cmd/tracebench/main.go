@@ -106,55 +106,29 @@ func main() {
 		o.Workloads = []workload.Workload{w}
 	}
 
-	// The scaling experiment has its own options: block size held fixed,
-	// rank ladder swept instead.
-	scaling := func() harness.ScaleMatrixResult {
-		base := harness.ScaleOptions()
+	// The ladder experiments have their own options: block size held
+	// fixed, one testbed axis swept instead — ranks (scaling) or PFS object
+	// servers (servers).
+	ladder := func(id string, ax harness.Axis) harness.SeriesMatrix {
+		base := harness.LadderOptions()
 		if *quick {
-			base = harness.ScaleSmokeOptions()
+			base = harness.LadderSmokeOptions()
 		}
 		if *full {
 			// Paper-scale per-rank volume; with the default 512-rank ladder
-			// this is an overnight run, like -full everywhere else. -ranks
-			// does not apply here: the rank axis is the ladder (-max-ranks).
+			// this is an overnight run, like -full everywhere else.
 			base.PerRankBytes = harness.FullOptions().PerRankBytes
 		}
 		base.Seed = *seed
 		base.Cache = cache
-		so, err := harness.ResolveScaleOptions(base, *scaleMode, *maxRanks, *ranksPerNode, *wlName)
+		lo, err := harness.ResolveLadderOptions(base, *scaleMode, *maxRanks, *maxServers, *ranks, *ranksPerNode, *wlName)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
 			os.Exit(2)
 		}
-		res, err := harness.ScaleMatrixSweep(so)
+		res, err := harness.SeriesMatrixSweep(ax, lo)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, res.Stats.Footer())
-		return res
-	}
-
-	// The servers experiment is the storage dual: fixed job, object server
-	// count swept instead.
-	servers := func() harness.ServerMatrixResult {
-		base := harness.ServerOptions()
-		if *quick {
-			base = harness.ServerSmokeOptions()
-		}
-		if *full {
-			base.PerRankBytes = harness.FullOptions().PerRankBytes
-		}
-		base.Seed = *seed
-		base.Cache = cache
-		so, err := harness.ResolveServerOptions(base, *maxServers, *ranks, *ranksPerNode, *wlName)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
-			os.Exit(2)
-		}
-		res, err := harness.ServerMatrixSweep(so)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracebench: servers: %v\n", err)
+			fmt.Fprintf(os.Stderr, "tracebench: %s: %v\n", id, err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(os.Stderr, res.Stats.Footer())
@@ -207,25 +181,19 @@ func main() {
 		case "matrix":
 			fmt.Println("# Framework x workload overhead matrix (every registered framework x every registered workload)")
 			fmt.Print(matrix().Format())
-		case "scaling":
-			res := scaling()
+		case "scaling", "servers":
+			ax, heading := harness.RankAxis, "ranks"
+			if id == "servers" {
+				ax, heading = harness.ServerAxis, "PFS object servers"
+			}
+			res := ladder(id, ax)
 			if *csv {
 				for _, s := range res.Series {
-					fmt.Printf("# %s on %s (%s scaling%s)\n%s", s.Framework, s.Workload, s.Mode, s.Placement(), s.CSV())
+					fmt.Printf("# %s on %s (%s%s)\n%s", s.Framework, s.Workload, s.Setting, s.Placement(), s.CSV())
 				}
 				return
 			}
-			fmt.Println("# Overhead vs ranks (every registered framework)")
-			fmt.Print(res.Format())
-		case "servers":
-			res := servers()
-			if *csv {
-				for _, s := range res.Series {
-					fmt.Printf("# %s on %s (%d ranks%s)\n%s", s.Framework, s.Workload, s.Ranks, s.Placement(), s.CSV())
-				}
-				return
-			}
-			fmt.Println("# Overhead vs PFS object servers (every registered framework)")
+			fmt.Printf("# Overhead vs %s (every registered framework)\n", heading)
 			fmt.Print(res.Format())
 		case "table1":
 			fmt.Println("# Table 1: summary table template")
@@ -321,7 +289,7 @@ func runBenchCodec(path string) {
 	}
 }
 
-func emitFigure(fig harness.FigureResult, csv bool) {
+func emitFigure(fig harness.Series, csv bool) {
 	if csv {
 		fmt.Print(fig.CSV())
 		return

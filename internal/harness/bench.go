@@ -154,7 +154,7 @@ func BenchLadder(maxRanks int) (BenchLadderSnapshot, error) {
 	if maxRanks < BenchLadderMinRanks {
 		maxRanks = BenchLadderMinRanks
 	}
-	o := ScaleOptions()
+	o := LadderOptions()
 	o.PerRankBytes = o.scaleBlock()
 	o.Cache = NewCache("")
 	fw := benchFramework()
@@ -169,34 +169,22 @@ func BenchLadder(maxRanks int) (BenchLadderSnapshot, error) {
 		PoolSize:     PoolSize(),
 	}
 	for _, ranks := range doublingLadder(BenchLadderMinRanks, maxRanks) {
+		// One rung at a time, so each rung's wall time and heap peak are
+		// its own.
+		rung := RankAxis
+		rung.Rungs = func(Options) []int64 { return []int64{ranks} }
 		sched.resetPeak()
 		start := time.Now()
-		if err := benchRung(o, fw, w, ranks); err != nil {
+		if _, err := Sweep(rung, fw, w, o); err != nil {
 			return snap, fmt.Errorf("rung %d: %w", ranks, err)
 		}
 		snap.Rungs = append(snap.Rungs, BenchRung{
-			Ranks:      ranks,
+			Ranks:      int(ranks),
 			WallMS:     float64(time.Since(start).Microseconds()) / 1e3,
 			PeakHeapMB: float64(sched.peakHeapBytes()) / (1 << 20),
 		})
 	}
 	return snap, nil
-}
-
-// benchRung runs one rung's untraced baseline and traced measurement
-// through the shared scheduler, uncached.
-func benchRung(o Options, fw framework.Framework, w workload.Workload, ranks int) error {
-	runs := newSweepRuns(1)
-	ts := newTaskSet(o.cacheOrEphemeral())
-	ro := o
-	ro.Ranks = ranks
-	sc := o.scaleRung(ranks)
-	ts.untraced(ro, w, sc, &runs.uns[0])
-	ts.traced(ro, fw, w, sc,
-		fmt.Sprintf("%s, %s, ranks %d", fw.Name(), w.Name(), ranks),
-		&runs.reps[0], &runs.errs[0])
-	ts.run()
-	return runs.errs[0]
 }
 
 // benchFramework picks the ladder cell's framework: the paper's LANL-Trace,

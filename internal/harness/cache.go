@@ -10,7 +10,7 @@ package harness
 // or its absence), so its summary can be addressed by a digest of those
 // inputs and reused:
 //
-//   - within a run, the engines' task sets collapse identical untraced
+//   - within a run, the engine's task set collapses identical untraced
 //     baselines into one scheduled task that fans out to every row
 //     (construction-time sharing; see taskSet in harness.go);
 //   - across concurrent engine calls, identical in-flight keys collapse via

@@ -81,17 +81,17 @@ func TestMatrixWarmCacheByteIdentical(t *testing.T) {
 // TestScaleMatrixWarmCacheByteIdentical mirrors the warm-run invariant on
 // the rank-ladder engine.
 func TestScaleMatrixWarmCacheByteIdentical(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
 	o.Cache = NewCache("")
-	cold, err := ScaleMatrixSweep(o)
+	cold, err := SeriesMatrixSweep(RankAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Stats.Executed == 0 {
 		t.Fatal("cold scale matrix executed no simulations")
 	}
-	warm, err := ScaleMatrixSweep(o)
+	warm, err := SeriesMatrixSweep(RankAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,14 +106,14 @@ func TestScaleMatrixWarmCacheByteIdentical(t *testing.T) {
 // TestServerMatrixWarmCache mirrors the warm-run invariant on the
 // server-ladder engine.
 func TestServerMatrixWarmCache(t *testing.T) {
-	o := ServerSmokeOptions()
+	o := LadderSmokeOptions()
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.NToN)}
 	o.Cache = NewCache("")
-	cold, err := ServerMatrixSweep(o)
+	cold, err := SeriesMatrixSweep(ServerAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := ServerMatrixSweep(o)
+	warm, err := SeriesMatrixSweep(ServerAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}

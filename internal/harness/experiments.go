@@ -3,11 +3,9 @@ package harness
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"iotaxo/internal/anonymize"
 	"iotaxo/internal/cluster"
-	"iotaxo/internal/framework"
 	"iotaxo/internal/lanltrace"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/partrace"
@@ -77,46 +75,38 @@ type InTextResult struct {
 }
 
 // InTextOverheads measures the six numbers quoted in Section 4.1.2 (paper:
-// 51.3/64.7/68.6 % at 64 KB; 5.5/6.1/0.6 % at 8192 KB). Each cell's runs
-// stage through the memoizing task set — their keys coincide with the
-// figure sweeps', so with a shared Options.Cache the cells come for free
-// after any figure has run.
+// 51.3/64.7/68.6 % at 64 KB; 5.5/6.1/0.6 % at 8192 KB): the block-size
+// matrix of LANL-Trace over the three patterns at those two sizes. Its keys
+// coincide with the figure sweeps', so with a shared Options.Cache the
+// cells come for free after any figure has run.
 func InTextOverheads(o Options) InTextResult {
-	patterns := []workload.Pattern{workload.N1Strided, workload.N1NonStrided, workload.NToN}
-	blocks := []int64{64 << 10, 8192 << 10}
-	fw := o.lanlFramework()
-	n := len(patterns) * len(blocks)
-	res := InTextResult{Cells: make([]OverheadCell, n)}
-	uns := make([]workload.Result, n)
-	reps := make([]framework.Report, n)
-	errs := make([]error, n)
-	ts := newTaskSet(o.cacheOrEphemeral())
-	for pi, pattern := range patterns {
-		for bi, block := range blocks {
-			idx := pi*len(blocks) + bi
-			wl := workload.PatternWorkload(pattern)
-			sc := o.scaleFor(block)
-			ts.untraced(o, wl, sc, &uns[idx])
-			ts.traced(o, fw, wl, sc,
-				fmt.Sprintf("%s, %s, block %d", fw.Name(), wl.Name(), block),
-				&reps[idx], &errs[idx])
-		}
-	}
-	ts.run()
-	for pi, pattern := range patterns {
-		for bi, block := range blocks {
-			idx := pi*len(blocks) + bi
-			if errs[idx] != nil {
-				panic(errs[idx])
-			}
-			frac := 0.0
-			if uns[idx].BandwidthBps() > 0 {
-				frac = (uns[idx].BandwidthBps() - reps[idx].Result.BandwidthBps()) / uns[idx].BandwidthBps()
-			}
-			res.Cells[idx] = OverheadCell{Pattern: pattern, Block: block, BwOvhFrac: frac}
+	o.BlockSizes = []int64{64 << 10, 8192 << 10}
+	var res InTextResult
+	for i, cell := range o.patternMatrix() {
+		for _, p := range cell.Points {
+			res.Cells = append(res.Cells, OverheadCell{
+				Pattern: figurePatterns[i], Block: p.BlockBytes, BwOvhFrac: p.BandwidthOvhFrac,
+			})
 		}
 	}
 	return res
+}
+
+// figurePatterns are the access patterns of Figures 2-4, in figure order.
+var figurePatterns = []workload.Pattern{workload.N1Strided, workload.N1NonStrided, workload.NToN}
+
+// patternMatrix sweeps LANL-Trace over the figure patterns along BlockAxis
+// in one matrix call: one series per pattern, in figure order.
+func (o Options) patternMatrix() []Series {
+	o.Workloads = make([]workload.Workload, len(figurePatterns))
+	for i, p := range figurePatterns {
+		o.Workloads[i] = workload.PatternWorkload(p)
+	}
+	m, err := MatrixSweepOf(o, o.lanlFramework())
+	if err != nil {
+		panic(err) // LANL-Trace cannot fail a run
+	}
+	return m.Cells
 }
 
 // Format renders the in-text table with the paper's values alongside.
@@ -151,21 +141,10 @@ type ElapsedRangeResult struct {
 // points the envelope is zero, never a sentinel.
 func ElapsedRange(o Options) ElapsedRangeResult {
 	var res ElapsedRangeResult
-	figs := make([]FigureResult, 3)
-	var wg sync.WaitGroup
-	for i, fn := range []func(Options) FigureResult{Figure2, Figure3, Figure4} {
-		i, fn := i, fn
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			figs[i] = fn(o)
-		}()
-	}
-	wg.Wait()
-	for _, fig := range figs {
-		for _, p := range fig.Points {
+	for _, cell := range o.patternMatrix() {
+		for _, p := range cell.Points {
 			res.Points = append(res.Points, p)
-			res.Workloads = append(res.Workloads, fig.Workload)
+			res.Workloads = append(res.Workloads, cell.Workload)
 		}
 	}
 	res.Min, res.Max = rangeOver(len(res.Points), func(i int) float64 { return res.Points[i].ElapsedOvhFrac })
@@ -261,7 +240,7 @@ func TracefsExperiment(o Options) TracefsResult {
 	for i, v := range variants {
 		i, v := i, v
 		tasks = append(tasks, func() {
-			rep, err := o.runTraced(tracefs.AsFramework(v.cfg), wl, block)
+			rep, err := o.runTracedAt(tracefs.AsFramework(v.cfg), wl, o.scaleFor(block))
 			if err != nil {
 				panic(err)
 			}
@@ -335,7 +314,14 @@ func ParallelTraceExperiment(o Options) PartraceResult {
 	var un workload.Result
 	sched.runAll([]func(){func() { un = spec.Run(po.newCluster().World) }})
 
-	levels := []int{0, 1, 2, po.Ranks}
+	// Sampling levels 0, 1, 2 and every rank, clamped to the job size and
+	// deduplicated so small jobs do not repeat (or over-ask) a level.
+	var levels []int
+	for _, l := range []int{0, 1, 2, po.Ranks} {
+		if l = min(l, po.Ranks); len(levels) == 0 || l > levels[len(levels)-1] {
+			levels = append(levels, l)
+		}
+	}
 	res := PartraceResult{Rows: make([]PartraceRow, len(levels))}
 	tasks := make([]func(), 0, len(levels))
 	for i, sampled := range levels {

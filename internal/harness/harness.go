@@ -4,22 +4,25 @@
 // feature-overhead measurements, the //TRACE fidelity/overhead sweep, the
 // Figure 1 sample outputs, and the measured classification summary.
 //
-// The engine is generic on both axes: Sweep measures any registered
-// framework (see internal/framework) against any registered workload (see
-// internal/workload), and MatrixSweep runs every registered framework
-// against every registered workload, folding the measured overheads into
-// each framework's taxonomy classification through one code path. The
-// named figure functions are LANL-Trace x mpi_io_test instances of Sweep.
+// One sweep engine (sweep.go) measures a framework on a workload, traced
+// against untraced, at every rung of an Axis: BlockAxis (the figures' block
+// sizes), RankAxis (job size, weak or strong scaling) or ServerAxis (the
+// parallel file system's object server count). Sweep runs one pair,
+// SeriesMatrixSweep every registered framework x every registered workload
+// along any axis, and MatrixSweep the block-size matrix that folds the
+// measured overheads into each framework's taxonomy classification. The
+// named figures and in-text tables are LANL-Trace instances of the same
+// engine, and all of it stages into one memoizing task set per call on a
+// shared bounded scheduler, so every rendered table is deterministic.
 //
 // Experiments run at a scaled-down data volume by default (the simulation's
 // cost is O(I/O events), and overhead *fractions* are volume-independent);
-// Options.Full selects paper-scale sizes (one 100 GB shared file / N x 10 GB
+// FullOptions selects paper-scale sizes (one 100 GB shared file / N x 10 GB
 // files).
 package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/framework"
@@ -51,12 +54,11 @@ type Options struct {
 	// registered workload.
 	Workloads []workload.Workload
 
-	// MaxRanks bounds the rank ladder of the scaling experiments (ScaleSweep
-	// and ScaleMatrixSweep): ranks double from 4 up to MaxRanks. Zero means
-	// DefaultMaxRanks.
+	// MaxRanks bounds RankAxis: ranks double from 4 up to MaxRanks. Zero
+	// means DefaultMaxRanks.
 	MaxRanks int
 	// ScaleMode selects weak scaling (fixed per-rank volume) or strong
-	// scaling (fixed total volume) for the scaling experiments.
+	// scaling (fixed total volume) along RankAxis.
 	ScaleMode ScaleMode
 
 	// RanksPerNode is the placement axis: how many MPI ranks share one
@@ -64,12 +66,10 @@ type Options struct {
 	// one means the paper's one-rank-per-node testbed.
 	RanksPerNode int
 	// PFSServers overrides the parallel file system's object server count;
-	// zero keeps the testbed default. The server-count scaling experiments
-	// (ServerSweep) sweep this axis.
+	// zero keeps the testbed default. ServerAxis sweeps it.
 	PFSServers int
-	// MaxServers bounds the server ladder of ServerSweep and
-	// ServerMatrixSweep: servers double from 1 up to MaxServers. Zero means
-	// DefaultMaxServers.
+	// MaxServers bounds ServerAxis: servers double from 1 up to MaxServers.
+	// Zero means DefaultMaxServers.
 	MaxServers int
 
 	// Cache memoizes leaf-simulation summaries across engine calls (and,
@@ -184,10 +184,12 @@ func (o Options) lanlFramework() framework.Framework {
 	return lanltrace.AsFramework(lanltrace.DefaultConfig())
 }
 
-// BandwidthPoint is one x-position of a sweep (Figures 2-4 and the matrix
-// cells).
+// BandwidthPoint is one rung of a sweep (Figures 2-4, the matrix cells and
+// the ladders).
 type BandwidthPoint struct {
+	Rung             int64 // the axis value: block bytes, ranks, or servers
 	BlockBytes       int64
+	PerRankBytes     int64 // realized per-rank volume (after the one-block floor)
 	UntracedMBps     float64
 	TracedMBps       float64
 	UntracedElapsed  sim.Duration
@@ -206,16 +208,6 @@ type BandwidthPoint struct {
 	ReplayErr      float64
 }
 
-// FigureResult is one sweep's series: bandwidth vs block size for traced
-// and untraced runs of one framework on one workload.
-type FigureResult struct {
-	ID        string
-	Title     string
-	Framework string
-	Workload  string
-	Points    []BandwidthPoint
-}
-
 // runUntracedAt executes one untraced benchmark run at an explicit scale.
 func (o Options) runUntracedAt(w workload.Workload, sc workload.Scale) workload.Result {
 	c := o.newCluster()
@@ -229,23 +221,14 @@ func (o Options) runTracedAt(fw framework.Framework, w workload.Workload, sc wor
 	return fw.Attach(c).Run(w.Spec(sc))
 }
 
-// runUntraced executes one untraced benchmark run of the block-size sweep.
-func (o Options) runUntraced(w workload.Workload, block int64) workload.Result {
-	return o.runUntracedAt(w, o.scaleFor(block))
-}
-
-// runTraced executes one traced benchmark run of the block-size sweep.
-func (o Options) runTraced(fw framework.Framework, w workload.Workload, block int64) (framework.Report, error) {
-	return o.runTracedAt(fw, w, o.scaleFor(block))
-}
-
-// makePoint folds one (untraced, traced) run pair into a sweep point: the
-// one place overhead fractions are computed, shared by the block-size sweep
-// and the rank-scaling sweep.
-func makePoint(block int64, un workload.Result, rep framework.Report) BandwidthPoint {
+// makePoint folds one rung's (untraced, traced) run pair at scale sc into a
+// sweep point: the one place overhead fractions are computed.
+func makePoint(rung int64, sc workload.Scale, un workload.Result, rep framework.Report) BandwidthPoint {
 	tr := rep.Result
 	pt := BandwidthPoint{
-		BlockBytes:      block,
+		Rung:            rung,
+		BlockBytes:      sc.BlockSize,
+		PerRankBytes:    int64(sc.Objects()) * sc.BlockSize,
 		UntracedMBps:    un.BandwidthBps() / 1e6,
 		TracedMBps:      tr.BandwidthBps() / 1e6,
 		UntracedElapsed: un.Elapsed,
@@ -264,23 +247,6 @@ func makePoint(block int64, un workload.Result, rep framework.Report) BandwidthP
 		pt.ElapsedOvhFrac = float64(rep.TracingElapsed-un.Elapsed) / float64(un.Elapsed)
 	}
 	return pt
-}
-
-// sweepRuns collects one sweep's raw measurements, indexed by block
-// position: the staging area between the scheduler's leaf tasks and point
-// assembly.
-type sweepRuns struct {
-	uns  []workload.Result
-	reps []framework.Report
-	errs []error
-}
-
-func newSweepRuns(n int) *sweepRuns {
-	return &sweepRuns{
-		uns:  make([]workload.Result, n),
-		reps: make([]framework.Report, n),
-		errs: make([]error, n),
-	}
 }
 
 // cacheOrEphemeral returns the options' cache, or a fresh in-memory cache
@@ -368,106 +334,31 @@ func (ts *taskSet) traced(o Options, fw framework.Framework, w workload.Workload
 // run executes the staged tasks on the shared bounded scheduler.
 func (ts *taskSet) run() { sched.run(ts.tasks) }
 
-// addSweepTasks stages the block-size sweep's leaf simulations — one shared
-// untraced and one traced run per block size — writing results into runs.
-// Tasks are independent, independently seeded simulations, so the scheduler
-// may run them in any order or interleaving without changing any measured
-// value.
-func (o Options) addSweepTasks(ts *taskSet, fw framework.Framework, w workload.Workload, runs *sweepRuns) {
-	for i, block := range o.BlockSizes {
-		sc := o.scaleFor(block)
-		ts.untraced(o, w, sc, &runs.uns[i])
-		ts.traced(o, fw, w, sc,
-			fmt.Sprintf("%s, %s, block %d", fw.Name(), w.Name(), block),
-			&runs.reps[i], &runs.errs[i])
-	}
-}
-
-// assemble folds completed runs into the figure's points.
-func (o Options) assemble(fig *FigureResult, runs *sweepRuns) error {
-	for i, block := range o.BlockSizes {
-		if err := runs.errs[i]; err != nil {
-			return err
-		}
-		fig.Points[i] = makePoint(block, runs.uns[i], runs.reps[i])
-	}
-	return nil
-}
-
-// Sweep measures one framework against one workload across the options'
-// block sizes: the generic engine behind the figures and the matrix. Each
-// (block size, traced?) run is an independent simulation environment
-// executed on the shared bounded scheduler; results are deterministic
-// regardless of scheduling because every environment is seeded identically.
-func Sweep(fw framework.Framework, w workload.Workload, o Options) (FigureResult, error) {
-	return o.sweep("sweep", fmt.Sprintf("%s overhead, %s", fw.Name(), w.Name()), fw, w)
-}
-
-func (o Options) sweep(id, title string, fw framework.Framework, w workload.Workload) (FigureResult, error) {
-	fig := FigureResult{
-		ID: id, Title: title, Framework: fw.Name(), Workload: w.Name(),
-		Points: make([]BandwidthPoint, len(o.BlockSizes)),
-	}
-	runs := newSweepRuns(len(o.BlockSizes))
-	ts := newTaskSet(o.cacheOrEphemeral())
-	o.addSweepTasks(ts, fw, w, runs)
-	ts.run()
-	if err := o.assemble(&fig, runs); err != nil {
-		return fig, err
-	}
-	return fig, nil
-}
-
-// mustSweep wraps sweep for the built-in figures, whose frameworks cannot
-// fail a run.
-func (o Options) mustSweep(id, title string, fw framework.Framework, w workload.Workload) FigureResult {
-	fig, err := o.sweep(id, title, fw, w)
+// figure runs one of the built-in LANL-Trace figures, whose frameworks
+// cannot fail a run.
+func (o Options) figure(id, title string, p workload.Pattern) Series {
+	fig, err := Sweep(BlockAxis, o.lanlFramework(), workload.PatternWorkload(p), o)
 	if err != nil {
 		panic(err)
 	}
+	fig.ID, fig.Title = id, title
 	return fig
 }
 
 // Figure2 regenerates Figure 2: N processes writing one shared file,
 // strided — "the benchmark parameterization most demanding on the parallel
 // I/O file system".
-func Figure2(o Options) FigureResult {
-	return o.mustSweep("fig2", "LANL-Trace overhead, N procs writing one shared file, strided", o.lanlFramework(), workload.PatternWorkload(workload.N1Strided))
+func Figure2(o Options) Series {
+	return o.figure("fig2", "LANL-Trace overhead, N procs writing one shared file, strided", workload.N1Strided)
 }
 
 // Figure3 regenerates Figure 3: N processes writing one shared file,
 // non-strided.
-func Figure3(o Options) FigureResult {
-	return o.mustSweep("fig3", "LANL-Trace overhead, N procs writing one shared file, non-strided", o.lanlFramework(), workload.PatternWorkload(workload.N1NonStrided))
+func Figure3(o Options) Series {
+	return o.figure("fig3", "LANL-Trace overhead, N procs writing one shared file, non-strided", workload.N1NonStrided)
 }
 
 // Figure4 regenerates Figure 4: N processes writing N files.
-func Figure4(o Options) FigureResult {
-	return o.mustSweep("fig4", "LANL-Trace overhead, N procs writing N files", o.lanlFramework(), workload.PatternWorkload(workload.NToN))
-}
-
-// Format renders the figure as an aligned text table (the repo's stand-in
-// for the paper's plots).
-func (f FigureResult) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s: %s\n", f.ID, f.Title)
-	fmt.Fprintf(&b, "%10s %14s %14s %12s %12s\n",
-		"block(KB)", "untraced MB/s", "traced MB/s", "bw ovh %", "elapsed ovh %")
-	for _, p := range f.Points {
-		fmt.Fprintf(&b, "%10d %14.1f %14.1f %12.1f %12.1f\n",
-			p.BlockBytes>>10, p.UntracedMBps, p.TracedMBps,
-			p.BandwidthOvhFrac*100, p.ElapsedOvhFrac*100)
-	}
-	return b.String()
-}
-
-// CSV renders the figure series for plotting.
-func (f FigureResult) CSV() string {
-	var b strings.Builder
-	b.WriteString("block_kb,untraced_mbps,traced_mbps,bw_overhead_frac,elapsed_overhead_frac\n")
-	for _, p := range f.Points {
-		fmt.Fprintf(&b, "%d,%.3f,%.3f,%.4f,%.4f\n",
-			p.BlockBytes>>10, p.UntracedMBps, p.TracedMBps, p.BandwidthOvhFrac, p.ElapsedOvhFrac)
-	}
-	return b.String()
+func Figure4(o Options) Series {
+	return o.figure("fig4", "LANL-Trace overhead, N procs writing N files", workload.NToN)
 }

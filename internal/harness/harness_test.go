@@ -39,7 +39,7 @@ func TestFigure2Shape(t *testing.T) {
 
 func TestFigure3And4SameShape(t *testing.T) {
 	o := QuickOptions()
-	for _, fig := range []FigureResult{Figure3(o), Figure4(o)} {
+	for _, fig := range []Series{Figure3(o), Figure4(o)} {
 		first := fig.Points[0]
 		last := fig.Points[len(fig.Points)-1]
 		if first.BandwidthOvhFrac <= last.BandwidthOvhFrac {
@@ -127,28 +127,45 @@ func TestTracefsExperimentBands(t *testing.T) {
 }
 
 func TestParallelTraceFrontier(t *testing.T) {
-	o := QuickOptions()
-	res := ParallelTraceExperiment(o)
-	if len(res.Rows) < 3 {
-		t.Fatalf("rows = %d", len(res.Rows))
-	}
-	// Overhead rises with sampling; fidelity error falls.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].OverheadFrac <= res.Rows[i-1].OverheadFrac {
-			t.Fatalf("overhead not increasing at row %d", i)
+	// The quick job (8 ranks) plus the small jobs whose sampling levels
+	// collide with the fixed 0/1/2 levels.
+	for _, ranks := range []int{QuickOptions().Ranks, 2, 1} {
+		o := QuickOptions()
+		o.Ranks = ranks
+		res := ParallelTraceExperiment(o)
+		if len(res.Rows) < 2 {
+			t.Fatalf("%d ranks: rows = %d", ranks, len(res.Rows))
 		}
-	}
-	zero := res.Rows[0]
-	fullest := res.Rows[len(res.Rows)-1]
-	if zero.OverheadFrac > 0.10 {
-		t.Fatalf("zero-sampling overhead %.1f%%, want ~0%%", zero.OverheadFrac*100)
-	}
-	if fullest.FidelityErr >= zero.FidelityErr {
-		t.Fatal("dependencies did not improve fidelity")
-	}
-	// Paper: fidelity as low as 6%.
-	if res.BestFidelity() > 0.12 {
-		t.Fatalf("best fidelity error %.1f%%, want <=12%%", res.BestFidelity()*100)
+		if last := res.Rows[len(res.Rows)-1].SampledRanks; last != ranks {
+			t.Fatalf("%d ranks: top sampling level %d, want every rank", ranks, last)
+		}
+		// Levels are distinct; overhead rises with sampling.
+		for i := 1; i < len(res.Rows); i++ {
+			if res.Rows[i].SampledRanks <= res.Rows[i-1].SampledRanks {
+				t.Fatalf("%d ranks: sampling levels not strictly increasing: %+v", ranks, res.Rows)
+			}
+			if res.Rows[i].OverheadFrac <= res.Rows[i-1].OverheadFrac {
+				t.Fatalf("%d ranks: overhead not increasing at row %d", ranks, i)
+			}
+		}
+		zero := res.Rows[0]
+		fullest := res.Rows[len(res.Rows)-1]
+		if zero.OverheadFrac > 0.10 {
+			t.Fatalf("%d ranks: zero-sampling overhead %.1f%%, want ~0%%", ranks, zero.OverheadFrac*100)
+		}
+		// Fidelity error falls once there are cross-rank dependencies to
+		// discover; a one-rank job has none.
+		if ranks == 1 {
+			if fullest.DepCount != 0 {
+				t.Fatalf("1 rank: %d dependencies discovered, want 0", fullest.DepCount)
+			}
+		} else if fullest.FidelityErr >= zero.FidelityErr {
+			t.Fatalf("%d ranks: dependencies did not improve fidelity", ranks)
+		}
+		// Paper: fidelity as low as 6%.
+		if res.BestFidelity() > 0.12 {
+			t.Fatalf("%d ranks: best fidelity error %.1f%%, want <=12%%", ranks, res.BestFidelity()*100)
+		}
 	}
 }
 
@@ -246,7 +263,7 @@ func TestMatrixSweepDeterministic(t *testing.T) {
 // block sizes must render a zero envelope and leave classifications
 // unmeasured, not leak the 1e9/-1e9 accumulator seeds.
 func TestMatrixEmptyEnvelope(t *testing.T) {
-	if min, max := (MatrixCell{}).ElapsedOvhRange(); min != 0 || max != 0 {
+	if min, max := (Series{}).ElapsedOvhRange(); min != 0 || max != 0 {
 		t.Fatalf("empty cell envelope = %v..%v, want 0..0", min, max)
 	}
 	o := matrixOptions()
@@ -313,7 +330,7 @@ func TestGenericSweepMatchesFigure2(t *testing.T) {
 	o := QuickOptions()
 	o.BlockSizes = o.BlockSizes[:2]
 	fig := Figure2(o)
-	sw, err := Sweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+	sw, err := Sweep(BlockAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 	if err != nil {
 		t.Fatal(err)
 	}

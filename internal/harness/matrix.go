@@ -9,10 +9,11 @@ import (
 	"iotaxo/internal/workload"
 )
 
-// This file is the framework x workload matrix engine: MatrixSweep runs
-// every registered framework against every registered workload through the
-// generic Sweep, then folds the measured overheads (and replay fidelity,
-// where a framework measures it) into each framework's classification.
+// This file is the framework x workload matrix: MatrixSweep runs every
+// registered framework against every registered workload through the sweep
+// engine along BlockAxis, then folds the measured overheads (and replay
+// fidelity, where a framework measures it) into each framework's
+// classification.
 // There are no framework- or workload-specific branches here: registering
 // a framework adds a row, registering a workload adds a column.
 
@@ -29,19 +30,6 @@ func (o Options) matrixWorkloads() []workload.Workload {
 		return o.Workloads
 	}
 	return MatrixWorkloads()
-}
-
-// MatrixCell is one framework x workload sweep.
-type MatrixCell struct {
-	Framework string
-	Workload  string
-	Points    []BandwidthPoint
-}
-
-// ElapsedOvhRange returns the cell's elapsed-overhead envelope across block
-// sizes. A cell with no points reports the zero (unmeasured) envelope.
-func (c MatrixCell) ElapsedOvhRange() (min, max float64) {
-	return rangeOver(len(c.Points), func(i int) float64 { return c.Points[i].ElapsedOvhFrac })
 }
 
 // rangeOver folds n indexed values into their [lo, hi] envelope: the shared
@@ -63,8 +51,9 @@ func rangeOver(n int, v func(int) float64) (lo, hi float64) {
 type MatrixResult struct {
 	// Workloads is the column axis, in sweep order.
 	Workloads []workload.Workload
-	// Cells is row-major: frameworks (in registry order) x Workloads.
-	Cells []MatrixCell
+	// Cells is row-major: frameworks (in registry order) x Workloads, one
+	// block-size series each.
+	Cells []Series
 	// Stats is the sweep's cache/scheduler accounting. It is reported
 	// beside the measurements (CLI stderr footer), never inside Format/CSV:
 	// cold and warm runs must render byte-identically.
@@ -90,36 +79,8 @@ func MatrixSweep(o Options) (MatrixResult, error) {
 // executes one untraced run per cell-column and a warm repeat executes
 // nothing — with byte-identical output either way.
 func MatrixSweepOf(o Options, fws ...framework.Framework) (MatrixResult, error) {
-	workloads := o.matrixWorkloads()
-	m := MatrixResult{
-		Workloads: workloads,
-		Cells:     make([]MatrixCell, len(fws)*len(workloads)),
-		fws:       fws,
-	}
-	cache := o.cacheOrEphemeral()
-	before := cache.Stats()
-	ts := newTaskSet(cache)
-	runs := make([]*sweepRuns, len(m.Cells))
-	for fi, fw := range fws {
-		for wi, w := range workloads {
-			idx := fi*len(workloads) + wi
-			runs[idx] = newSweepRuns(len(o.BlockSizes))
-			o.addSweepTasks(ts, fw, w, runs[idx])
-		}
-	}
-	ts.run()
-	m.Stats = sweepStatsSince(cache, before)
-	for fi, fw := range fws {
-		for wi, w := range workloads {
-			idx := fi*len(workloads) + wi
-			fig := FigureResult{Points: make([]BandwidthPoint, len(o.BlockSizes))}
-			if err := o.assemble(&fig, runs[idx]); err != nil {
-				return m, err
-			}
-			m.Cells[idx] = MatrixCell{Framework: fw.Name(), Workload: w.Name(), Points: fig.Points}
-		}
-	}
-	return m, nil
+	cells, stats, err := matrixSweepOf(BlockAxis, o, fws)
+	return MatrixResult{Workloads: o.matrixWorkloads(), Cells: cells, Stats: stats, fws: fws}, err
 }
 
 // FrameworkNames returns the matrix's row order.
@@ -141,7 +102,7 @@ func (m MatrixResult) WorkloadNames() []string {
 }
 
 // row returns framework fi's cells.
-func (m MatrixResult) row(fi int) []MatrixCell {
+func (m MatrixResult) row(fi int) []Series {
 	return m.Cells[fi*len(m.Workloads) : (fi+1)*len(m.Workloads)]
 }
 

@@ -192,9 +192,9 @@ func TestMatrixSweepNeverExceedsPool(t *testing.T) {
 }
 
 func TestScaleSweepNeverExceedsPool(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	sched.resetPeak()
-	if _, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o); err != nil {
+	if _, err := Sweep(RankAxis, framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o); err != nil {
 		t.Fatal(err)
 	}
 	if peak := sched.peakConcurrency(); peak < 1 || peak > PoolSize() {
@@ -228,8 +228,8 @@ func TestParseScaleMode(t *testing.T) {
 
 func TestRankLadder(t *testing.T) {
 	o := Options{MaxRanks: 512}
-	want := []int{4, 8, 16, 32, 64, 128, 256, 512}
-	got := o.rankLadder()
+	want := []int64{4, 8, 16, 32, 64, 128, 256, 512}
+	got := RankAxis.Rungs(o)
 	if len(got) != len(want) {
 		t.Fatalf("ladder = %v, want %v", got, want)
 	}
@@ -240,40 +240,40 @@ func TestRankLadder(t *testing.T) {
 	}
 	// A top rung off the doubling grid is still included.
 	o.MaxRanks = 48
-	got = o.rankLadder()
+	got = RankAxis.Rungs(o)
 	if got[len(got)-1] != 48 || got[len(got)-2] != 32 {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := (Options{}).rankLadder(); top[len(top)-1] != DefaultMaxRanks {
+	if top := RankAxis.Rungs(Options{}); top[len(top)-1] != DefaultMaxRanks {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }
 
 func TestScaleSweepWeakShape(t *testing.T) {
-	o := ScaleSmokeOptions()
-	res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+	o := LadderSmokeOptions()
+	res, err := Sweep(RankAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := o.rankLadder()
+	ladder := RankAxis.Rungs(o)
 	if len(res.Points) != len(ladder) {
 		t.Fatalf("points = %d, want %d", len(res.Points), len(ladder))
 	}
 	for i, p := range res.Points {
-		if p.Ranks != ladder[i] {
-			t.Fatalf("point %d ranks = %d, want %d", i, p.Ranks, ladder[i])
+		if p.Rung != ladder[i] {
+			t.Fatalf("point %d ranks = %d, want %d", i, p.Rung, ladder[i])
 		}
 		// Weak scaling: per-rank volume is constant along the ladder.
 		if p.PerRankBytes != o.PerRankBytes {
-			t.Fatalf("weak per-rank = %d at %d ranks, want %d", p.PerRankBytes, p.Ranks, o.PerRankBytes)
+			t.Fatalf("weak per-rank = %d at %d ranks, want %d", p.PerRankBytes, p.Rung, o.PerRankBytes)
 		}
 		// ltrace-style interposition must cost elapsed time at every rung.
 		if p.ElapsedOvhFrac <= 0 {
-			t.Fatalf("no overhead at %d ranks", p.Ranks)
+			t.Fatalf("no overhead at %d ranks", p.Rung)
 		}
 		if p.TraceEvents == 0 {
-			t.Fatalf("no events traced at %d ranks", p.Ranks)
+			t.Fatalf("no events traced at %d ranks", p.Rung)
 		}
 	}
 	out := res.Format()
@@ -289,17 +289,17 @@ func TestScaleSweepWeakShape(t *testing.T) {
 }
 
 func TestScaleSweepStrongHalvesPerRank(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	o.ScaleMode = StrongScaling
-	res, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.NToN), o)
+	res, err := Sweep(RankAxis, framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.NToN), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(res.Points); i++ {
 		prev, cur := res.Points[i-1], res.Points[i]
-		if cur.Ranks == prev.Ranks*2 && cur.PerRankBytes > prev.PerRankBytes {
+		if cur.Rung == prev.Rung*2 && cur.PerRankBytes > prev.PerRankBytes {
 			t.Fatalf("strong scaling per-rank grew: %d ranks = %d bytes, %d ranks = %d bytes",
-				prev.Ranks, prev.PerRankBytes, cur.Ranks, cur.PerRankBytes)
+				prev.Rung, prev.PerRankBytes, cur.Rung, cur.PerRankBytes)
 		}
 	}
 	if !strings.Contains(res.Format(), "strong scaling") {
@@ -313,9 +313,9 @@ func TestScaleSweepStrongHalvesPerRank(t *testing.T) {
 // byte-identical rendering: rungs run concurrently on the scheduler, so
 // each must be an independently seeded simulation with no shared state.
 func TestScaleSweepDeterministic(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := Sweep(RankAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,14 +337,14 @@ func TestScaleSweepDeterministic(t *testing.T) {
 // to 1024 so the race-detector run stays affordable; the plain `go test`
 // run exercises the full 4096 ladder.
 func TestScaleSweepDeterministic4096(t *testing.T) {
-	o := ScaleOptions()
+	o := LadderOptions()
 	o.MaxRanks = 4096
 	o.PerRankBytes = 256 << 10
 	if raceEnabled || testing.Short() {
 		o.MaxRanks = 1024
 	}
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := Sweep(RankAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,10 +357,10 @@ func TestScaleSweepDeterministic4096(t *testing.T) {
 }
 
 func TestScaleMatrixCoversRegistry(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	o.MaxRanks = 8
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
-	m, err := ScaleMatrixSweep(o)
+	m, err := SeriesMatrixSweep(RankAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestScaleMatrixCoversRegistry(t *testing.T) {
 		if m.Series[i].Framework != name {
 			t.Fatalf("series %d framework = %q, want %q", i, m.Series[i].Framework, name)
 		}
-		if len(m.Series[i].Points) != len(o.rankLadder()) {
+		if len(m.Series[i].Points) != len(RankAxis.Rungs(o)) {
 			t.Fatalf("series %d has %d points", i, len(m.Series[i].Points))
 		}
 	}

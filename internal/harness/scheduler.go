@@ -77,9 +77,9 @@ func ParseMemBudget(s string) (int64, error) {
 	return int64(n * float64(int64(1)<<shift)), nil
 }
 
-// sched is the package-wide scheduler shared by Sweep, MatrixSweepOf,
-// ScaleSweep, and the deep-dive experiments: concurrent engines draw from
-// one slot pool, so the bound holds globally, not per call.
+// sched is the package-wide scheduler shared by the sweep engine and the
+// deep-dive experiments: concurrent engine calls draw from one slot pool,
+// so the bound holds globally, not per call.
 var sched = newScheduler(defaultPoolSize())
 
 func defaultPoolSize() int {

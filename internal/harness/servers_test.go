@@ -10,8 +10,8 @@ import (
 
 func TestServerLadder(t *testing.T) {
 	o := Options{MaxServers: 16}
-	want := []int{1, 2, 4, 8, 16}
-	got := o.serverLadder()
+	want := []int64{1, 2, 4, 8, 16}
+	got := ServerAxis.Rungs(o)
 	if len(got) != len(want) {
 		t.Fatalf("ladder = %v, want %v", got, want)
 	}
@@ -23,54 +23,72 @@ func TestServerLadder(t *testing.T) {
 	// A top rung off the doubling grid — the paper testbed's 12 servers —
 	// is still included.
 	o.MaxServers = 12
-	got = o.serverLadder()
+	got = ServerAxis.Rungs(o)
 	if got[len(got)-1] != 12 || got[len(got)-2] != 8 {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := (Options{}).serverLadder(); top[len(top)-1] != DefaultMaxServers {
+	if top := ServerAxis.Rungs(Options{}); top[len(top)-1] != DefaultMaxServers {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }
 
 func TestResolveServerOptions(t *testing.T) {
-	o, err := ResolveServerOptions(ServerOptions(), 8, 16, 2, "")
+	o, err := ResolveLadderOptions(LadderOptions(), "strong", 64, 8, 16, 2, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.MaxServers != 8 || o.Ranks != 16 || o.RanksPerNode != 2 {
+	if o.ScaleMode != StrongScaling || o.MaxRanks != 64 || o.MaxServers != 8 || o.Ranks != 16 || o.RanksPerNode != 2 {
 		t.Fatalf("resolved %+v", o)
 	}
 	if len(o.Workloads) != 1 || o.Workloads[0].Name() != workload.N1Strided.String() {
 		t.Fatalf("default workload axis = %v", o.Workloads)
 	}
-	if o, err = ResolveServerOptions(ServerOptions(), 0, 0, 0, "all"); err != nil || o.Workloads != nil {
+	// Zero keeps the base options' values.
+	base := LadderSmokeOptions()
+	if o, err = ResolveLadderOptions(base, "", 0, 0, 0, 0, "all"); err != nil || o.Workloads != nil {
 		t.Fatalf("all: %v %v", o.Workloads, err)
 	}
-	if _, err = ResolveServerOptions(ServerOptions(), 0, 0, 0, "nosuch"); err == nil {
-		t.Fatal("unknown workload accepted")
+	if o.MaxRanks != base.MaxRanks || o.MaxServers != base.MaxServers || o.Ranks != base.Ranks || o.RanksPerNode != base.RanksPerNode {
+		t.Fatalf("zero flags changed the base: %+v", o)
 	}
-	if _, err = ResolveServerOptions(ServerOptions(), 0, 0, -1, ""); err == nil {
-		t.Fatal("negative ranks-per-node accepted")
+	for _, c := range []struct {
+		name                                      string
+		mode                                      string
+		maxRanks, maxServers, ranks, ranksPerNode int
+		workload                                  string
+		wantErr                                   string
+	}{
+		{"unknown workload", "", 0, 0, 0, 0, "nosuch", "unknown workload"},
+		{"unknown mode", "linear", 0, 0, 0, 0, "", "unknown scale mode"},
+		{"negative ranks per node", "", 0, 0, 0, -1, "", "ranks per node must be >= 1"},
+		{"negative max ranks", "", -4, 0, 0, 0, "", "max ranks must be >= 1"},
+		{"negative max servers", "", 0, -2, 0, 0, "", "max servers must be >= 1"},
+		{"negative ranks", "", 0, 0, -8, 0, "", "ranks must be >= 1"},
+	} {
+		_, err := ResolveLadderOptions(LadderOptions(), c.mode, c.maxRanks, c.maxServers, c.ranks, c.ranksPerNode, c.workload)
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: err = %v, want %q", c.name, err, c.wantErr)
+		}
 	}
 }
 
 func TestServerSweepShape(t *testing.T) {
-	o := ServerSmokeOptions()
-	res, err := ServerSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+	o := LadderSmokeOptions()
+	res, err := Sweep(ServerAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := o.serverLadder()
+	ladder := ServerAxis.Rungs(o)
 	if len(res.Points) != len(ladder) {
 		t.Fatalf("points = %d, want %d", len(res.Points), len(ladder))
 	}
 	for i, p := range res.Points {
-		if p.Servers != ladder[i] {
-			t.Fatalf("point %d servers = %d, want %d", i, p.Servers, ladder[i])
+		if p.Rung != ladder[i] {
+			t.Fatalf("point %d servers = %d, want %d", i, p.Rung, ladder[i])
 		}
 		if p.UntracedMBps <= 0 || p.TracedMBps <= 0 {
-			t.Fatalf("no bandwidth at %d servers", p.Servers)
+			t.Fatalf("no bandwidth at %d servers", p.Rung)
 		}
 	}
 	// More object servers must raise untraced bandwidth across the ladder
@@ -94,10 +112,10 @@ func TestServerSweepShape(t *testing.T) {
 }
 
 func TestServerMatrixCoversRegistry(t *testing.T) {
-	o := ServerSmokeOptions()
+	o := LadderSmokeOptions()
 	o.MaxServers = 2
 	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
-	m, err := ServerMatrixSweep(o)
+	m, err := SeriesMatrixSweep(ServerAxis, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +143,9 @@ func TestServerMatrixCoversRegistry(t *testing.T) {
 // byte-identical rendering; rungs run concurrently on the shared scheduler,
 // so each must be an independently seeded simulation with no shared state.
 func TestServerSweepDeterministic(t *testing.T) {
-	o := ServerSmokeOptions()
+	o := LadderSmokeOptions()
 	run := func() string {
-		res, err := ServerSweep(framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := Sweep(ServerAxis, framework.MustLookup("LANL-Trace"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +161,10 @@ func TestServerSweepDeterministic(t *testing.T) {
 // -per-node scaling sweep must be byte-identical across runs, and its output
 // must carry the placement label.
 func TestPlacementSweepDeterministic(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	o.RanksPerNode = 4
 	run := func() string {
-		res, err := ScaleSweep(framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o)
+		res, err := Sweep(RankAxis, framework.MustLookup("Tracefs"), workload.PatternWorkload(workload.N1Strided), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +184,7 @@ func TestPlacementSweepDeterministic(t *testing.T) {
 // ranks onto each node makes them share one NIC and kernel, which must not
 // produce the same testbed as one rank per node.
 func TestPlacementChangesContention(t *testing.T) {
-	o := ScaleSmokeOptions()
+	o := LadderSmokeOptions()
 	o.Ranks = 16
 	base := o.runUntracedAt(workload.PatternWorkload(workload.N1Strided), o.scaleRung(16))
 	o.RanksPerNode = 4

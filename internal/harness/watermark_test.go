@@ -49,7 +49,7 @@ func TestGoroutineWatermark512Ranks(t *testing.T) {
 		t.Skip("512-rank watermark run skipped in -short mode")
 	}
 	const ranks = 512
-	o := ScaleOptions()
+	o := LadderOptions()
 	o.Ranks = ranks
 	w := workload.PatternWorkload(workload.N1Strided)
 	sc := o.scaleRung(ranks)
@@ -102,7 +102,7 @@ func TestGoroutineWatermark512Ranks(t *testing.T) {
 // and per-message goroutines from silently creeping back in.
 func TestSpawnGuardMatrixCell(t *testing.T) {
 	const ranks = 256
-	o := ScaleOptions()
+	o := LadderOptions()
 	o.Ranks = ranks
 	w := workload.PatternWorkload(workload.N1Strided)
 	sc := o.scaleRung(ranks)
@@ -158,7 +158,7 @@ func TestGoroutineWatermark65536Ranks(t *testing.T) {
 		t.Skip("65536-rank watermark run skipped in -short mode")
 	}
 	const ranks = 65536
-	o := ScaleOptions()
+	o := LadderOptions()
 	o.Ranks = ranks
 	w := workload.PatternWorkload(workload.N1Strided)
 	sc := o.scaleRung(ranks)
