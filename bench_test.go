@@ -445,6 +445,27 @@ func BenchmarkSimProcessSwitch(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkSimProcessSwitchMany measures the same switch with 1024 procs
+// sleeping in round-robin: each wake pops a deep event heap and resumes a
+// different coroutine whose stack is cold, as a rank ladder's rounds do.
+func BenchmarkSimProcessSwitchMany(b *testing.B) {
+	const procs = 1024
+	env := sim.NewEnv(1)
+	for i := 0; i < procs; i++ {
+		n := b.N / procs
+		if i < b.N%procs {
+			n++
+		}
+		env.Go("switcher", func(p *sim.Proc) {
+			for j := 0; j < n; j++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	env.Run()
+}
+
 func BenchmarkBinaryTraceEncode(b *testing.B) {
 	rec := trace.Record{
 		Name: "SYS_pwrite", Node: "host13.lanl.gov", Rank: 7, PID: 10378,

@@ -1,11 +1,11 @@
 // Package sim is a deterministic discrete-event simulation (DES) kernel.
 //
 // It provides a virtual clock, an event queue ordered by (time, sequence),
-// goroutine-backed simulated processes in the style of process-oriented
-// simulators (SimPy, CSIM), FIFO resources, mailboxes, and a seeded random
-// number generator. Exactly one goroutine — either the scheduler or a single
-// simulated process — runs at any instant, so simulations are fully
-// deterministic for a given seed and program.
+// coroutine-backed simulated processes (iter.Pull) in the style of
+// process-oriented simulators (SimPy, CSIM), FIFO resources, mailboxes, and a
+// seeded random number generator. Exactly one runner — either the scheduler
+// or a single simulated process — runs at any instant, so simulations are
+// fully deterministic for a given seed and program.
 //
 // All other substrate packages (network, disks, file systems, MPI) are built
 // on this kernel; virtual time is an int64 nanosecond count.

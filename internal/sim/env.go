@@ -16,12 +16,6 @@ type Env struct {
 	seq   uint64
 	rng   *rand.Rand
 
-	// yield is the handshake channel on which the currently running process
-	// signals that it has blocked or finished, returning control to the
-	// scheduler. It is unbuffered; strict alternation means there is never
-	// more than one pending signal.
-	yield chan struct{}
-
 	procs   map[*Proc]struct{} // live (started, not finished) processes
 	spawns  map[string]int     // processes ever spawned, by Go name
 	running bool
@@ -39,15 +33,14 @@ type Env struct {
 func NewEnv(seed int64) *Env {
 	return &Env{
 		rng:    rand.New(rand.NewSource(seed)),
-		yield:  make(chan struct{}),
 		procs:  make(map[*Proc]struct{}),
 		spawns: make(map[string]int),
 	}
 }
 
-// LiveProcs reports the number of live (started, not finished) processes:
-// each owns one OS goroutine, so this is the simulation's contribution to
-// the runtime's goroutine population.
+// LiveProcs reports the number of live (spawned, not finished) processes:
+// each is a coroutine backed by one parked goroutine, so this is the
+// simulation's contribution to the runtime's goroutine population.
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
 // Spawned reports how many processes have ever been spawned under the given
@@ -115,7 +108,9 @@ func (e *Env) Run() Time { return e.RunUntil(MaxTime) }
 
 // RunUntil processes all events with timestamps <= deadline and then stops,
 // killing any process still blocked. It returns the virtual time of the last
-// event processed (or deadline if it is not MaxTime and events remain).
+// event processed (or deadline if it is not MaxTime and events remain). A
+// panic in an event or a process stops the environment the same way before
+// it propagates to the caller.
 func (e *Env) RunUntil(deadline Time) Time {
 	if e.running {
 		panic("sim: RunUntil called reentrantly")
@@ -124,6 +119,10 @@ func (e *Env) RunUntil(deadline Time) Time {
 		panic("sim: environment already stopped")
 	}
 	e.running = true
+	defer func() {
+		e.running = false
+		e.Stop()
+	}()
 	for e.queue.Len() > 0 && e.queue.Peek().at <= deadline {
 		ev := e.queue.Pop()
 		e.now = ev.at
@@ -132,21 +131,19 @@ func (e *Env) RunUntil(deadline Time) Time {
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
-	e.running = false
-	e.Stop()
 	return e.now
 }
 
-// Stop kills all still-blocked processes so their goroutines exit. It is
-// called automatically at the end of Run/RunUntil and is idempotent.
+// Stop kills all still-blocked processes: each parked body unwinds (its
+// defers run) and its coroutine's goroutine exits. It is called
+// automatically at the end of Run/RunUntil and is idempotent.
 func (e *Env) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
 	for p := range e.procs {
-		close(p.resume) // parked process observes the close and unwinds
-		<-e.yield       // wait for its wrapper to hand control back
+		p.stop()
 	}
 	e.procs = make(map[*Proc]struct{})
 }

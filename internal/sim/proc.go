@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // errKilled is the sentinel recovered by the process wrapper when the
 // environment shuts a blocked process down.
@@ -8,15 +11,20 @@ type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed at shutdown" }
 
-// Proc is a simulated process: a goroutine that runs in strict alternation
+// Proc is a simulated process: a coroutine that runs in strict alternation
 // with the scheduler. All blocking methods (Sleep, Resource.Acquire,
-// Mailbox.Get, ...) must be called from the process's own goroutine.
+// Mailbox.Get, ...) must be called from the process's own body.
 type Proc struct {
-	env    *Env
-	pid    int
-	name   string
-	resume chan struct{}
-	done   bool
+	env  *Env
+	pid  int
+	name string
+
+	// next, stop and yield are the process's iter.Pull coroutine: next runs
+	// the body until it parks (false once it has finished), yield parks it
+	// (false once stop has killed it), and stop unwinds a parked body.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// dispatchFn is the process's reusable dispatch event, allocated once at
 	// spawn. Every Sleep/unpark schedules it; caching it here keeps the
@@ -40,48 +48,37 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nextPID++
 	e.spawns[name]++
-	p := &Proc{env: e, pid: e.nextPID, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, pid: e.nextPID, name: name}
 	p.dispatchFn = func() { e.dispatch(p) }
 	e.procs[p] = struct{}{}
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedError); !ok {
-					// Re-panic on the scheduler side would deadlock the
-					// handshake, so decorate and crash here.
+					// next re-panics this value in the scheduler.
 					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 				}
 			}
-			p.done = true
-			e.yield <- struct{}{}
 		}()
-		if _, ok := <-p.resume; !ok {
-			panic(killedError{})
-		}
 		fn(p)
-	}()
+	})
 	// First activation is a normal scheduled event at the current time.
 	e.schedule(e.now, p.dispatchFn)
 	return p
 }
 
-// dispatch hands the CPU to p and waits for it to block or finish.
+// dispatch hands the CPU to p until it blocks or finishes.
 func (e *Env) dispatch(p *Proc) {
-	if p.done {
-		return
-	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if p.done {
+	if _, ok := p.next(); !ok {
 		delete(e.procs, p)
 	}
 }
 
 // park blocks the calling process until some event calls unpark (via
-// dispatch). It must only be called by p's own goroutine.
+// dispatch). It must only be called from p's own body.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	if _, ok := <-p.resume; !ok {
+	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }

@@ -6,8 +6,8 @@ package sim
 // arrival order, which keeps the simulation deterministic.
 //
 // A unit can be claimed two ways: by a process (Acquire/HoldFor, which park
-// the caller's goroutine) or by a pure event callback (AcquireThen/
-// HoldForThen, which allocate no goroutine at all). Both waiter kinds share
+// the caller's coroutine) or by a pure event callback (AcquireThen/
+// HoldForThen, which allocate no process at all). Both waiter kinds share
 // one FIFO queue, so a mixed population is still served in arrival order.
 type Resource struct {
 	env     *Env
@@ -23,7 +23,7 @@ type waiter struct {
 	fn func()
 }
 
-// serve resumes one waiter: a parked process via its dispatch handshake, a
+// serve resumes one waiter: a parked process by switching to its coroutine, a
 // callback claim by direct invocation. Only valid inside a running event.
 func (w waiter) serve(env *Env) {
 	if w.p != nil {

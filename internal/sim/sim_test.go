@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -102,10 +103,22 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
+// checkGoroutines fails t if the runtime's goroutine count is above base. A
+// coroutine's goroutine exits inside the next or stop call that ends it, so
+// no waiting is needed. The count may dip below base: the previous test's
+// runner goroutine can still be exiting when base is taken.
+func checkGoroutines(t *testing.T, base int) {
+	t.Helper()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("goroutines = %d, want at most the baseline %d", n, base)
+	}
+}
+
 func TestRunUntilStopsEarlyAndKillsBlocked(t *testing.T) {
 	env := NewEnv(1)
-	reached := false
+	reached, unwound := false, false
 	env.Go("longsleep", func(p *Proc) {
+		defer func() { unwound = true }()
 		p.Sleep(100 * Second)
 		reached = true
 	})
@@ -113,8 +126,63 @@ func TestRunUntilStopsEarlyAndKillsBlocked(t *testing.T) {
 	if reached {
 		t.Error("process ran past deadline")
 	}
+	if !unwound {
+		t.Error("killed process's defer did not run")
+	}
 	if end != 1*Second {
 		t.Errorf("end = %v, want 1s", end)
+	}
+
+	// Killing a blocked process must release its goroutine, every time.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		env := NewEnv(int64(i))
+		env.Go("blocked", func(p *Proc) { p.Sleep(100 * Second) })
+		env.Go("finished", func(p *Proc) { p.Sleep(1) })
+		env.RunUntil(1 * Second)
+		if env.LiveProcs() != 0 {
+			t.Fatalf("run %d: LiveProcs = %d after RunUntil, want 0", i, env.LiveProcs())
+		}
+	}
+	checkGoroutines(t, base)
+}
+
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	base := runtime.NumGoroutine()
+	env := NewEnv(1)
+	env.Go("sleeper", func(p *Proc) { p.Sleep(100 * Second) })
+	env.Go("bad", func(p *Proc) {
+		p.Sleep(1)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			const want = `sim: process "bad" panicked: boom`
+			if r := recover(); r != want {
+				t.Fatalf("recovered %v, want %q", r, want)
+			}
+		}()
+		env.Run()
+		t.Fatal("Run returned normally")
+	}()
+	if env.LiveProcs() != 0 {
+		t.Errorf("LiveProcs = %d after panic, want 0", env.LiveProcs())
+	}
+	env.Stop() // already stopped: must be a no-op
+	checkGoroutines(t, base)
+}
+
+// TestProcSleepAllocatesNothing guards the hand-off cost: a process switch
+// (schedule, park, dispatch) must not allocate.
+func TestProcSleepAllocatesNothing(t *testing.T) {
+	env := NewEnv(1)
+	var allocs float64
+	env.Go("switcher", func(p *Proc) {
+		allocs = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Fatalf("Sleep allocates %v per switch, want 0", allocs)
 	}
 }
 
