@@ -3,8 +3,11 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,6 +190,87 @@ func TestBinaryRoundTrip(t *testing.T) {
 				t.Fatalf("compress=%v: record %d mismatch:\n%+v\n%+v", compress, i, a, b)
 			}
 		}
+	}
+}
+
+// goldenRecords is the deterministic record set behind the v1 goldens in
+// testdata: a trace-like mix of syscall, MPI and VFS calls over a few ranks.
+func goldenRecords() []Record {
+	rng := rand.New(rand.NewSource(1))
+	names := []string{"SYS_write", "SYS_read", "SYS_lseek", "MPI_File_write_at", "MPI_Barrier", "VFS_write"}
+	out := make([]Record, 1300)
+	for i := range out {
+		rank := rng.Intn(8)
+		r := Record{
+			Time:  sim.Time(i) * 37 * sim.Microsecond,
+			Dur:   sim.Duration(rng.Intn(500)) * sim.Microsecond,
+			Node:  fmt.Sprintf("n%d", rank/4),
+			Rank:  rank,
+			PID:   4000 + rank,
+			Class: EventClass(rng.Intn(int(numClasses))),
+			Name:  names[rng.Intn(len(names))],
+			Ret:   "0",
+		}
+		if r.Name != "MPI_Barrier" {
+			r.Path = fmt.Sprintf("/pfs/out.%d", rank)
+			r.Offset = int64(i) * 65536
+			r.Bytes = 65536
+			r.Ret = "65536"
+			r.Args = []string{fmt.Sprint(3 + rank%2), "65536"}
+			r.UID, r.GID = 500, 500
+		}
+		out[i] = r
+	}
+	return withSpans(out, 2)
+}
+
+// goldenCases are the v1 encodings pinned byte-for-byte in testdata: three
+// blocks of the default 512 records (the last one partial), with and
+// without compression and span fields.
+var goldenCases = []struct {
+	file string
+	opts BinaryOptions
+}{
+	{"v1_plain.bin", BinaryOptions{}},
+	{"v1_compressed.bin", BinaryOptions{Compress: true}},
+	{"v1_spans.bin", BinaryOptions{Spans: true}},
+	{"v1_spans_compressed.bin", BinaryOptions{Compress: true, Spans: true}},
+}
+
+// TestBinaryGolden pins the v1 wire format: encoding goldenRecords must
+// reproduce each golden file exactly, and each file must decode back to
+// the records it was written from.
+func TestBinaryGolden(t *testing.T) {
+	recs := goldenRecords()
+	for _, tc := range goldenCases {
+		t.Run(tc.file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			w := NewBinaryWriter(&buf, tc.opts)
+			if err := WriteAll(w, recs); err != nil {
+				t.Fatal(err)
+			}
+			if w.BlocksWritten() != 3 {
+				t.Fatalf("blocks = %d, want 3", w.BlocksWritten())
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("encoding differs from golden (%d vs %d bytes)", buf.Len(), len(want))
+			}
+			got, err := NewBinaryReader(bytes.NewReader(want)).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRecs := recs
+			if !tc.opts.Spans {
+				wantRecs = stripSpans(recs)
+			}
+			if !reflect.DeepEqual(normalizeArgs(wantRecs), normalizeArgs(got)) {
+				t.Fatal("golden does not decode to its records")
+			}
+		})
 	}
 }
 
