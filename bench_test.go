@@ -505,7 +505,7 @@ func BenchmarkFilterMatch(b *testing.B) {
 	}
 }
 
-// --- Streaming pipeline and parallel block codec ---
+// --- Streaming pipeline and v1 block codec ---
 
 // codecRecords builds a realistic multi-megabyte trace: varied paths,
 // strided offsets, a mix of call types. ~70 encoded bytes per record.
@@ -526,38 +526,26 @@ func codecRecords(n int) []trace.Record {
 	return recs
 }
 
-// BenchmarkBinaryCodecWriter compares the serial block encoder against the
-// worker-pool encoder on a multi-MB compressed trace: the tentpole's
-// headline speedup. Both produce byte-identical output.
+// BenchmarkBinaryCodecWriter measures the v1 block encoder on a multi-MB
+// compressed trace.
 func BenchmarkBinaryCodecWriter(b *testing.B) {
 	recs := codecRecords(60000)
 	opts := trace.BinaryOptions{Compress: true, RecordsPerBlock: 512}
-	var encoded int64
-	{
-		var buf bytes.Buffer
-		trace.WriteAll(trace.NewBinaryWriter(&buf, opts), recs)
-		encoded = int64(buf.Len())
+	var buf bytes.Buffer
+	if err := trace.WriteAll(trace.NewBinaryWriter(&buf, opts), recs); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(encoded)
-		for i := 0; i < b.N; i++ {
-			if err := trace.WriteAll(trace.NewBinaryWriter(io.Discard, opts), recs); err != nil {
-				b.Fatal(err)
-			}
+	b.SetBytes(int64(buf.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := trace.WriteAll(trace.NewBinaryWriter(io.Discard, opts), recs); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(encoded)
-		for i := 0; i < b.N; i++ {
-			if err := trace.WriteAll(trace.NewParallelBinaryWriter(io.Discard, opts, 0), recs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkBinaryCodecReader compares serial and prefetching worker-pool
-// decode of the same compressed stream.
+// BenchmarkBinaryCodecReader measures v1 decode of the same compressed
+// stream.
 func BenchmarkBinaryCodecReader(b *testing.B) {
 	recs := codecRecords(60000)
 	opts := trace.BinaryOptions{Compress: true, RecordsPerBlock: 512}
@@ -566,26 +554,14 @@ func BenchmarkBinaryCodecReader(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	drain := func(src trace.Source) error {
-		_, err := trace.Copy(trace.SinkFunc(func(r *trace.Record) error { return nil }), src)
-		return err
+	discard := trace.SinkFunc(func(r *trace.Record) error { return nil })
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.Copy(discard, trace.NewBinaryReader(bytes.NewReader(data))); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.Run("serial", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if err := drain(trace.NewBinaryReader(bytes.NewReader(data))); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			if err := drain(trace.NewParallelBinaryReader(bytes.NewReader(data), 0)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkBinaryConversionMemory demonstrates the memory contract of the

@@ -43,14 +43,14 @@ func convTestRecords(n int, seed int64) []trace.Record {
 	return out
 }
 
-// writeV1 encodes recs with the default serial v1 encoder.
-func writeV1(t *testing.T, path string, recs []trace.Record) {
+// writeV1 encodes recs with the v1 encoder at its default block size.
+func writeV1(t *testing.T, path string, recs []trace.Record, compress bool) {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := trace.NewBinaryWriter(f, trace.BinaryOptions{})
+	w := trace.NewBinaryWriter(f, trace.BinaryOptions{Compress: compress})
 	for i := range recs {
 		if err := w.Write(&recs[i]); err != nil {
 			t.Fatal(err)
@@ -72,41 +72,48 @@ func runConv(t *testing.T, o options) {
 	}
 }
 
-// TestRoundTripV1V2V1 checks the satellite equivalence property: converting
-// a v1 trace to columnar v2 and back yields a byte-identical v1 file.
+// TestRoundTripV1V2V1 checks that converting a v1 trace to columnar v2 and
+// back yields a byte-identical v1 file, with and without compression on
+// both legs.
 func TestRoundTripV1V2V1(t *testing.T) {
-	dir := t.TempDir()
-	v1a := filepath.Join(dir, "a.bin")
-	v2 := filepath.Join(dir, "b.col")
-	v1b := filepath.Join(dir, "c.bin")
-
 	recs := convTestRecords(3000, 42)
-	writeV1(t, v1a, recs)
+	for _, tc := range []struct {
+		name     string
+		compress bool
+	}{{"plain", false}, {"compressed", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			v1a := filepath.Join(dir, "a.bin")
+			v2 := filepath.Join(dir, "b.col")
+			v1b := filepath.Join(dir, "c.bin")
 
-	runConv(t, options{in: v1a, out: v2, to: "v2"})
-	runConv(t, options{in: v2, out: v1b, to: "v1"})
+			writeV1(t, v1a, recs, tc.compress)
+			runConv(t, options{in: v1a, out: v2, to: "v2", compress: tc.compress})
+			runConv(t, options{in: v2, out: v1b, to: "v1", compress: tc.compress})
 
-	colBytes, err := os.ReadFile(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := trace.DetectFormat(bytes.NewReader(colBytes)); got != trace.FormatColumnar {
-		t.Fatalf("intermediate format = %v, want columnar", got)
-	}
+			colBytes, err := os.ReadFile(v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := trace.DetectFormat(bytes.NewReader(colBytes)); got != trace.FormatColumnar {
+				t.Fatalf("intermediate format = %v, want columnar", got)
+			}
 
-	a, err := os.ReadFile(v1a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(v1b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("v1 -> v2 -> v1 not byte-identical: %d vs %d bytes", len(a), len(b))
-	}
-	if len(colBytes) >= len(a) {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(colBytes), len(a))
+			a, err := os.ReadFile(v1a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(v1b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("v1 -> v2 -> v1 not byte-identical: %d vs %d bytes", len(a), len(b))
+			}
+			if len(colBytes) >= len(a) {
+				t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes)", len(colBytes), len(a))
+			}
+		})
 	}
 }
 
@@ -124,7 +131,7 @@ func TestFormatAliases(t *testing.T) {
 	col := filepath.Join(dir, "b.col")
 	txt := filepath.Join(dir, "c.trace")
 	recs := convTestRecords(400, 7)
-	writeV1(t, v1, recs)
+	writeV1(t, v1, recs, false)
 
 	runConv(t, options{in: v1, out: col, to: "columnar"})
 	runConv(t, options{in: col, out: txt, to: "text"})
@@ -166,7 +173,7 @@ func TestFormatAliases(t *testing.T) {
 func TestUnknownTarget(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "a.bin")
-	writeV1(t, v1, convTestRecords(10, 1))
+	writeV1(t, v1, convTestRecords(10, 1), false)
 	var out, errs bytes.Buffer
 	if err := run(options{in: v1, to: "v3"}, &out, &errs); err == nil {
 		t.Fatal("run accepted -to v3")

@@ -48,7 +48,9 @@ type BinaryOptions struct {
 type BinaryWriter struct {
 	w       io.Writer
 	opts    BinaryOptions
-	buf     bytes.Buffer
+	buf     bytes.Buffer  // encoded records of the pending block
+	frame   bytes.Buffer  // the framed block being written
+	fw      *flate.Writer // created on the first compressed block, Reset per block
 	inBlock int
 	started bool
 	n       int64
@@ -109,12 +111,11 @@ func (b *BinaryWriter) Flush() error {
 	if b.buf.Len() == 0 {
 		return nil
 	}
-	framed, err := frameBlock(b.buf.Bytes(), b.opts.Compress)
-	if err != nil {
+	if err := b.frameBlock(); err != nil {
 		b.err = err
 		return err
 	}
-	n, err := b.w.Write(framed)
+	n, err := b.w.Write(b.frame.Bytes())
 	b.n += int64(n)
 	b.err = err
 	b.blocks++
@@ -132,28 +133,37 @@ func (b *BinaryWriter) BytesWritten() int64 { return b.n }
 // BlocksWritten reports the number of blocks emitted so far.
 func (b *BinaryWriter) BlocksWritten() int64 { return b.blocks }
 
-// frameBlock compresses (optionally) and frames one block payload with its
-// length and CRC-32: the unit of work the parallel codec distributes.
-func frameBlock(payload []byte, compress bool) ([]byte, error) {
-	if compress {
-		var cb bytes.Buffer
-		fw, err := flate.NewWriter(&cb, flate.BestSpeed)
-		if err != nil {
-			return nil, err
+// frameBlock frames the pending block into b.frame: payload length and
+// CRC-32, then the payload, flate-compressed on compressed streams. The one
+// compressor is Reset for every block, which makes it equivalent to a
+// fresh one, so each block still compresses independently.
+func (b *BinaryWriter) frameBlock() error {
+	var hdr [8]byte // filled in once the payload length is known
+	b.frame.Reset()
+	b.frame.Write(hdr[:])
+	if b.opts.Compress {
+		if b.fw == nil {
+			fw, err := flate.NewWriter(&b.frame, flate.BestSpeed)
+			if err != nil {
+				return err
+			}
+			b.fw = fw
+		} else {
+			b.fw.Reset(&b.frame)
 		}
-		if _, err := fw.Write(payload); err != nil {
-			return nil, err
+		if _, err := b.fw.Write(b.buf.Bytes()); err != nil {
+			return err
 		}
-		if err := fw.Close(); err != nil {
-			return nil, err
+		if err := b.fw.Close(); err != nil {
+			return err
 		}
-		payload = cb.Bytes()
+	} else {
+		b.frame.Write(b.buf.Bytes())
 	}
-	framed := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(framed[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(payload))
-	copy(framed[8:], payload)
-	return framed, nil
+	framed := b.frame.Bytes()
+	binary.LittleEndian.PutUint32(framed[0:], uint32(len(framed)-8))
+	binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(framed[8:]))
+	return nil
 }
 
 func putUvarint(buf *bytes.Buffer, v uint64) {
@@ -206,7 +216,7 @@ func decodeRecord(br *bytes.Reader, spans bool) (Record, error) {
 		if err != nil {
 			return "", err
 		}
-		if n > 1<<24 {
+		if n > 1<<24 || n > uint64(br.Len()) {
 			return "", ErrCorrupt
 		}
 		buf := make([]byte, n)
@@ -294,11 +304,14 @@ func decodeRecord(br *bytes.Reader, spans bool) (Record, error) {
 
 // BinaryReader decodes the binary format, verifying per-block CRCs.
 type BinaryReader struct {
-	r       io.Reader
-	flags   byte
-	started bool
-	block   *bytes.Reader
-	blocks  int64
+	r        io.Reader
+	flags    byte
+	started  bool
+	stored   bytes.Buffer  // the current block's payload as stored
+	inflated bytes.Buffer  // its decompressed payload on compressed streams
+	fr       io.ReadCloser // created on the first compressed block, Reset per block
+	block    bytes.Reader  // the undecoded rest of the current block
+	blocks   int64
 }
 
 // BlocksRead reports the number of blocks decoded so far.
@@ -339,22 +352,30 @@ func (b *BinaryReader) nextBlock() error {
 	if plen > 1<<30 {
 		return fmt.Errorf("%w: unreasonable block size %d", ErrCorrupt, plen)
 	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(b.r, payload); err != nil {
+	// Copy rather than allocate plen up front: a corrupt length prefix
+	// must not cost more memory than the bytes actually present.
+	b.stored.Reset()
+	if _, err := io.CopyN(&b.stored, b.r, int64(plen)); err != nil {
 		return fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
+	payload := b.stored.Bytes()
 	if crc32.ChecksumIEEE(payload) != want {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
 	if b.flags&FlagCompressed != 0 {
-		fr := flate.NewReader(bytes.NewReader(payload))
-		out, err := io.ReadAll(fr)
-		if err != nil {
+		src := bytes.NewReader(payload)
+		if b.fr == nil {
+			b.fr = flate.NewReader(src)
+		} else if err := b.fr.(flate.Resetter).Reset(src, nil); err != nil {
 			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 		}
-		payload = out
+		b.inflated.Reset()
+		if _, err := b.inflated.ReadFrom(b.fr); err != nil {
+			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+		}
+		payload = b.inflated.Bytes()
 	}
-	b.block = bytes.NewReader(payload)
+	b.block.Reset(payload)
 	b.blocks++
 	return nil
 }
@@ -364,12 +385,12 @@ func (b *BinaryReader) Next() (Record, error) {
 	if err := b.readHeader(); err != nil {
 		return Record{}, err
 	}
-	for b.block == nil || b.block.Len() == 0 {
+	for b.block.Len() == 0 {
 		if err := b.nextBlock(); err != nil {
 			return Record{}, err
 		}
 	}
-	rec, err := decodeRecord(b.block, b.flags&FlagSpans != 0)
+	rec, err := decodeRecord(&b.block, b.flags&FlagSpans != 0)
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
 	}

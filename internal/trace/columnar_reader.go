@@ -315,7 +315,7 @@ func (q Query) containsBlock(m BlockMeta) bool {
 // ColumnarReader serves indexed queries over a Closed v2 trace through an
 // io.ReaderAt: it loads only the stream header and the footer index up
 // front, then Scan reads and decodes exactly the blocks a query's ranges
-// admit, fanned out over a worker pool on the pattern of parallel.go.
+// admit, fanned out over a worker pool.
 type ColumnarReader struct {
 	r     io.ReaderAt
 	size  int64
@@ -428,6 +428,15 @@ type scanEngine struct {
 
 	mu    sync.Mutex
 	stats ScanStats
+}
+
+// defaultWorkers resolves a worker-count knob: n if positive, else
+// GOMAXPROCS.
+func defaultWorkers(n int) int {
+	if n > 0 {
+		return n
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // newScanEngine starts the pool over the blocks matching q.

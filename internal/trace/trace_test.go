@@ -2,13 +2,16 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -253,8 +256,9 @@ func TestBinaryGolden(t *testing.T) {
 			if err := WriteAll(w, recs); err != nil {
 				t.Fatal(err)
 			}
-			if w.BlocksWritten() != 3 {
-				t.Fatalf("blocks = %d, want 3", w.BlocksWritten())
+			if w.BlocksWritten() != 3 || w.BytesWritten() != int64(buf.Len()) {
+				t.Fatalf("blocks = %d, bytes = %d for a %d-byte buffer, want 3 blocks",
+					w.BlocksWritten(), w.BytesWritten(), buf.Len())
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("encoding differs from golden (%d vs %d bytes)", buf.Len(), len(want))
@@ -326,6 +330,73 @@ func TestBinaryDetectsTruncation(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
+}
+
+// mkBlocks encodes `blocks` blocks of `perBlock` records each.
+func mkBlocks(t *testing.T, blocks, perBlock int, compress bool) []byte {
+	t.Helper()
+	recs := randomRecords(blocks*perBlock, 37)
+	var buf bytes.Buffer
+	if err := WriteAll(NewBinaryWriter(&buf, BinaryOptions{Compress: compress, RecordsPerBlock: perBlock}), recs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// blockOffsets walks the frame headers and returns each block's start.
+func blockOffsets(t *testing.T, data []byte) []int {
+	t.Helper()
+	var offs []int
+	pos := 9 // magic + flags
+	for pos < len(data) {
+		offs = append(offs, pos)
+		plen := int(binary.LittleEndian.Uint32(data[pos:]))
+		pos += 8 + plen
+	}
+	return offs
+}
+
+// Mid-stream CRC corruption must yield every record of the blocks before
+// the bad one, then ErrCorrupt.
+func TestReadersMidStreamCRCCorruption(t *testing.T) {
+	const perBlock = 16
+	data := mkBlocks(t, 4, perBlock, false)
+	offs := blockOffsets(t, data)
+	if len(offs) != 4 {
+		t.Fatalf("expected 4 blocks, found %d", len(offs))
+	}
+	// Flip a byte inside block 2's payload.
+	bad := append([]byte(nil), data...)
+	bad[offs[2]+8] ^= 0xFF
+
+	t.Run("serial", func(t *testing.T) {
+		recs, err := NewBinaryReader(bytes.NewReader(bad)).ReadAll()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if len(recs) != 2*perBlock {
+			t.Fatalf("got %d records before the corrupt block, want %d", len(recs), 2*perBlock)
+		}
+	})
+}
+
+// ... and truncation mid-block behaves the same way.
+func TestReadersMidStreamTruncation(t *testing.T) {
+	const perBlock = 16
+	data := mkBlocks(t, 4, perBlock, true)
+	offs := blockOffsets(t, data)
+	// Cut the stream in the middle of block 3's payload.
+	cut := data[:offs[3]+10]
+
+	t.Run("serial", func(t *testing.T) {
+		recs, err := NewBinaryReader(bytes.NewReader(cut)).ReadAll()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want ErrCorrupt", err)
+		}
+		if len(recs) != 3*perBlock {
+			t.Fatalf("got %d records before truncation, want %d", len(recs), 3*perBlock)
+		}
+	})
 }
 
 func TestBinaryBadMagic(t *testing.T) {
@@ -510,6 +581,94 @@ func TestBinaryReaderFuzzProperty(t *testing.T) {
 	data := append(buf.Bytes(), 0xde, 0xad, 0xbe, 0xef, 0x01)
 	if _, err := NewBinaryReader(bytes.NewReader(data)).ReadAll(); err == nil {
 		t.Fatal("trailing garbage accepted")
+	}
+}
+
+// hostileInputs are v1 streams whose length prefixes claim far more data
+// than the input holds. A reader that sizes an allocation by such a prefix
+// before checking what is actually there allocates the claimed size.
+var hostileInputs = []struct {
+	name string
+	data []byte
+}{
+	// A block header claiming a 1 GiB payload, and no payload.
+	{"block-length-1GiB", append(binaryMagic[:], 0, 0x00, 0x00, 0x00, 0x40, 0, 0, 0, 0)},
+	// One valid block whose first record's Node string claims 16 MiB:
+	// Time, Dur, then len(Node) = 1<<24.
+	{"string-length-16MiB", frameStream(0, []byte{0x00, 0x00, 0x80, 0x80, 0x80, 0x08})},
+}
+
+// frameStream wraps payload as a v1 stream of one block with a valid CRC.
+func frameStream(flags byte, payload []byte) []byte {
+	out := append(binaryMagic[:], flags)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// TestBinaryReaderBoundsAllocations checks that the reader's allocations
+// are bounded by the bytes actually present, not by a length prefix.
+func TestBinaryReaderBoundsAllocations(t *testing.T) {
+	for _, tc := range hostileInputs {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := NewBinaryReader(bytes.NewReader(tc.data)).ReadAll()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%d-byte input allocated %d bytes", len(tc.data), alloc)
+			}
+		})
+	}
+}
+
+// FuzzBinaryReader checks the v1 reader's contract on arbitrary input:
+// every Next returns a record, io.EOF, or an error wrapping ErrCorrupt,
+// and never panics. The seeds encode the first golden records with each
+// golden case's options, in blocks of three: the full golden files are
+// large enough that minimizing every new input mutated from them would use
+// up a short fuzzing run.
+func FuzzBinaryReader(f *testing.F) {
+	recs := goldenRecords()[:6]
+	for _, tc := range goldenCases {
+		opts := tc.opts
+		opts.RecordsPerBlock = 3
+		var buf bytes.Buffer
+		if err := WriteAll(NewBinaryWriter(&buf, opts), recs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, tc := range hostileInputs {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBinaryReader(t, data)
+		// A mutation rarely keeps a block CRC valid, so also read data as
+		// one valid block (flags from its first byte): that reaches
+		// decompression and record decoding.
+		if len(data) > 0 {
+			checkBinaryReader(t, frameStream(data[0], data[1:]))
+		}
+	})
+}
+
+// checkBinaryReader drains a reader over data, failing on any error other
+// than io.EOF or one wrapping ErrCorrupt.
+func checkBinaryReader(t *testing.T, data []byte) {
+	r := NewBinaryReader(bytes.NewReader(data))
+	for {
+		_, err := r.Next()
+		if err == nil {
+			continue
+		}
+		if err != io.EOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("err = %v, want io.EOF or ErrCorrupt", err)
+		}
+		return
 	}
 }
 
