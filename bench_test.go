@@ -395,16 +395,23 @@ func BenchmarkAblationRAIDSmallWrite(b *testing.B) {
 		cfg := disk.DefaultArray()
 		cfg.DisableSmallWritePenalty = disable
 		a := disk.NewArray(env, cfg)
+		// 64 back-to-back 4 KiB writes, chained the way a PFS server
+		// drives its RAID group.
 		var elapsed sim.Duration
-		env.Go("w", func(p *sim.Proc) {
-			start := p.Now()
-			for i := int64(0); i < 64; i++ {
-				if err := a.Write(p, i*4096, 4096); err != nil {
+		var write func(i int64)
+		write = func(i int64) {
+			if i == 64 {
+				elapsed = env.Now()
+				return
+			}
+			a.WriteThenSpan(i*4096, 4096, 0, func(err error) {
+				if err != nil {
 					b.Error(err)
 				}
-			}
-			elapsed = p.Now() - start
-		})
+				write(i + 1)
+			})
+		}
+		env.After(0, func() { write(0) })
 		env.Run()
 		return elapsed
 	}

@@ -8,16 +8,18 @@ import (
 	"iotaxo/internal/sim"
 )
 
-func run(t *testing.T, fn func(p *sim.Proc)) sim.Time {
-	t.Helper()
-	env := sim.NewEnv(1)
+// arrayCall issues one array call as an event chain, the way a PFS server
+// drives its RAID group, runs the environment to completion and returns how
+// long the call took and the error it completed with.
+func arrayCall(env *sim.Env, call func(done func(error))) (sim.Duration, error) {
+	start := env.Now()
 	var end sim.Time
-	env.Go("test", func(p *sim.Proc) {
-		fn(p)
-		end = p.Now()
+	var err error
+	env.After(0, func() {
+		call(func(e error) { end, err = env.Now(), e })
 	})
 	env.Run()
-	return end
+	return end - start, err
 }
 
 func TestDiskSequentialVsRandom(t *testing.T) {
@@ -170,26 +172,17 @@ func TestSmallWriteSlowerPerByteThanFullStripe(t *testing.T) {
 	a := NewArray(env, cfg)
 	rowSize := a.RowSize()
 
-	var fullT, smallT sim.Time
-	env.Go("full", func(p *sim.Proc) {
-		start := p.Now()
-		if err := a.Write(p, 0, rowSize); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		fullT = p.Now() - start
-	})
-	env.Run()
+	fullT, err := arrayCall(env, func(done func(error)) { a.WriteThenSpan(0, rowSize, 0, done) })
+	if err != nil {
+		t.Errorf("write: %v", err)
+	}
 
 	env2 := sim.NewEnv(1)
 	a2 := NewArray(env2, cfg)
-	env2.Go("small", func(p *sim.Proc) {
-		start := p.Now()
-		if err := a2.Write(p, 0, 4096); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		smallT = p.Now() - start
-	})
-	env2.Run()
+	smallT, err := arrayCall(env2, func(done func(error)) { a2.WriteThenSpan(0, 4096, 0, done) })
+	if err != nil {
+		t.Errorf("write: %v", err)
+	}
 
 	perByteFull := fullT.Seconds() / float64(rowSize)
 	perByteSmall := smallT.Seconds() / 4096
@@ -207,15 +200,10 @@ func TestSmallWritePenaltyAblation(t *testing.T) {
 	timeFor := func(cfg ArrayConfig) sim.Time {
 		env := sim.NewEnv(1)
 		a := NewArray(env, cfg)
-		var d sim.Time
-		env.Go("w", func(p *sim.Proc) {
-			start := p.Now()
-			if err := a.Write(p, 0, 4096); err != nil {
-				t.Errorf("write: %v", err)
-			}
-			d = p.Now() - start
-		})
-		env.Run()
+		d, err := arrayCall(env, func(done func(error)) { a.WriteThenSpan(0, 4096, 0, done) })
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
 		return d
 	}
 	if timeFor(without) >= timeFor(withPenalty) {
@@ -227,12 +215,9 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, ArrayConfig{Disks: 4, StripeUnit: 1024, Disk: DefaultDisk()})
 	a.Disk(0).Fail()
-	var err error
-	var healthyOps, degradedExtra bool
-	env.Go("r", func(p *sim.Proc) {
-		err = a.Read(p, 0, 1024) // unit 0 lives on drive 0 (failed)
-	})
-	env.Run()
+	var degradedExtra bool
+	// Unit 0 lives on drive 0 (failed).
+	_, err := arrayCall(env, func(done func(error)) { a.ReadThenSpan(0, 1024, 0, done) })
 	if err != nil {
 		t.Fatalf("degraded read failed: %v", err)
 	}
@@ -245,7 +230,6 @@ func TestDegradedReadReconstructs(t *testing.T) {
 	if !degradedExtra {
 		t.Fatal("no reconstruction reads on surviving drives")
 	}
-	_ = healthyOps
 }
 
 func TestDoubleFailureFails(t *testing.T) {
@@ -254,9 +238,9 @@ func TestDoubleFailureFails(t *testing.T) {
 	a.Disk(0).Fail()
 	a.Disk(1).Fail()
 	var rerr, werr error
-	env.Go("t", func(p *sim.Proc) {
-		rerr = a.Read(p, 0, 100)
-		werr = a.Write(p, 0, 100)
+	env.After(0, func() {
+		a.ReadThenSpan(0, 100, 0, func(err error) { rerr = err })
+		a.WriteThenSpan(0, 100, 0, func(err error) { werr = err })
 	})
 	env.Run()
 	if !errors.Is(rerr, ErrFailed) || !errors.Is(werr, ErrFailed) {
@@ -270,15 +254,10 @@ func TestArrayParallelism(t *testing.T) {
 	cfg := ArrayConfig{Disks: 5, StripeUnit: 1 << 20, Disk: DefaultDisk()}
 	env := sim.NewEnv(1)
 	a := NewArray(env, cfg)
-	var rowT sim.Time
-	env.Go("row", func(p *sim.Proc) {
-		start := p.Now()
-		if err := a.Write(p, 0, a.RowSize()); err != nil {
-			t.Errorf("write: %v", err)
-		}
-		rowT = p.Now() - start
-	})
-	env.Run()
+	rowT, err := arrayCall(env, func(done func(error)) { a.WriteThenSpan(0, a.RowSize(), 0, done) })
+	if err != nil {
+		t.Errorf("write: %v", err)
+	}
 	unit := sim.DurationOf(1<<20, cfg.Disk.BandwidthBps) + cfg.Disk.PerOp + cfg.Disk.Seek
 	if rowT > 2*unit {
 		t.Fatalf("full-row write %v not parallel (unit %v)", rowT, unit)
@@ -306,12 +285,9 @@ func TestBadConfigsPanic(t *testing.T) {
 func TestTotalOpsCounts(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, DefaultArray())
-	env.Go("w", func(p *sim.Proc) {
-		if err := a.Write(p, 0, a.RowSize()); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	env.Run()
+	if _, err := arrayCall(env, func(done func(error)) { a.WriteThenSpan(0, a.RowSize(), 0, done) }); err != nil {
+		t.Errorf("write: %v", err)
+	}
 	if a.TotalOps() < int64(a.DataWidth())+1 {
 		t.Fatalf("TotalOps = %d, want >= %d", a.TotalOps(), a.DataWidth()+1)
 	}
