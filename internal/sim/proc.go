@@ -123,8 +123,5 @@ func (p *Proc) Sleep(d Duration) {
 	p.park()
 }
 
-// Yield gives other ready processes a chance to run at the same instant.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // String implements fmt.Stringer.
 func (p *Proc) String() string { return fmt.Sprintf("proc(%d,%s)", p.pid, p.name) }

@@ -98,13 +98,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// Use runs fn while holding one unit of the resource.
-func (r *Resource) Use(p *Proc, fn func()) {
-	r.Acquire(p)
-	defer r.Release()
-	fn()
-}
-
 // HoldFor occupies one unit of the resource for d virtual nanoseconds: the
 // standard pattern for a store-and-forward hop or a disk transfer.
 func (r *Resource) HoldFor(p *Proc, d Duration) {
@@ -131,9 +124,6 @@ func (r *Resource) HoldForThen(d Duration, fn func()) {
 
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen reports the number of blocked waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Mailbox is an unbounded FIFO of messages with blocking receive. Sends
 // never block (use a Resource to model transmission time); receives block
@@ -339,6 +329,3 @@ func (l *Latch) Open() {
 	l.open = true
 	l.signal.Fire()
 }
-
-// Opened reports whether the latch has been opened.
-func (l *Latch) Opened() bool { return l.open }

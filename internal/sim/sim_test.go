@@ -488,23 +488,6 @@ func TestLatchOpenBeforeWait(t *testing.T) {
 	}
 }
 
-func TestWaitGroupForkJoin(t *testing.T) {
-	env := NewEnv(1)
-	var end Time
-	env.Go("parent", func(p *Proc) {
-		ForkJoin(p, "child",
-			func(c *Proc) { c.Sleep(10) },
-			func(c *Proc) { c.Sleep(30) },
-			func(c *Proc) { c.Sleep(20) },
-		)
-		end = p.Now()
-	})
-	env.Run()
-	if end != 30 {
-		t.Fatalf("join at %v, want 30 (max child)", end)
-	}
-}
-
 func TestWaitGroupZeroWaitDoesNotBlock(t *testing.T) {
 	env := NewEnv(1)
 	wg := NewWaitGroup(env)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Time is a point in virtual time, measured in nanoseconds since the start
 // of the simulation. It is deliberately distinct from time.Time: simulated
@@ -30,9 +27,6 @@ const MaxTime Time = 1<<63 - 1
 
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Std converts a virtual duration to a time.Duration for formatting.
-func (t Time) Std() time.Duration { return time.Duration(int64(t)) }
 
 // String formats the instant as seconds with nanosecond precision.
 func (t Time) String() string {

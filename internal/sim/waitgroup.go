@@ -59,19 +59,3 @@ func (wg *WaitGroup) WaitThen(fn func()) {
 	}
 	wg.waiters = append(wg.waiters, waiter{fn: fn})
 }
-
-// ForkJoin spawns one child process per element of fns and blocks p until
-// all children finish: the standard pattern for a client issuing parallel
-// requests (e.g. striped writes to several servers).
-func ForkJoin(p *Proc, name string, fns ...func(child *Proc)) {
-	wg := NewWaitGroup(p.env)
-	wg.Add(len(fns))
-	for _, fn := range fns {
-		fn := fn
-		p.env.Go(name, func(child *Proc) {
-			defer wg.Done()
-			fn(child)
-		})
-	}
-	wg.Wait(p)
-}
