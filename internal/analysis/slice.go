@@ -69,6 +69,19 @@ type Slice struct {
 	Paths    []CriticalPath
 }
 
+// SpanChildren indexes the causal span tree: it maps each span to the
+// indices, in record order, of the span-carrying records whose Parent is
+// that span. Both the slicer and multilayer's per-call attribution walk it.
+func SpanChildren(recs []trace.Record) map[uint64][]int {
+	children := make(map[uint64][]int)
+	for i := range recs {
+		if r := &recs[i]; r.HasSpan() && r.Parent != 0 {
+			children[r.Parent] = append(children[r.Parent], i)
+		}
+	}
+	return children
+}
+
 // SliceRecords attributes latency across layers by exclusive time: each
 // record's duration minus the summed durations of its direct children
 // (clamped at zero — concurrent children can overlap their parent). Roots
@@ -85,8 +98,7 @@ func SliceRecords(recs []trace.Record, maxPaths int) *Slice {
 		}
 		return ls
 	}
-	// Index children by parent span and accumulate per-layer totals.
-	children := make(map[uint64][]int)
+	children := SpanChildren(recs)
 	haveSpan := make(map[uint64]bool, len(recs))
 	for i := range recs {
 		r := &recs[i]
@@ -95,9 +107,6 @@ func SliceRecords(recs []trace.Record, maxPaths int) *Slice {
 			continue
 		}
 		haveSpan[r.Span] = true
-		if r.Parent != 0 {
-			children[r.Parent] = append(children[r.Parent], i)
-		}
 		ls := layerOf(SliceLayer(r.Class))
 		ls.Records++
 		ls.Total += r.Dur

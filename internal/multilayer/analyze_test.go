@@ -9,8 +9,9 @@ import (
 	"iotaxo/internal/trace"
 )
 
-// naiveAnalyze is the original all-pairs O(lib x sys x fs) correlation,
-// kept as the oracle for the windowed sweep in Analyze.
+// naiveAnalyze is the original all-pairs O(lib x sys x fs) correlation by
+// interval containment, kept as an oracle for the span-tree projection in
+// Analyze.
 func naiveAnalyze(s *Session) Breakdown {
 	const slack = 50 * sim.Microsecond
 	var out Breakdown
@@ -75,8 +76,8 @@ func naiveAnalyze(s *Session) Breakdown {
 	return out
 }
 
-// TestAnalyzeMatchesNaiveScan pins the windowed interval sweep to the
-// original quadratic correlation on a real traced run.
+// TestAnalyzeMatchesNaiveScan pins Analyze to the original quadratic
+// correlation on a real traced run.
 func TestAnalyzeMatchesNaiveScan(t *testing.T) {
 	s, _ := runTraced(t)
 	fast := s.Analyze()

@@ -20,9 +20,9 @@ package multilayer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
+	"iotaxo/internal/analysis"
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
 	"iotaxo/internal/interpose"
@@ -87,9 +87,9 @@ type Session struct {
 // ptrace).
 func Attach(c *cluster.Cluster) *Session {
 	s := &Session{cluster: c}
-	// firstRank maps each node to the first rank it hosts (the common
-	// one-rank-per-node case; with multiple ranks per node FS events
-	// attribute to the first).
+	// firstRank maps each node to the first rank it hosts, which labels the
+	// node's FS records. With several ranks per node the label names only
+	// the first; Analyze attributes FS ops by span, not by this label.
 	firstRank := make(map[string]int, c.World.Size())
 	for i := 0; i < c.World.Size(); i++ {
 		r := c.World.Rank(i)
@@ -302,68 +302,60 @@ type Breakdown struct {
 	Orphan int // syscall/FS events not attributable to any MPI call
 }
 
-// Analyze correlates the three client layers' events per rank by exact
-// causal join: every record carries the span of the operation that issued it
-// (Parent), so a syscall belongs to the MPI call whose span it names and an
-// FS op to the syscall whose span it names — no time windows, no slack, no
-// ambiguity between back-to-back calls.
+// Analyze projects the causal span tree onto the three client layers: the
+// syscalls an MPI I/O call caused are its ClassSyscall children, and the FS
+// ops a syscall caused are its ClassFSOp children. No time windows, no
+// slack, no ambiguity between back-to-back calls. The tree spans every rank
+// (span IDs are unique per environment), so ranks that share a node, and
+// with it one FS probe, are told apart by their spans alone.
 func (s *Session) Analyze() Breakdown {
-	var out Breakdown
-	fsByRank := make(map[int][]trace.Record)
-	for _, fl := range s.fs {
-		fsByRank[fl.rank] = append(fsByRank[fl.rank], fl.col.Records...)
+	var recs []trace.Record
+	for _, c := range s.lib {
+		recs = append(recs, c.Records...)
 	}
-	for rank := range s.lib {
-		libRecs := s.lib[rank].Records
-		sysRecs := s.sys[rank].Records
-		fsRecs := fsByRank[rank]
-		sysByParent := make(map[uint64][]int, len(sysRecs))
-		for j := range sysRecs {
-			sysByParent[sysRecs[j].Parent] = append(sysByParent[sysRecs[j].Parent], j)
+	nLib := len(recs)
+	for _, c := range s.sys {
+		recs = append(recs, c.Records...)
+	}
+	for _, fl := range s.fs {
+		recs = append(recs, fl.col.Records...)
+	}
+	children := analysis.SpanChildren(recs)
+	var out Breakdown
+	attributed := 0
+	for i := range recs[:nLib] {
+		mpiRec := &recs[i]
+		if !strings.HasPrefix(mpiRec.Name, "MPI_File_") {
+			continue
 		}
-		fsByParent := make(map[uint64][]int, len(fsRecs))
-		for k := range fsRecs {
-			fsByParent[fsRecs[k].Parent] = append(fsByParent[fsRecs[k].Parent], k)
+		cb := CallBreakdown{
+			Rank:  mpiRec.Rank,
+			Name:  mpiRec.Name,
+			Path:  mpiRec.Path,
+			Bytes: mpiRec.Bytes,
+			Total: mpiRec.Dur,
 		}
-		var attributedSys, attributedFS int
-		for i := range libRecs {
-			mpiRec := &libRecs[i]
-			if !strings.HasPrefix(mpiRec.Name, "MPI_File_") {
+		var sysTime, fsTime sim.Duration
+		for _, j := range children[mpiRec.Span] {
+			if recs[j].Class != trace.ClassSyscall {
 				continue
 			}
-			cb := CallBreakdown{
-				Rank:  mpiRec.Rank,
-				Name:  mpiRec.Name,
-				Path:  mpiRec.Path,
-				Bytes: mpiRec.Bytes,
-				Total: mpiRec.Dur,
-			}
-			var sysTime, fsTime sim.Duration
-			for _, j := range sysByParent[mpiRec.Span] {
-				cb.NestedSyscalls++
-				attributedSys++
-				sysTime += sysRecs[j].Dur
-				for _, k := range fsByParent[sysRecs[j].Span] {
+			cb.NestedSyscalls++
+			sysTime += recs[j].Dur
+			for _, k := range children[recs[j].Span] {
+				if recs[k].Class == trace.ClassFSOp {
 					cb.NestedFSOps++
-					attributedFS++
-					fsTime += fsRecs[k].Dur
+					fsTime += recs[k].Dur
 				}
 			}
-			cb.Library = cb.Total - sysTime
-			cb.Kernel = sysTime - fsTime
-			cb.Storage = fsTime
-			if cb.Library < 0 {
-				cb.Library = 0
-			}
-			if cb.Kernel < 0 {
-				cb.Kernel = 0
-			}
-			out.Calls = append(out.Calls, cb)
 		}
-		out.Orphan += len(sysRecs) - attributedSys
-		out.Orphan += len(fsRecs) - attributedFS
+		attributed += cb.NestedSyscalls + cb.NestedFSOps
+		cb.Library = max(cb.Total-sysTime, 0)
+		cb.Kernel = max(sysTime-fsTime, 0)
+		cb.Storage = fsTime
+		out.Calls = append(out.Calls, cb)
 	}
-	sort.SliceStable(out.Calls, func(i, j int) bool { return out.Calls[i].Rank < out.Calls[j].Rank })
+	out.Orphan = len(recs) - nLib - attributed
 	return out
 }
 

@@ -135,3 +135,50 @@ func TestClassificationValidates(t *testing.T) {
 		t.Fatalf("event types = %v", c.EventTypes)
 	}
 }
+
+// TestAnalyzeRanksPerNode checks that attribution does not depend on rank
+// placement. Ranks sharing a node share one VFS-boundary probe, whose records
+// all carry the node's first rank, so only the causal spans can tell whose
+// write an FS op served. Every rank's writes must carry nested FS ops, and
+// the per-call counts and the orphan total must match one rank per node.
+func TestAnalyzeRanksPerNode(t *testing.T) {
+	params := workload.Params{
+		Pattern:   workload.N1Strided,
+		BlockSize: 128 << 10,
+		NObj:      4,
+		Path:      "/pfs/rpn.out",
+	}
+	analyze := func(ranksPerNode int) Breakdown {
+		cfg := cluster.Small()
+		cfg.RanksPerNode = ranksPerNode
+		cfg.TotalRanks = 4
+		c := cluster.New(cfg)
+		s := Attach(c)
+		c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+			workload.Program(p, r, params, nil)
+		})
+		return s.Analyze()
+	}
+	base := analyze(1)
+	for _, rpn := range []int{1, 2, 4} {
+		b := analyze(rpn)
+		if len(b.Calls) != len(base.Calls) {
+			t.Fatalf("ranks/node %d: %d calls, want %d", rpn, len(b.Calls), len(base.Calls))
+		}
+		for i, cb := range b.Calls {
+			if strings.HasPrefix(cb.Name, "MPI_File_write") && cb.NestedFSOps == 0 {
+				t.Errorf("ranks/node %d: rank %d %s has no nested FS ops", rpn, cb.Rank, cb.Name)
+			}
+			want := base.Calls[i]
+			if cb.Rank != want.Rank || cb.Name != want.Name ||
+				cb.NestedSyscalls != want.NestedSyscalls || cb.NestedFSOps != want.NestedFSOps {
+				t.Errorf("ranks/node %d: call %d = rank %d %s (%d sys, %d fs), want rank %d %s (%d sys, %d fs)",
+					rpn, i, cb.Rank, cb.Name, cb.NestedSyscalls, cb.NestedFSOps,
+					want.Rank, want.Name, want.NestedSyscalls, want.NestedFSOps)
+			}
+		}
+		if b.Orphan != base.Orphan {
+			t.Errorf("ranks/node %d: %d orphans, want %d", rpn, b.Orphan, base.Orphan)
+		}
+	}
+}
