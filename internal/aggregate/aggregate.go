@@ -19,12 +19,10 @@ import (
 	"strings"
 
 	"iotaxo/internal/analysis"
-	"iotaxo/internal/clocks"
 	"iotaxo/internal/lanltrace"
 	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
-	"iotaxo/internal/tracefs"
 )
 
 // Capabilities describes what a source's data can support, mirroring the
@@ -103,14 +101,6 @@ func FromRecords(name string, recs []trace.Record, caps Capabilities) Source {
 	}
 }
 
-// FromStream wraps a streaming source factory directly — the adapter for
-// on-disk traces that should never be materialized whole. The factory's
-// records must be safe for callers to mutate; wrap shared storage with
-// trace.CloneTransform.
-func FromStream(name string, caps Capabilities, open func() (trace.Source, error)) Source {
-	return &streamSource{name: name, caps: caps, open: open}
-}
-
 // FromLANLTrace adapts a LANL-Trace report. Skew correction uses the
 // report's own barrier timing job; records are mapped onto rank 0's clock —
 // the analysis the aggregate timing output exists for.
@@ -131,27 +121,6 @@ func FromLANLTrace(rep *lanltrace.Report) Source {
 				return trace.TransformSource(rep.RecordSource(), trace.CloneTransform), nil
 			}
 			return analysis.CorrectingSource(rep.RecordSource(), est), nil
-		},
-	}
-}
-
-// FromTracefs adapts a mounted Tracefs layer. Tracefs has no parallel
-// awareness, so records stay on the node's local clock; node labels the
-// records since the layer itself does not know its host.
-func FromTracefs(fs *tracefs.FS, node string, clock *clocks.Clock) Source {
-	return &streamSource{
-		name: "Tracefs",
-		caps: Capabilities{
-			EventClasses: []trace.EventClass{trace.ClassFSOp},
-		},
-		open: func() (trace.Source, error) {
-			label := trace.Transform(func(r *trace.Record) (bool, error) {
-				if r.Node == "" {
-					r.Node = node
-				}
-				return true, nil
-			})
-			return trace.TransformSource(fs.OpenTrace(), label), nil
 		},
 	}
 }

@@ -31,12 +31,6 @@ func NewCallSummary() *CallSummary {
 	return &CallSummary{rows: make(map[string]*SummaryRow)}
 }
 
-// Summarize builds a call summary over records.
-func Summarize(recs []trace.Record) *CallSummary {
-	s, _ := SummarizeSource(trace.SliceSource(recs))
-	return s
-}
-
 // SummarizeSource folds a record stream into a call summary with O(1)
 // memory per distinct call name.
 func SummarizeSource(src trace.Source) (*CallSummary, error) {
@@ -121,17 +115,6 @@ func CorrectTimeline(recs []trace.Record, est map[string]clocks.Estimate) []trac
 	return out
 }
 
-// MergeSorted merges per-process record streams into one stream ordered by
-// timestamp (stable across equal timestamps by input order).
-func MergeSorted(streams ...[]trace.Record) []trace.Record {
-	var out []trace.Record
-	for _, s := range streams {
-		out = append(out, s...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out
-}
-
 // IOStats aggregates data-movement statistics from a record stream.
 // ReadBytes and WriteBytes bucket directional data movement only; bytes
 // carried by direction-less records (mmap regions, syncs) count toward
@@ -175,12 +158,6 @@ func (s *IOStats) Sink() trace.Sink {
 		s.Add(r)
 		return nil
 	})
-}
-
-// ComputeIOStats scans records for I/O operations.
-func ComputeIOStats(recs []trace.Record) IOStats {
-	st, _ := ComputeIOStatsSource(trace.SliceSource(recs))
-	return *st
 }
 
 // ComputeIOStatsSource folds a record stream into I/O statistics with

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,15 @@ import (
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
 )
+
+// must unwraps the result of a Source fold over an in-memory slice, which
+// cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func records() []trace.Record {
 	return []trace.Record{
@@ -22,7 +32,7 @@ func records() []trace.Record {
 }
 
 func TestSummarizeCountsAndTimes(t *testing.T) {
-	s := Summarize(records())
+	s := must(SummarizeSource(trace.SliceSource(records())))
 	rows := s.Rows()
 	byName := map[string]SummaryRow{}
 	for _, r := range rows {
@@ -40,7 +50,7 @@ func TestSummarizeCountsAndTimes(t *testing.T) {
 }
 
 func TestSummaryRowsSorted(t *testing.T) {
-	rows := Summarize(records()).Rows()
+	rows := must(SummarizeSource(trace.SliceSource(records()))).Rows()
 	for i := 1; i < len(rows); i++ {
 		if rows[i].Name < rows[i-1].Name {
 			t.Fatal("rows not sorted")
@@ -49,7 +59,7 @@ func TestSummaryRowsSorted(t *testing.T) {
 }
 
 func TestFormatMatchesFigure1(t *testing.T) {
-	out := Summarize(records()).Format()
+	out := must(SummarizeSource(trace.SliceSource(records()))).Format()
 	for _, want := range []string{
 		"SUMMARY COUNT OF TRACED CALL(S)",
 		"Function Name",
@@ -90,7 +100,7 @@ func TestCorrectTimelineAppliesEstimates(t *testing.T) {
 func TestMergeSortedOrders(t *testing.T) {
 	a := []trace.Record{{Time: 10}, {Time: 30}}
 	b := []trace.Record{{Time: 20}, {Time: 40}}
-	out := MergeSorted(a, b)
+	out := must(trace.Collect(trace.MergeSources(trace.SliceSource(a), trace.SliceSource(b))))
 	for i := 1; i < len(out); i++ {
 		if out[i].Time < out[i-1].Time {
 			t.Fatal("not sorted")
@@ -101,9 +111,13 @@ func TestMergeSortedOrders(t *testing.T) {
 	}
 }
 
-// Property: MergeSorted output is always nondecreasing in Time.
+// Property: merging per-process streams with trace.MergeSources always
+// yields records nondecreasing in Time. Each process emits its records in
+// time order, which is MergeSources' input contract, so the two streams are
+// dealt from the sorted times.
 func TestMergeSortedProperty(t *testing.T) {
 	f := func(times []int16) bool {
+		slices.Sort(times)
 		var a, b []trace.Record
 		for i, tm := range times {
 			r := trace.Record{Time: sim.Time(tm)}
@@ -113,7 +127,7 @@ func TestMergeSortedProperty(t *testing.T) {
 				b = append(b, r)
 			}
 		}
-		out := MergeSorted(a, b)
+		out := must(trace.Collect(trace.MergeSources(trace.SliceSource(a), trace.SliceSource(b))))
 		for i := 1; i < len(out); i++ {
 			if out[i].Time < out[i-1].Time {
 				return false
@@ -127,7 +141,7 @@ func TestMergeSortedProperty(t *testing.T) {
 }
 
 func TestComputeIOStats(t *testing.T) {
-	st := ComputeIOStats(records())
+	st := must(ComputeIOStatsSource(trace.SliceSource(records())))
 	if st.Calls != 3 {
 		t.Fatalf("io calls = %d", st.Calls)
 	}
@@ -156,7 +170,7 @@ func TestIOStatsNeitherReadNorWrite(t *testing.T) {
 		{Name: "SYS_mmap", Bytes: 65536, Dur: sim.Microsecond},
 		{Name: "SYS_readdir", Bytes: 512, Dur: sim.Microsecond},
 	}
-	st := ComputeIOStats(recs)
+	st := must(ComputeIOStatsSource(trace.SliceSource(recs)))
 	if st.WriteBytes != 4096 {
 		t.Fatalf("WriteBytes = %d, want 4096 (mmap/readdir bytes leaked in)", st.WriteBytes)
 	}
@@ -217,7 +231,7 @@ func TestTimelineSpan(t *testing.T) {
 
 func TestSummaryAddIncremental(t *testing.T) {
 	s := &CallSummary{}
-	s2 := Summarize(nil)
+	s2 := NewCallSummary()
 	r := trace.Record{Name: "X", Dur: 5}
 	s2.Add(&r)
 	s2.Add(&r)

@@ -79,9 +79,9 @@ func TestColumnarIOStatsMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		slow := ComputeIOStats(filter(recs, q))
-		if !reflect.DeepEqual(*fast, slow) {
-			t.Fatalf("query %d: columnar %+v != full scan %+v", qi, *fast, slow)
+		slow := must(ComputeIOStatsSource(trace.SliceSource(filter(recs, q))))
+		if !reflect.DeepEqual(*fast, *slow) {
+			t.Fatalf("query %d: columnar %+v != full scan %+v", qi, *fast, *slow)
 		}
 		if scan.BlocksDecoded > scan.BlocksTotal {
 			t.Fatalf("query %d: decoded %d of %d", qi, scan.BlocksDecoded, scan.BlocksTotal)
@@ -97,7 +97,7 @@ func TestColumnarSummaryMatchesFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := Summarize(filter(recs, q))
+	slow := must(SummarizeSource(trace.SliceSource(filter(recs, q))))
 	if !reflect.DeepEqual(fast.Rows(), slow.Rows()) {
 		t.Fatalf("columnar rows %+v != full scan rows %+v", fast.Rows(), slow.Rows())
 	}

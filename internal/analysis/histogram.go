@@ -40,12 +40,6 @@ func (h *SizeHistogram) Sink() trace.Sink {
 	})
 }
 
-// HistogramSizes builds a request-size histogram over the I/O records.
-func HistogramSizes(recs []trace.Record) SizeHistogram {
-	h, _ := HistogramSizesSource(trace.SliceSource(recs))
-	return *h
-}
-
 // HistogramSizesSource folds a record stream into the histogram with O(1)
 // memory per bucket.
 func HistogramSizesSource(src trace.Source) (*SizeHistogram, error) {

@@ -20,7 +20,7 @@ func ioRecs() []trace.Record {
 }
 
 func TestHistogramSizes(t *testing.T) {
-	h := HistogramSizes(ioRecs())
+	h := must(HistogramSizesSource(trace.SliceSource(ioRecs())))
 	if h.Total != 4 {
 		t.Fatalf("total = %d", h.Total)
 	}
@@ -37,7 +37,7 @@ func TestHistogramSizes(t *testing.T) {
 }
 
 func TestHistogramEmpty(t *testing.T) {
-	h := HistogramSizes(nil)
+	h := must(HistogramSizesSource(trace.SliceSource(nil)))
 	if !strings.Contains(h.Format(), "no I/O") {
 		t.Fatal("empty histogram format")
 	}
@@ -132,7 +132,7 @@ func TestHistogramSmallBucketStillVisible(t *testing.T) {
 	}
 	// One lone 64 KiB request: 40*1/100 truncates to 0 marks.
 	recs = append(recs, trace.Record{Name: "SYS_pwrite", Bytes: 64 << 10})
-	out := HistogramSizes(recs).Format()
+	out := must(HistogramSizesSource(trace.SliceSource(recs))).Format()
 	for _, line := range strings.Split(out, "\n") {
 		if strings.Contains(line, "<=64KiB") && !strings.Contains(line, "#") {
 			t.Fatalf("nonzero bucket rendered without a bar:\n%s", out)
@@ -155,7 +155,7 @@ func TestHistogramTotalProperty(t *testing.T) {
 				io++
 			}
 		}
-		return HistogramSizes(recs).Total == int64(io)
+		return must(HistogramSizesSource(trace.SliceSource(recs))).Total == int64(io)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

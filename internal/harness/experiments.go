@@ -376,9 +376,3 @@ func (r PartraceResult) BestFidelity() float64 {
 	}
 	return best
 }
-
-// OverheadRange returns the overhead envelope (zero when no rows were
-// measured, never a sentinel).
-func (r PartraceResult) OverheadRange() (min, max float64) {
-	return rangeOver(len(r.Rows), func(i int) float64 { return r.Rows[i].OverheadFrac })
-}

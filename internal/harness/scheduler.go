@@ -44,9 +44,6 @@ func PoolSize() int { return sched.size() }
 // as real measurements arrive.
 func SetPoolMemBudget(bytes int64) { sched.setMemBudget(bytes) }
 
-// PoolMemBudget reports the pool's memory budget in bytes (0 = unlimited).
-func PoolMemBudget() int64 { return sched.memBudgetBytes() }
-
 // ParseMemBudget parses a human-readable -pool-mem value: a decimal number
 // with an optional B/KB/MB/GB/TB (or KiB/MiB/GiB/TiB) suffix, all binary
 // powers of 1024. Empty and "0" mean unlimited.

@@ -63,7 +63,3 @@ func (s *fwSession) Sources() []trace.Source {
 		s.ml.LayerSource(LayerFS),
 	}
 }
-
-// Analyzer exposes the attached multi-layer session for cross-layer
-// latency attribution (Analyze, Totals).
-func (s *fwSession) Analyzer() *Session { return s.ml }

@@ -104,6 +104,3 @@ func (s *fwSession) Sources() []trace.Source {
 	}
 	return out
 }
-
-// Tracer exposes the collected causal path for graph analysis.
-func (s *fwSession) Tracer() *Tracer { return s.tracer }

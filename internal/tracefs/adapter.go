@@ -89,7 +89,3 @@ func (s *fwSession) Sources() []trace.Source {
 	}
 	return out
 }
-
-// Mounts exposes the per-node Tracefs layers for feature-level inspection
-// (counters, suppressed-event stats).
-func (s *fwSession) Mounts() []*FS { return s.mounts }
