@@ -378,7 +378,7 @@ func BenchmarkAblationZeroCostHooks(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		full := run(interpose.LtraceBreakpoint())
-		zero := run(interpose.Zero())
+		zero := run(interpose.CostModel{})
 		ratio = float64(full) / float64(zero)
 		if ratio <= 1 {
 			b.Fatal("zero-cost hooks did not collapse the overhead")

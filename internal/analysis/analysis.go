@@ -175,17 +175,3 @@ func (s IOStats) Bandwidth() float64 {
 	}
 	return float64(s.Bytes) / s.TimeInIO.Seconds()
 }
-
-// TimelineSpan reports the first and last record timestamps.
-func TimelineSpan(recs []trace.Record) (first, last sim.Time) {
-	for i := range recs {
-		t := recs[i].Time
-		if i == 0 || t < first {
-			first = t
-		}
-		if end := t + recs[i].Dur; end > last {
-			last = end
-		}
-	}
-	return first, last
-}

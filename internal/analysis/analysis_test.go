@@ -219,16 +219,6 @@ func TestBandwidthZeroWhenNoTime(t *testing.T) {
 	}
 }
 
-func TestTimelineSpan(t *testing.T) {
-	first, last := TimelineSpan(records())
-	if first != 5 {
-		t.Fatalf("first = %v", first)
-	}
-	if last != 30+sim.Time(156431*sim.Microsecond) && last < 30 {
-		t.Fatalf("last = %v", last)
-	}
-}
-
 func TestSummaryAddIncremental(t *testing.T) {
 	s := &CallSummary{}
 	s2 := NewCallSummary()

@@ -80,10 +80,6 @@ func VFSHook() CostModel {
 	}
 }
 
-// Zero is the free model, used by the ablation benchmark that demonstrates
-// the overhead curves collapse without per-event charges.
-func Zero() CostModel { return CostModel{} }
-
 // Sink receives completed trace records.
 type Sink interface {
 	Emit(rec *trace.Record)

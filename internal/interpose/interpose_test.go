@@ -40,7 +40,7 @@ func TestRecorderChargesTime(t *testing.T) {
 
 func TestZeroModelFree(t *testing.T) {
 	env := sim.NewEnv(1)
-	rec := NewRecorder(Zero(), &Collector{})
+	rec := NewRecorder(CostModel{}, &Collector{})
 	var elapsed sim.Duration
 	env.Go("app", func(p *sim.Proc) {
 		start := p.Now()
@@ -58,7 +58,7 @@ func TestZeroModelFree(t *testing.T) {
 func TestFilterSuppresses(t *testing.T) {
 	env := sim.NewEnv(1)
 	col := &Collector{}
-	rec := NewRecorder(Zero(), col)
+	rec := NewRecorder(CostModel{}, col)
 	rec.Filter = func(r *trace.Record) bool { return r.Name != "SYS_pwrite" }
 	env.Go("app", func(p *sim.Proc) {
 		r := sampleRecord()
@@ -125,7 +125,7 @@ func TestCollectorClones(t *testing.T) {
 
 func TestRecorderStatsAccumulate(t *testing.T) {
 	env := sim.NewEnv(1)
-	rec := NewRecorder(Zero(), &Collector{})
+	rec := NewRecorder(CostModel{}, &Collector{})
 	env.Go("app", func(p *sim.Proc) {
 		for i := 0; i < 5; i++ {
 			r := sampleRecord()

@@ -51,15 +51,6 @@ func GeneratePseudoApp(rawTraces []string, originalElapsed sim.Duration) (*repla
 	return tr, nil
 }
 
-// GeneratePseudoAppFromReport is the in-process convenience path.
-func GeneratePseudoAppFromReport(rep *Report, originalElapsed sim.Duration) (*replay.Trace, error) {
-	texts := make([]string, len(rep.PerRank))
-	for rank := range rep.PerRank {
-		texts[rank] = rep.RawTraceText(rank)
-	}
-	return GeneratePseudoApp(texts, originalElapsed)
-}
-
 // opsFromRecords converts one rank's syscall stream into replay operations,
 // tracking the fd table the way a real trace replayer must. Library-call
 // records (MPI_*) are skipped: their I/O appears as the nested syscalls.

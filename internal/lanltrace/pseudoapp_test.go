@@ -28,7 +28,7 @@ func TestPseudoAppReproducesIOSignature(t *testing.T) {
 
 	// Generate the pseudo-application from the RAW TEXT (exercising the
 	// full parse path, as an offline replayer would).
-	tr, err := GeneratePseudoAppFromReport(rep, base.Elapsed)
+	tr, err := GeneratePseudoApp(rawTraces(rep), base.Elapsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestPseudoAppFidelityWeakerThanParallelTrace(t *testing.T) {
 	rep := fw.Run(c1.World, params.CommandLine(), func(p *sim.Proc, r *mpi.Rank) {
 		workload.Program(p, r, params, nil)
 	})
-	tr, err := GeneratePseudoAppFromReport(rep, base.Elapsed)
+	tr, err := GeneratePseudoApp(rawTraces(rep), base.Elapsed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,3 +146,13 @@ func TestGeneratePseudoAppBadRank(t *testing.T) {
 }
 
 var _ = cluster.NodeName // keep the import for test helpers above
+
+// rawTraces renders every rank's raw trace text, the files an offline
+// replayer would read.
+func rawTraces(rep *Report) []string {
+	texts := make([]string, len(rep.PerRank))
+	for rank := range texts {
+		texts[rank] = rep.RawTraceText(rank)
+	}
+	return texts
+}

@@ -64,14 +64,3 @@ func OpenAuto(r io.Reader) (Source, Format, error) {
 		return EmptySource(), format, nil
 	}
 }
-
-// ReadAuto decodes a trace stream of either format, returning the records
-// and the detected format: the slice wrapper over OpenAuto.
-func ReadAuto(r io.Reader) ([]Record, Format, error) {
-	src, format, err := OpenAuto(r)
-	if err != nil {
-		return nil, format, err
-	}
-	recs, err := Collect(src)
-	return recs, format, err
-}

@@ -58,7 +58,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 func TestColumnarAutodetect(t *testing.T) {
 	rec := sampleRecord()
 	data := writeColumnar(t, []Record{rec}, ColumnarOptions{})
-	recs, format, err := ReadAuto(bytes.NewReader(data))
+	recs, format, err := readAuto(bytes.NewReader(data))
 	if err != nil || format != FormatColumnar || len(recs) != 1 {
 		t.Fatalf("columnar auto: %v %v %d", err, format, len(recs))
 	}

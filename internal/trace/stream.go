@@ -41,11 +41,6 @@ func CloneTransform(r *Record) (bool, error) {
 	return true, nil
 }
 
-// FilterTransform adapts a predicate to a Transform.
-func FilterTransform(keep func(*Record) bool) Transform {
-	return func(r *Record) (bool, error) { return keep(r), nil }
-}
-
 // --- sources ---
 
 // sliceSource yields shallow copies of a record slice.

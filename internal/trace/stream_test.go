@@ -48,7 +48,7 @@ func TestStreamingTextEquivalence(t *testing.T) {
 
 	// Slice pipeline (the seed's shape): loop over records, write each.
 	var slicePath bytes.Buffer
-	w := NewTextWriter(&slicePath, recs[0].Node, recs[0].Rank, recs[0].PID)
+	w := NewTextSink(&slicePath)
 	for i := range recs {
 		if err := w.Write(&recs[i]); err != nil {
 			t.Fatal(err)
@@ -101,7 +101,7 @@ func TestTransformSourceFiltersAndMutates(t *testing.T) {
 		{Name: "MPI_Barrier"},
 		{Name: "SYS_read", Bytes: 5},
 	}
-	onlyIO := FilterTransform(func(r *Record) bool { return r.IsIO() })
+	onlyIO := Transform(func(r *Record) (bool, error) { return r.IsIO(), nil })
 	double := Transform(func(r *Record) (bool, error) {
 		r.Bytes *= 2
 		return true, nil
@@ -125,7 +125,7 @@ func TestTransformSinkDropsRecords(t *testing.T) {
 		got = append(got, r.Clone())
 		return nil
 	})
-	sink := TransformSink(dst, FilterTransform(func(r *Record) bool { return r.Bytes > 0 }))
+	sink := TransformSink(dst, func(r *Record) (bool, error) { return r.Bytes > 0, nil })
 	recs := []Record{{Name: "a", Bytes: 1}, {Name: "b"}, {Name: "c", Bytes: 2}}
 	if err := WriteAll(sink, recs); err != nil {
 		t.Fatal(err)

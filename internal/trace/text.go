@@ -20,42 +20,25 @@ import (
 type TextWriter struct {
 	w             *bufio.Writer
 	headerWritten bool
-	lazyHeader    bool
-	node          string
-	rank, pid     int
 	n             int64 // bytes written, for overhead accounting
 }
 
-// NewTextWriter returns a writer for one process's trace stream.
-func NewTextWriter(w io.Writer, node string, rank, pid int) *TextWriter {
-	return &TextWriter{w: bufio.NewWriter(w), node: node, rank: rank, pid: pid}
-}
-
-// NewTextSink returns a text writer whose header context (node/rank/pid) is
-// taken from the first record written: the Sink adapter for pipelines whose
-// provenance is only known once records start flowing.
+// NewTextSink returns a text writer for one process's trace stream. The
+// header's node/rank/pid context is taken from the first record written.
 func NewTextSink(w io.Writer) *TextWriter {
-	return &TextWriter{w: bufio.NewWriter(w), rank: -1, lazyHeader: true}
-}
-
-func (t *TextWriter) header() error {
-	if t.headerWritten {
-		return nil
-	}
-	t.headerWritten = true
-	n, err := fmt.Fprintf(t.w, "# iotaxo-trace text v1\n# node=%s rank=%d pid=%d\n",
-		t.node, t.rank, t.pid)
-	t.n += int64(n)
-	return err
+	return &TextWriter{w: bufio.NewWriter(w)}
 }
 
 // Write emits one record.
 func (t *TextWriter) Write(r *Record) error {
-	if t.lazyHeader && !t.headerWritten {
-		t.node, t.rank, t.pid = r.Node, r.Rank, r.PID
-	}
-	if err := t.header(); err != nil {
-		return err
+	if !t.headerWritten {
+		t.headerWritten = true
+		n, err := fmt.Fprintf(t.w, "# iotaxo-trace text v1\n# node=%s rank=%d pid=%d\n",
+			r.Node, r.Rank, r.PID)
+		t.n += int64(n)
+		if err != nil {
+			return err
+		}
 	}
 	n, err := fmt.Fprintf(t.w, "%s %s = %s <%d.%06d>\n",
 		FormatLocalTime(r.Time), r.CallString(), r.Ret,

@@ -44,7 +44,7 @@ func TestFormatLocalTimeMatchesFigure1Style(t *testing.T) {
 
 func TestTextRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewTextWriter(&buf, "host13.lanl.gov", 7, 10378)
+	w := NewTextSink(&buf)
 	in := sampleRecord()
 	if err := w.Write(&in); err != nil {
 		t.Fatal(err)
@@ -471,7 +471,7 @@ func TestTextRoundTripProperty(t *testing.T) {
 		in.Time = in.Time / 1000 * 1000
 		in.Dur = in.Dur / 1000 * 1000
 		var buf bytes.Buffer
-		w := NewTextWriter(&buf, in.Node, in.Rank, in.PID)
+		w := NewTextSink(&buf)
 		if err := w.Write(&in); err != nil {
 			return false
 		}
@@ -526,29 +526,39 @@ func TestTextReaderEOFBehavior(t *testing.T) {
 	}
 }
 
+// readAuto drains OpenAuto into a slice.
+func readAuto(r io.Reader) ([]Record, Format, error) {
+	src, format, err := OpenAuto(r)
+	if err != nil {
+		return nil, format, err
+	}
+	recs, err := Collect(src)
+	return recs, format, err
+}
+
 func TestReadAutoDetectsBoth(t *testing.T) {
 	rec := sampleRecord()
 	var bin bytes.Buffer
 	bw := NewBinaryWriter(&bin, BinaryOptions{})
 	bw.Write(&rec)
 	bw.Close()
-	recs, format, err := ReadAuto(&bin)
+	recs, format, err := readAuto(&bin)
 	if err != nil || format != FormatBinary || len(recs) != 1 {
 		t.Fatalf("binary auto: %v %v %d", err, format, len(recs))
 	}
 
 	var txt bytes.Buffer
-	tw := NewTextWriter(&txt, "n", 0, 1)
+	tw := NewTextSink(&txt)
 	tw.Write(&rec)
 	tw.Flush()
-	recs, format, err = ReadAuto(&txt)
+	recs, format, err = readAuto(&txt)
 	if err != nil || format != FormatText || len(recs) != 1 {
 		t.Fatalf("text auto: %v %v %d", err, format, len(recs))
 	}
 }
 
 func TestReadAutoEmpty(t *testing.T) {
-	_, format, _ := ReadAuto(strings.NewReader(""))
+	_, format, _ := OpenAuto(strings.NewReader(""))
 	if format != FormatUnknown {
 		t.Fatalf("format = %v", format)
 	}

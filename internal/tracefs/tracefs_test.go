@@ -379,7 +379,7 @@ func TestColumnarEmitterMatchesBinary(t *testing.T) {
 	if fCol.OutputBytes() >= fBin.OutputBytes() {
 		t.Fatalf("columnar not smaller: %d vs %d bytes", fCol.OutputBytes(), fBin.OutputBytes())
 	}
-	if _, format, _ := trace.ReadAuto(bytes.NewReader(fCol.TraceBinary())); format != trace.FormatColumnar {
+	if format, _ := trace.DetectFormat(bytes.NewReader(fCol.TraceBinary())); format != trace.FormatColumnar {
 		t.Fatalf("columnar output detected as %v", format)
 	}
 }

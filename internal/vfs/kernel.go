@@ -522,13 +522,3 @@ func (m *MMapRegion) Store(p *sim.Proc, offset, length int64) error {
 	_, err := m.file.WriteAt(p, m.offset+offset, length)
 	return err
 }
-
-// SyscallNames lists the syscall surface, for documentation and for
-// granularity-filter validation.
-func SyscallNames() []string {
-	return []string{
-		"SYS_open", "SYS_close", "SYS_read", "SYS_write", "SYS_pread",
-		"SYS_pwrite", "SYS_fsync", "SYS_stat", "SYS_statfs64", "SYS_unlink",
-		"SYS_fcntl64", "SYS_mmap",
-	}
-}

@@ -462,12 +462,6 @@ func TestSyscallCountAccumulates(t *testing.T) {
 	}
 }
 
-func TestSyscallNamesNonEmpty(t *testing.T) {
-	if len(SyscallNames()) < 10 {
-		t.Fatal("syscall surface suspiciously small")
-	}
-}
-
 func TestCanStack(t *testing.T) {
 	env := sim.NewEnv(1)
 	fs := NewMemFS(env, "ext3", disk.DefaultDisk())

@@ -269,17 +269,6 @@ func sortedNamesLocked() []string {
 	return names
 }
 
-// ParsePattern round-trips Pattern.String: it resolves a pattern CLI token
-// back to the Pattern value, with the same forgiving matching as ByName.
-func ParsePattern(name string) (Pattern, bool) {
-	for _, p := range []Pattern{NToN, N1NonStrided, N1Strided} {
-		if normalize(p.String()) == normalize(name) {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // PatternWorkload returns the registered workload wrapping an mpi_io_test
 // access pattern: the bridge the figure experiments use.
 func PatternWorkload(p Pattern) Workload { return MustByName(p.String()) }

@@ -71,21 +71,6 @@ func TestByNameRoundTripsEveryRegisteredName(t *testing.T) {
 	MustByName("no-such-workload")
 }
 
-func TestParsePatternRoundTrip(t *testing.T) {
-	for _, p := range []Pattern{NToN, N1NonStrided, N1Strided} {
-		got, ok := ParsePattern(p.String())
-		if !ok || got != p {
-			t.Fatalf("ParsePattern(%q) = %v, %v", p.String(), got, ok)
-		}
-		if PatternWorkload(p).Name() != p.String() {
-			t.Fatalf("PatternWorkload(%v) = %q", p, PatternWorkload(p).Name())
-		}
-	}
-	if _, ok := ParsePattern("mystery"); ok {
-		t.Fatal("ParsePattern hit on unknown token")
-	}
-}
-
 func TestDuplicateWorkloadRegisterPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -102,6 +87,9 @@ func TestPatternWorkloadMatchesDirectRun(t *testing.T) {
 	sc := testScale()
 	for _, p := range []Pattern{NToN, N1NonStrided, N1Strided} {
 		direct := Run(testCluster().World, sc.MPIIOParams(p))
+		if PatternWorkload(p).Name() != p.String() {
+			t.Fatalf("PatternWorkload(%v) = %q", p, PatternWorkload(p).Name())
+		}
 		viaReg := PatternWorkload(p).Run(testCluster().World, sc)
 		if direct.Elapsed != viaReg.Elapsed || direct.Bytes != viaReg.Bytes {
 			t.Fatalf("%v: registry run diverged: %v/%d vs %v/%d",
