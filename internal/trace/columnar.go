@@ -632,7 +632,9 @@ func (c *ColumnarWriter) Index() []BlockMeta { return c.index }
 func parseIndexPayload(payload []byte, firstOffset, limit int64) ([]BlockMeta, error) {
 	br := bytes.NewReader(payload)
 	n, err := binary.ReadUvarint(br)
-	if err != nil || n > 1<<28 {
+	// Each entry takes several bytes, so a count above the payload size is
+	// forged, and would otherwise size the metas allocation.
+	if err != nil || n > uint64(len(payload)) {
 		return nil, fmt.Errorf("%w: bad index block count", ErrCorrupt)
 	}
 	metas := make([]BlockMeta, 0, n)

@@ -79,10 +79,15 @@ func (c *ColumnarSource) nextBlock() error {
 	if err != nil {
 		return err
 	}
-	stored := make([]byte, h.payloadLen)
-	if err := c.readFull(stored); err != nil {
+	// Copy rather than allocate payloadLen up front: a corrupt length
+	// prefix must not cost more memory than the bytes actually present.
+	var buf bytes.Buffer
+	n, err := io.CopyN(&buf, c.r, int64(h.payloadLen))
+	c.off += n
+	if err != nil {
 		return fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
+	stored := buf.Bytes()
 	if blockCRC(hb[:], stored) != h.crc {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}

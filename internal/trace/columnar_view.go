@@ -51,6 +51,11 @@ type BlockView struct {
 // first — the writer's layout — which makes duplicates impossible to sneak
 // past validation.
 func parseBlockView(payload []byte, h blockHeader) (*BlockView, error) {
+	// Every record takes at least one byte of the payload, so a larger
+	// count is forged, and would otherwise size the column allocations.
+	if h.count > len(payload) {
+		return nil, fmt.Errorf("%w: block claims %d records in %d bytes", ErrCorrupt, h.count, len(payload))
+	}
 	v := &BlockView{count: h.count, classMask: h.classMask, dirMask: h.dirMask}
 	rest := payload
 	prev := byte(0)

@@ -666,6 +666,43 @@ func FuzzBinaryReader(f *testing.F) {
 	})
 }
 
+// FuzzOpenAuto checks the format-sniffing entry point on arbitrary input:
+// OpenAuto (through DetectFormat) picks a decoder, and draining it yields
+// records until io.EOF or an error. It must never panic, and never allocate
+// by a length or count the input does not back. The seeds are a few golden
+// records as text, v1 and v2, plain and compressed, two records per block.
+func FuzzOpenAuto(f *testing.F) {
+	recs := goldenRecords()[:4]
+	for _, sink := range []func(io.Writer) Sink{
+		func(w io.Writer) Sink { return NewTextSink(w) },
+		func(w io.Writer) Sink { return NewBinaryWriter(w, BinaryOptions{RecordsPerBlock: 2}) },
+		func(w io.Writer) Sink { return NewColumnarWriter(w, ColumnarOptions{RecordsPerBlock: 2}) },
+		func(w io.Writer) Sink {
+			return NewColumnarWriter(w, ColumnarOptions{RecordsPerBlock: 2, Compress: true})
+		},
+	} {
+		var buf bytes.Buffer
+		if err := WriteAll(sink(&buf), recs); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		src, _, err := OpenAuto(bytes.NewReader(data))
+		for err == nil {
+			_, err = src.Next()
+		}
+		runtime.ReadMemStats(&after)
+		// Far above what a fuzz-sized input decodes to, far below what
+		// a forged length prefix (up to 1 GiB) or record count claims.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Fatalf("%d-byte input allocated %d bytes", len(data), alloc)
+		}
+	})
+}
+
 // checkBinaryReader drains a reader over data, failing on any error other
 // than io.EOF or one wrapping ErrCorrupt.
 func checkBinaryReader(t *testing.T, data []byte) {
