@@ -63,3 +63,8 @@ func (s *fwSession) Sources() []trace.Source {
 		s.ml.LayerSource(LayerFS),
 	}
 }
+
+// Analyzer exposes the attached multi-layer session for cross-layer
+// latency attribution (Analyze, Totals). perfbench's trace-query workload
+// reaches it through an interface assertion.
+func (s *fwSession) Analyzer() *Session { return s.ml }
