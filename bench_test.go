@@ -23,6 +23,7 @@ import (
 	"iotaxo/internal/interpose"
 	"iotaxo/internal/lanltrace"
 	"iotaxo/internal/mpi"
+	"iotaxo/internal/netsim"
 	"iotaxo/internal/partrace"
 	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
@@ -450,6 +451,26 @@ func BenchmarkSimProcessSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	env.Run()
+}
+
+// BenchmarkMailboxPopDepth measures one message in and one out of a mailbox
+// that already holds depth messages, the way a server port's backlog
+// deepens with the rank count. A pop costs O(1) on the mailbox's ring
+// buffer, so ns/op should stay flat across depths.
+func BenchmarkMailboxPopDepth(b *testing.B) {
+	for _, depth := range []int{16, 1024, 16384} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			mb := sim.NewMailbox[netsim.Message](sim.NewEnv(1))
+			for i := 0; i < depth; i++ {
+				mb.Put(netsim.Message{Size: int64(i)})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mb.Put(netsim.Message{Size: int64(i)})
+				mb.TryGet()
+			}
+		})
+	}
 }
 
 // BenchmarkSimProcessSwitchMany measures the same switch with 1024 procs

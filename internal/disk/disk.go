@@ -46,10 +46,14 @@ var ErrFailed = errors.New("disk: drive failed")
 // Disk is a single drive with a serially-shared head.
 type Disk struct {
 	cfg     Config
+	env     *sim.Env
 	head    *sim.Resource
 	nextSeq int64 // next sequential byte position; access elsewhere seeks
 
 	failed bool
+
+	// free is the drive's list of idle event-chain transfers (see access).
+	free *access
 
 	// Stats.
 	Ops          int64
@@ -63,7 +67,7 @@ func NewDisk(env *sim.Env, cfg Config) *Disk {
 	if cfg.BandwidthBps <= 0 {
 		panic("disk: bandwidth must be positive")
 	}
-	return &Disk{cfg: cfg, head: sim.NewResource(env, 1), nextSeq: -1}
+	return &Disk{cfg: cfg, env: env, head: sim.NewResource(env, 1), nextSeq: -1}
 }
 
 // Fail marks the drive failed; subsequent operations return ErrFailed.
@@ -113,16 +117,52 @@ func (d *Disk) accessThen(pos, length int64, write bool, done func(error)) {
 		d.Seeks++
 	}
 	cost += sim.DurationOf(length, d.cfg.BandwidthBps)
-	d.head.HoldForThen(cost, func() {
-		d.nextSeq = pos + length
-		d.Ops++
-		if write {
-			d.BytesWritten += length
-		} else {
-			d.BytesRead += length
-		}
-		done(nil)
-	})
+	x := d.free
+	if x != nil {
+		d.free = x.next
+		x.next = nil
+	} else {
+		x = &access{d: d}
+		x.heldFn = x.held
+		x.doneFn = x.finish
+	}
+	x.pos, x.length, x.write, x.cost, x.done = pos, length, write, cost, done
+	d.head.AcquireThen(x.heldFn)
+}
+
+// access is one pooled event-chain transfer on a drive's head. Its stages
+// are bound once and it returns to the drive's free list on completion.
+// The chain is head.AcquireThen → After(cost) → head.Release: the events of
+// a process calling access, which holds the head with HoldFor.
+type access struct {
+	d           *Disk
+	pos, length int64
+	write       bool
+	cost        sim.Duration
+	done        func(error)
+
+	heldFn, doneFn func()
+	next           *access // free-list link
+}
+
+func (x *access) held() { x.d.env.After(x.cost, x.doneFn) }
+
+// finish releases the head, books the transfer and recycles x before
+// calling done.
+func (x *access) finish() {
+	d := x.d
+	d.head.Release()
+	d.nextSeq = x.pos + x.length
+	d.Ops++
+	if x.write {
+		d.BytesWritten += x.length
+	} else {
+		d.BytesRead += x.length
+	}
+	done := x.done
+	x.done = nil
+	x.next, d.free = d.free, x
+	done(nil)
 }
 
 // Read transfers length bytes starting at pos from the drive.
@@ -168,43 +208,15 @@ type Array struct {
 	// call (not per member-drive transfer), labelled with node.
 	tracer func(*trace.Record)
 	node   string
+
+	// free is the array's list of idle calls (see arrayOp).
+	free *arrayOp
 }
 
 // SetTracer installs (or, with nil fn, removes) the array-call tracer.
 // node labels emitted records with the owning server's node name.
 func (a *Array) SetTracer(node string, fn func(*trace.Record)) {
 	a.node, a.tracer = node, fn
-}
-
-// traceDone wraps an array call's completion to emit one ClassDiskIO record
-// spanning the whole call. With no tracer attached it is the identity, so
-// untraced arrays allocate no span and pay nothing.
-func (a *Array) traceDone(name string, off, length int64, parent uint64, done func(error)) func(error) {
-	if a.tracer == nil {
-		return done
-	}
-	span := a.env.NextSpanID()
-	start := a.env.Now()
-	return func(err error) {
-		ret := "0"
-		if err != nil {
-			ret = "-1 " + err.Error()
-		}
-		a.tracer(&trace.Record{
-			Time:   start,
-			Dur:    a.env.Now() - start,
-			Node:   a.node,
-			Rank:   -1,
-			Class:  trace.ClassDiskIO,
-			Name:   name,
-			Ret:    ret,
-			Offset: off,
-			Bytes:  length,
-			Span:   span,
-			Parent: parent,
-		})
-		done(err)
-	}
 }
 
 // NewArray builds the group. Disks must be >= 3 for RAID-5.
@@ -242,15 +254,15 @@ type unitOp struct {
 	write  bool
 }
 
-// Layout maps a logical byte range to the member drives. Exposed for the
-// property tests that verify completeness and disjointness of the mapping.
+// Layout maps a logical byte range to the member drives, appending the
+// transfers to ops. Exposed for the property tests that verify completeness
+// and disjointness of the mapping.
 //
 // Logical unit u = off/StripeUnit lives in row r = u/DataWidth. Within a
 // row, parity occupies drive (Disks-1 - r%Disks + Disks) % Disks (rotating,
 // RAID-5 left-symmetric style) and data units fill the remaining drives in
 // order.
-func (a *Array) Layout(off, length int64) []unitOp {
-	var ops []unitOp
+func (a *Array) Layout(ops []unitOp, off, length int64) []unitOp {
 	su := a.cfg.StripeUnit
 	dw := int64(a.DataWidth())
 	for length > 0 {
@@ -284,9 +296,8 @@ func (a *Array) parityDisk(row int64) int {
 	return int((n - 1 - row%n + n) % n)
 }
 
-// parityOps plans the parity (and RMW) traffic for a write.
-func (a *Array) parityOps(off, length int64) []unitOp {
-	var ops []unitOp
+// parityOps appends the parity (and RMW) traffic for a write to ops.
+func (a *Array) parityOps(ops []unitOp, off, length int64) []unitOp {
 	su := a.cfg.StripeUnit
 	row0 := off / a.RowSize()
 	rowN := (off + length - 1) / a.RowSize()
@@ -309,17 +320,16 @@ func (a *Array) parityOps(off, length int64) []unitOp {
 			// Read-modify-write: read old parity, and re-read the written
 			// range (old data) to compute the delta.
 			ops = append(ops, unitOp{disk: parity, pos: row * su, length: su})
-			for _, ro := range a.Layout(covStart, covered) {
-				ops = append(ops, ro)
-			}
+			ops = a.Layout(ops, covStart, covered)
 		}
 	}
 	return ops
 }
 
-// degradeReads rewrites ops touching the failed drive into reconstruction
-// reads of every surviving drive in the affected rows.
-func (a *Array) degradeReads(ops []unitOp) []unitOp {
+// degradeReads appends ops to out, rewriting each op that touches the
+// failed drive into reconstruction reads of every surviving drive in the
+// affected rows.
+func (a *Array) degradeReads(out, ops []unitOp) []unitOp {
 	failed := -1
 	for i, d := range a.disks {
 		if d.Failed() {
@@ -327,7 +337,6 @@ func (a *Array) degradeReads(ops []unitOp) []unitOp {
 			break
 		}
 	}
-	var out []unitOp
 	for _, op := range ops {
 		if op.disk != failed {
 			out = append(out, op)
@@ -349,17 +358,17 @@ func (a *Array) degradeReads(ops []unitOp) []unitOp {
 // (degraded mode); two failures return ErrFailed. The emitted DISK_read
 // record (if a tracer is attached) is parented under the caller's span.
 func (a *Array) ReadThenSpan(off, length int64, parent uint64, done func(error)) {
-	done = a.traceDone("DISK_read", off, length, parent, done)
-	if err := a.checkHealth(); err != nil && errors.Is(err, ErrFailed) {
-		done(err)
+	c := a.newOp("DISK_read", off, length, parent, done)
+	if err := a.checkHealth(); err != nil {
+		c.complete(err)
 		return
 	}
-	ops := a.Layout(off, length)
-	degraded := a.failedCount() == 1
-	if degraded {
-		ops = a.degradeReads(ops)
+	c.ops = a.Layout(c.ops[:0], off, length)
+	if a.failedCount() == 1 {
+		c.spare = a.degradeReads(c.spare[:0], c.ops)
+		c.ops, c.spare = c.spare, c.ops
 	}
-	a.executeThen(ops, done)
+	c.run()
 }
 
 // WriteThenSpan transfers a logical byte range to the array as an event
@@ -368,79 +377,176 @@ func (a *Array) ReadThenSpan(off, length int64, parent uint64, done func(error))
 // parity) unless the ablation flag disables it. The emitted DISK_write
 // record is parented under the caller's span.
 func (a *Array) WriteThenSpan(off, length int64, parent uint64, done func(error)) {
-	done = a.traceDone("DISK_write", off, length, parent, done)
+	c := a.newOp("DISK_write", off, length, parent, done)
 	if err := a.checkHealth(); err != nil {
-		done(err)
+		c.complete(err)
 		return
 	}
-	ops := a.Layout(off, length)
-	for i := range ops {
-		ops[i].write = true
+	c.ops = a.Layout(c.ops[:0], off, length)
+	for i := range c.ops {
+		c.ops[i].write = true
 	}
-	ops = append(ops, a.parityOps(off, length)...)
-	a.executeThen(ops, done)
+	c.ops = a.parityOps(c.ops, off, length)
+	c.run()
 }
 
-// executeThen groups planned ops per drive and runs the drives in parallel:
-// one event chain per busy member drive, joined by a counter. It schedules
-// one kickoff event per drive batch in drive-index order, then one
-// completion event after the last batch; every pinned schedule depends on
-// that event count and order. Errors are recorded per operation as they
-// surface, and done gets the first.
-func (a *Array) executeThen(ops []unitOp, done func(error)) {
-	perDisk := make(map[int][]unitOp)
-	for _, op := range ops {
-		perDisk[op.disk] = append(perDisk[op.disk], op)
-	}
-	var firstErr error
-	record := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
+// arrayOp is one in-flight array call: its planned member transfers, one
+// batch per drive and the join counter. It is pooled on the array with its
+// stages bound once, and its planning buffers are reused, so a call
+// allocates nothing once the free list covers the calls in flight. When a
+// tracer is attached it also carries the call's ClassDiskIO span (a span of
+// 0 means untraced: untraced arrays allocate no span and pay nothing).
+type arrayOp struct {
+	a       *Array
+	ops     []unitOp // the plan, in submission order
+	spare   []unitOp // second planning buffer for degraded reads
+	grouped []unitOp // the plan grouped by drive; batches slice into it
+	batches []driveBatch
+
+	remaining int // busy drives still running
+	firstErr  error
+	done      func(error)
+
+	name        string
+	off, length int64
+	span        uint64
+	parent      uint64
+	start       sim.Time
+
+	finishFn func()
+	next     *arrayOp // free-list link
+}
+
+// driveBatch is the serial chain of one drive's transfers within a call.
+type driveBatch struct {
+	c   *arrayOp
+	d   *Disk
+	ops []unitOp
+	n   int // ops counted while grouping
+	i   int // next op to start
+
+	advanceFn func()
+	stepFn    func(error)
+}
+
+// newOp takes a call from the free list (allocating and binding one when it
+// is empty) and, when a tracer is attached, opens the call's span.
+func (a *Array) newOp(name string, off, length int64, parent uint64, done func(error)) *arrayOp {
+	c := a.free
+	if c != nil {
+		a.free = c.next
+		c.next = nil
+	} else {
+		c = &arrayOp{a: a, batches: make([]driveBatch, len(a.disks))}
+		c.finishFn = c.finish
+		for i := range c.batches {
+			b := &c.batches[i]
+			b.c, b.d = c, a.disks[i]
+			b.advanceFn = b.advance
+			b.stepFn = b.step
 		}
 	}
-	remaining := 0
-	for idx := 0; idx < a.cfg.Disks; idx++ {
-		if len(perDisk[idx]) > 0 {
-			remaining++
-		}
+	c.name, c.off, c.length, c.parent, c.done = name, off, length, parent, done
+	if a.tracer != nil {
+		c.span = a.env.NextSpanID()
+		c.start = a.env.Now()
 	}
-	if remaining == 0 {
-		done(nil)
+	return c
+}
+
+// run groups the planned ops per drive and runs the drives in parallel: one
+// event chain per busy member drive, joined by a counter. It schedules one
+// kickoff event per drive batch in drive-index order, then one completion
+// event after the last batch; every pinned schedule depends on that event
+// count and order. Errors are recorded per operation as they surface, and
+// the call completes with the first.
+func (c *arrayOp) run() {
+	// A counting sort by drive: stable, so each batch keeps plan order.
+	for _, op := range c.ops {
+		c.batches[op.disk].n++
+	}
+	if cap(c.grouped) < len(c.ops) {
+		c.grouped = make([]unitOp, 0, len(c.ops))
+	}
+	at := 0
+	c.remaining = 0
+	for i := range c.batches {
+		b := &c.batches[i]
+		b.ops = c.grouped[at : at : at+b.n]
+		at += b.n
+		if b.n > 0 {
+			c.remaining++
+		}
+		b.n, b.i = 0, 0
+	}
+	for _, op := range c.ops {
+		b := &c.batches[op.disk]
+		b.ops = append(b.ops, op)
+	}
+	if c.remaining == 0 {
+		c.complete(nil)
 		return
 	}
-	finish := func() {
-		remaining--
-		if remaining == 0 {
-			a.env.After(0, func() { done(firstErr) })
+	for i := range c.batches {
+		if b := &c.batches[i]; len(b.ops) > 0 {
+			c.a.env.After(0, b.advanceFn)
 		}
-	}
-	for idx := 0; idx < a.cfg.Disks; idx++ {
-		batch := perDisk[idx]
-		if len(batch) == 0 {
-			continue
-		}
-		d := a.disks[idx]
-		a.env.After(0, func() { a.runBatchThen(d, batch, record, finish) })
 	}
 }
 
-// runBatchThen runs one drive's planned ops serially as an event chain,
-// recording each error as it surfaces and calling done when the batch
-// completes.
-func (a *Array) runBatchThen(d *Disk, batch []unitOp, record func(error), done func()) {
-	var step func(i int)
-	step = func(i int) {
-		if i == len(batch) {
-			done()
-			return
+// advance starts the batch's next transfer, or joins the call when the
+// batch is done.
+func (b *driveBatch) advance() {
+	if b.i == len(b.ops) {
+		c := b.c
+		c.remaining--
+		if c.remaining == 0 {
+			c.a.env.After(0, c.finishFn)
 		}
-		op := batch[i]
-		d.accessThen(op.pos, op.length, op.write, func(err error) {
-			record(err)
-			step(i + 1)
+		return
+	}
+	op := b.ops[b.i]
+	b.d.accessThen(op.pos, op.length, op.write, b.stepFn)
+}
+
+// step records a finished transfer's error and starts the next one.
+func (b *driveBatch) step(err error) {
+	if err != nil && b.c.firstErr == nil {
+		b.c.firstErr = err
+	}
+	b.i++
+	b.advance()
+}
+
+func (c *arrayOp) finish() { c.complete(c.firstErr) }
+
+// complete ends the call with err: it emits the call's ClassDiskIO record
+// when traced, returns c to the free list and calls done.
+func (c *arrayOp) complete(err error) {
+	a := c.a
+	if c.span != 0 {
+		ret := "0"
+		if err != nil {
+			ret = "-1 " + err.Error()
+		}
+		a.tracer(&trace.Record{
+			Time:   c.start,
+			Dur:    a.env.Now() - c.start,
+			Node:   a.node,
+			Rank:   -1,
+			Class:  trace.ClassDiskIO,
+			Name:   c.name,
+			Ret:    ret,
+			Offset: c.off,
+			Bytes:  c.length,
+			Span:   c.span,
+			Parent: c.parent,
 		})
 	}
-	step(0)
+	done := c.done
+	c.done, c.firstErr, c.span = nil, nil, 0
+	c.next, a.free = a.free, c
+	done(err)
 }
 
 // failedCount reports the number of failed member drives.

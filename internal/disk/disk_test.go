@@ -85,7 +85,7 @@ func TestDiskFailure(t *testing.T) {
 func TestLayoutSingleUnit(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 64 << 10, Disk: DefaultDisk()})
-	ops := a.Layout(0, 64<<10)
+	ops := a.Layout(nil, 0, 64<<10)
 	if len(ops) != 1 {
 		t.Fatalf("ops = %d, want 1", len(ops))
 	}
@@ -102,7 +102,7 @@ func TestLayoutAvoidsParityDisk(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, ArrayConfig{Disks: 5, StripeUnit: 1 << 10, Disk: DefaultDisk()})
 	// Walk several rows; data ops must never land on that row's parity disk.
-	ops := a.Layout(0, 40<<10)
+	ops := a.Layout(nil, 0, 40<<10)
 	for _, op := range ops {
 		row := op.pos / a.cfg.StripeUnit
 		if op.disk == a.parityDisk(row) {
@@ -119,7 +119,7 @@ func TestLayoutCoverageProperty(t *testing.T) {
 	f := func(offRaw, lenRaw uint16) bool {
 		off := int64(offRaw)
 		length := int64(lenRaw)%20000 + 1
-		ops := a.Layout(off, length)
+		ops := a.Layout(nil, off, length)
 		var total int64
 		cursor := off
 		for _, op := range ops {
@@ -290,5 +290,37 @@ func TestTotalOpsCounts(t *testing.T) {
 	}
 	if a.TotalOps() < int64(a.DataWidth())+1 {
 		t.Fatalf("TotalOps = %d, want >= %d", a.TotalOps(), a.DataWidth()+1)
+	}
+}
+
+// TestArrayCallAllocatesNothing guards the pooled array chain: once the
+// array's calls and the drives' transfers have warmed up, a sub-stripe write
+// (read-modify-write on two drives) and a multi-row read allocate no object.
+// A process waits for each call's done through a mailbox.
+func TestArrayCallAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	a := NewArray(env, DefaultArray())
+	finished := sim.NewMailbox[error](env)
+	done := func(err error) { finished.Put(err) }
+	allocs := -1.0
+	env.Go("client", func(p *sim.Proc) {
+		calls := func() {
+			a.WriteThenSpan(4096, 8192, 0, done)
+			if err := finished.Get(p); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			a.ReadThenSpan(0, 1<<20, 0, done)
+			if err := finished.Get(p); err != nil {
+				t.Errorf("read: %v", err)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			calls()
+		}
+		allocs = testing.AllocsPerRun(50, calls)
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Fatalf("warmed-up array calls allocate %v objects, want 0", allocs)
 	}
 }

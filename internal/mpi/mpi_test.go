@@ -314,3 +314,33 @@ func TestLocalFSPreloaded(t *testing.T) {
 	}
 	_ = vfs.ErrNotExist
 }
+
+// TestPingPongAllocatesNoEnvelopes guards the pooled MPI envelopes: once
+// the world's free list has warmed up, a Send/Recv ping-pong between two
+// ranks allocates no object at all, envelope or otherwise.
+func TestPingPongAllocatesNoEnvelopes(t *testing.T) {
+	const warm, runs = 16, 100
+	c := smallCluster(2)
+	allocs := -1.0
+	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+		if r.RankID() == 0 {
+			pingPong := func() {
+				r.Send(p, 1, 5, 64)
+				r.Recv(p, 1, 6)
+			}
+			for i := 0; i < warm; i++ {
+				pingPong()
+			}
+			allocs = testing.AllocsPerRun(runs, pingPong)
+			return
+		}
+		// AllocsPerRun calls its function once more than runs.
+		for i := 0; i < warm+runs+1; i++ {
+			r.Recv(p, 0, 5)
+			r.Send(p, 0, 6, 64)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed-up ping-pong allocates %v objects, want 0", allocs)
+	}
+}

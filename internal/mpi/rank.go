@@ -134,16 +134,17 @@ func (r *Rank) Wtime(p *sim.Proc) sim.Time {
 }
 
 // sendRaw transmits without tracing (internal transport for collectives).
+// The payload travels in a pooled envelope that recvRaw recycles.
 func (r *Rank) sendRaw(p *sim.Proc, dest, tag int, bytes int64, data any) {
 	dst := &r.world.ranks[dest]
+	envelope := r.world.newEnvelope()
+	*envelope = mpiMsg{From: r.rank, Tag: tag, Bytes: bytes, Data: data}
 	r.world.net.Send(p, netsim.Message{
-		From: r.node,
-		To:   dst.node,
-		Port: PortBase + dest,
-		Size: bytes + 64, // MPI envelope
-		Payload: mpiMsg{
-			From: r.rank, Tag: tag, Bytes: bytes, Data: data,
-		},
+		From:    r.node,
+		To:      dst.node,
+		Port:    PortBase + dest,
+		Size:    bytes + 64, // MPI envelope
+		Payload: envelope,
 	})
 }
 
@@ -157,10 +158,11 @@ func (r *Rank) recvRaw(p *sim.Proc, src, tag int) mpiMsg {
 	}
 	for {
 		msg := r.inbox.Get(p)
-		m, ok := msg.Payload.(mpiMsg)
+		envelope, ok := msg.Payload.(*mpiMsg)
 		if !ok {
 			continue
 		}
+		m := r.world.openEnvelope(envelope)
 		if m.From == src && m.Tag == tag {
 			return m
 		}

@@ -36,6 +36,12 @@ type World struct {
 	ranks   []Rank
 	started bool
 
+	// envelopes is the world's free list of point-to-point envelopes: a
+	// send takes one, the matching receive copies it out and puts it back,
+	// so steady messaging allocates none. It is per world, not global:
+	// sweep cells run worlds in parallel.
+	envelopes []*mpiMsg
+
 	// FinishedAt records each rank's completion time of the last Launch.
 	FinishedAt []sim.Time
 }
@@ -109,10 +115,32 @@ func (w *World) RunToCompletion(program func(p *sim.Proc, r *Rank)) sim.Duration
 	return end - start
 }
 
-// mpiMsg is one point-to-point payload.
+// mpiMsg is one point-to-point payload. On the wire it travels as a
+// *mpiMsg envelope from the world's free list; a rank holds unmatched
+// messages by value.
 type mpiMsg struct {
 	From  int
 	Tag   int
 	Bytes int64
 	Data  any
+}
+
+// newEnvelope takes an idle envelope from the free list, or allocates one.
+func (w *World) newEnvelope() *mpiMsg {
+	n := len(w.envelopes)
+	if n == 0 {
+		return new(mpiMsg)
+	}
+	m := w.envelopes[n-1]
+	w.envelopes = w.envelopes[:n-1]
+	return m
+}
+
+// openEnvelope returns the message m carries and puts m back on the free
+// list, cleared so that it keeps no reference to the data it carried.
+func (w *World) openEnvelope(m *mpiMsg) mpiMsg {
+	v := *m
+	*m = mpiMsg{}
+	w.envelopes = append(w.envelopes, m)
+	return v
 }

@@ -110,6 +110,12 @@ type Network struct {
 	// tracer, when set, receives one ClassNetMsg record per message
 	// delivery. Untraced networks pay nothing on the delivery path.
 	tracer func(*trace.Record)
+
+	// free is the network's list of idle deliveries. A steady stream of
+	// messages recycles the same few structs, so the message path
+	// allocates nothing once the list covers the peak in flight. It is
+	// per network, not global: sweep cells run networks in parallel.
+	free *delivery
 }
 
 // SetTracer installs (or, with nil, removes) the delivery tracer.
@@ -225,7 +231,7 @@ func (n *Network) Send(p *sim.Proc, msg Message) {
 	src.tx.HoldFor(p, sim.DurationOf(wire, n.cfg.BandwidthBps))
 	src.BytesSent += wire
 	src.MsgsSent++
-	n.deliver(dst, dstBox, msg, wire)
+	n.newDelivery(dst, dstBox, msg, wire).deliver()
 }
 
 // SendThen transmits msg as a pure event chain, calling done when the
@@ -243,56 +249,138 @@ func (n *Network) SendThen(msg Message, done func()) {
 	if dstBox == nil {
 		panic(fmt.Sprintf("netsim: send to %s:%d with no listener", msg.To, msg.Port))
 	}
-	wire := n.wireBytes(msg.Size)
-	n.env.After(n.cfg.PerMessageCPU, func() {
-		src.tx.HoldForThen(sim.DurationOf(wire, n.cfg.BandwidthBps), func() {
-			src.BytesSent += wire
-			src.MsgsSent++
-			n.deliver(dst, dstBox, msg, wire)
-			done()
-		})
-	})
+	n.newDelivery(dst, dstBox, msg, n.wireBytes(msg.Size)).transmit(src, done)
 }
 
-// deliver runs the asynchronous half of a transfer — switch latency, receive
-// serialization, receiver stats, mailbox delivery — as a chain of scheduled
-// events. It replaces the per-message "net.courier" process the simulator
-// used to spawn: event sequencing mirrors that courier hop for hop (spawn
-// dispatch at the current instant, latency sleep, rx hold, release-then-
-// deliver), so simulated timestamps are identical while live goroutines stay
-// O(processes) instead of O(in-flight messages).
-func (n *Network) deliver(dst *Iface, box *sim.Mailbox[Message], msg Message, wire int64) {
-	rxTime := sim.DurationOf(wire, n.cfg.BandwidthBps)
-	start := n.env.Now()
-	n.env.After(0, func() {
-		n.env.After(n.cfg.Latency, func() {
-			dst.rx.HoldForThen(rxTime, func() {
-				dst.BytesReceived += wire
-				dst.MsgsReceived++
-				if n.tracer != nil {
-					// Record the hop as a child span and hand that span to
-					// the receiver, so its records parent to the network
-					// layer; with no tracer the sender's span passes through
-					// untouched and the chain simply skips this layer.
-					span := n.env.NextSpanID()
-					n.tracer(&trace.Record{
-						Time:   start,
-						Dur:    n.env.Now() - start,
-						Node:   dst.name,
-						Rank:   -1,
-						Class:  trace.ClassNetMsg,
-						Name:   "NET_deliver",
-						Ret:    "0",
-						Bytes:  msg.Size,
-						Span:   span,
-						Parent: msg.Span,
-					})
-					msg.Span = span
-				}
-				box.Put(msg)
-			})
+// delivery is one in-flight message: the pooled, fixed-shape state of its
+// event chain. Its stage methods are bound to func values once, when the
+// struct is first allocated, and the struct returns to its network's free
+// list as the message lands, so a message costs no heap object of its own.
+//
+// The stages run as one event chain with exactly the events of a process
+// doing the same work, so chained and process-driven messages contending
+// for one NIC produce identical schedules:
+//
+//	transmit:  After(PerMessageCPU) → tx.AcquireThen → After(txTime) → tx.Release
+//	deliver:   After(0) → After(Latency) → rx.AcquireThen → After(rxTime) → rx.Release
+//
+// The transmit half is SendThen's and a server's response; Send's caller
+// pays it in its own process and starts the chain at deliver. The deliver
+// half has the events of a courier process spawned per message (spawn
+// dispatch at the current instant, latency sleep, rx hold, release then
+// deliver) without the process, so live goroutines stay O(processes)
+// instead of O(in-flight messages).
+type delivery struct {
+	n    *Network
+	src  *Iface // transmit half only
+	dst  *Iface
+	box  *sim.Mailbox[Message]
+	msg  Message
+	wire int64
+	done func() // transmit half: called once the sender-side cost is paid
+
+	start sim.Time // when the deliver half began, for the tracer
+
+	txReadyFn, txHeldFn, txSentFn          func()
+	departFn, arriveFn, rxHeldFn, rxDoneFn func()
+
+	next *delivery // free-list link
+}
+
+// newDelivery takes a delivery from the free list (allocating and binding
+// one when the list is empty) and loads it with one message.
+func (n *Network) newDelivery(dst *Iface, box *sim.Mailbox[Message], msg Message, wire int64) *delivery {
+	d := n.free
+	if d != nil {
+		n.free = d.next
+		d.next = nil
+	} else {
+		d = &delivery{n: n}
+		d.txReadyFn = d.txReady
+		d.txHeldFn = d.txHeld
+		d.txSentFn = d.txSent
+		d.departFn = d.depart
+		d.arriveFn = d.arrive
+		d.rxHeldFn = d.rxHeld
+		d.rxDoneFn = d.rxDone
+	}
+	d.dst, d.box, d.msg, d.wire = dst, box, msg, wire
+	return d
+}
+
+// transmit starts the transmit half from src: per-message CPU as one
+// scheduled event, then serialization on src's tx resource.
+func (d *delivery) transmit(src *Iface, done func()) {
+	d.src, d.done = src, done
+	d.n.env.After(d.n.cfg.PerMessageCPU, d.txReadyFn)
+}
+
+func (d *delivery) txReady() { d.src.tx.AcquireThen(d.txHeldFn) }
+
+func (d *delivery) txHeld() {
+	d.n.env.After(sim.DurationOf(d.wire, d.n.cfg.BandwidthBps), d.txSentFn)
+}
+
+// txSent releases the tx unit, books the sender's stats, starts the
+// deliver half and resumes the sender.
+func (d *delivery) txSent() {
+	d.src.tx.Release()
+	d.src.BytesSent += d.wire
+	d.src.MsgsSent++
+	done := d.done
+	d.src, d.done = nil, nil
+	d.deliver()
+	done()
+}
+
+// deliver starts the asynchronous half: switch latency, receive
+// serialization, receiver stats and mailbox delivery.
+func (d *delivery) deliver() {
+	d.start = d.n.env.Now()
+	d.n.env.After(0, d.departFn)
+}
+
+func (d *delivery) depart() { d.n.env.After(d.n.cfg.Latency, d.arriveFn) }
+
+func (d *delivery) arrive() { d.dst.rx.AcquireThen(d.rxHeldFn) }
+
+func (d *delivery) rxHeld() {
+	d.n.env.After(sim.DurationOf(d.wire, d.n.cfg.BandwidthBps), d.rxDoneFn)
+}
+
+// rxDone releases the rx unit, books the receiver's stats, traces the hop
+// and puts the message in the destination mailbox. The delivery goes back
+// on the free list before the put, its fields copied out first.
+func (d *delivery) rxDone() {
+	n, dst := d.n, d.dst
+	dst.rx.Release()
+	dst.BytesReceived += d.wire
+	dst.MsgsReceived++
+	msg := d.msg
+	if n.tracer != nil {
+		// Record the hop as a child span and hand that span to the
+		// receiver, so its records parent to the network layer; with no
+		// tracer the sender's span passes through untouched and the chain
+		// simply skips this layer.
+		span := n.env.NextSpanID()
+		n.tracer(&trace.Record{
+			Time:   d.start,
+			Dur:    n.env.Now() - d.start,
+			Node:   dst.name,
+			Rank:   -1,
+			Class:  trace.ClassNetMsg,
+			Name:   "NET_deliver",
+			Ret:    "0",
+			Bytes:  msg.Size,
+			Span:   span,
+			Parent: msg.Span,
 		})
-	})
+		msg.Span = span
+	}
+	box := d.box
+	d.dst, d.box, d.msg = nil, nil, Message{}
+	d.next, n.free = n.free, d
+	box.Put(msg)
 }
 
 // Call performs a synchronous request/response exchange: it sends req to
@@ -352,15 +440,8 @@ func (n *Network) ServeRequestThen(server string, msg Message) (req any, respond
 	return call.Req, func(respSize int64, resp any, done func()) {
 		src := n.Iface(server)
 		dst := n.Iface(from)
-		wire := n.wireBytes(respSize)
-		n.env.After(n.cfg.PerMessageCPU, func() {
-			src.tx.HoldForThen(sim.DurationOf(wire, n.cfg.BandwidthBps), func() {
-				src.BytesSent += wire
-				src.MsgsSent++
-				n.deliver(dst, reply, Message{From: server, To: from, Size: respSize, Payload: resp, Span: reqSpan}, wire)
-				done()
-			})
-		})
+		out := Message{From: server, To: from, Size: respSize, Payload: resp, Span: reqSpan}
+		n.newDelivery(dst, reply, out, n.wireBytes(respSize)).transmit(src, done)
 	}
 }
 

@@ -366,3 +366,36 @@ func TestGigabitEthernetDefaults(t *testing.T) {
 		t.Fatalf("bad defaults: %+v", cfg)
 	}
 }
+
+// TestMessagePathAllocatesNothing guards the pooled message path. A client
+// process sends a request (Send), an event-chain server echoes it (GetThen,
+// then SendThen, re-arming from the send's done) and the client receives
+// the reply (Get). Once the delivery free list and the mailbox rings have
+// warmed up, a round trip allocates no object at all.
+func TestMessagePathAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	n := testNet(env)
+	requests := n.Listen("b", 7)
+	replies := n.Listen("a", 8)
+	var serve func(Message)
+	rearm := func() { requests.GetThen(serve) }
+	serve = func(m Message) {
+		n.SendThen(Message{From: "b", To: "a", Port: 8, Size: 512, Span: m.Span}, rearm)
+	}
+	rearm()
+	allocs := -1.0
+	env.Go("client", func(p *sim.Proc) {
+		roundTrip := func() {
+			n.Send(p, Message{From: "a", To: "b", Port: 7, Size: 4096})
+			replies.Get(p)
+		}
+		for i := 0; i < 16; i++ {
+			roundTrip()
+		}
+		allocs = testing.AllocsPerRun(100, roundTrip)
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Fatalf("a warmed-up round trip allocates %v objects, want 0", allocs)
+	}
+}

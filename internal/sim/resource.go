@@ -6,14 +6,18 @@ package sim
 // arrival order, which keeps the simulation deterministic.
 //
 // A unit can be claimed two ways: by a process (Acquire/HoldFor, which park
-// the caller's coroutine) or by a pure event callback (AcquireThen/
-// HoldForThen, which allocate no process at all). Both waiter kinds share
-// one FIFO queue, so a mixed population is still served in arrival order.
+// the caller's coroutine) or by a pure event callback (AcquireThen, which
+// allocates no process at all). Both waiter kinds share one ring-buffer
+// FIFO, so a mixed population is still served in arrival order and a
+// release costs O(1) however deep the queue. An event chain holds a unit
+// for d with AcquireThen → After(d) → Release, the same event sequence as
+// a process calling HoldFor; callers bind those stages once (see netsim's
+// delivery and disk's access) so a claim allocates nothing.
 type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters []waiter
+	waiters fifo[waiter]
 }
 
 // waiter is one queued claim on a saturated resource: either a parked
@@ -57,7 +61,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.waiters = append(r.waiters, waiter{p: p})
+	r.waiters.push(waiter{p: p})
 	p.park()
 }
 
@@ -72,16 +76,13 @@ func (r *Resource) AcquireThen(fn func()) {
 		fn()
 		return
 	}
-	r.waiters = append(r.waiters, waiter{fn: fn})
+	r.waiters.push(waiter{fn: fn})
 }
 
 // Release returns one unit, waking the longest-waiting claim if any.
 func (r *Resource) Release() {
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters[len(r.waiters)-1] = waiter{}
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	if r.waiters.len() > 0 {
+		w := r.waiters.pop()
 		// The unit passes directly to the waiter; inUse unchanged. A parked
 		// process resumes via its dispatch event; a callback claim is
 		// scheduled the same way, so both kinds interleave identically.
@@ -106,22 +107,6 @@ func (r *Resource) HoldFor(p *Proc, d Duration) {
 	r.Release()
 }
 
-// HoldForThen occupies one unit for d virtual nanoseconds and then calls fn,
-// all as pure events: the zero-goroutine counterpart of HoldFor, used for
-// store-and-forward hops whose initiator has no process of its own (network
-// message delivery). The event sequencing exactly mirrors a process calling
-// HoldFor — acquire (queue if saturated), sleep d, release, continue — so
-// callback and process claims contending for one resource produce identical
-// schedules.
-func (r *Resource) HoldForThen(d Duration, fn func()) {
-	r.AcquireThen(func() {
-		r.env.After(d, func() {
-			r.Release()
-			fn()
-		})
-	})
-}
-
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
@@ -131,7 +116,9 @@ func (r *Resource) InUse() int { return r.inUse }
 //
 // Like Resource, a Mailbox serves two kinds of receiver through one FIFO
 // queue: processes (Get, which parks the caller) and event callbacks
-// (GetThen, which allocate no goroutine). Wake-ups are batched: however many
+// (GetThen, which allocate no goroutine). Messages and receivers both wait
+// in ring-buffer FIFOs, so a put or a receive costs O(1) however deep a
+// server port's backlog grows. Wake-ups are batched: however many
 // messages arrive at one instant, the mailbox schedules at most one drain
 // event, which serves every (message, receiver) pair in FIFO order — the
 // sequencing is identical to the retired one-wake-event-per-Put scheme
@@ -139,8 +126,8 @@ func (r *Resource) InUse() int { return r.inUse }
 // nothing schedulable between them.
 type Mailbox[T any] struct {
 	env      *Env
-	items    []T
-	recvq    []mboxWaiter[T]
+	items    fifo[T]
+	recvq    fifo[mboxWaiter[T]]
 	draining bool
 	drainFn  func() // bound drain method, allocated once in Init
 }
@@ -172,8 +159,8 @@ func (m *Mailbox[T]) Init(env *Env) {
 // (at most one pending at a time). Put may be called from a process or from
 // a pure scheduled event.
 func (m *Mailbox[T]) Put(v T) {
-	m.items = append(m.items, v)
-	if len(m.recvq) > 0 && !m.draining {
+	m.items.push(v)
+	if m.recvq.len() > 0 && !m.draining {
 		m.draining = true
 		m.env.schedule(m.env.now, m.drainFn)
 	}
@@ -186,36 +173,23 @@ func (m *Mailbox[T]) Put(v T) {
 // queues, so the loop terminates.
 func (m *Mailbox[T]) drain() {
 	m.draining = false
-	for len(m.items) > 0 && len(m.recvq) > 0 {
-		w := m.recvq[0]
-		copy(m.recvq, m.recvq[1:])
-		m.recvq[len(m.recvq)-1] = mboxWaiter[T]{}
-		m.recvq = m.recvq[:len(m.recvq)-1]
+	for m.items.len() > 0 && m.recvq.len() > 0 {
+		w := m.recvq.pop()
 		if w.p != nil {
 			m.env.dispatch(w.p)
 			continue
 		}
-		w.fn(m.pop())
+		w.fn(m.items.pop())
 	}
-}
-
-// pop removes and returns the oldest message; items must be non-empty.
-func (m *Mailbox[T]) pop() T {
-	v := m.items[0]
-	copy(m.items, m.items[1:])
-	var zero T
-	m.items[len(m.items)-1] = zero
-	m.items = m.items[:len(m.items)-1]
-	return v
 }
 
 // Get removes and returns the oldest message, blocking p until one exists.
 func (m *Mailbox[T]) Get(p *Proc) T {
-	for len(m.items) == 0 {
-		m.recvq = append(m.recvq, mboxWaiter[T]{p: p})
+	for m.items.len() == 0 {
+		m.recvq.push(mboxWaiter[T]{p: p})
 		p.park()
 	}
-	return m.pop()
+	return m.items.pop()
 }
 
 // GetThen receives one message on behalf of an event chain: fn runs with the
@@ -227,24 +201,24 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 // messages within one drain, as the process loop consumed them within one
 // wake).
 func (m *Mailbox[T]) GetThen(fn func(T)) {
-	if len(m.items) > 0 {
-		fn(m.pop())
+	if m.items.len() > 0 {
+		fn(m.items.pop())
 		return
 	}
-	m.recvq = append(m.recvq, mboxWaiter[T]{fn: fn})
+	m.recvq.push(mboxWaiter[T]{fn: fn})
 }
 
 // TryGet removes and returns the oldest message without blocking; ok is
 // false when the mailbox is empty.
 func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
 		return v, false
 	}
-	return m.pop(), true
+	return m.items.pop(), true
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }
 
 // Signal is a broadcast condition: processes Wait (or event chains WaitThen)
 // on it and a later Fire releases every current waiter at once. Fires with

@@ -251,6 +251,18 @@ func TestResourceHoldForSerializes(t *testing.T) {
 	}
 }
 
+// holdForThen occupies one unit of r for d and then calls fn, all as pure
+// events: the AcquireThen → After(d) → Release chain that netsim's delivery
+// stages and disk's access stages bind once per pooled operation.
+func holdForThen(r *Resource, d Duration, fn func()) {
+	r.AcquireThen(func() {
+		r.env.After(d, func() {
+			r.Release()
+			fn()
+		})
+	})
+}
+
 func TestHoldForThenSerializes(t *testing.T) {
 	// The event-callback hold must produce the same schedule as three
 	// processes calling HoldFor (cf. TestResourceHoldForSerializes).
@@ -259,7 +271,7 @@ func TestHoldForThenSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.At(0, func() {
-			res.HoldForThen(10, func() { finish = append(finish, env.Now()) })
+			holdForThen(res, 10, func() { finish = append(finish, env.Now()) })
 		})
 	}
 	env.Run()
@@ -288,7 +300,7 @@ func TestHoldForThenMatchesHoldFor(t *testing.T) {
 			start := Time(i) * 2
 			if eventized {
 				env.At(start, func() {
-					res.HoldForThen(d, func() { finish[i] = env.Now() })
+					holdForThen(res, d, func() { finish[i] = env.Now() })
 				})
 			} else {
 				env.At(start, func() {

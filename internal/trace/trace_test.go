@@ -703,6 +703,36 @@ func FuzzOpenAuto(f *testing.F) {
 	})
 }
 
+// FuzzTextReader checks the text parser on arbitrary input: draining a
+// TextReader yields records until io.EOF or an error. It must never panic,
+// and never allocate far beyond what the input backs. The seed is a few
+// golden records as text, plus a header line and a malformed line; a large
+// seed would make the fuzzer spend its time minimizing.
+func FuzzTextReader(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteAll(NewTextSink(&buf), goldenRecords()[:4]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("# node=n0 rank=3 pid=42\n10:00:00.000001 SYS_write(3, \"a,b\", 4) = 4 <0.000010>\n"))
+	f.Add([]byte("10:00:00.5 MPI_File_open((\"x\") = <1.2>\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r := NewTextReader(bytes.NewReader(data))
+		var err error
+		for err == nil {
+			_, err = r.Next()
+		}
+		runtime.ReadMemStats(&after)
+		// The reader's 64 KiB line buffer may grow to its 1 MiB line
+		// limit, and parsing adds a small multiple of the input.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+			t.Fatalf("%d-byte input allocated %d bytes", len(data), alloc)
+		}
+	})
+}
+
 // checkBinaryReader drains a reader over data, failing on any error other
 // than io.EOF or one wrapping ErrCorrupt.
 func checkBinaryReader(t *testing.T, data []byte) {
