@@ -79,37 +79,25 @@ func (d *Disk) Failed() bool { return d.failed }
 // Repair returns a failed drive to service.
 func (d *Disk) Repair() { d.failed = false }
 
-// access performs one contiguous transfer at the given byte position.
-func (d *Disk) access(p *sim.Proc, pos, length int64, write bool) error {
-	if d.failed {
-		return ErrFailed
-	}
-	cost := d.cfg.PerOp
-	if pos != d.nextSeq {
-		cost += d.cfg.Seek
-		d.Seeks++
-	}
-	cost += sim.DurationOf(length, d.cfg.BandwidthBps)
-	d.head.HoldFor(p, cost)
-	d.nextSeq = pos + length
-	d.Ops++
-	if write {
-		d.BytesWritten += length
-	} else {
-		d.BytesRead += length
-	}
-	return nil
+// access performs one contiguous transfer at the given byte position from
+// process p, which awaits the transfer's event chain.
+func (d *Disk) access(p *sim.Proc, pos, length int64, write bool) (err error) {
+	p.Await(func(wake func()) {
+		if !d.accessThen(pos, length, write, wake) {
+			err = ErrFailed
+			wake()
+		}
+	})
+	return err
 }
 
-// accessThen is the event-chain form of access, for callers without a
-// process (RAID member transfers, the PFS metadata journal): the same
-// transfer, calling done(err) when the head releases. The cost (including
-// the seek decision against nextSeq) is computed at call time, before the
-// head is acquired, exactly as access computes it before HoldFor.
-func (d *Disk) accessThen(pos, length int64, write bool, done func(error)) {
+// accessThen starts one contiguous transfer as an event chain, calling done
+// when the head releases, and reports false (never calling done) when the
+// drive has failed. The cost, including the seek decision against nextSeq,
+// is computed at call time, before the head is acquired.
+func (d *Disk) accessThen(pos, length int64, write bool, done func()) bool {
 	if d.failed {
-		done(ErrFailed)
-		return
+		return false
 	}
 	cost := d.cfg.PerOp
 	if pos != d.nextSeq {
@@ -128,18 +116,18 @@ func (d *Disk) accessThen(pos, length int64, write bool, done func(error)) {
 	}
 	x.pos, x.length, x.write, x.cost, x.done = pos, length, write, cost, done
 	d.head.AcquireThen(x.heldFn)
+	return true
 }
 
-// access is one pooled event-chain transfer on a drive's head. Its stages
-// are bound once and it returns to the drive's free list on completion.
-// The chain is head.AcquireThen → After(cost) → head.Release: the events of
-// a process calling access, which holds the head with HoldFor.
+// access is one pooled event-chain transfer on a drive's head, running
+// head.AcquireThen → After(cost) → head.Release. Its stages are bound once
+// and it returns to the drive's free list on completion.
 type access struct {
 	d           *Disk
 	pos, length int64
 	write       bool
 	cost        sim.Duration
-	done        func(error)
+	done        func()
 
 	heldFn, doneFn func()
 	next           *access // free-list link
@@ -162,7 +150,7 @@ func (x *access) finish() {
 	done := x.done
 	x.done = nil
 	x.next, d.free = d.free, x
-	done(nil)
+	done()
 }
 
 // Read transfers length bytes starting at pos from the drive.
@@ -176,9 +164,13 @@ func (d *Disk) Write(p *sim.Proc, pos, length int64) error {
 }
 
 // WriteThen transfers length bytes starting at pos to the drive as a pure
-// event chain, calling done(err) on completion.
-func (d *Disk) WriteThen(pos, length int64, done func(error)) {
-	d.accessThen(pos, length, true, done)
+// event chain, calling done on completion. On a failed drive it returns
+// ErrFailed at once and never calls done.
+func (d *Disk) WriteThen(pos, length int64, done func()) error {
+	if !d.accessThen(pos, length, true, done) {
+		return ErrFailed
+	}
+	return nil
 }
 
 // ArrayConfig describes a RAID-5 group.
@@ -426,7 +418,7 @@ type driveBatch struct {
 	i   int // next op to start
 
 	advanceFn func()
-	stepFn    func(error)
+	stepFn    func()
 }
 
 // newOp takes a call from the free list (allocating and binding one when it
@@ -494,26 +486,27 @@ func (c *arrayOp) run() {
 	}
 }
 
-// advance starts the batch's next transfer, or joins the call when the
-// batch is done.
+// advance starts the batch's next transfer, recording ErrFailed for each
+// one its failed drive refuses, or joins the call when the batch is done.
 func (b *driveBatch) advance() {
-	if b.i == len(b.ops) {
-		c := b.c
-		c.remaining--
-		if c.remaining == 0 {
-			c.a.env.After(0, c.finishFn)
+	for ; b.i < len(b.ops); b.i++ {
+		op := b.ops[b.i]
+		if b.d.accessThen(op.pos, op.length, op.write, b.stepFn) {
+			return
 		}
-		return
+		if b.c.firstErr == nil {
+			b.c.firstErr = ErrFailed
+		}
 	}
-	op := b.ops[b.i]
-	b.d.accessThen(op.pos, op.length, op.write, b.stepFn)
+	c := b.c
+	c.remaining--
+	if c.remaining == 0 {
+		c.a.env.After(0, c.finishFn)
+	}
 }
 
-// step records a finished transfer's error and starts the next one.
-func (b *driveBatch) step(err error) {
-	if err != nil && b.c.firstErr == nil {
-		b.c.firstErr = err
-	}
+// step starts the next transfer once one finishes.
+func (b *driveBatch) step() {
 	b.i++
 	b.advance()
 }

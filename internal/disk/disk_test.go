@@ -65,10 +65,18 @@ func TestDiskFailure(t *testing.T) {
 	d := NewDisk(env, DefaultDisk())
 	d.Fail()
 	var err error
-	env.Go("t", func(p *sim.Proc) { err = d.Write(p, 0, 100) })
+	var at sim.Time
+	env.Go("t", func(p *sim.Proc) {
+		p.Sleep(5)
+		err = d.Write(p, 0, 100)
+		at = p.Now()
+	})
 	env.Run()
 	if !errors.Is(err, ErrFailed) {
 		t.Fatalf("err = %v, want ErrFailed", err)
+	}
+	if at != 5 || d.Ops != 0 || d.Seeks != 0 {
+		t.Fatalf("failed write returned at %v with %d ops, %d seeks; want at 5 with none", at, d.Ops, d.Seeks)
 	}
 	d.Repair()
 	env2 := sim.NewEnv(1)
@@ -322,5 +330,32 @@ func TestArrayCallAllocatesNothing(t *testing.T) {
 	env.Run()
 	if allocs != 0 {
 		t.Fatalf("warmed-up array calls allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestProcWriteAllocatesNothing guards the process path onto the drive: a
+// process awaits the pooled transfer chain, so once the drive's free list
+// is warm a Write allocates no object, whether it seeks or streams.
+func TestProcWriteAllocatesNothing(t *testing.T) {
+	env := sim.NewEnv(1)
+	d := NewDisk(env, DefaultDisk())
+	allocs := -1.0
+	env.Go("writer", func(p *sim.Proc) {
+		pos := int64(0)
+		write := func() {
+			if err := d.Write(p, pos, 4096); err != nil {
+				t.Errorf("write: %v", err)
+			}
+			pos += 8192 // every other block: each write seeks
+		}
+		write()
+		allocs = testing.AllocsPerRun(100, write)
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Fatalf("a warmed-up process Write allocates %v objects, want 0", allocs)
+	}
+	if d.Ops != 102 || d.Seeks != 102 {
+		t.Fatalf("ops %d, seeks %d; want 102 each", d.Ops, d.Seeks)
 	}
 }

@@ -210,38 +210,22 @@ func (n *Network) TransferTime(payload int64) sim.Duration {
 		sim.DurationOf(n.wireBytes(payload), n.cfg.BandwidthBps)
 }
 
-// Send transmits msg from the calling process. The caller blocks for the
-// sender-side software cost and transmit serialization (as a kernel send
-// blocks while the NIC queue drains); propagation, receive serialization and
-// delivery proceed asynchronously as a pure event chain — no goroutine or
-// process is allocated per message, so in-flight message count never adds to
-// the runtime's live goroutine population.
+// Send transmits msg from the calling process, stamping it with the
+// process's span when it carries none. The caller awaits SendThen's chain,
+// so it blocks for the sender-side software cost and transmit serialization
+// (as a kernel send blocks while the NIC queue drains); propagation, receive
+// serialization and delivery proceed asynchronously, and no goroutine or
+// process is allocated per message.
 func (n *Network) Send(p *sim.Proc, msg Message) {
-	src := n.Iface(msg.From)
-	dst := n.Iface(msg.To)
-	dstBox := dst.box(msg.Port)
-	if dstBox == nil {
-		panic(fmt.Sprintf("netsim: send to %s:%d with no listener", msg.To, msg.Port))
-	}
-	wire := n.wireBytes(msg.Size)
 	if msg.Span == 0 {
 		msg.Span = p.Span()
 	}
-	p.Sleep(n.cfg.PerMessageCPU)
-	src.tx.HoldFor(p, sim.DurationOf(wire, n.cfg.BandwidthBps))
-	src.BytesSent += wire
-	src.MsgsSent++
-	n.newDelivery(dst, dstBox, msg, wire).deliver()
+	p.Await(func(wake func()) { n.SendThen(msg, wake) })
 }
 
-// SendThen transmits msg as a pure event chain, calling done when the
-// sender-side cost is paid (the point at which a process calling Send would
-// resume). The event sequencing mirrors Send hop for hop — per-message CPU
-// as one scheduled event (where Send's caller slept), transmit serialization
-// on the source tx resource, sender stats, then the shared asynchronous
-// delivery chain — so chained and process-driven sends contending for one
-// NIC produce identical schedules. No goroutine or process is involved at
-// any point.
+// SendThen transmits msg as a pure event chain, calling done once the
+// sender-side cost is paid: per-message CPU, then transmit serialization on
+// the source tx resource.
 func (n *Network) SendThen(msg Message, done func()) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
@@ -256,28 +240,21 @@ func (n *Network) SendThen(msg Message, done func()) {
 // event chain. Its stage methods are bound to func values once, when the
 // struct is first allocated, and the struct returns to its network's free
 // list as the message lands, so a message costs no heap object of its own.
-//
-// The stages run as one event chain with exactly the events of a process
-// doing the same work, so chained and process-driven messages contending
-// for one NIC produce identical schedules:
+// The chain has two halves:
 //
 //	transmit:  After(PerMessageCPU) → tx.AcquireThen → After(txTime) → tx.Release
 //	deliver:   After(0) → After(Latency) → rx.AcquireThen → After(rxTime) → rx.Release
 //
-// The transmit half is SendThen's and a server's response; Send's caller
-// pays it in its own process and starts the chain at deliver. The deliver
-// half has the events of a courier process spawned per message (spawn
-// dispatch at the current instant, latency sleep, rx hold, release then
-// deliver) without the process, so live goroutines stay O(processes)
-// instead of O(in-flight messages).
+// The sender resumes between them; the deliver half runs on without it, so
+// live goroutines stay O(processes) instead of O(in-flight messages).
 type delivery struct {
 	n    *Network
-	src  *Iface // transmit half only
+	src  *Iface
 	dst  *Iface
 	box  *sim.Mailbox[Message]
 	msg  Message
 	wire int64
-	done func() // transmit half: called once the sender-side cost is paid
+	done func() // called once the sender-side cost is paid
 
 	start sim.Time // when the deliver half began, for the tracer
 
@@ -322,22 +299,17 @@ func (d *delivery) txHeld() {
 }
 
 // txSent releases the tx unit, books the sender's stats, starts the
-// deliver half and resumes the sender.
+// deliver half (switch latency, receive serialization, receiver stats and
+// mailbox delivery) and resumes the sender.
 func (d *delivery) txSent() {
 	d.src.tx.Release()
 	d.src.BytesSent += d.wire
 	d.src.MsgsSent++
 	done := d.done
 	d.src, d.done = nil, nil
-	d.deliver()
-	done()
-}
-
-// deliver starts the asynchronous half: switch latency, receive
-// serialization, receiver stats and mailbox delivery.
-func (d *delivery) deliver() {
 	d.start = d.n.env.Now()
 	d.n.env.After(0, d.departFn)
+	done()
 }
 
 func (d *delivery) depart() { d.n.env.After(d.n.cfg.Latency, d.arriveFn) }

@@ -240,21 +240,30 @@ func TestDeliverySpawnsNoProcs(t *testing.T) {
 	}
 }
 
-// courierSend is the retired goroutine-per-message delivery engine, kept
-// here as the reference implementation: the eventized Send must reproduce
-// its schedule exactly.
+// hold occupies one unit of r for d from process p: it awaits the claim,
+// sleeps and releases.
+func hold(p *sim.Proc, r *sim.Resource, d sim.Duration) {
+	p.Await(r.AcquireThen)
+	p.Sleep(d)
+	r.Release()
+}
+
+// courierSend is a process-per-message delivery engine, kept here as the
+// reference implementation: the sender pays its costs in its own process
+// and a courier process carries each message. The event-chain Send must
+// reproduce its schedule exactly.
 func courierSend(n *Network, p *sim.Proc, msg Message) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
 	dstBox := dst.box(msg.Port)
 	wire := n.wireBytes(msg.Size)
 	p.Sleep(n.cfg.PerMessageCPU)
-	src.tx.HoldFor(p, sim.DurationOf(wire, n.cfg.BandwidthBps))
+	hold(p, &src.tx, sim.DurationOf(wire, n.cfg.BandwidthBps))
 	src.BytesSent += wire
 	src.MsgsSent++
 	n.env.Go("net.courier", func(c *sim.Proc) {
 		c.Sleep(n.cfg.Latency)
-		dst.rx.HoldFor(c, sim.DurationOf(wire, n.cfg.BandwidthBps))
+		hold(c, &dst.rx, sim.DurationOf(wire, n.cfg.BandwidthBps))
 		dst.BytesReceived += wire
 		dst.MsgsReceived++
 		dstBox.Put(msg)

@@ -150,13 +150,15 @@ func (m *metaServer) handleThen(req metaReq, parent uint64, done func(metaResp))
 }
 
 // journalWriteThen appends a journal record for a namespace mutation,
-// calling done when the write leaves the journal disk. As in the retired
-// blocking version, the journal position advances after the write completes
-// and write errors are ignored (the journal disk never fails in these
-// simulations).
+// calling done when the write leaves the journal disk. The journal position
+// advances after the write completes, and a write error is ignored (the
+// journal disk never fails in these simulations).
 func (m *metaServer) journalWriteThen(done func()) {
-	m.journal.WriteThen(m.jpos, 4096, func(error) {
+	written := func() {
 		m.jpos += 4096
 		done()
-	})
+	}
+	if m.journal.WriteThen(m.jpos, 4096, written) != nil {
+		written()
+	}
 }

@@ -6,10 +6,9 @@ import (
 
 // These tests pin down the batched wake path: Mailbox.Put, Signal.Fire, and
 // WaitGroup.Add-to-zero schedule one drain event that serves every waiter in
-// FIFO order, where the retired scheme scheduled one wake event per waiter.
-// The batching is only sound if arrival order survives — across bursts,
-// across mixed process/callback waiter populations, and across waiters that
-// re-register from inside their own wake.
+// FIFO order. The batching is only sound if arrival order survives — across
+// bursts, across a mailbox's mixed process/callback receivers, and across
+// waiters that re-register from inside their own wake.
 
 // TestBatchedWakeMailboxFIFO delivers a same-instant burst to several parked
 // receivers: messages must map to receivers in registration order, through
@@ -84,40 +83,6 @@ func TestBatchedWakeMailboxMixedWaiters(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeSignalMixedWaiters fires one broadcast at a mixed
-// process/callback waiter population: release order must equal wait order.
-func TestBatchedWakeSignalMixedWaiters(t *testing.T) {
-	env := NewEnv(1)
-	sig := NewSignal(env)
-	var got []string
-	env.Go("p0", func(p *Proc) {
-		sig.Wait(p)
-		got = append(got, "p0")
-	})
-	env.Go("arm", func(p *Proc) {
-		sig.WaitThen(func() { got = append(got, "cb1") })
-	})
-	env.Go("p2", func(p *Proc) {
-		p.Sleep(1)
-		sig.Wait(p)
-		got = append(got, "p2")
-	})
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(5)
-		sig.Fire()
-	})
-	env.Run()
-	want := []string{"p0", "cb1", "p2"}
-	if len(got) != len(want) {
-		t.Fatalf("wake order %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("wake order %v, want %v", got, want)
-		}
-	}
-}
-
 // TestBatchedWakeSignalReWait re-registers a waiter from inside its own
 // wake: the drain serves the captured population only, so the re-wait must
 // land in the next Fire, not loop inside the current drain.
@@ -146,21 +111,21 @@ func TestBatchedWakeSignalReWait(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeResourceMixedWaiters queues processes and AcquireThen
-// callbacks behind a saturated unit resource: the unit must pass through
-// the mixed queue in strict arrival order.
+// TestBatchedWakeResourceMixedWaiters queues awaiting processes and
+// AcquireThen callbacks behind a saturated unit resource: the unit must pass
+// through the mixed queue in strict arrival order.
 func TestBatchedWakeResourceMixedWaiters(t *testing.T) {
 	env := NewEnv(1)
 	res := NewResource(env, 1)
 	var got []string
 	env.Go("holder", func(p *Proc) {
-		res.Acquire(p)
+		p.Await(res.AcquireThen)
 		p.Sleep(10)
 		res.Release()
 	})
 	env.Go("p0", func(p *Proc) {
 		p.Sleep(1)
-		res.Acquire(p)
+		p.Await(res.AcquireThen)
 		got = append(got, "p0")
 		p.Sleep(1)
 		res.Release()
@@ -174,7 +139,7 @@ func TestBatchedWakeResourceMixedWaiters(t *testing.T) {
 	})
 	env.Go("p2", func(p *Proc) {
 		p.Sleep(3)
-		res.Acquire(p)
+		p.Await(res.AcquireThen)
 		got = append(got, "p2")
 		res.Release()
 	})
@@ -187,54 +152,6 @@ func TestBatchedWakeResourceMixedWaiters(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("grant order %v, want %v", got, want)
 		}
-	}
-}
-
-// TestBatchedWakeWaitGroupMixedWaiters parks processes and WaitThen
-// callbacks on one WaitGroup: the count reaching zero must release the whole
-// mixed population in wait order via one drain.
-func TestBatchedWakeWaitGroupMixedWaiters(t *testing.T) {
-	env := NewEnv(1)
-	wg := NewWaitGroup(env)
-	wg.Add(2)
-	var got []string
-	var at Time
-	env.Go("p0", func(p *Proc) {
-		wg.Wait(p)
-		got = append(got, "p0")
-		at = p.Now()
-	})
-	env.Go("arm", func(p *Proc) {
-		wg.WaitThen(func() { got = append(got, "cb1") })
-	})
-	env.Go("p2", func(p *Proc) {
-		p.Sleep(1)
-		wg.Wait(p)
-		got = append(got, "p2")
-	})
-	env.Go("done", func(p *Proc) {
-		p.Sleep(5)
-		wg.Done()
-		wg.Done()
-	})
-	env.Run()
-	want := []string{"p0", "cb1", "p2"}
-	if len(got) != len(want) {
-		t.Fatalf("release order %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("release order %v, want %v", got, want)
-		}
-	}
-	if at != 5 {
-		t.Fatalf("released at %v, want 5", at)
-	}
-	// Released to zero: a fresh WaitThen must run synchronously.
-	ran := false
-	wg.WaitThen(func() { ran = true })
-	if !ran {
-		t.Fatal("WaitThen on settled WaitGroup did not run synchronously")
 	}
 }
 

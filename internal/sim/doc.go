@@ -7,6 +7,9 @@
 // or a single simulated process — runs at any instant, so simulations are
 // fully deterministic for a given seed and program.
 //
-// All other substrate packages (network, disks, file systems, MPI) are built
-// on this kernel; virtual time is an int64 nanosecond count.
+// Each simulated operation is written once, as an event chain of callbacks
+// that allocates no process; a process runs the same chain by blocking on it
+// with Proc.Await. All other substrate packages (network, disks, file
+// systems, MPI) are built on this kernel; virtual time is an int64
+// nanosecond count.
 package sim

@@ -78,9 +78,9 @@ func TestFIFOPopZeroesSlot(t *testing.T) {
 }
 
 // TestResourceServeOrderMixedDeep queues a few hundred claims on a
-// saturated resource, mixing process Acquire and callback AcquireThen at
-// random, while earlier claims are being served. Claims must be granted in
-// arrival order, each one service time after the last.
+// saturated resource, mixing awaited process claims and callback
+// AcquireThen at random, while earlier claims are being served. Claims must
+// be granted in arrival order, each one service time after the last.
 func TestResourceServeOrderMixedDeep(t *testing.T) {
 	const (
 		claims  = 300
@@ -91,7 +91,7 @@ func TestResourceServeOrderMixedDeep(t *testing.T) {
 	env := NewEnv(1)
 	res := NewResource(env, 1)
 	env.Go("holder", func(p *Proc) {
-		res.HoldFor(p, opens)
+		hold(p, res, opens)
 	})
 	var order []int
 	var grantedAt []Time
@@ -106,7 +106,7 @@ func TestResourceServeOrderMixedDeep(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			env.At(Time(i+1), func() {
 				env.Go("claim", func(p *Proc) {
-					res.Acquire(p)
+					p.Await(res.AcquireThen)
 					granted()
 					p.Sleep(service)
 					res.Release()

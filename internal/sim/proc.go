@@ -12,8 +12,8 @@ type killedError struct{}
 func (killedError) Error() string { return "sim: process killed at shutdown" }
 
 // Proc is a simulated process: a coroutine that runs in strict alternation
-// with the scheduler. All blocking methods (Sleep, Resource.Acquire,
-// Mailbox.Get, ...) must be called from the process's own body.
+// with the scheduler. All blocking methods (Sleep, Await, Mailbox.Get, ...)
+// must be called from the process's own body.
 type Proc struct {
 	env  *Env
 	pid  int
@@ -27,10 +27,16 @@ type Proc struct {
 	yield func(struct{}) bool
 
 	// dispatchFn is the process's reusable dispatch event, allocated once at
-	// spawn. Every Sleep/unpark schedules it; caching it here keeps the
-	// simulator's hottest path (hundreds of wake events per rank) from
-	// allocating a fresh closure per event.
+	// spawn. Every Sleep/unpark schedules it and Await hands it to the event
+	// chain as the wake callback; caching it here keeps the simulator's
+	// hottest path (hundreds of wake events per rank) from allocating a
+	// fresh closure per event.
 	dispatchFn func()
+
+	// awaiting is set while Await runs its start function: a wake that
+	// arrives then (the chain completed synchronously) only clears it, and
+	// Await returns without parking.
+	awaiting bool
 
 	// span is the causal span the process is currently executing under
 	// (0 = none). Layers that start a child operation save the old value,
@@ -68,10 +74,22 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// dispatch hands the CPU to p until it blocks or finishes.
+// dispatch hands the CPU to p until it blocks or finishes. Called inside
+// Await's start, p is the runner already, and the wake is only recorded.
 func (e *Env) dispatch(p *Proc) {
+	if p.awaiting {
+		p.awaiting = false
+		return
+	}
 	if _, ok := p.next(); !ok {
 		delete(e.procs, p)
+	}
+}
+
+// dispatchAll resumes each process in ws, in order.
+func (e *Env) dispatchAll(ws []*Proc) {
+	for _, p := range ws {
+		e.dispatch(p)
 	}
 }
 
@@ -121,6 +139,21 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.unparkAt(p.env.now + d)
 	p.park()
+}
+
+// Await blocks the process on an event chain: it calls start with a wake
+// callback and parks until the chain calls wake, once, from a later event.
+// A chain that completes synchronously, calling wake inside start, lets
+// Await return without parking or scheduling anything, just as a free
+// resource claim falls through. A process therefore runs the same event
+// chain as a pure event caller, not a process-side copy of it.
+func (p *Proc) Await(start func(wake func())) {
+	p.awaiting = true
+	start(p.dispatchFn)
+	if p.awaiting {
+		p.awaiting = false
+		p.park()
+	}
 }
 
 // String implements fmt.Stringer.

@@ -1,40 +1,19 @@
 package sim
 
 // Resource is a FIFO server with fixed capacity, the workhorse for modelling
-// contended hardware: a disk head, a network link, a CPU. Acquire blocks the
-// calling process while the resource is saturated; waiters are served in
-// arrival order, which keeps the simulation deterministic.
+// contended hardware: a disk head, a network link, a CPU. Claims are served
+// in arrival order, which keeps the simulation deterministic, from a
+// ring-buffer FIFO, so a release costs O(1) however deep the queue.
 //
-// A unit can be claimed two ways: by a process (Acquire/HoldFor, which park
-// the caller's coroutine) or by a pure event callback (AcquireThen, which
-// allocates no process at all). Both waiter kinds share one ring-buffer
-// FIFO, so a mixed population is still served in arrival order and a
-// release costs O(1) however deep the queue. An event chain holds a unit
-// for d with AcquireThen → After(d) → Release, the same event sequence as
-// a process calling HoldFor; callers bind those stages once (see netsim's
-// delivery and disk's access) so a claim allocates nothing.
+// A claim is an event callback (AcquireThen); a process claims by awaiting
+// one, p.Await(r.AcquireThen). An event chain holds a unit for d with
+// AcquireThen → After(d) → Release; callers bind those stages once (see
+// netsim's delivery and disk's access) so a claim allocates nothing.
 type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters fifo[waiter]
-}
-
-// waiter is one queued claim on a saturated resource: either a parked
-// process or a pure event callback.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// serve resumes one waiter: a parked process by switching to its coroutine, a
-// callback claim by direct invocation. Only valid inside a running event.
-func (w waiter) serve(env *Env) {
-	if w.p != nil {
-		env.dispatch(w.p)
-	} else {
-		w.fn()
-	}
+	waiters fifo[func()]
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -55,56 +34,29 @@ func (r *Resource) Init(env *Env, capacity int) {
 	r.cap = capacity
 }
 
-// Acquire obtains one unit of the resource, blocking p until available.
-func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap {
-		r.inUse++
-		return
-	}
-	r.waiters.push(waiter{p: p})
-	p.park()
-}
-
-// AcquireThen obtains one unit of the resource on behalf of an event chain:
-// fn runs holding the unit — immediately (synchronously) when one is free,
-// otherwise as a scheduled event when the queue reaches it. fn must
-// eventually lead to a Release. Unlike Acquire, no process or goroutine is
-// involved; this is the event-callback half of the resource API.
+// AcquireThen obtains one unit of the resource: fn runs holding the unit,
+// immediately (synchronously) when one is free, otherwise as a scheduled
+// event when the queue reaches it. fn must eventually lead to a Release.
 func (r *Resource) AcquireThen(fn func()) {
 	if r.inUse < r.cap {
 		r.inUse++
 		fn()
 		return
 	}
-	r.waiters.push(waiter{fn: fn})
+	r.waiters.push(fn)
 }
 
-// Release returns one unit, waking the longest-waiting claim if any.
+// Release returns one unit. The unit passes directly to the longest-waiting
+// claim, if any, whose callback is scheduled at the current instant.
 func (r *Resource) Release() {
 	if r.waiters.len() > 0 {
-		w := r.waiters.pop()
-		// The unit passes directly to the waiter; inUse unchanged. A parked
-		// process resumes via its dispatch event; a callback claim is
-		// scheduled the same way, so both kinds interleave identically.
-		if w.p != nil {
-			w.p.unpark()
-		} else {
-			r.env.schedule(r.env.now, w.fn)
-		}
+		r.env.schedule(r.env.now, r.waiters.pop())
 		return
 	}
 	if r.inUse == 0 {
-		panic("sim: Release without Acquire")
+		panic("sim: Release without AcquireThen")
 	}
 	r.inUse--
-}
-
-// HoldFor occupies one unit of the resource for d virtual nanoseconds: the
-// standard pattern for a store-and-forward hop or a disk transfer.
-func (r *Resource) HoldFor(p *Proc, d Duration) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // InUse reports the number of units currently held.
@@ -114,16 +66,16 @@ func (r *Resource) InUse() int { return r.inUse }
 // never block (use a Resource to model transmission time); receives block
 // until a message arrives. Multiple receivers are served in FIFO order.
 //
-// Like Resource, a Mailbox serves two kinds of receiver through one FIFO
-// queue: processes (Get, which parks the caller) and event callbacks
-// (GetThen, which allocate no goroutine). Messages and receivers both wait
-// in ring-buffer FIFOs, so a put or a receive costs O(1) however deep a
-// server port's backlog grows. Wake-ups are batched: however many
-// messages arrive at one instant, the mailbox schedules at most one drain
-// event, which serves every (message, receiver) pair in FIFO order — the
-// sequencing is identical to the retired one-wake-event-per-Put scheme
-// because those wake events carried consecutive sequence numbers with
-// nothing schedulable between them.
+// Mailbox is the one primitive that serves two kinds of receiver through one
+// FIFO queue: processes (Get, which parks the caller) and event callbacks
+// (GetThen, which allocate no goroutine). A process could await GetThen
+// instead, but the callback would have to carry the message back to it, a
+// closure per receive; MPI ranks receive every envelope with Get, and that
+// path allocates nothing. Messages and receivers both wait in ring-buffer
+// FIFOs, so a put or a receive costs O(1) however deep a server port's
+// backlog grows. Wake-ups are batched: however many messages arrive at one
+// instant, the mailbox schedules at most one drain event, which serves every
+// (message, receiver) pair in FIFO order.
 type Mailbox[T any] struct {
 	env      *Env
 	items    fifo[T]
@@ -220,12 +172,12 @@ func (m *Mailbox[T]) TryGet() (v T, ok bool) {
 // Len reports the number of queued messages.
 func (m *Mailbox[T]) Len() int { return m.items.len() }
 
-// Signal is a broadcast condition: processes Wait (or event chains WaitThen)
-// on it and a later Fire releases every current waiter at once. Fires with
-// no waiters are not remembered (it is a condition variable, not a latch).
+// Signal is a broadcast condition: processes Wait on it and a later Fire
+// releases every current waiter at once. Fires with no waiters are not
+// remembered (it is a condition variable, not a latch).
 type Signal struct {
 	env     *Env
-	waiters []waiter
+	waiters []*Proc
 }
 
 // NewSignal returns a signal bound to env.
@@ -233,33 +185,19 @@ func NewSignal(env *Env) *Signal { return &Signal{env: env} }
 
 // Wait blocks p until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, waiter{p: p})
+	s.waiters = append(s.waiters, p)
 	p.park()
 }
 
-// WaitThen registers fn to run at the next Fire: the event-callback half of
-// the signal API. Like process waiters, callbacks are released in wait
-// order.
-func (s *Signal) WaitThen(fn func()) {
-	s.waiters = append(s.waiters, waiter{fn: fn})
-}
-
-// Fire wakes every process and callback currently waiting, in wait order,
-// through a single scheduled drain event. The batched drain is sequencing-
-// identical to the retired one-wake-event-per-waiter scheme: those unpark
-// events carried consecutive sequence numbers assigned inside Fire's loop,
-// so nothing could ever be scheduled between them.
+// Fire wakes every process currently waiting, in wait order, through a
+// single scheduled drain event.
 func (s *Signal) Fire() {
 	ws := s.waiters
 	s.waiters = nil
 	if len(ws) == 0 {
 		return
 	}
-	s.env.schedule(s.env.now, func() {
-		for _, w := range ws {
-			w.serve(s.env)
-		}
-	})
+	s.env.schedule(s.env.now, func() { s.env.dispatchAll(ws) })
 }
 
 // Waiting reports the number of blocked waiters.
@@ -267,14 +205,13 @@ func (s *Signal) Waiting() int { return len(s.waiters) }
 
 // Latch is a one-shot gate: Open releases all present and future waiters.
 type Latch struct {
-	env    *Env
 	open   bool
 	signal *Signal
 }
 
 // NewLatch returns a closed latch.
 func NewLatch(env *Env) *Latch {
-	return &Latch{env: env, signal: NewSignal(env)}
+	return &Latch{signal: NewSignal(env)}
 }
 
 // Wait blocks p until the latch opens; returns immediately if already open.
@@ -283,16 +220,6 @@ func (l *Latch) Wait(p *Proc) {
 		return
 	}
 	l.signal.Wait(p)
-}
-
-// WaitThen runs fn when the latch opens — synchronously if already open,
-// mirroring a process Wait that falls straight through.
-func (l *Latch) WaitThen(fn func()) {
-	if l.open {
-		fn()
-		return
-	}
-	l.signal.WaitThen(fn)
 }
 
 // Open releases all waiters; idempotent.

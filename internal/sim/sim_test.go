@@ -192,7 +192,7 @@ func TestResourceFIFO(t *testing.T) {
 	var order []string
 	worker := func(name string, hold Duration) func(*Proc) {
 		return func(p *Proc) {
-			res.Acquire(p)
+			p.Await(res.AcquireThen)
 			order = append(order, name+"+")
 			p.Sleep(hold)
 			order = append(order, name+"-")
@@ -216,7 +216,7 @@ func TestResourceCapacityTwo(t *testing.T) {
 	res := NewResource(env, 2)
 	var maxInUse int
 	work := func(p *Proc) {
-		res.Acquire(p)
+		p.Await(res.AcquireThen)
 		if res.InUse() > maxInUse {
 			maxInUse = res.InUse()
 		}
@@ -238,7 +238,7 @@ func TestResourceHoldForSerializes(t *testing.T) {
 	var finish []Time
 	for i := 0; i < 3; i++ {
 		env.Go("h", func(p *Proc) {
-			res.HoldFor(p, 10)
+			hold(p, res, 10)
 			finish = append(finish, p.Now())
 		})
 	}
@@ -249,6 +249,14 @@ func TestResourceHoldForSerializes(t *testing.T) {
 			t.Fatalf("finish = %v, want %v", finish, want)
 		}
 	}
+}
+
+// hold occupies one unit of r for d from process p: it awaits the claim,
+// sleeps and releases.
+func hold(p *Proc, r *Resource, d Duration) {
+	p.Await(r.AcquireThen)
+	p.Sleep(d)
+	r.Release()
 }
 
 // holdForThen occupies one unit of r for d and then calls fn, all as pure
@@ -265,7 +273,7 @@ func holdForThen(r *Resource, d Duration, fn func()) {
 
 func TestHoldForThenSerializes(t *testing.T) {
 	// The event-callback hold must produce the same schedule as three
-	// processes calling HoldFor (cf. TestResourceHoldForSerializes).
+	// processes calling hold (cf. TestResourceHoldForSerializes).
 	env := NewEnv(1)
 	res := NewResource(env, 1)
 	var finish []Time
@@ -305,7 +313,7 @@ func TestHoldForThenMatchesHoldFor(t *testing.T) {
 			} else {
 				env.At(start, func() {
 					env.Go("h", func(p *Proc) {
-						res.HoldFor(p, d)
+						hold(p, res, d)
 						finish[i] = p.Now()
 					})
 				})
@@ -324,13 +332,13 @@ func TestHoldForThenMatchesHoldFor(t *testing.T) {
 }
 
 func TestAcquireThenMixedFIFOWithProcs(t *testing.T) {
-	// Process and callback claims share one queue and are served in strict
-	// arrival order.
+	// Awaited process claims and callback claims share one queue and are
+	// served in strict arrival order.
 	env := NewEnv(1)
 	res := NewResource(env, 1)
 	var order []string
 	env.Go("first", func(p *Proc) {
-		res.Acquire(p)
+		p.Await(res.AcquireThen)
 		p.Sleep(10)
 		res.Release()
 	})
@@ -342,7 +350,7 @@ func TestAcquireThenMixedFIFOWithProcs(t *testing.T) {
 	})
 	env.At(2, func() {
 		env.Go("proc", func(p *Proc) {
-			res.Acquire(p)
+			p.Await(res.AcquireThen)
 			order = append(order, "proc")
 			res.Release()
 		})
@@ -377,6 +385,81 @@ func TestAcquireThenImmediateRunsSynchronously(t *testing.T) {
 		t.Fatalf("InUse = %d, want 1", res.InUse())
 	}
 	res.Release()
+}
+
+// TestAwaitSynchronousCompletion runs a chain that calls wake inside start:
+// Await must return without parking and without scheduling an event, so a
+// process spawned behind the awaiter at the same instant has not run yet.
+func TestAwaitSynchronousCompletion(t *testing.T) {
+	env := NewEnv(1)
+	res := NewResource(env, 1)
+	otherRan := false
+	env.Go("awaiter", func(p *Proc) {
+		pending := env.Pending()
+		p.Await(res.AcquireThen) // free: the claim completes inside start
+		p.Await(func(wake func()) { wake() })
+		if env.Pending() != pending {
+			t.Errorf("pending events %d -> %d across synchronous Awaits", pending, env.Pending())
+		}
+		if otherRan {
+			t.Error("awaiter parked: a same-instant process ran in between")
+		}
+		if res.InUse() != 1 {
+			t.Errorf("InUse = %d, want 1", res.InUse())
+		}
+		res.Release()
+	})
+	env.Go("other", func(p *Proc) { otherRan = true })
+	env.Run()
+	if !otherRan {
+		t.Fatal("second process never ran")
+	}
+}
+
+// TestAwaitAsynchronousCompletion parks on chains that complete in later
+// events: a timer, and a claim queued behind a holder.
+func TestAwaitAsynchronousCompletion(t *testing.T) {
+	env := NewEnv(1)
+	res := NewResource(env, 1)
+	var timerAt, claimAt Time
+	env.Go("holder", func(p *Proc) { hold(p, res, 30) })
+	env.Go("awaiter", func(p *Proc) {
+		p.Await(func(wake func()) { env.After(5, wake) })
+		timerAt = p.Now()
+		p.Await(res.AcquireThen)
+		claimAt = p.Now()
+		res.Release()
+	})
+	env.Run()
+	if timerAt != 5 || claimAt != 30 {
+		t.Fatalf("resumed at %v and %v, want 5 and 30", timerAt, claimAt)
+	}
+	if env.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", env.LiveProcs())
+	}
+}
+
+// TestAwaitStopUnwinds stops the environment while a process awaits a chain
+// that never completes: the process's defers run and no process is left.
+func TestAwaitStopUnwinds(t *testing.T) {
+	env := NewEnv(1)
+	var parked func()
+	deferred := false
+	env.Go("awaiter", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Await(func(wake func()) { parked = wake })
+		t.Error("Await returned without a wake")
+	})
+	env.Run()
+	if parked == nil {
+		t.Fatal("start never ran")
+	}
+	if !deferred {
+		t.Fatal("Stop did not run the awaiting process's defers")
+	}
+	if env.LiveProcs() != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", env.LiveProcs())
+	}
 }
 
 func TestSpawnedAndLiveProcs(t *testing.T) {
@@ -522,7 +605,7 @@ func TestDeterminismSameSeed(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			env.Go("w", func(p *Proc) {
 				d := Duration(env.Rand().Intn(100) + 1)
-				res.HoldFor(p, d)
+				hold(p, res, d)
 				finish = append(finish, p.Now())
 			})
 		}

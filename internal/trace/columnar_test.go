@@ -2,11 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -487,5 +489,97 @@ func TestColumnarViewColumnsAgreeWithRecords(t *testing.T) {
 	}
 	if idx != len(in) {
 		t.Fatalf("visited %d rows, want %d", idx, len(in))
+	}
+}
+
+// FuzzColumnarReader checks the v2 random-access reader's contract on
+// arbitrary input: NewColumnarReader, an indexed Scan and ScanViews yield
+// records or views until io.EOF or an error wrapping ErrCorrupt, never
+// panic, and never allocate by a length or count the input does not back.
+// A mutated file rarely keeps its footer index CRC valid, so data (after a
+// first byte choosing a plain or a compressed trace) is also installed as
+// that trace's footer index, with a valid CRC: that reaches the index
+// parser, its stats extension and the block pruning they drive. The seeds
+// are both traces, six golden records in blocks of two, and their index
+// payloads.
+func FuzzColumnarReader(f *testing.F) {
+	var bases [2][]byte // stream header and data blocks, without the index
+	for i, compress := range []bool{false, true} {
+		var buf bytes.Buffer
+		opts := ColumnarOptions{RecordsPerBlock: 2, Compress: compress}
+		if err := WriteAll(NewColumnarWriter(&buf, opts), goldenRecords()[:6]); err != nil {
+			f.Fatal(err)
+		}
+		file := buf.Bytes()
+		end := len(file) - trailerLen
+		idxOff := end - int(binary.LittleEndian.Uint32(file[end:]))
+		bases[i] = file[:idxOff]
+		index := file[idxOff+blockHeaderLen : end]
+		want, err := NewColumnarReader(bytes.NewReader(file), int64(len(file)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rebuilt := withIndex(bases[i], index)
+		got, err := NewColumnarReader(bytes.NewReader(rebuilt), int64(len(rebuilt)))
+		if err != nil || !reflect.DeepEqual(got.Index(), want.Index()) {
+			f.Fatalf("withIndex does not rebuild the trace from its own index: %v", err)
+		}
+		f.Add(file)
+		f.Add(append([]byte{byte(i)}, index...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkColumnarReader(t, data)
+		if len(data) > 0 {
+			checkColumnarReader(t, withIndex(bases[data[0]&1], data[1:]))
+		}
+	})
+}
+
+// withIndex frames payload as the footer index block after base, with a
+// valid CRC and trailer.
+func withIndex(base, payload []byte) []byte {
+	hdr := packBlockHeader(blockIndex, BlockMeta{}, len(payload), 0)
+	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], payload))
+	out := append(append(append([]byte(nil), base...), hdr[:]...), payload...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(blockHeaderLen+len(payload)))
+	return append(out, columnarTail[:]...)
+}
+
+// checkColumnarReader opens data as a v2 trace and runs one query, pruned
+// by the rank ranges and the offset stats, through Scan and through
+// ScanViews (materializing every matched row). It fails on an error other
+// than io.EOF or one wrapping ErrCorrupt, and on 64 MiB of allocation.
+func checkColumnarReader(t *testing.T, data []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	check := func(what string, err error) {
+		if err != nil && err != io.EOF && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want io.EOF or ErrCorrupt", what, err)
+		}
+	}
+	c, err := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
+	check("open", err)
+	if err == nil {
+		q := MatchAll().WithRanks(1, 6).WithOffsetRange(0, 1<<40)
+		s := c.Scan(q, 1)
+		for err == nil {
+			_, err = s.Next()
+		}
+		check("scan", err)
+		_, err = c.ScanViews(q, 1, func(v *BlockView, rows []int) error {
+			for _, i := range rows {
+				if _, err := v.Record(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		check("scan views", err)
+	}
+	runtime.ReadMemStats(&after)
+	// Far above what a fuzz-sized input decodes to, far below what a
+	// forged block length or record count claims.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 64<<20 {
+		t.Fatalf("%d-byte input allocated %d bytes", len(data), alloc)
 	}
 }

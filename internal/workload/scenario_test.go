@@ -240,6 +240,32 @@ func TestScenariosDeterministicAndRerunnable(t *testing.T) {
 	}
 }
 
+// TestNetworkConservesMessages runs every registered workload on the Small
+// cluster and checks the interconnect's books once the environment drains:
+// every message sent was received, and the wire bytes charged to senders
+// equal those charged to receivers, summed over all interfaces.
+func TestNetworkConservesMessages(t *testing.T) {
+	for _, w := range All() {
+		c := testCluster()
+		w.Run(c.World, testScale())
+		var sent, recv, bytesSent, bytesRecv int64
+		for _, node := range c.Net.Nodes() {
+			ifc := c.Net.Iface(node)
+			sent += ifc.MsgsSent
+			recv += ifc.MsgsReceived
+			bytesSent += ifc.BytesSent
+			bytesRecv += ifc.BytesReceived
+		}
+		if sent == 0 {
+			t.Errorf("%s: no messages sent", w.Name())
+		}
+		if sent != recv || bytesSent != bytesRecv {
+			t.Errorf("%s: sent %d msgs / %d bytes, received %d msgs / %d bytes",
+				w.Name(), sent, bytesSent, recv, bytesRecv)
+		}
+	}
+}
+
 func TestScaleObjects(t *testing.T) {
 	sc := Scale{BlockSize: 64 << 10, PerRankBytes: 1 << 20}
 	if sc.Objects() != 16 {
