@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
@@ -54,6 +57,67 @@ func TestColumnarRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, normalizeArgs(out)) {
 			t.Fatalf("compress=%v: round trip mismatch", compress)
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the v2 golden files under testdata/ instead of comparing")
+
+// columnarGoldenCases are the v2 encodings pinned byte-for-byte in
+// testdata, written from goldenRecords in blocks of 512 (three blocks, the
+// last one partial) so every block after the first shows that the encoder
+// and the compressor restart cleanly. Span-less cases strip the spans, as
+// the v1 goldens do.
+var columnarGoldenCases = []struct {
+	file  string
+	opts  ColumnarOptions
+	spans bool
+}{
+	{"v2_plain.col", ColumnarOptions{RecordsPerBlock: 512}, false},
+	{"v2_compressed.col", ColumnarOptions{RecordsPerBlock: 512, Compress: true}, false},
+	{"v2_spans.col", ColumnarOptions{RecordsPerBlock: 512}, true},
+}
+
+// TestColumnarGolden pins the v2 wire format: encoding goldenRecords must
+// reproduce each golden file exactly, and each file must decode back to
+// the records it was written from. go test -run ColumnarGolden -update
+// rewrites the files after a deliberate format change.
+func TestColumnarGolden(t *testing.T) {
+	for _, tc := range columnarGoldenCases {
+		t.Run(tc.file, func(t *testing.T) {
+			recs := goldenRecords()
+			if !tc.spans {
+				recs = stripSpans(recs)
+			}
+			var buf bytes.Buffer
+			w := NewColumnarWriter(&buf, tc.opts)
+			if err := WriteAll(w, recs); err != nil {
+				t.Fatal(err)
+			}
+			if w.BlocksWritten() != 3 || w.BytesWritten() != int64(buf.Len()) {
+				t.Fatalf("blocks = %d, bytes = %d for a %d-byte buffer, want 3 blocks",
+					w.BlocksWritten(), w.BytesWritten(), buf.Len())
+			}
+			path := filepath.Join("testdata", tc.file)
+			if *update {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("encoding differs from golden (%d vs %d bytes)", buf.Len(), len(want))
+			}
+			got, err := NewColumnarSource(bytes.NewReader(want)).ReadAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(normalizeArgs(recs), normalizeArgs(got)) {
+				t.Fatal("golden does not decode to its records")
+			}
+		})
 	}
 }
 
