@@ -268,8 +268,8 @@ func runBenchLadder(path string, maxRanks int) {
 // runBenchCodec measures the two trace codecs against each other on the
 // full-registry matrix streams and probes the v2 block index, written as the
 // in-repo BENCH_codec.json snapshot. Exits nonzero if a run fails or the
-// snapshot misses an acceptance bar (size ratio, pruning fraction) — a
-// format regression, not a performance blip.
+// snapshot misses an acceptance bar (size ratio, pruning fraction, v2 full
+// scan at least as fast as v1 decode in records per second).
 func runBenchCodec(path string) {
 	snap, err := harness.BenchCodec()
 	if err != nil {
@@ -280,9 +280,9 @@ func runBenchCodec(path string) {
 		fmt.Fprintf(os.Stderr, "tracebench: bench-codec: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "# codec: %d records, v1 %.1f B/rec, v2 %.1f B/rec (%.2fx, %.2fx deflated); index decoded %d/%d blocks; passed=%v -> %s\n",
+	fmt.Fprintf(os.Stderr, "# codec: %d records, v1 %.1f B/rec, v2 %.1f B/rec (%.2fx, %.2fx deflated); v1 decode %.0fk rec/s, v2 scan %.0fk rec/s; index decoded %d/%d blocks; passed=%v -> %s\n",
 		snap.TotalRecords, snap.V1PerRecord, snap.V2PerRecord, snap.SizeRatio, snap.SizeRatioComp,
-		snap.IndexDecoded, snap.IndexBlocks, snap.Passed, path)
+		snap.V1DecodeKrps, snap.V2ScanKrps, snap.IndexDecoded, snap.IndexBlocks, snap.Passed, path)
 	if !snap.Passed {
 		fmt.Fprintln(os.Stderr, "tracebench: bench-codec: snapshot failed an acceptance bar")
 		os.Exit(1)

@@ -6,8 +6,9 @@ import (
 )
 
 // TestBenchCodec asserts the codec acceptance bars on real registry
-// streams: v2 at least 3x smaller than v1, and the 4096-rank pruning probe
-// decoding at most 20% of blocks.
+// streams: v2 at least 3x smaller than v1, the 4096-rank pruning probe
+// decoding at most 20% of blocks, and a v2 full scan at least as fast as a
+// v1 decode in records per second.
 func TestBenchCodec(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-registry codec bench")
@@ -36,6 +37,10 @@ func TestBenchCodec(t *testing.T) {
 	}
 	if snap.IndexedMatched != 101*8 {
 		t.Errorf("indexed query matched %d records, want %d", snap.IndexedMatched, 101*8)
+	}
+	if snap.V2ScanKrps < snap.V1DecodeKrps {
+		t.Errorf("v2 full scan %.0fk records/s slower than v1 decode %.0fk records/s",
+			snap.V2ScanKrps, snap.V1DecodeKrps)
 	}
 	if !snap.Passed {
 		t.Errorf("snapshot not passed: %+v", snap)

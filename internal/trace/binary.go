@@ -207,95 +207,130 @@ func encodeRecord(buf *bytes.Buffer, r *Record, spans bool) {
 	}
 }
 
-func decodeRecord(br *bytes.Reader, spans bool) (Record, error) {
-	var r Record
-	readV := func() (int64, error) { return binary.ReadVarint(br) }
-	readU := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readS := func() (string, error) {
-		n, err := readU()
-		if err != nil {
-			return "", err
-		}
-		if n > 1<<24 || n > uint64(br.Len()) {
-			return "", ErrCorrupt
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
+// errShortRecord reports a record cut off by the end of its block, or a
+// varint overflowing 64 bits.
+var errShortRecord = errors.New("truncated or overlong varint")
+
+// uvarint, varint and str consume one field from the undecoded rest of the
+// current block.
+func (b *BinaryReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(b.block)
+	if n <= 0 {
+		return 0, errShortRecord
 	}
+	b.block = b.block[n:]
+	return v, nil
+}
+
+func (b *BinaryReader) varint() (int64, error) {
+	v, n := getVarint(b.block)
+	if n <= 0 {
+		return 0, errShortRecord
+	}
+	b.block = b.block[n:]
+	return v, nil
+}
+
+// str decodes a length-prefixed string, interned per block: a node name or
+// path repeated across the block's records is allocated once.
+func (b *BinaryReader) str() (string, error) {
+	n, err := b.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if n > 1<<24 || n > uint64(len(b.block)) {
+		return "", ErrCorrupt
+	}
+	raw := b.block[:n]
+	b.block = b.block[n:]
+	if s, ok := b.strs[string(raw)]; ok {
+		return s, nil
+	}
+	s := string(raw)
+	b.strs[s] = s
+	return s, nil
+}
+
+// decodeRecord decodes the next record of the current block.
+func (b *BinaryReader) decodeRecord() (Record, error) {
+	var r Record
 	var err error
 	var v int64
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.Time = sim.Time(v)
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.Dur = sim.Duration(v)
-	if r.Node, err = readS(); err != nil {
+	if r.Node, err = b.str(); err != nil {
 		return r, err
 	}
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.Rank = int(v)
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.PID = int(v)
-	cb, err := br.ReadByte()
-	if err != nil {
-		return r, err
+	if len(b.block) == 0 {
+		return r, errShortRecord
 	}
+	cb := b.block[0]
+	b.block = b.block[1:]
 	if cb >= byte(numClasses) {
 		return r, fmt.Errorf("%w: bad class %d", ErrCorrupt, cb)
 	}
 	r.Class = EventClass(cb)
-	if r.Name, err = readS(); err != nil {
+	if r.Name, err = b.str(); err != nil {
 		return r, err
 	}
-	argc, err := readU()
+	argc, err := b.uvarint()
 	if err != nil {
 		return r, err
 	}
 	if argc > 1<<16 {
 		return r, ErrCorrupt
 	}
+	if argc > 0 {
+		// Every argument takes at least one byte, so the bytes left in the
+		// block bound a forged count.
+		r.Args = make([]string, 0, min(argc, uint64(len(b.block))))
+	}
 	for i := uint64(0); i < argc; i++ {
-		a, err := readS()
+		a, err := b.str()
 		if err != nil {
 			return r, err
 		}
 		r.Args = append(r.Args, a)
 	}
-	if r.Ret, err = readS(); err != nil {
+	if r.Ret, err = b.str(); err != nil {
 		return r, err
 	}
-	if r.Path, err = readS(); err != nil {
+	if r.Path, err = b.str(); err != nil {
 		return r, err
 	}
-	if r.Offset, err = readV(); err != nil {
+	if r.Offset, err = b.varint(); err != nil {
 		return r, err
 	}
-	if r.Bytes, err = readV(); err != nil {
+	if r.Bytes, err = b.varint(); err != nil {
 		return r, err
 	}
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.UID = int(v)
-	if v, err = readV(); err != nil {
+	if v, err = b.varint(); err != nil {
 		return r, err
 	}
 	r.GID = int(v)
-	if spans {
-		if r.Span, err = readU(); err != nil {
+	if b.flags&FlagSpans != 0 {
+		if r.Span, err = b.uvarint(); err != nil {
 			return r, err
 		}
-		if r.Parent, err = readU(); err != nil {
+		if r.Parent, err = b.uvarint(); err != nil {
 			return r, err
 		}
 	}
@@ -310,15 +345,20 @@ type BinaryReader struct {
 	stored   bytes.Buffer  // the current block's payload as stored
 	inflated bytes.Buffer  // its decompressed payload on compressed streams
 	fr       io.ReadCloser // created on the first compressed block, Reset per block
-	block    bytes.Reader  // the undecoded rest of the current block
-	blocks   int64
+	block    []byte        // the undecoded rest of the current block
+	// strs interns the current block's strings. It is cleared at every
+	// block, so it never holds more than one block's bytes.
+	strs   map[string]string
+	blocks int64
 }
 
 // BlocksRead reports the number of blocks decoded so far.
 func (b *BinaryReader) BlocksRead() int64 { return b.blocks }
 
 // NewBinaryReader wraps r for decoding.
-func NewBinaryReader(r io.Reader) *BinaryReader { return &BinaryReader{r: r} }
+func NewBinaryReader(r io.Reader) *BinaryReader {
+	return &BinaryReader{r: r, strs: make(map[string]string)}
+}
 
 // Flags returns the stream flags after the first Next call.
 func (b *BinaryReader) Flags() byte { return b.flags }
@@ -375,7 +415,8 @@ func (b *BinaryReader) nextBlock() error {
 		}
 		payload = b.inflated.Bytes()
 	}
-	b.block.Reset(payload)
+	b.block = payload
+	clear(b.strs)
 	b.blocks++
 	return nil
 }
@@ -385,12 +426,12 @@ func (b *BinaryReader) Next() (Record, error) {
 	if err := b.readHeader(); err != nil {
 		return Record{}, err
 	}
-	for b.block.Len() == 0 {
+	for len(b.block) == 0 {
 		if err := b.nextBlock(); err != nil {
 			return Record{}, err
 		}
 	}
-	rec, err := decodeRecord(&b.block, b.flags&FlagSpans != 0)
+	rec, err := b.decodeRecord()
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
 	}

@@ -130,8 +130,28 @@ type BlockMeta struct {
 }
 
 // blockEncoder accumulates one block's columns incrementally; records are
-// never buffered row-wise.
+// never buffered row-wise. Its buffers and maps outlive the block: reset
+// empties them for the next one, so a writer past its first block encodes
+// without allocating.
 type blockEncoder struct {
+	blockStats
+
+	// cols holds each column section's bytes by column ID; cols[colDict]
+	// holds the dictionary entries without their count.
+	cols [maxColID + 1][]byte
+	out  []byte // the assembled payload
+
+	dict map[string]uint64
+	// argSeen counts inline emissions of numeric args not yet interned: a
+	// value that keeps recurring graduates into the dictionary (two 3-byte
+	// inline copies cost less than a dictionary entry; a third copy would
+	// not), while one-shot numerics (striding offsets) never pollute it.
+	argSeen map[string]uint8
+}
+
+// blockStats is the per-block state that restarts at every block: record
+// count, pruning ranges and the delta chains.
+type blockStats struct {
 	count     int
 	classMask uint8
 	dirMask   uint8
@@ -153,31 +173,6 @@ type blockEncoder struct {
 	prevOffset int64
 	prevSpan   int64
 	prevParent int64
-
-	dict map[string]uint64
-	// argSeen counts inline emissions of numeric args not yet interned: a
-	// value that keeps recurring graduates into the dictionary (two 3-byte
-	// inline copies cost less than a dictionary entry; a third copy would
-	// not), while one-shot numerics (striding offsets) never pollute it.
-	argSeen  map[string]uint8
-	dictBuf  bytes.Buffer
-	dictLen  int
-	times    bytes.Buffer
-	durs     bytes.Buffer
-	classdir bytes.Buffer
-	ranks    bytes.Buffer
-	pids     bytes.Buffer
-	nodes    bytes.Buffer
-	names    bytes.Buffer
-	paths    bytes.Buffer
-	rets     bytes.Buffer
-	args     bytes.Buffer
-	offsets  bytes.Buffer
-	bytesCol bytes.Buffer
-	uids     bytes.Buffer
-	gids     bytes.Buffer
-	spans    bytes.Buffer
-	parents  bytes.Buffer
 }
 
 // idx interns s in the block dictionary and returns its index.
@@ -188,12 +183,17 @@ func (e *blockEncoder) idx(s string) uint64 {
 	if i, ok := e.dict[s]; ok {
 		return i
 	}
-	i := uint64(e.dictLen)
+	i := uint64(len(e.dict))
 	e.dict[s] = i
-	e.dictLen++
-	putString(&e.dictBuf, s)
+	e.uvarint(colDict, uint64(len(s)))
+	e.cols[colDict] = append(e.cols[colDict], s...)
 	return i
 }
+
+// varint and uvarint append one value to a column.
+func (e *blockEncoder) varint(id byte, v int64) { e.cols[id] = binary.AppendVarint(e.cols[id], v) }
+
+func (e *blockEncoder) uvarint(id byte, v uint64) { e.cols[id] = binary.AppendUvarint(e.cols[id], v) }
 
 // inlineArgInt reports whether arg is a canonical decimal integer that can
 // ride inline in the args column instead of growing the block dictionary —
@@ -209,10 +209,20 @@ func inlineArgInt(arg string) (int64, bool) {
 	if err != nil || v <= -(1<<61) || v >= 1<<61 {
 		return 0, false
 	}
-	if strconv.FormatInt(v, 10) != arg {
+	var canon [20]byte
+	if string(strconv.AppendInt(canon[:0], v, 10)) != arg {
 		return 0, false // non-canonical: leading zeros, "+", "-0"
 	}
 	return v, true
+}
+
+// getVarint is binary.Varint with a fast path for one-byte values, the
+// common case in delta-coded columns.
+func getVarint(b []byte) (int64, int) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return unzigzag(uint64(b[0])), 1
+	}
+	return binary.Varint(b)
 }
 
 // zigzag / unzigzag fold signed integers into small uvarints.
@@ -269,22 +279,22 @@ func (e *blockEncoder) add(r *Record) error {
 	e.classMask |= 1 << uint(r.Class)
 	e.dirMask |= 1 << uint(dir)
 
-	putVarint(&e.times, int64(r.Time)-e.prevTime)
+	e.varint(colTimes, int64(r.Time)-e.prevTime)
 	e.prevTime = int64(r.Time)
-	putVarint(&e.durs, int64(r.Dur))
-	e.classdir.WriteByte(byte(r.Class) | byte(dir)<<4)
-	putVarint(&e.ranks, int64(r.Rank)-e.prevRank)
+	e.varint(colDurs, int64(r.Dur))
+	e.cols[colClassDir] = append(e.cols[colClassDir], byte(r.Class)|byte(dir)<<4)
+	e.varint(colRanks, int64(r.Rank)-e.prevRank)
 	e.prevRank = int64(r.Rank)
-	putVarint(&e.pids, int64(r.PID)-e.prevPID)
+	e.varint(colPIDs, int64(r.PID)-e.prevPID)
 	e.prevPID = int64(r.PID)
-	putUvarint(&e.nodes, e.idx(r.Node))
-	putUvarint(&e.names, e.idx(r.Name))
-	putUvarint(&e.paths, e.idx(r.Path))
-	putUvarint(&e.rets, e.idx(r.Ret))
-	putUvarint(&e.args, uint64(len(r.Args)))
+	e.uvarint(colNodes, e.idx(r.Node))
+	e.uvarint(colNames, e.idx(r.Name))
+	e.uvarint(colPaths, e.idx(r.Path))
+	e.uvarint(colRets, e.idx(r.Ret))
+	e.uvarint(colArgs, uint64(len(r.Args)))
 	for _, a := range r.Args {
 		if i, ok := e.dict[a]; ok {
-			putUvarint(&e.args, i<<1) // already interned: cheapest form
+			e.uvarint(colArgs, i<<1) // already interned: cheapest form
 			continue
 		}
 		if v, ok := inlineArgInt(a); ok && e.argSeen[a] < 2 {
@@ -292,64 +302,58 @@ func (e *blockEncoder) add(r *Record) error {
 				e.argSeen = make(map[string]uint8)
 			}
 			e.argSeen[a]++
-			putUvarint(&e.args, zigzag(v)<<1|1)
+			e.uvarint(colArgs, zigzag(v)<<1|1)
 			continue
 		}
-		putUvarint(&e.args, e.idx(a)<<1)
+		e.uvarint(colArgs, e.idx(a)<<1)
 	}
-	putVarint(&e.offsets, r.Offset-e.prevOffset)
+	e.varint(colOffsets, r.Offset-e.prevOffset)
 	e.prevOffset = r.Offset
-	putVarint(&e.bytesCol, r.Bytes)
-	putVarint(&e.uids, int64(r.UID))
-	putVarint(&e.gids, int64(r.GID)-int64(r.UID))
-	putVarint(&e.spans, int64(r.Span)-e.prevSpan)
+	e.varint(colBytes, r.Bytes)
+	e.varint(colUIDs, int64(r.UID))
+	e.varint(colGIDs, int64(r.GID)-int64(r.UID))
+	e.varint(colSpans, int64(r.Span)-e.prevSpan)
 	e.prevSpan = int64(r.Span)
-	putVarint(&e.parents, int64(r.Parent)-e.prevParent)
+	e.varint(colParents, int64(r.Parent)-e.prevParent)
 	e.prevParent = int64(r.Parent)
 	e.count++
 	return nil
 }
 
 // payload assembles the block's sections: dictionary first, columns in ID
-// order.
+// order. The result aliases the encoder's buffer and is valid until reset.
 func (e *blockEncoder) payload() []byte {
-	var out bytes.Buffer
-	section := func(id byte, data []byte) {
-		out.WriteByte(id)
-		putUvarint(&out, uint64(len(data)))
-		out.Write(data)
-	}
-	var dict bytes.Buffer
-	putUvarint(&dict, uint64(e.dictLen))
-	dict.Write(e.dictBuf.Bytes())
-	section(colDict, dict.Bytes())
-	section(colTimes, e.times.Bytes())
-	section(colDurs, e.durs.Bytes())
-	section(colClassDir, e.classdir.Bytes())
-	section(colRanks, e.ranks.Bytes())
-	section(colPIDs, e.pids.Bytes())
-	section(colNodes, e.nodes.Bytes())
-	section(colNames, e.names.Bytes())
-	section(colPaths, e.paths.Bytes())
-	section(colRets, e.rets.Bytes())
-	section(colArgs, e.args.Bytes())
-	section(colOffsets, e.offsets.Bytes())
-	section(colBytes, e.bytesCol.Bytes())
-	section(colUIDs, e.uids.Bytes())
-	section(colGIDs, e.gids.Bytes())
+	// The dictionary section starts with its entry count.
+	var buf [binary.MaxVarintLen64]byte
+	count := binary.AppendUvarint(buf[:0], uint64(len(e.dict)))
+	out := append(e.out[:0], colDict)
+	out = binary.AppendUvarint(out, uint64(len(count)+len(e.cols[colDict])))
+	out = append(append(out, count...), e.cols[colDict]...)
 	// Span columns ride only in blocks that have spans, so span-less streams
 	// produce block payloads byte-identical to writers that predate them.
+	last := colGIDs
 	if e.hasSpan {
-		section(colSpans, e.spans.Bytes())
-		section(colParents, e.parents.Bytes())
+		last = colParents
 	}
-	return out.Bytes()
+	for id := colTimes; id <= last; id++ {
+		out = append(out, id)
+		out = binary.AppendUvarint(out, uint64(len(e.cols[id])))
+		out = append(out, e.cols[id]...)
+	}
+	e.out = out
+	return out
 }
 
-// reset clears the encoder for the next block; delta chains and the
-// dictionary restart so every block is self-contained.
+// reset clears the encoder for the next block, keeping its buffers and
+// maps; delta chains and the dictionary restart so every block is
+// self-contained.
 func (e *blockEncoder) reset() {
-	*e = blockEncoder{}
+	e.blockStats = blockStats{}
+	for i := range e.cols {
+		e.cols[i] = e.cols[i][:0]
+	}
+	clear(e.dict)
+	clear(e.argSeen)
 }
 
 // packBlockHeader renders the fixed-width block header.
@@ -430,6 +434,8 @@ type ColumnarWriter struct {
 	w       io.Writer
 	opts    ColumnarOptions
 	enc     blockEncoder
+	zbuf    bytes.Buffer  // the compressed payload of the block being written
+	zw      *flate.Writer // created on the first compressed block, Reset per block
 	index   []BlockMeta
 	started bool
 	closed  bool
@@ -506,24 +512,13 @@ func (c *ColumnarWriter) Flush() error {
 		MaxSpan:   c.enc.maxSpan,
 	}
 	payload := c.enc.payload()
-	c.enc.reset()
 	stored := payload
 	if c.opts.Compress {
-		var cb bytes.Buffer
-		fw, err := flate.NewWriter(&cb, flate.BestSpeed)
-		if err != nil {
+		if err := c.compress(payload); err != nil {
 			c.err = err
 			return err
 		}
-		if _, err := fw.Write(payload); err != nil {
-			c.err = err
-			return err
-		}
-		if err := fw.Close(); err != nil {
-			c.err = err
-			return err
-		}
-		stored = cb.Bytes()
+		stored = c.zbuf.Bytes()
 	}
 	meta.Offset = c.n
 	meta.Len = int64(blockHeaderLen + len(stored))
@@ -532,8 +527,29 @@ func (c *ColumnarWriter) Flush() error {
 	if err := c.writeAll(hdr[:], stored); err != nil {
 		return err
 	}
+	c.enc.reset()
 	c.index = append(c.index, meta)
 	return c.err
+}
+
+// compress deflates one block payload into c.zbuf. The one compressor is
+// Reset for every block, which makes it equivalent to a fresh one, so each
+// block still compresses independently.
+func (c *ColumnarWriter) compress(payload []byte) error {
+	c.zbuf.Reset()
+	if c.zw == nil {
+		zw, err := flate.NewWriter(&c.zbuf, flate.BestSpeed)
+		if err != nil {
+			return err
+		}
+		c.zw = zw
+	} else {
+		c.zw.Reset(&c.zbuf)
+	}
+	if _, err := c.zw.Write(payload); err != nil {
+		return err
+	}
+	return c.zw.Close()
 }
 
 // writeAll writes the given byte slices, accounting and sticking errors.

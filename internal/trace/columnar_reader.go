@@ -22,14 +22,18 @@ import (
 // the file; an index-less stream (a writer that Flushed but never Closed)
 // simply ends at the last data block.
 type ColumnarSource struct {
-	r       io.Reader
-	flags   byte
-	started bool
-	off     int64
-	cur     []Record
-	curIdx  int
-	blocks  int64
-	err     error
+	r        io.Reader
+	flags    byte
+	started  bool
+	off      int64
+	stored   bytes.Buffer  // the current block's payload as stored
+	inflated bytes.Buffer  // its decompressed payload on compressed streams
+	fr       io.ReadCloser // created on the first compressed block, Reset per block
+	rows     []int         // 0, 1, 2, ...: every row of a block
+	cur      []Record
+	curIdx   int
+	blocks   int64
+	err      error
 }
 
 // NewColumnarSource wraps r for sequential decoding.
@@ -81,13 +85,13 @@ func (c *ColumnarSource) nextBlock() error {
 	}
 	// Copy rather than allocate payloadLen up front: a corrupt length
 	// prefix must not cost more memory than the bytes actually present.
-	var buf bytes.Buffer
-	n, err := io.CopyN(&buf, c.r, int64(h.payloadLen))
+	c.stored.Reset()
+	n, err := io.CopyN(&c.stored, c.r, int64(h.payloadLen))
 	c.off += n
 	if err != nil {
 		return fmt.Errorf("%w: truncated block", ErrCorrupt)
 	}
-	stored := buf.Bytes()
+	stored := c.stored.Bytes()
 	if blockCRC(hb[:], stored) != h.crc {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
@@ -96,17 +100,26 @@ func (c *ColumnarSource) nextBlock() error {
 	}
 	payload := stored
 	if c.flags&FlagCompressed != 0 {
-		out, err := io.ReadAll(flate.NewReader(bytes.NewReader(stored)))
-		if err != nil {
+		src := bytes.NewReader(stored)
+		if c.fr == nil {
+			c.fr = flate.NewReader(src)
+		} else if err := c.fr.(flate.Resetter).Reset(src, nil); err != nil {
 			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 		}
-		payload = out
+		c.inflated.Reset()
+		if _, err := c.inflated.ReadFrom(c.fr); err != nil {
+			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+		}
+		payload = c.inflated.Bytes()
 	}
 	v, err := parseBlockView(payload, h)
 	if err != nil {
 		return err
 	}
-	recs, err := v.Records()
+	for len(c.rows) < v.Len() {
+		c.rows = append(c.rows, len(c.rows))
+	}
+	recs, err := materializeRows(v, c.rows[:v.Len()], c.cur)
 	if err != nil {
 		return err
 	}
@@ -504,7 +517,11 @@ func (e *scanEngine) worker() {
 	for job := range e.jobs {
 		job.view, job.rows, job.err = e.decode(job.meta, fr, &db)
 		if job.err == nil && e.materialize {
-			job.recs, job.err = materializeRows(job.view, job.rows)
+			var buf []Record
+			if slab, ok := recordSlabs.Get().(*[]Record); ok {
+				buf = *slab
+			}
+			job.recs, job.err = materializeRows(job.view, job.rows, buf)
 		}
 		if job.err == nil {
 			e.mu.Lock()
@@ -617,19 +634,6 @@ func matchRows(v *BlockView, m BlockMeta, q Query) ([]int, error) {
 	return rows, nil
 }
 
-// materializeRows builds full records for the matched rows.
-func materializeRows(v *BlockView, rows []int) ([]Record, error) {
-	out := make([]Record, 0, len(rows))
-	for _, i := range rows {
-		r, err := v.Record(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // release stops the feeder and lets the pool drain.
 func (e *scanEngine) release() {
 	e.stopOnce.Do(func() { close(e.cancel) })
@@ -641,6 +645,12 @@ func (e *scanEngine) snapshot() ScanStats {
 	defer e.mu.Unlock()
 	return e.stats
 }
+
+// recordSlabs recycles the record slices scans materialize blocks into. A
+// scan's consumer hands a block's slice back once it has returned the last
+// of its records (as copies), so scans in steady state reuse the slices of
+// earlier blocks instead of allocating and collecting a slice per block.
+var recordSlabs sync.Pool // of *[]Record
 
 // ColumnarScan is the record stream of one indexed query: a Source yielding
 // matching records in file order, decoded block-parallel ahead of the
@@ -671,6 +681,11 @@ func (s *ColumnarScan) Next() (Record, error) {
 			rec := s.cur[s.curIdx]
 			s.curIdx++
 			return rec, nil
+		}
+		if s.cur != nil {
+			recs := s.cur
+			recordSlabs.Put(&recs)
+			s.cur = nil
 		}
 		if s.err != nil {
 			return Record{}, s.err

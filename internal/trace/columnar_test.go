@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -556,6 +557,190 @@ func TestColumnarViewColumnsAgreeWithRecords(t *testing.T) {
 	}
 }
 
+// rowsFromColumns is the model of materializeRows: row i of a block, built
+// from the per-column accessors.
+func rowsFromColumns(t *testing.T, v *BlockView, rows []int) []Record {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	times, err := v.Times()
+	must(err)
+	durs, err := v.Durs()
+	must(err)
+	nodes, err := v.Nodes()
+	must(err)
+	ranks, err := v.Ranks()
+	must(err)
+	pids, err := v.PIDs()
+	must(err)
+	classes, err := v.Classes()
+	must(err)
+	names, err := v.Names()
+	must(err)
+	args, err := v.Args()
+	must(err)
+	rets, err := v.Rets()
+	must(err)
+	paths, err := v.Paths()
+	must(err)
+	offsets, err := v.Offsets()
+	must(err)
+	bytesc, err := v.Bytes()
+	must(err)
+	uids, err := v.UIDs()
+	must(err)
+	gids, err := v.GIDs()
+	must(err)
+	spans, err := v.Spans()
+	must(err)
+	parents, err := v.Parents()
+	must(err)
+	out := make([]Record, len(rows))
+	for k, i := range rows {
+		out[k] = Record{
+			Time: sim.Time(times[i]), Dur: sim.Duration(durs[i]), Node: nodes[i],
+			Rank: int(ranks[i]), PID: int(pids[i]), Class: classes[i], Name: names[i],
+			Args: args[i], Ret: rets[i], Path: paths[i], Offset: offsets[i], Bytes: bytesc[i],
+			UID: int(uids[i]), GID: int(gids[i]), Span: uint64(spans[i]), Parent: uint64(parents[i]),
+		}
+	}
+	return out
+}
+
+// TestMaterializeRowsMatchesColumns checks the one row path against the
+// per-column accessors on random row subsets of every block, and against
+// the records written. The stream mixes blocks with and without spans, and
+// args that ride inline as integers with args from the dictionary.
+func TestMaterializeRowsMatchesColumns(t *testing.T) {
+	in := randomRecords(900, 61)
+	for i := range in {
+		if i%3 == 0 {
+			in[i].Args = append(in[i].Args, strconv.Itoa(i*4096), "-7", "65536")
+		}
+	}
+	in = append(withSpans(in[:450], 62), in[450:]...)
+	in = normalizeArgs(in)
+	data := writeColumnar(t, in, ColumnarOptions{RecordsPerBlock: 100})
+	cr, err := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(63))
+	base, spanless := 0, 0
+	_, err = cr.ScanViews(MatchAll(), 2, func(v *BlockView, all []int) error {
+		if v.secs[colSpans] == nil {
+			spanless++
+		}
+		subsets := [][]int{nil, all, {0}, {v.Len() - 1}}
+		for range 8 {
+			var rows []int
+			p := rng.Float64()
+			for _, i := range all {
+				if rng.Float64() < p {
+					rows = append(rows, i)
+				}
+			}
+			subsets = append(subsets, rows)
+		}
+		for _, rows := range subsets {
+			want := rowsFromColumns(t, v, rows)
+			got, err := materializeRows(v, rows, nil)
+			if err != nil {
+				return err
+			}
+			// Records written over a slice of other records must not keep
+			// any of their fields.
+			dirty := make([]Record, len(rows))
+			for k := range dirty {
+				dirty[k] = in[(base+k*7)%len(in)]
+				dirty[k].Args = []string{"stale"}
+			}
+			reused, err := materializeRows(v, rows, dirty)
+			if err != nil {
+				return err
+			}
+			if len(got) != len(rows) || len(rows) > 0 && (!reflect.DeepEqual(got, want) || !reflect.DeepEqual(reused, want)) {
+				return fmt.Errorf("block at row %d: rows %v differ from the column accessors", base, rows)
+			}
+			for k, i := range rows {
+				if !reflect.DeepEqual(normalizeArgs(got[k:k+1]), in[base+i:base+i+1]) {
+					return fmt.Errorf("row %d: %+v, wrote %+v", base+i, got[k], in[base+i])
+				}
+			}
+		}
+		base += v.Len()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != len(in) || spanless == 0 || spanless == cr.NumBlocks() {
+		t.Fatalf("visited %d of %d rows; %d of %d blocks span-less, want some", base, len(in), spanless, cr.NumBlocks())
+	}
+}
+
+// TestUnmatchedCorruptRowFails checks that materializing a block validates
+// every row, not only those a query selects: a corrupt value in a row the
+// query does not match still fails Scan and ColumnarSource with ErrCorrupt.
+func TestUnmatchedCorruptRowFails(t *testing.T) {
+	recs := make([]Record, 8)
+	for i := range recs {
+		recs[i] = sampleRecord()
+		recs[i].Rank = i
+		recs[i].Dur = 300 * sim.Microsecond
+	}
+	clean := writeColumnar(t, recs, ColumnarOptions{RecordsPerBlock: 8})
+	for _, tc := range []struct {
+		name    string
+		col     byte
+		corrupt func(sec []byte)
+	}{
+		// The last row's path indexes past the dictionary.
+		{"dict-index", colPaths, func(sec []byte) { sec[7] = 0x7f }},
+		// The last row's duration never terminates.
+		{"truncated-varint", colDurs, func(sec []byte) { sec[len(sec)-1] |= 0x80 }},
+		// The last row's argument tag indexes past the dictionary.
+		{"arg-index", colArgs, func(sec []byte) { sec[len(sec)-1] = 0x7e }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := append([]byte(nil), clean...)
+			hb := data[columnarHeaderLen : columnarHeaderLen+blockHeaderLen]
+			h, err := parseBlockHeader(hb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload := data[columnarHeaderLen+blockHeaderLen:][:h.payloadLen]
+			v, err := parseBlockView(payload, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(v.secs[tc.col]) // the section aliases data
+			binary.LittleEndian.PutUint32(hb[12:], blockCRC(hb, payload))
+
+			cr, err := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := cr.Scan(MatchAll().WithRanks(0, 3), 1)
+			n := 0
+			for err == nil {
+				_, err = s.Next()
+				n++
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("scan of rows 0-3: err = %v after %d records, want ErrCorrupt", err, n-1)
+			}
+			if _, err := NewColumnarSource(bytes.NewReader(data)).ReadAll(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("sequential read: err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // FuzzColumnarReader checks the v2 random-access reader's contract on
 // arbitrary input: NewColumnarReader, an indexed Scan and ScanViews yield
 // records or views until io.EOF or an error wrapping ErrCorrupt, never
@@ -631,12 +816,8 @@ func checkColumnarReader(t *testing.T, data []byte) {
 		}
 		check("scan", err)
 		_, err = c.ScanViews(q, 1, func(v *BlockView, rows []int) error {
-			for _, i := range rows {
-				if _, err := v.Record(i); err != nil {
-					return err
-				}
-			}
-			return nil
+			_, err := materializeRows(v, rows, nil)
+			return err
 		})
 		check("scan views", err)
 	}

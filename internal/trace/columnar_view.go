@@ -1,9 +1,9 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"iotaxo/internal/sim"
@@ -42,8 +42,6 @@ type BlockView struct {
 	paths []string
 	rets  []string
 	args  [][]string
-
-	allDecoded bool
 }
 
 // parseBlockView slices a (decompressed) data-block payload into its column
@@ -101,7 +99,7 @@ func (v *BlockView) ints(id byte, delta bool, cache *[]int64) ([]int64, error) {
 	out := make([]int64, v.count)
 	var acc int64
 	for i := range out {
-		x, n := binary.Varint(sec)
+		x, n := getVarint(sec)
 		if n <= 0 {
 			return nil, fmt.Errorf("%w: truncated column %d", ErrCorrupt, id)
 		}
@@ -129,24 +127,25 @@ func (v *BlockView) Dict() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	br := bytes.NewReader(sec)
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n > uint64(len(sec)) {
+	n, sz := binary.Uvarint(sec)
+	if sz <= 0 || n > uint64(len(sec)) {
 		return nil, fmt.Errorf("%w: bad dictionary count", ErrCorrupt)
 	}
+	sec = sec[sz:]
+	// One allocation for the whole dictionary; its entries are substrings.
+	entries := string(sec)
 	dict := make([]string, 0, n)
+	off := 0
 	for i := uint64(0); i < n; i++ {
-		sl, err := binary.ReadUvarint(br)
-		if err != nil || sl > uint64(br.Len()) {
+		sl, sz := binary.Uvarint(sec[off:])
+		if sz <= 0 || sl > uint64(len(sec)-off-sz) {
 			return nil, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
 		}
-		b := make([]byte, sl)
-		if _, err := br.Read(b); err != nil && sl > 0 {
-			return nil, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
-		}
-		dict = append(dict, string(b))
+		off += sz
+		dict = append(dict, entries[off:off+int(sl)])
+		off += int(sl)
 	}
-	if br.Len() != 0 {
+	if off != len(sec) {
 		return nil, fmt.Errorf("%w: trailing bytes in dictionary", ErrCorrupt)
 	}
 	v.dict = dict
@@ -350,78 +349,169 @@ func (v *BlockView) Args() ([][]string, error) {
 	return out, nil
 }
 
-// decodeAll forces every column, so Record can index without rechecking.
-func (v *BlockView) decodeAll() error {
-	for _, f := range []func() error{
-		func() error { _, err := v.Times(); return err },
-		func() error { _, err := v.Durs(); return err },
-		func() error { _, err := v.classDir(); return err },
-		func() error { _, err := v.Ranks(); return err },
-		func() error { _, err := v.PIDs(); return err },
-		func() error { _, err := v.Nodes(); return err },
-		func() error { _, err := v.Names(); return err },
-		func() error { _, err := v.Paths(); return err },
-		func() error { _, err := v.Rets(); return err },
-		func() error { _, err := v.Args(); return err },
-		func() error { _, err := v.Offsets(); return err },
-		func() error { _, err := v.Bytes(); return err },
-		func() error { _, err := v.UIDs(); return err },
-		func() error { _, err := v.GIDs(); return err },
-		func() error { _, err := v.Spans(); return err },
-		func() error { _, err := v.Parents(); return err },
-	} {
-		if err := f(); err != nil {
-			return err
-		}
-	}
-	v.allDecoded = true
-	return nil
+// intColumns are the varint columns of a materialized record, in decode
+// order: UIDs come before GIDs, which are stored relative to them.
+var intColumns = [...]struct {
+	id       byte
+	delta    bool
+	optional bool // the span columns: span-less blocks omit them, rows read zero
+	set      func(r *Record, x int64)
+}{
+	{colTimes, true, false, func(r *Record, x int64) { r.Time = sim.Time(x) }},
+	{colDurs, false, false, func(r *Record, x int64) { r.Dur = sim.Duration(x) }},
+	{colRanks, true, false, func(r *Record, x int64) { r.Rank = int(x) }},
+	{colPIDs, true, false, func(r *Record, x int64) { r.PID = int(x) }},
+	{colOffsets, true, false, func(r *Record, x int64) { r.Offset = x }},
+	{colBytes, false, false, func(r *Record, x int64) { r.Bytes = x }},
+	{colUIDs, false, false, func(r *Record, x int64) { r.UID = int(x) }},
+	{colGIDs, false, false, func(r *Record, x int64) { r.GID = r.UID + int(x) }},
+	{colSpans, true, true, func(r *Record, x int64) { r.Span = uint64(x) }},
+	{colParents, true, true, func(r *Record, x int64) { r.Parent = uint64(x) }},
 }
 
-// Record materializes row i. All columns are decoded (and cached) on first
-// use; the row's strings still share the dictionary's backing.
-func (v *BlockView) Record(i int) (Record, error) {
-	if !v.allDecoded {
-		if err := v.decodeAll(); err != nil {
-			return Record{}, err
-		}
-	}
-	if i < 0 || i >= v.count {
-		return Record{}, fmt.Errorf("trace: block row %d out of range", i)
-	}
-	cd := v.secs[colClassDir]
-	return Record{
-		Time:   sim.Time(v.times[i]),
-		Dur:    sim.Duration(v.durs[i]),
-		Node:   v.nodes[i],
-		Rank:   int(v.ranks[i]),
-		PID:    int(v.pids[i]),
-		Class:  EventClass(cd[i] & 0x0f),
-		Name:   v.names[i],
-		Args:   v.args[i],
-		Ret:    v.rets[i],
-		Path:   v.paths[i],
-		Offset: v.offsets[i],
-		Bytes:  v.bytesc[i],
-		UID:    int(v.uids[i]),
-		GID:    int(v.gids[i]),
-		Span:   uint64(v.spans[i]),
-		Parent: uint64(v.parents[i]),
-	}, nil
+// strColumns are the dictionary-index columns of a materialized record.
+var strColumns = [...]struct {
+	id  byte
+	set func(r *Record, s string)
+}{
+	{colNodes, func(r *Record, s string) { r.Node = s }},
+	{colNames, func(r *Record, s string) { r.Name = s }},
+	{colPaths, func(r *Record, s string) { r.Path = s }},
+	{colRets, func(r *Record, s string) { r.Ret = s }},
 }
 
-// Records materializes the whole block.
-func (v *BlockView) Records() ([]Record, error) {
-	if err := v.decodeAll(); err != nil {
-		return nil, err
-	}
-	out := make([]Record, v.count)
-	for i := range out {
-		r, err := v.Record(i)
+// materializeRows builds the records of the given rows (ascending, distinct
+// row indexes) by walking each column section once and writing every
+// matched row's value straight into its record. Every row of every column
+// is decoded and validated, matched or not, so a corrupt block fails
+// whichever rows a query selects. Strings share the block dictionary.
+//
+// The records are written over buf's storage when it is large enough; every
+// field of every record is set, so buf may hold records of an earlier block.
+func materializeRows(v *BlockView, rows []int, buf []Record) ([]Record, error) {
+	out := slices.Grow(buf[:0], len(rows))[:len(rows)]
+	for _, c := range intColumns {
+		if v.secs[c.id] == nil && c.optional {
+			for k := range out {
+				c.set(&out[k], 0)
+			}
+			continue
+		}
+		sec, err := v.section(c.id)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = r
+		var acc int64
+		k := 0
+		for i := 0; i < v.count; i++ {
+			x, n := getVarint(sec)
+			if n <= 0 {
+				return nil, fmt.Errorf("%w: truncated column %d", ErrCorrupt, c.id)
+			}
+			sec = sec[n:]
+			if c.delta {
+				acc += x
+				x = acc
+			}
+			if k < len(rows) && rows[k] == i {
+				c.set(&out[k], x)
+				k++
+			}
+		}
+		if len(sec) != 0 {
+			return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, c.id)
+		}
+	}
+	cd, err := v.classDir()
+	if err != nil {
+		return nil, err
+	}
+	for k, i := range rows {
+		out[k].Class = EventClass(cd[i] & 0x0f)
+	}
+	dict, err := v.Dict()
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range strColumns {
+		sec, err := v.section(c.id)
+		if err != nil {
+			return nil, err
+		}
+		k := 0
+		for i := 0; i < v.count; i++ {
+			x, n := binary.Uvarint(sec)
+			if n <= 0 || x >= uint64(len(dict)) {
+				return nil, fmt.Errorf("%w: bad dictionary index in column %d", ErrCorrupt, c.id)
+			}
+			sec = sec[n:]
+			if k < len(rows) && rows[k] == i {
+				c.set(&out[k], dict[x])
+				k++
+			}
+		}
+		if len(sec) != 0 {
+			return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, c.id)
+		}
+	}
+	if err := materializeArgs(v, dict, rows, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// materializeArgs walks the args column once, filling the matched rows'
+// argument lists. They share backing arrays appended to as the walk goes,
+// each list capped at its own length so that appending to one record's
+// Args cannot overwrite the next record's.
+func materializeArgs(v *BlockView, dict []string, rows []int, out []Record) error {
+	sec, err := v.section(colArgs)
+	if err != nil {
+		return err
+	}
+	// Every row takes at least one byte for its count and every argument
+	// one for its tag, which bounds the matched rows' share of the column.
+	var all []string
+	if v.count > 0 {
+		all = make([]string, 0, max(len(sec)-v.count, 0)*len(rows)/v.count)
+	}
+	k := 0
+	for i := 0; i < v.count; i++ {
+		argc, n := binary.Uvarint(sec)
+		if n <= 0 || argc > 1<<16 {
+			return fmt.Errorf("%w: bad argc", ErrCorrupt)
+		}
+		sec = sec[n:]
+		matched := k < len(rows) && rows[k] == i
+		start := len(all)
+		for j := uint64(0); j < argc; j++ {
+			x, n := binary.Uvarint(sec)
+			if n <= 0 {
+				return fmt.Errorf("%w: bad arg tag", ErrCorrupt)
+			}
+			sec = sec[n:]
+			if x&1 == 0 && x>>1 >= uint64(len(dict)) {
+				return fmt.Errorf("%w: bad dictionary index in args", ErrCorrupt)
+			}
+			if !matched {
+				continue
+			}
+			if x&1 == 1 {
+				all = append(all, strconv.FormatInt(unzigzag(x>>1), 10))
+			} else {
+				all = append(all, dict[x>>1])
+			}
+		}
+		if matched {
+			out[k].Args = nil
+			if argc > 0 {
+				out[k].Args = all[start:len(all):len(all)]
+			}
+			k++
+		}
+	}
+	if len(sec) != 0 {
+		return fmt.Errorf("%w: trailing bytes in args column", ErrCorrupt)
+	}
+	return nil
 }

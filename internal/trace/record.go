@@ -14,6 +14,7 @@ package trace
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"iotaxo/internal/sim"
 )
@@ -165,14 +166,41 @@ func (r *Record) Direction() IODir {
 	if _, ok := readOps[r.Name]; ok {
 		return DirRead
 	}
-	name := strings.ToLower(r.Name)
-	if strings.Contains(name, "write") {
+	// containsFold lower-cases ASCII letters itself, so only a non-ASCII
+	// name pays for a lower-cased copy.
+	name := r.Name
+	for i := 0; i < len(name); i++ {
+		if name[i] >= utf8.RuneSelf {
+			name = strings.ToLower(name)
+			break
+		}
+	}
+	if containsFold(name, "write") {
 		return DirWrite
 	}
-	if strings.Contains(name, "read") && !strings.Contains(name, "readdir") {
+	if containsFold(name, "read") && !containsFold(name, "readdir") {
 		return DirRead
 	}
 	return DirNone
+}
+
+// containsFold reports whether s contains sub, a lower-case ASCII string,
+// with the ASCII letters of s compared case-insensitively.
+func containsFold(s, sub string) bool {
+next:
+	for i := 0; i+len(sub) <= len(s); i++ {
+		for j := 0; j < len(sub); j++ {
+			c := s[i+j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != sub[j] {
+				continue next
+			}
+		}
+		return true
+	}
+	return false
 }
 
 // Clone returns a deep copy (Args shared slices are copied).

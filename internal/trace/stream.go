@@ -303,8 +303,13 @@ func (t *transformSink) Close() error { return t.dst.Close() }
 // It does not Close dst, so a caller can pump several sources into one sink.
 func Copy(dst Sink, src Source) (int64, error) {
 	var n int64
+	// One record for the whole pump: passing &rec to the interface call
+	// moves it to the heap, once per Copy instead of once per record. Sinks
+	// retain nothing from a record, so reusing it is safe.
+	var rec Record
 	for {
-		rec, err := src.Next()
+		var err error
+		rec, err = src.Next()
 		if err == io.EOF {
 			return n, nil
 		}
