@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -157,6 +158,78 @@ func TestBinaryReaderForgedArgcBounded(t *testing.T) {
 	}
 	if least >= 1<<10 {
 		t.Fatalf("forged argc allocated %d bytes, want < 1 KiB", least)
+	}
+}
+
+// forgedCountTrace returns a Closed, compressed v2 trace of one data block
+// whose header and index entry claim count records, with a valid CRC over a
+// payload of an empty dictionary and a times column of count zero bytes,
+// which deflate to a few hundred bytes. Every other column is missing.
+func forgedCountTrace(t *testing.T, count int) []byte {
+	t.Helper()
+	payload := []byte{colDict, 1, 0, colTimes}
+	payload = binary.AppendUvarint(payload, uint64(count))
+	payload = append(payload, make([]byte, count)...)
+
+	var buf bytes.Buffer
+	w := NewColumnarWriter(&buf, ColumnarOptions{Compress: true})
+	w.writeHeader()
+	if err := w.compress(payload); err != nil {
+		t.Fatal(err)
+	}
+	stored := w.zbuf.Bytes()
+	meta := BlockMeta{Offset: w.n, Len: int64(blockHeaderLen + len(stored)), Count: count, ClassMask: 1, HasStats: true}
+	hdr := packBlockHeader(blockData, meta, len(stored), 0)
+	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], stored))
+	if err := w.writeAll(hdr[:], stored); err != nil {
+		t.Fatal(err)
+	}
+	w.index = append(w.index, meta)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) > 1<<10 {
+		t.Fatalf("forged block stores %d bytes, want a short one", len(stored))
+	}
+	return buf.Bytes()
+}
+
+// TestForgedRecordCountBounded checks that a block claiming far more records
+// than its columns hold fails before anything is sized by the claim: the
+// sequential reader and a match-all scan allocate by the block's bytes, not
+// by a record per claimed row (about 73 MB here).
+func TestForgedRecordCountBounded(t *testing.T) {
+	const count = 400_000
+	data := forgedCountTrace(t, count)
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"source", func() error {
+			_, err := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+			return err
+		}},
+		{"scan", func() error {
+			cr, err := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
+			if err != nil {
+				return err
+			}
+			_, err = Copy(&countSink{}, cr.Scan(MatchAll(), 1))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.read()
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+				t.Fatalf("a block claiming %d records in %d stored bytes allocated %d bytes, want < 8 MiB", count, len(data), alloc)
+			}
+		})
 	}
 }
 

@@ -223,7 +223,7 @@ func (b *BinaryReader) uvarint() (uint64, error) {
 }
 
 func (b *BinaryReader) varint() (int64, error) {
-	v, n := getVarint(b.block)
+	v, n := binary.Varint(b.block)
 	if n <= 0 {
 		return 0, errShortRecord
 	}

@@ -216,15 +216,6 @@ func inlineArgInt(arg string) (int64, bool) {
 	return v, true
 }
 
-// getVarint is binary.Varint with a fast path for one-byte values, the
-// common case in delta-coded columns.
-func getVarint(b []byte) (int64, int) {
-	if len(b) > 0 && b[0] < 0x80 {
-		return unzigzag(uint64(b[0])), 1
-	}
-	return binary.Varint(b)
-}
-
 // zigzag / unzigzag fold signed integers into small uvarints.
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(z uint64) int64 { return int64(z>>1) ^ -int64(z&1) }

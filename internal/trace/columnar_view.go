@@ -42,18 +42,21 @@ type BlockView struct {
 	paths []string
 	rets  []string
 	args  [][]string
+
+	rows []int // 0..count-1, built by everyRow
 }
 
 // parseBlockView slices a (decompressed) data-block payload into its column
 // sections. Sections must appear in strictly increasing ID order, dictionary
 // first — the writer's layout — which makes duplicates impossible to sneak
 // past validation.
+//
+// It also checks that the sections can hold the block's rows: every row
+// takes one byte of the class/dir column and at least one byte (a varint, a
+// dictionary index or an argument count) of each other row column. So a
+// forged record count fails here, before anything is sized by it, and the
+// memory a block's rows take stays proportional to its payload.
 func parseBlockView(payload []byte, h blockHeader) (*BlockView, error) {
-	// Every record takes at least one byte of the payload, so a larger
-	// count is forged, and would otherwise size the column allocations.
-	if h.count > len(payload) {
-		return nil, fmt.Errorf("%w: block claims %d records in %d bytes", ErrCorrupt, h.count, len(payload))
-	}
 	v := &BlockView{count: h.count, classMask: h.classMask, dirMask: h.dirMask}
 	rest := payload
 	prev := byte(0)
@@ -71,89 +74,183 @@ func parseBlockView(payload []byte, h blockHeader) (*BlockView, error) {
 		v.secs[id] = body
 		rest = rest[1+sz+int(n):]
 	}
+	for id := colDict; id <= maxColID; id++ {
+		sec := v.secs[id]
+		switch {
+		case sec == nil && id < colSpans: // only the span columns are optional
+			return nil, fmt.Errorf("%w: missing column section %d", ErrCorrupt, id)
+		case id == colClassDir && len(sec) != h.count:
+			return nil, fmt.Errorf("%w: class/dir column length", ErrCorrupt)
+		case sec != nil && id != colDict && len(sec) < h.count:
+			return nil, fmt.Errorf("%w: column %d too short for %d records", ErrCorrupt, id, h.count)
+		}
+	}
 	return v, nil
 }
 
 // Len reports the number of records in the block.
 func (v *BlockView) Len() int { return v.count }
 
-// section returns a column's raw bytes, failing if the writer omitted it.
-func (v *BlockView) section(id byte) ([]byte, error) {
-	s := v.secs[id]
-	if s == nil {
-		return nil, fmt.Errorf("%w: missing column section %d", ErrCorrupt, id)
+// everyRow returns the row indexes 0..Len()-1: the rows of a walk that
+// decodes a whole column.
+func (v *BlockView) everyRow() []int {
+	if v.rows == nil {
+		v.rows = make([]int, v.count)
+		for i := range v.rows {
+			v.rows[i] = i
+		}
 	}
-	return s, nil
+	return v.rows
 }
 
-// ints decodes a varint column, applying the delta chain when the column was
-// delta-encoded, and caches the result.
-func (v *BlockView) ints(id byte, delta bool, cache *[]int64) ([]int64, error) {
-	if *cache != nil {
-		return *cache, nil
-	}
-	sec, err := v.section(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, v.count)
+// The column walkers below each decode and validate every row of one kind
+// of column section, whichever rows the caller wants, so a corrupt block
+// fails on every path. They hand fn the values of the rows listed in rows
+// (ascending, distinct row indexes), each with its position k in rows. Both
+// the cached column accessors and materializeRows read columns through them.
+
+// walkInts walks a varint column, applying the delta chain when the column
+// was delta-encoded.
+func walkInts(sec []byte, id byte, count int, delta bool, rows []int, fn func(k int, x int64)) error {
 	var acc int64
-	for i := range out {
-		x, n := getVarint(sec)
+	k := 0
+	for i := 0; i < count; i++ {
+		x, n := binary.Varint(sec)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: truncated column %d", ErrCorrupt, id)
+			return fmt.Errorf("%w: truncated column %d", ErrCorrupt, id)
 		}
 		sec = sec[n:]
 		if delta {
 			acc += x
-			out[i] = acc
-		} else {
-			out[i] = x
+			x = acc
+		}
+		if k < len(rows) && rows[k] == i {
+			fn(k, x)
+			k++
 		}
 	}
 	if len(sec) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, id)
+		return fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, id)
+	}
+	return nil
+}
+
+// walkStrs walks a dictionary-index column, resolving each row to its
+// shared dictionary string.
+func walkStrs(sec []byte, id byte, count int, dict []string, rows []int, fn func(k int, s string)) error {
+	k := 0
+	for i := 0; i < count; i++ {
+		x, n := binary.Uvarint(sec)
+		if n <= 0 || x >= uint64(len(dict)) {
+			return fmt.Errorf("%w: bad dictionary index in column %d", ErrCorrupt, id)
+		}
+		sec = sec[n:]
+		if k < len(rows) && rows[k] == i {
+			fn(k, dict[x])
+			k++
+		}
+	}
+	if len(sec) != 0 {
+		return fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, id)
+	}
+	return nil
+}
+
+// walkArgs walks the args column. The listed rows' argument lists share
+// backing arrays appended to as the walk goes, each list capped at its own
+// length so that appending to one record's Args cannot overwrite the next
+// record's; a row without arguments gets nil.
+func walkArgs(sec []byte, count int, dict []string, rows []int, fn func(k int, args []string)) error {
+	// Every row takes at least one byte for its count and every argument
+	// one for its tag, which bounds the listed rows' share of the column.
+	var all []string
+	if count > 0 {
+		all = make([]string, 0, max(len(sec)-count, 0)*len(rows)/count)
+	}
+	k := 0
+	for i := 0; i < count; i++ {
+		argc, n := binary.Uvarint(sec)
+		if n <= 0 || argc > 1<<16 {
+			return fmt.Errorf("%w: bad argc", ErrCorrupt)
+		}
+		sec = sec[n:]
+		listed := k < len(rows) && rows[k] == i
+		start := len(all)
+		for j := uint64(0); j < argc; j++ {
+			x, n := binary.Uvarint(sec)
+			if n <= 0 {
+				return fmt.Errorf("%w: bad arg tag", ErrCorrupt)
+			}
+			sec = sec[n:]
+			if x&1 == 0 && x>>1 >= uint64(len(dict)) {
+				return fmt.Errorf("%w: bad dictionary index in args", ErrCorrupt)
+			}
+			if !listed {
+				continue
+			}
+			if x&1 == 1 {
+				all = append(all, strconv.FormatInt(unzigzag(x>>1), 10))
+			} else {
+				all = append(all, dict[x>>1])
+			}
+		}
+		if listed {
+			var args []string
+			if argc > 0 {
+				args = all[start:len(all):len(all)]
+			}
+			fn(k, args)
+			k++
+		}
+	}
+	if len(sec) != 0 {
+		return fmt.Errorf("%w: trailing bytes in args column", ErrCorrupt)
+	}
+	return nil
+}
+
+// ints decodes a varint column and caches the result.
+func (v *BlockView) ints(id byte, delta bool, cache *[]int64) ([]int64, error) {
+	if *cache != nil {
+		return *cache, nil
+	}
+	out := make([]int64, v.count)
+	err := walkInts(v.secs[id], id, v.count, delta, v.everyRow(), func(i int, x int64) { out[i] = x })
+	if err != nil {
+		return nil, err
 	}
 	*cache = out
 	return out, nil
 }
 
-// Dict decodes the block's string dictionary.
+// Dict decodes the block's string dictionary, one allocation per entry.
 func (v *BlockView) Dict() ([]string, error) {
 	if v.dict != nil {
 		return v.dict, nil
 	}
-	sec, err := v.section(colDict)
-	if err != nil {
-		return nil, err
-	}
+	sec := v.secs[colDict]
 	n, sz := binary.Uvarint(sec)
 	if sz <= 0 || n > uint64(len(sec)) {
 		return nil, fmt.Errorf("%w: bad dictionary count", ErrCorrupt)
 	}
 	sec = sec[sz:]
-	// One allocation for the whole dictionary; its entries are substrings.
-	entries := string(sec)
 	dict := make([]string, 0, n)
-	off := 0
 	for i := uint64(0); i < n; i++ {
-		sl, sz := binary.Uvarint(sec[off:])
-		if sz <= 0 || sl > uint64(len(sec)-off-sz) {
+		sl, sz := binary.Uvarint(sec)
+		if sz <= 0 || sl > uint64(len(sec)-sz) {
 			return nil, fmt.Errorf("%w: truncated dictionary entry", ErrCorrupt)
 		}
-		off += sz
-		dict = append(dict, entries[off:off+int(sl)])
-		off += int(sl)
+		dict = append(dict, string(sec[sz:sz+int(sl)]))
+		sec = sec[sz+int(sl):]
 	}
-	if off != len(sec) {
+	if len(sec) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes in dictionary", ErrCorrupt)
 	}
 	v.dict = dict
 	return dict, nil
 }
 
-// strs decodes a dictionary-index column, resolving each row to its shared
-// dictionary string.
+// strs decodes a dictionary-index column and caches the result.
 func (v *BlockView) strs(id byte, cache *[]string) ([]string, error) {
 	if *cache != nil {
 		return *cache, nil
@@ -162,21 +259,9 @@ func (v *BlockView) strs(id byte, cache *[]string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sec, err := v.section(id)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]string, v.count)
-	for i := range out {
-		x, n := binary.Uvarint(sec)
-		if n <= 0 || x >= uint64(len(dict)) {
-			return nil, fmt.Errorf("%w: bad dictionary index in column %d", ErrCorrupt, id)
-		}
-		sec = sec[n:]
-		out[i] = dict[x]
-	}
-	if len(sec) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, id)
+	if err := walkStrs(v.secs[id], id, v.count, dict, v.everyRow(), func(i int, s string) { out[i] = s }); err != nil {
+		return nil, err
 	}
 	*cache = out
 	return out, nil
@@ -258,13 +343,7 @@ func (v *BlockView) Rets() ([]string, error) { return v.strs(colRets, &v.rets) }
 
 // classDir returns the packed class/direction column, validated.
 func (v *BlockView) classDir() ([]byte, error) {
-	sec, err := v.section(colClassDir)
-	if err != nil {
-		return nil, err
-	}
-	if len(sec) != v.count {
-		return nil, fmt.Errorf("%w: class/dir column length", ErrCorrupt)
-	}
+	sec := v.secs[colClassDir]
 	for _, b := range sec {
 		if EventClass(b&0x0f) >= numClasses || IODir(b>>4) > DirWrite {
 			return nil, fmt.Errorf("%w: bad class/dir byte", ErrCorrupt)
@@ -310,40 +389,9 @@ func (v *BlockView) Args() ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sec, err := v.section(colArgs)
-	if err != nil {
-		return nil, err
-	}
 	out := make([][]string, v.count)
-	for i := range out {
-		argc, n := binary.Uvarint(sec)
-		if n <= 0 || argc > 1<<16 {
-			return nil, fmt.Errorf("%w: bad argc", ErrCorrupt)
-		}
-		sec = sec[n:]
-		if argc == 0 {
-			continue
-		}
-		row := make([]string, argc)
-		for j := range row {
-			x, n := binary.Uvarint(sec)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad arg tag", ErrCorrupt)
-			}
-			sec = sec[n:]
-			if x&1 == 1 {
-				row[j] = strconv.FormatInt(unzigzag(x>>1), 10)
-				continue
-			}
-			if x>>1 >= uint64(len(dict)) {
-				return nil, fmt.Errorf("%w: bad dictionary index in args", ErrCorrupt)
-			}
-			row[j] = dict[x>>1]
-		}
-		out[i] = row
-	}
-	if len(sec) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes in args column", ErrCorrupt)
+	if err := walkArgs(v.secs[colArgs], v.count, dict, v.everyRow(), func(i int, args []string) { out[i] = args }); err != nil {
+		return nil, err
 	}
 	v.args = out
 	return out, nil
@@ -352,21 +400,20 @@ func (v *BlockView) Args() ([][]string, error) {
 // intColumns are the varint columns of a materialized record, in decode
 // order: UIDs come before GIDs, which are stored relative to them.
 var intColumns = [...]struct {
-	id       byte
-	delta    bool
-	optional bool // the span columns: span-less blocks omit them, rows read zero
-	set      func(r *Record, x int64)
+	id    byte
+	delta bool
+	set   func(r *Record, x int64)
 }{
-	{colTimes, true, false, func(r *Record, x int64) { r.Time = sim.Time(x) }},
-	{colDurs, false, false, func(r *Record, x int64) { r.Dur = sim.Duration(x) }},
-	{colRanks, true, false, func(r *Record, x int64) { r.Rank = int(x) }},
-	{colPIDs, true, false, func(r *Record, x int64) { r.PID = int(x) }},
-	{colOffsets, true, false, func(r *Record, x int64) { r.Offset = x }},
-	{colBytes, false, false, func(r *Record, x int64) { r.Bytes = x }},
-	{colUIDs, false, false, func(r *Record, x int64) { r.UID = int(x) }},
-	{colGIDs, false, false, func(r *Record, x int64) { r.GID = r.UID + int(x) }},
-	{colSpans, true, true, func(r *Record, x int64) { r.Span = uint64(x) }},
-	{colParents, true, true, func(r *Record, x int64) { r.Parent = uint64(x) }},
+	{colTimes, true, func(r *Record, x int64) { r.Time = sim.Time(x) }},
+	{colDurs, false, func(r *Record, x int64) { r.Dur = sim.Duration(x) }},
+	{colRanks, true, func(r *Record, x int64) { r.Rank = int(x) }},
+	{colPIDs, true, func(r *Record, x int64) { r.PID = int(x) }},
+	{colOffsets, true, func(r *Record, x int64) { r.Offset = x }},
+	{colBytes, false, func(r *Record, x int64) { r.Bytes = x }},
+	{colUIDs, false, func(r *Record, x int64) { r.UID = int(x) }},
+	{colGIDs, false, func(r *Record, x int64) { r.GID = r.UID + int(x) }},
+	{colSpans, true, func(r *Record, x int64) { r.Span = uint64(x) }},
+	{colParents, true, func(r *Record, x int64) { r.Parent = uint64(x) }},
 }
 
 // strColumns are the dictionary-index columns of a materialized record.
@@ -382,44 +429,24 @@ var strColumns = [...]struct {
 
 // materializeRows builds the records of the given rows (ascending, distinct
 // row indexes) by walking each column section once and writing every
-// matched row's value straight into its record. Every row of every column
-// is decoded and validated, matched or not, so a corrupt block fails
-// whichever rows a query selects. Strings share the block dictionary.
+// listed row's value straight into its record. The walks validate every row
+// of every column, listed or not, so a corrupt block fails whichever rows a
+// query selects. Strings share the block dictionary.
 //
 // The records are written over buf's storage when it is large enough; every
 // field of every record is set, so buf may hold records of an earlier block.
 func materializeRows(v *BlockView, rows []int, buf []Record) ([]Record, error) {
 	out := slices.Grow(buf[:0], len(rows))[:len(rows)]
 	for _, c := range intColumns {
-		if v.secs[c.id] == nil && c.optional {
+		sec := v.secs[c.id]
+		if sec == nil { // a span column of a span-less block
 			for k := range out {
 				c.set(&out[k], 0)
 			}
 			continue
 		}
-		sec, err := v.section(c.id)
-		if err != nil {
+		if err := walkInts(sec, c.id, v.count, c.delta, rows, func(k int, x int64) { c.set(&out[k], x) }); err != nil {
 			return nil, err
-		}
-		var acc int64
-		k := 0
-		for i := 0; i < v.count; i++ {
-			x, n := getVarint(sec)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: truncated column %d", ErrCorrupt, c.id)
-			}
-			sec = sec[n:]
-			if c.delta {
-				acc += x
-				x = acc
-			}
-			if k < len(rows) && rows[k] == i {
-				c.set(&out[k], x)
-				k++
-			}
-		}
-		if len(sec) != 0 {
-			return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, c.id)
 		}
 	}
 	cd, err := v.classDir()
@@ -434,84 +461,12 @@ func materializeRows(v *BlockView, rows []int, buf []Record) ([]Record, error) {
 		return nil, err
 	}
 	for _, c := range strColumns {
-		sec, err := v.section(c.id)
-		if err != nil {
+		if err := walkStrs(v.secs[c.id], c.id, v.count, dict, rows, func(k int, s string) { c.set(&out[k], s) }); err != nil {
 			return nil, err
 		}
-		k := 0
-		for i := 0; i < v.count; i++ {
-			x, n := binary.Uvarint(sec)
-			if n <= 0 || x >= uint64(len(dict)) {
-				return nil, fmt.Errorf("%w: bad dictionary index in column %d", ErrCorrupt, c.id)
-			}
-			sec = sec[n:]
-			if k < len(rows) && rows[k] == i {
-				c.set(&out[k], dict[x])
-				k++
-			}
-		}
-		if len(sec) != 0 {
-			return nil, fmt.Errorf("%w: trailing bytes in column %d", ErrCorrupt, c.id)
-		}
 	}
-	if err := materializeArgs(v, dict, rows, out); err != nil {
+	if err := walkArgs(v.secs[colArgs], v.count, dict, rows, func(k int, args []string) { out[k].Args = args }); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// materializeArgs walks the args column once, filling the matched rows'
-// argument lists. They share backing arrays appended to as the walk goes,
-// each list capped at its own length so that appending to one record's
-// Args cannot overwrite the next record's.
-func materializeArgs(v *BlockView, dict []string, rows []int, out []Record) error {
-	sec, err := v.section(colArgs)
-	if err != nil {
-		return err
-	}
-	// Every row takes at least one byte for its count and every argument
-	// one for its tag, which bounds the matched rows' share of the column.
-	var all []string
-	if v.count > 0 {
-		all = make([]string, 0, max(len(sec)-v.count, 0)*len(rows)/v.count)
-	}
-	k := 0
-	for i := 0; i < v.count; i++ {
-		argc, n := binary.Uvarint(sec)
-		if n <= 0 || argc > 1<<16 {
-			return fmt.Errorf("%w: bad argc", ErrCorrupt)
-		}
-		sec = sec[n:]
-		matched := k < len(rows) && rows[k] == i
-		start := len(all)
-		for j := uint64(0); j < argc; j++ {
-			x, n := binary.Uvarint(sec)
-			if n <= 0 {
-				return fmt.Errorf("%w: bad arg tag", ErrCorrupt)
-			}
-			sec = sec[n:]
-			if x&1 == 0 && x>>1 >= uint64(len(dict)) {
-				return fmt.Errorf("%w: bad dictionary index in args", ErrCorrupt)
-			}
-			if !matched {
-				continue
-			}
-			if x&1 == 1 {
-				all = append(all, strconv.FormatInt(unzigzag(x>>1), 10))
-			} else {
-				all = append(all, dict[x>>1])
-			}
-		}
-		if matched {
-			out[k].Args = nil
-			if argc > 0 {
-				out[k].Args = all[start:len(all):len(all)]
-			}
-			k++
-		}
-	}
-	if len(sec) != 0 {
-		return fmt.Errorf("%w: trailing bytes in args column", ErrCorrupt)
-	}
-	return nil
 }
