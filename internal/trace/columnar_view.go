@@ -428,16 +428,31 @@ var strColumns = [...]struct {
 }
 
 // materializeRows builds the records of the given rows (ascending, distinct
-// row indexes) by walking each column section once and writing every
-// listed row's value straight into its record. The walks validate every row
-// of every column, listed or not, so a corrupt block fails whichever rows a
-// query selects. Strings share the block dictionary.
+// row indexes) by walking each column section once, or reading a column an
+// accessor already decoded, and writing every listed row's value straight
+// into its record. Every row of every column is validated, listed or not,
+// so a corrupt block fails whichever rows a query selects. Strings share
+// the block dictionary.
 //
 // The records are written over buf's storage when it is large enough; every
 // field of every record is set, so buf may hold records of an earlier block.
 func materializeRows(v *BlockView, rows []int, buf []Record) ([]Record, error) {
 	out := slices.Grow(buf[:0], len(rows))[:len(rows)]
+	// A column an accessor already decoded (matchRows reads times, ranks
+	// and the stats columns a query constrains) was validated row by row
+	// then, so its matched rows come from the cache. The gid cache holds
+	// absolute gids, so that column is always walked.
+	cached := [maxColID + 1][]int64{
+		colTimes: v.times, colDurs: v.durs, colRanks: v.ranks, colPIDs: v.pids, colOffsets: v.offsets,
+		colBytes: v.bytesc, colUIDs: v.uids, colSpans: v.spans, colParents: v.parents,
+	}
 	for _, c := range intColumns {
+		if col := cached[c.id]; col != nil {
+			for k, i := range rows {
+				c.set(&out[k], col[i])
+			}
+			continue
+		}
 		sec := v.secs[c.id]
 		if sec == nil { // a span column of a span-less block
 			for k := range out {
