@@ -324,7 +324,7 @@ func BenchmarkSim16384Ranks(b *testing.B) { benchSimRanks(b, 16384) }
 // BenchmarkSim65536Ranks is the ladder's top: the rank regime modern
 // tracers target, two orders of magnitude past the paper's testbed.
 // Skipped in -short (CI's benchmark smoke) — roughly 40 s per iteration;
-// run it manually or via `tracebench -bench-ladder`.
+// run it manually or via `tracebench -bench ladder`.
 func BenchmarkSim65536Ranks(b *testing.B) {
 	if testing.Short() {
 		b.Skip("65536-rank rung skipped in -short mode")
@@ -516,7 +516,7 @@ func BenchmarkTextTraceParse(b *testing.B) {
 	line := "# node=n rank=0 pid=1\n10:59:47.105818 SYS_open(\"/etc/hosts\", 0, 0666) = 3 <0.000034>\n"
 	b.SetBytes(int64(len(line)))
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.NewTextReader(strings.NewReader(line)).ReadAll(); err != nil {
+		if _, err := trace.Collect(trace.NewTextReader(strings.NewReader(line))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -626,7 +626,7 @@ func BenchmarkBinaryConversionMemory(b *testing.B) {
 		var peak float64
 		for i := 0; i < b.N; i++ {
 			base := baseline()
-			all, err := trace.NewBinaryReader(bytes.NewReader(data)).ReadAll()
+			all, err := trace.Collect(trace.NewBinaryReader(bytes.NewReader(data)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -7,8 +7,9 @@
 //	tracebench -exp fig2        # one experiment
 //	tracebench -exp fig2 -csv   # CSV series for plotting
 //	tracebench -full            # paper-scale data volumes (slow)
-//	tracebench -bench-json BENCH_sweep.json   # cold/warm cache benchmark
-//	tracebench -bench-codec BENCH_codec.json  # v1 vs v2 trace codec benchmark
+//	tracebench -bench sweep                   # cold/warm cache benchmark -> BENCH_sweep.json
+//	tracebench -bench ladder -max-ranks 16384 # rank ladder -> BENCH_ladder.json
+//	tracebench -bench codec out.json          # v1 vs v2 trace codec benchmark -> out.json
 //
 // Experiments: fig1 fig2 fig3 fig4 overheads elapsed tracefs ptrace
 // collective matrix scaling servers table1 table2 all. The matrix and
@@ -50,9 +51,7 @@ func main() {
 	ranksPerNode := flag.Int("ranks-per-node", 1, "MPI ranks placed per compute node for -exp scaling/servers (placement axis)")
 	cacheDir := flag.String("cache-dir", harness.DefaultCacheDir(), "directory for the persisted simulation-result cache (empty = in-memory only)")
 	noCache := flag.Bool("no-cache", false, "disable the persisted simulation-result cache (in-run baseline sharing still applies)")
-	benchJSON := flag.String("bench-json", "", "run the cold/warm cache benchmark and write the snapshot to this file, then exit (nonzero if warm output diverges)")
-	benchLadder := flag.String("bench-ladder", "", "run the rank-ladder benchmark (wall time + peak heap per rung up to -max-ranks, default 65536) and write the JSON snapshot to this file, then exit")
-	benchCodec := flag.String("bench-codec", "", "run the trace-codec benchmark (v1 vs v2 size, scan throughput, index pruning) and write the JSON snapshot to this file, then exit (nonzero on a format regression)")
+	bench := flag.String("bench", "", "run one benchmark (sweep | ladder | codec; ladder climbs to -max-ranks, default 65536), write its JSON snapshot to the file argument (default BENCH_<name>.json), then exit (nonzero if it fails or misses a bar)")
 	poolMem := flag.String("pool-mem", "", "memory budget for the simulation worker pool, e.g. 2GB or 512MB (empty = unlimited)")
 	flag.Parse()
 
@@ -63,16 +62,12 @@ func main() {
 		harness.SetPoolMemBudget(budget)
 	}
 
-	if *benchLadder != "" {
-		runBenchLadder(*benchLadder, *maxRanks)
-		return
-	}
-	if *benchCodec != "" {
-		runBenchCodec(*benchCodec)
-		return
-	}
-	if *benchJSON != "" {
-		runBench(*benchJSON)
+	if *bench != "" {
+		if flag.NArg() > 1 {
+			fmt.Fprintf(os.Stderr, "tracebench: -bench takes one file argument, got %q (flags go before it)\n", flag.Args())
+			os.Exit(2)
+		}
+		writeBench(*bench, flag.Arg(0), *maxRanks)
 		return
 	}
 
@@ -217,74 +212,38 @@ func main() {
 	run(*exp)
 }
 
-// runBench measures the memoizing sweep engine itself: a cold then warm
-// full-registry matrix smoke sweep against a fresh cache, written as one
-// JSON snapshot (the in-repo BENCH_sweep.json trajectory point). Exits
-// nonzero if the warm run diverged from the cold run — a caching bug, not
-// a performance regression.
-func runBench(path string) {
-	snap, err := harness.BenchSweep()
+// writeBench runs the named benchmark and writes its snapshot to path
+// (default BENCH_<name>.json). It exits nonzero if the run fails or the
+// snapshot misses a bar; a snapshot that misses one is still written.
+func writeBench(name, path string, maxRanks int) {
+	benches := map[string]func() (harness.Snapshot, error){
+		"sweep":  harness.BenchSweep,
+		"ladder": func() (harness.Snapshot, error) { return harness.BenchLadder(maxRanks) },
+		"codec":  harness.BenchCodec,
+	}
+	run, ok := benches[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "tracebench: unknown bench %q (have sweep, ladder, codec)\n", name)
+		os.Exit(2)
+	}
+	if path == "" {
+		path = "BENCH_" + name + ".json"
+	}
+	snap, err := run()
+	if err == nil {
+		err = os.WriteFile(path, []byte(snap.JSON()), 0o644)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench: %v\n", err)
+		fmt.Fprintf(os.Stderr, "tracebench: bench %s: %v\n", name, err)
 		os.Exit(1)
 	}
-	if err := os.WriteFile(path, []byte(snap.JSON()), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench: %v\n", err)
-		os.Exit(1)
+	fmt.Fprintf(os.Stderr, "%s; passed=%v -> %s\n", snap.Payload.Summary(), snap.Passed, path)
+	for _, b := range snap.Bars {
+		if !b.Pass {
+			fmt.Fprintf(os.Stderr, "tracebench: bench %s: bar %s failed: %g %s %g\n", name, b.Name, b.Value, b.Op, b.Limit)
+		}
 	}
-	fmt.Fprintf(os.Stderr, "# bench: cold %.0fms (%d executed), warm %.0fms (%d executed, %d cached), identical=%v -> %s\n",
-		snap.Cold.WallMS, snap.Cold.Executed, snap.Warm.WallMS, snap.Warm.Executed,
-		snap.Warm.MemHits+snap.Warm.DiskHits, snap.Identical, path)
-	if !snap.Identical {
-		fmt.Fprintln(os.Stderr, "tracebench: bench: warm sweep output diverged from cold sweep")
-		os.Exit(1)
-	}
-}
-
-// runBenchLadder measures the engine's rank-scaling trajectory: the
-// single-cell ladder timed rung by rung (wall time + peak heap), written as
-// the in-repo BENCH_ladder.json snapshot. maxRanks caps the top rung (0 =
-// the full 65536-rank ladder); CI runs the 16384 smoke.
-func runBenchLadder(path string, maxRanks int) {
-	if maxRanks <= 0 {
-		maxRanks = 65536
-	}
-	snap, err := harness.BenchLadder(maxRanks)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench-ladder: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, []byte(snap.JSON()), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench-ladder: %v\n", err)
-		os.Exit(1)
-	}
-	for _, r := range snap.Rungs {
-		fmt.Fprintf(os.Stderr, "# ladder: %6d ranks  %9.0f ms  heap peak %7.1f MB\n", r.Ranks, r.WallMS, r.PeakHeapMB)
-	}
-	fmt.Fprintf(os.Stderr, "# ladder: %d rungs (%s on %s, %s scaling) -> %s\n",
-		len(snap.Rungs), snap.Framework, snap.Workload, snap.Mode, path)
-}
-
-// runBenchCodec measures the two trace codecs against each other on the
-// full-registry matrix streams and probes the v2 block index, written as the
-// in-repo BENCH_codec.json snapshot. Exits nonzero if a run fails or the
-// snapshot misses an acceptance bar (size ratio, pruning fraction, v2 full
-// scan at least as fast as v1 decode in records per second).
-func runBenchCodec(path string) {
-	snap, err := harness.BenchCodec()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench-codec: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, []byte(snap.JSON()), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: bench-codec: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "# codec: %d records, v1 %.1f B/rec, v2 %.1f B/rec (%.2fx, %.2fx deflated); v1 decode %.0fk rec/s, v2 scan %.0fk rec/s; index decoded %d/%d blocks; passed=%v -> %s\n",
-		snap.TotalRecords, snap.V1PerRecord, snap.V2PerRecord, snap.SizeRatio, snap.SizeRatioComp,
-		snap.V1DecodeKrps, snap.V2ScanKrps, snap.IndexDecoded, snap.IndexBlocks, snap.Passed, path)
 	if !snap.Passed {
-		fmt.Fprintln(os.Stderr, "tracebench: bench-codec: snapshot failed an acceptance bar")
 		os.Exit(1)
 	}
 }

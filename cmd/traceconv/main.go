@@ -135,7 +135,7 @@ func run(o options, stdout, stderr io.Writer) error {
 		}
 	}
 	var encOut blockEncoder
-	var closeOut func()
+	var closeOut func() error
 	switch target {
 	case "":
 		if !o.stats {
@@ -184,7 +184,9 @@ func run(o options, stdout, stderr io.Writer) error {
 		err = cerr
 	}
 	if closeOut != nil {
-		closeOut()
+		if cerr := closeOut(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
 		return err
@@ -227,13 +229,13 @@ func writeNote(w blockEncoder) string {
 	return fmt.Sprintf(" (%d blocks, %d bytes)", w.BlocksWritten(), w.BytesWritten())
 }
 
-func openOut(path string) (io.Writer, func(), error) {
+func openOut(path string) (io.Writer, func() error, error) {
 	if path == "" {
-		return os.Stdout, func() {}, nil
+		return os.Stdout, func() error { return nil }, nil
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return f, func() { f.Close() }, nil
+	return f, f.Close, nil
 }

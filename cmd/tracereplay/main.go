@@ -89,10 +89,13 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := gen.Trace.WriteText(f); err != nil {
+		err = gen.Trace.WriteText(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			fail(err)
 		}
-		f.Close()
 		fmt.Printf("trace written    : %s\n", *out)
 	}
 

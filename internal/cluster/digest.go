@@ -5,9 +5,11 @@ package cluster
 // field — including every nested simulator config — folds into its own
 // FNV-1a stream seeded by a dotted field path, and the streams XOR-combine,
 // so the digest is independent of fold order but sensitive to every value.
-// Adding a config field changes all digests, which is the invalidation a
-// new input dimension requires. The digest addresses *inputs* only: it
-// cannot see simulator code changes (see harness cacheSchema for that).
+// A field added to Config is invisible here until it gets its own line in
+// Digest (TestConfigDigest fails until then); adding that line changes all
+// digests, which is the invalidation a new input dimension requires. The
+// digest addresses *inputs* only: it cannot see simulator code changes (see
+// harness cacheSchema for that).
 
 import "iotaxo/internal/fnvhash"
 

@@ -1,41 +1,53 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
-
-	"iotaxo/internal/sim"
 )
 
 // TestConfigDigest checks the fingerprint's equality contract: equal
-// configs hash equal; changing any field — top-level or nested in a
-// simulator sub-config — changes the digest.
+// configs hash equal; changing any leaf field — top-level or nested in a
+// simulator sub-config — changes the digest. It walks Config by reflection,
+// so a field added later without a line in Digest fails here instead of
+// silently aliasing persisted cache entries.
 func TestConfigDigest(t *testing.T) {
 	base := Default()
 	if base.Digest() != Default().Digest() {
 		t.Fatal("equal configs must produce equal digests")
 	}
-	mutations := map[string]func(*Config){
-		"ComputeNodes":       func(c *Config) { c.ComputeNodes++ },
-		"RanksPerNode":       func(c *Config) { c.RanksPerNode++ },
-		"TotalRanks":         func(c *Config) { c.TotalRanks = 7 },
-		"Net.BandwidthBps":   func(c *Config) { c.Net.BandwidthBps *= 2 },
-		"Net.Latency":        func(c *Config) { c.Net.Latency += sim.Microsecond },
-		"PFS.Name":           func(c *Config) { c.PFS.Name = "nfs" },
-		"PFS.Servers":        func(c *Config) { c.PFS.Servers++ },
-		"PFS.Array.Disks":    func(c *Config) { c.PFS.Array.Disks++ },
-		"PFS.Array.Disk":     func(c *Config) { c.PFS.Array.Disk.Seek += sim.Microsecond },
-		"PFS.Stackable":      func(c *Config) { c.PFS.Stackable = !c.PFS.Stackable },
-		"Kernel.SyscallCost": func(c *Config) { c.Kernel.SyscallCost += sim.Microsecond },
-		"LocalDisk.PerOp":    func(c *Config) { c.LocalDisk.PerOp += sim.Microsecond },
-		"MaxSkew":            func(c *Config) { c.MaxSkew += sim.Millisecond },
-		"MaxDrift":           func(c *Config) { c.MaxDrift *= 2 },
-		"Seed":               func(c *Config) { c.Seed++ },
-	}
-	for name, mutate := range mutations {
-		cfg := Default()
-		mutate(&cfg)
-		if cfg.Digest() == base.Digest() {
-			t.Errorf("mutating %s did not change the digest", name)
+	leaves := 0
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := range v.NumField() {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
 		}
+		leaves++
+		before := reflect.ValueOf(v.Interface())
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float()*2 + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: no mutation for kind %s; teach this test and Digest about it", path, v.Kind())
+		}
+		if base.Digest() == Default().Digest() {
+			t.Errorf("mutating %s did not change the digest", path)
+		}
+		v.Set(before)
+	}
+	walk("Config", reflect.ValueOf(&base).Elem())
+	if base.Digest() != Default().Digest() {
+		t.Fatal("the walk did not restore every field")
+	}
+	if leaves == 0 {
+		t.Fatal("walked no fields")
 	}
 }

@@ -1,21 +1,82 @@
 package harness
 
-// This file is the in-repo perf trajectory: BenchSweep times the registry
-// smoke matrix cold (empty cache) and warm (same cache, same call) and
-// packages wall time, executed-vs-cached simulation counts, and the
-// scheduler envelope as a JSON-ready snapshot. `tracebench -bench-json`
-// writes it to BENCH_sweep.json, which is committed each PR so the
-// engine's performance history lives in the repository next to the code
-// that produced it.
+// This file is the in-repo perf trajectory. Every bench returns one
+// Snapshot: the bench's own measurements (its payload) plus the acceptance
+// bars it is held to, stored as data. `tracebench -bench <name>` writes it
+// to BENCH_<name>.json, which is committed so the engine's performance
+// history lives in the repository next to the code that produced it, and
+// exits nonzero when a bar fails.
 
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"time"
 
 	"iotaxo/internal/framework"
 	"iotaxo/internal/workload"
 )
+
+// Bar is one acceptance bar: a measured value held against a limit by a
+// comparison, "<=", ">=" or "==".
+type Bar struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+	Op    string  `json:"op"`
+	Limit float64 `json:"limit"`
+	Pass  bool    `json:"pass"`
+}
+
+// Payload is a bench's own measurements.
+type Payload interface {
+	// Summary renders the measurements as tracebench's stderr lines.
+	Summary() string
+}
+
+// Snapshot is one BENCH_<name>.json record: the bench's payload and its
+// evaluated bars. Passed is true when every bar holds.
+type Snapshot struct {
+	// Schema is the cache schema the snapshot was produced under.
+	Schema     int     `json:"schema"`
+	Experiment string  `json:"experiment"`
+	Bars       []Bar   `json:"bars"`
+	Passed     bool    `json:"passed"`
+	Payload    Payload `json:"payload"`
+}
+
+// newSnapshot evaluates bars against their limits and wraps them with the
+// payload. It is the one place a bar passes or fails.
+func newSnapshot(experiment string, payload Payload, bars ...Bar) Snapshot {
+	s := Snapshot{Schema: cacheSchema, Experiment: experiment, Bars: []Bar{}, Passed: true, Payload: payload}
+	for _, b := range bars {
+		switch b.Op {
+		case "<=":
+			b.Pass = b.Value <= b.Limit
+		case ">=":
+			b.Pass = b.Value >= b.Limit
+		case "==":
+			b.Pass = b.Value == b.Limit
+		default:
+			panic(fmt.Sprintf("harness: bar %s has unknown op %q", b.Name, b.Op))
+		}
+		s.Passed = s.Passed && b.Pass
+		s.Bars = append(s.Bars, b)
+	}
+	return s
+}
+
+// JSON renders the snapshot, indented, newline-terminated, with the bars'
+// comparisons left readable ("<=", not "\u003c=").
+func (s Snapshot) JSON() string {
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(s); err != nil {
+		panic(err) // structs of scalars and slices; cannot fail
+	}
+	return b.String()
+}
 
 // BenchPhase is one timed pass of the bench sweep.
 type BenchPhase struct {
@@ -26,12 +87,9 @@ type BenchPhase struct {
 	DiskHits int64   `json:"disk_hits"`
 }
 
-// BenchSnapshot is one BENCH_sweep.json record: the smoke matrix timed
+// SweepPayload is the sweep bench's measurements: the smoke matrix timed
 // cold and warm against one in-memory cache.
-type BenchSnapshot struct {
-	// Schema is the cache schema the snapshot was produced under.
-	Schema     int    `json:"schema"`
-	Experiment string `json:"experiment"`
+type SweepPayload struct {
 	// Frameworks/Workloads/Blocks describe the swept matrix shape.
 	Frameworks int `json:"frameworks"`
 	Workloads  int `json:"workloads"`
@@ -42,26 +100,20 @@ type BenchSnapshot struct {
 
 	PoolSize        int `json:"pool_size"`
 	PeakConcurrency int `json:"peak_concurrency"`
-	// Identical reports that the cold and warm Format renderings matched
-	// byte for byte — the memoization-correctness invariant.
-	Identical bool `json:"identical"`
 }
 
-// JSON renders the snapshot, indented, newline-terminated.
-func (s BenchSnapshot) JSON() string {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(err) // plain struct of scalars; cannot fail
-	}
-	return string(b) + "\n"
+// Summary renders the cold/warm line.
+func (p SweepPayload) Summary() string {
+	return fmt.Sprintf("# bench: cold %.0fms (%d executed), warm %.0fms (%d executed, %d cached)",
+		p.Cold.WallMS, p.Cold.Executed, p.Warm.WallMS, p.Warm.Executed, p.Warm.MemHits+p.Warm.DiskHits)
 }
 
 // BenchSweep runs the full-registry smoke matrix twice against one fresh
 // in-memory cache — cold, then warm — and reports the perf snapshot. An
-// error means the sweep itself failed; a snapshot with Identical == false
-// or Warm.Executed != 0 means the memoization layer is broken (the
-// -bench-json CLI path treats both as fatal).
-func BenchSweep() (BenchSnapshot, error) {
+// error means the sweep itself failed. Its bars are the memoization
+// invariants: the warm Format rendering matches the cold one byte for byte
+// (identical), and the warm run executes no simulation.
+func BenchSweep() (Snapshot, error) {
 	o := MatrixSmokeOptions()
 	o.Cache = NewCache("")
 
@@ -69,14 +121,14 @@ func BenchSweep() (BenchSnapshot, error) {
 	cold, err := MatrixSweep(o)
 	coldWall := time.Since(start)
 	if err != nil {
-		return BenchSnapshot{}, fmt.Errorf("cold sweep: %w", err)
+		return Snapshot{}, fmt.Errorf("cold sweep: %w", err)
 	}
 
 	start = time.Now()
 	warm, err := MatrixSweep(o)
 	warmWall := time.Since(start)
 	if err != nil {
-		return BenchSnapshot{}, fmt.Errorf("warm sweep: %w", err)
+		return Snapshot{}, fmt.Errorf("warm sweep: %w", err)
 	}
 
 	phase := func(wall time.Duration, s SweepStats) BenchPhase {
@@ -88,9 +140,11 @@ func BenchSweep() (BenchSnapshot, error) {
 			DiskHits: s.DiskHits,
 		}
 	}
-	return BenchSnapshot{
-		Schema:          cacheSchema,
-		Experiment:      "matrix-smoke",
+	identical := 0.0
+	if cold.Format() == warm.Format() {
+		identical = 1
+	}
+	return newSnapshot("matrix-smoke", SweepPayload{
 		Frameworks:      len(cold.FrameworkNames()),
 		Workloads:       len(cold.Workloads),
 		Blocks:          len(o.BlockSizes),
@@ -98,14 +152,19 @@ func BenchSweep() (BenchSnapshot, error) {
 		Warm:            phase(warmWall, warm.Stats),
 		PoolSize:        warm.Stats.PoolSize,
 		PeakConcurrency: cold.Stats.PeakConcurrency,
-		Identical:       cold.Format() == warm.Format() && warm.Stats.Executed == 0,
-	}, nil
+	},
+		Bar{Name: "identical", Value: identical, Op: "==", Limit: 1},
+		Bar{Name: "warm.executed", Value: float64(warm.Stats.Executed), Op: "<=", Limit: 0},
+	), nil
 }
 
 // BenchLadderMinRanks is the ladder benchmark's base rung: where the
 // fully-eventized engine's scaling story starts (the paper's own curves
 // stop well below it).
 const BenchLadderMinRanks = 512
+
+// benchLadderMaxRanks is the ladder's default top rung.
+const benchLadderMaxRanks = 65536
 
 // BenchRung is one rank-count rung of the ladder benchmark: one untraced
 // plus one traced single-cell simulation, timed uncached.
@@ -117,14 +176,11 @@ type BenchRung struct {
 	PeakHeapMB float64 `json:"peak_heap_mb"`
 }
 
-// BenchLadderSnapshot is one BENCH_ladder.json record: the single-cell
-// scaling ladder timed rung by rung with heap watermarks. It is the resource
-// trajectory of the eventized engine — wall time and peak heap per rung —
-// committed beside BENCH_sweep.json so rank-scaling regressions show up in
-// review diffs.
-type BenchLadderSnapshot struct {
-	Schema       int         `json:"schema"`
-	Experiment   string      `json:"experiment"`
+// LadderPayload is the ladder bench's measurements: the single-cell scaling
+// ladder timed rung by rung with heap watermarks. It is the resource
+// trajectory of the eventized engine, committed as BENCH_ladder.json so
+// rank-scaling regressions show up in review diffs.
+type LadderPayload struct {
 	Framework    string      `json:"framework"`
 	Workload     string      `json:"workload"`
 	Mode         string      `json:"mode"`
@@ -133,35 +189,37 @@ type BenchLadderSnapshot struct {
 	Rungs        []BenchRung `json:"rungs"`
 }
 
-// JSON renders the snapshot, indented, newline-terminated.
-func (s BenchLadderSnapshot) JSON() string {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(err) // plain struct of scalars; cannot fail
+// Summary renders one line per rung and a closing line.
+func (p LadderPayload) Summary() string {
+	var b strings.Builder
+	for _, r := range p.Rungs {
+		fmt.Fprintf(&b, "# ladder: %6d ranks  %9.0f ms  heap peak %7.1f MB\n", r.Ranks, r.WallMS, r.PeakHeapMB)
 	}
-	return string(b) + "\n"
+	fmt.Fprintf(&b, "# ladder: %d rungs (%s on %s, %s scaling)", len(p.Rungs), p.Framework, p.Workload, p.Mode)
+	return b.String()
 }
 
 // BenchLadder times one single-cell (one framework, one workload) rung at
-// each rank count doubling from BenchLadderMinRanks to maxRanks, uncached,
-// and reports wall time plus the scheduler's heap high-water per rung. The
-// cell is the paper's own — LANL-Trace on the N-1 strided pattern, weak
-// scaling — at one block per rank: the ladder tracks the engine's per-rank
-// fixed costs (construction, messaging, scheduling, tracing), which data
-// volume would only dilute, and one block keeps the 65536-rank rung
-// minutes, not hours.
-func BenchLadder(maxRanks int) (BenchLadderSnapshot, error) {
-	if maxRanks < BenchLadderMinRanks {
-		maxRanks = BenchLadderMinRanks
+// each rank count doubling from BenchLadderMinRanks to maxRanks (0 means
+// 65536), uncached, and reports wall time plus the scheduler's heap
+// high-water per rung. The cell is the paper's own — LANL-Trace on the N-1
+// strided pattern, weak scaling — at one block per rank: the ladder tracks
+// the engine's per-rank fixed costs (construction, messaging, scheduling,
+// tracing), which data volume would only dilute, and one block keeps the
+// 65536-rank rung minutes, not hours. The snapshot has no bars: wall time
+// and heap depend on the host, so no fixed limit would mean the same thing
+// on two machines.
+func BenchLadder(maxRanks int) (Snapshot, error) {
+	if maxRanks <= 0 {
+		maxRanks = benchLadderMaxRanks
 	}
+	maxRanks = max(maxRanks, BenchLadderMinRanks)
 	o := LadderOptions()
 	o.PerRankBytes = o.scaleBlock()
 	o.Cache = NewCache("")
 	fw := benchFramework()
 	w := workload.PatternWorkload(workload.N1Strided)
-	snap := BenchLadderSnapshot{
-		Schema:       cacheSchema,
-		Experiment:   "scale-ladder",
+	p := LadderPayload{
 		Framework:    fw.Name(),
 		Workload:     w.Name(),
 		Mode:         o.ScaleMode.String(),
@@ -176,15 +234,15 @@ func BenchLadder(maxRanks int) (BenchLadderSnapshot, error) {
 		sched.resetPeak()
 		start := time.Now()
 		if _, err := Sweep(rung, fw, w, o); err != nil {
-			return snap, fmt.Errorf("rung %d: %w", ranks, err)
+			return Snapshot{}, fmt.Errorf("rung %d: %w", ranks, err)
 		}
-		snap.Rungs = append(snap.Rungs, BenchRung{
+		p.Rungs = append(p.Rungs, BenchRung{
 			Ranks:      int(ranks),
 			WallMS:     float64(time.Since(start).Microseconds()) / 1e3,
 			PeakHeapMB: float64(sched.peakHeapBytes()) / (1 << 20),
 		})
 	}
-	return snap, nil
+	return newSnapshot("scale-ladder", p), nil
 }
 
 // benchFramework picks the ladder cell's framework: the paper's LANL-Trace,

@@ -340,26 +340,28 @@ func TestSchedulerShortestFirst(t *testing.T) {
 }
 
 // TestBenchSweep exercises the perf-trajectory path end to end: the
-// snapshot must report a self-consistent cold/warm pair.
+// snapshot must report a self-consistent cold/warm pair and pass its bars.
 func TestBenchSweep(t *testing.T) {
 	snap, err := BenchSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !snap.Identical {
-		t.Error("bench snapshot: cold and warm runs were not identical")
-	}
-	if snap.Warm.Executed != 0 {
-		t.Errorf("bench snapshot: warm run executed %d simulations, want 0", snap.Warm.Executed)
+	checkBars(t, snap, "identical", "warm.executed")
+	p := snap.Payload.(SweepPayload)
+	if p.Warm.Executed != 0 {
+		t.Errorf("bench snapshot: warm run executed %d simulations, want 0", p.Warm.Executed)
 	}
 	o := MatrixSmokeOptions()
 	wantExecuted, wantShared := matrixLeafCounts(o)
-	if snap.Cold.Executed != wantExecuted || snap.Cold.Shared != wantShared {
+	if p.Cold.Executed != wantExecuted || p.Cold.Shared != wantShared {
 		t.Errorf("bench snapshot cold counts executed=%d shared=%d, want %d/%d",
-			snap.Cold.Executed, snap.Cold.Shared, wantExecuted, wantShared)
+			p.Cold.Executed, p.Cold.Shared, wantExecuted, wantShared)
 	}
-	if !strings.Contains(snap.JSON(), `"experiment": "matrix-smoke"`) {
-		t.Errorf("bench JSON missing experiment tag:\n%s", snap.JSON())
+	if snap.Experiment != "matrix-smoke" {
+		t.Errorf("bench experiment %q, want matrix-smoke", snap.Experiment)
+	}
+	if back := roundTrip(t, snap, &SweepPayload{}); *back != p {
+		t.Fatalf("snapshot JSON round-trip diverged: %+v, want %+v", *back, p)
 	}
 }
 

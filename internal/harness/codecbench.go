@@ -4,14 +4,14 @@ package harness
 // workload registry under LANL-Trace at smoke scale, encodes every cell's
 // real record stream in both trace formats (v1 row-ordered, v2 columnar),
 // and packages bytes-per-record, scan throughput, and the block index's
-// pruning power as a JSON-ready snapshot. `tracebench -bench-codec` writes
-// it to BENCH_codec.json, committed each PR so format regressions (size
+// pruning power as a Snapshot. `tracebench -bench codec` writes it to
+// BENCH_codec.json, committed beside the code so format regressions (size
 // ratio, decoded-block fraction) show up in review diffs.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"iotaxo/internal/lanltrace"
@@ -19,14 +19,6 @@ import (
 	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
-
-// CodecSizeRatioFloor is the acceptance bar: v2 must be at least this many
-// times smaller than v1 on the registry's real record streams.
-const CodecSizeRatioFloor = 3.0
-
-// CodecIndexFractionCeil is the pruning bar: a 101-rank query against a
-// 4096-rank trace must decode at most this fraction of the blocks.
-const CodecIndexFractionCeil = 0.20
 
 // CodecRow is one workload's size comparison: the same record stream
 // encoded by both codecs, plain and compressed.
@@ -39,13 +31,11 @@ type CodecRow struct {
 	V2Compressed int64  `json:"v2_compressed"`
 }
 
-// CodecSnapshot is one BENCH_codec.json record: v1-vs-v2 size on the
+// CodecPayload is the codec bench's measurements: v1-vs-v2 size on the
 // full-registry matrix streams, scan throughput, and index pruning.
-type CodecSnapshot struct {
-	Schema     int    `json:"schema"`
-	Experiment string `json:"experiment"`
-	Framework  string `json:"framework"`
-	Ranks      int    `json:"ranks"`
+type CodecPayload struct {
+	Framework string `json:"framework"`
+	Ranks     int    `json:"ranks"`
 
 	Rows []CodecRow `json:"rows"`
 
@@ -64,20 +54,13 @@ type CodecSnapshot struct {
 	IndexDecoded   int     `json:"index_blocks_decoded"`
 	IndexFraction  float64 `json:"index_decoded_fraction"`
 	IndexedMatched int64   `json:"indexed_records_matched"`
-
-	// Passed folds the acceptance bars: SizeRatio >= 3, a rank-range query
-	// on the 4096-rank trace decoding <= 20% of blocks, and a v2 full scan
-	// at least as fast as a v1 decode in records per second.
-	Passed bool `json:"passed"`
 }
 
-// JSON renders the snapshot, indented, newline-terminated.
-func (s CodecSnapshot) JSON() string {
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		panic(err) // plain struct of scalars; cannot fail
-	}
-	return string(b) + "\n"
+// Summary renders the sizes, rates and pruning on one line.
+func (p CodecPayload) Summary() string {
+	return fmt.Sprintf("# codec: %d records, v1 %.1f B/rec, v2 %.1f B/rec (%.2fx, %.2fx deflated); v1 decode %.0fk rec/s, v2 scan %.0fk rec/s; index decoded %d/%d blocks",
+		p.TotalRecords, p.V1PerRecord, p.V2PerRecord, p.SizeRatio, p.SizeRatioComp,
+		p.V1DecodeKrps, p.V2ScanKrps, p.IndexDecoded, p.IndexBlocks)
 }
 
 // codecBenchOptions is the codec bench's scale: the smoke matrix cluster
@@ -156,7 +139,7 @@ func krps(records int64, wall time.Duration) float64 {
 	return float64(records) / 1e3 / wall.Seconds()
 }
 
-// codecScanRounds is how many times the records/s probe runs each scan.
+// codecScanRounds is how many times the throughput probe runs each scan.
 const codecScanRounds = 30
 
 // indexRankTrace builds the 4096-rank rank-major trace the pruning probe
@@ -189,15 +172,15 @@ func indexRankTrace(ranks, perRank int) ([]byte, error) {
 // BenchCodec measures the two trace codecs against each other on the full
 // workload registry's real record streams, then probes the v2 block index
 // with a rank-range query on a 4096-rank trace. An error means a run or an
-// encode failed; Passed == false means a format regression (the
-// -bench-codec CLI path treats both as fatal).
-func BenchCodec() (CodecSnapshot, error) {
+// encode failed. Its bars are the format's acceptance bars: v2 at least 3x
+// smaller than v1, the pruning probe decoding at most 20% of the blocks and
+// matching exactly its ranks' records, and a v2 full scan at least as fast
+// as a v1 decode in records per second.
+func BenchCodec() (Snapshot, error) {
 	o := codecBenchOptions()
-	snap := CodecSnapshot{
-		Schema:     cacheSchema,
-		Experiment: "codec-matrix",
-		Framework:  o.lanlFramework().Name(),
-		Ranks:      o.Ranks,
+	p := CodecPayload{
+		Framework: o.lanlFramework().Name(),
+		Ranks:     o.Ranks,
 	}
 
 	var all []trace.Record
@@ -205,91 +188,59 @@ func BenchCodec() (CodecSnapshot, error) {
 	for _, w := range workload.All() {
 		recs, err := matrixRecords(o, w)
 		if err != nil {
-			return snap, fmt.Errorf("%s: %w", w.Name(), err)
+			return Snapshot{}, fmt.Errorf("%s: %w", w.Name(), err)
 		}
 		v1, err := encodeV1(recs, false)
 		if err != nil {
-			return snap, fmt.Errorf("%s: v1 encode: %w", w.Name(), err)
+			return Snapshot{}, fmt.Errorf("%s: v1 encode: %w", w.Name(), err)
 		}
 		v2, err := encodeV2(recs, false)
 		if err != nil {
-			return snap, fmt.Errorf("%s: v2 encode: %w", w.Name(), err)
+			return Snapshot{}, fmt.Errorf("%s: v2 encode: %w", w.Name(), err)
 		}
 		v1c, err := encodeV1(recs, true)
 		if err != nil {
-			return snap, fmt.Errorf("%s: v1 compress: %w", w.Name(), err)
+			return Snapshot{}, fmt.Errorf("%s: v1 compress: %w", w.Name(), err)
 		}
 		v2c, err := encodeV2(recs, true)
 		if err != nil {
-			return snap, fmt.Errorf("%s: v2 compress: %w", w.Name(), err)
+			return Snapshot{}, fmt.Errorf("%s: v2 compress: %w", w.Name(), err)
 		}
-		snap.Rows = append(snap.Rows, CodecRow{
+		p.Rows = append(p.Rows, CodecRow{
 			Workload: w.Name(), Records: int64(len(recs)),
 			V1Bytes: int64(len(v1)), V2Bytes: int64(len(v2)),
 			V1Compressed: int64(len(v1c)), V2Compressed: int64(len(v2c)),
 		})
-		snap.TotalRecords += int64(len(recs))
+		p.TotalRecords += int64(len(recs))
 		v1Total += int64(len(v1))
 		v2Total += int64(len(v2))
 		v1CompTotal += int64(len(v1c))
 		v2CompTotal += int64(len(v2c))
 		all = append(all, recs...)
 	}
-	if snap.TotalRecords == 0 {
-		return snap, fmt.Errorf("registry produced no records")
+	if p.TotalRecords == 0 {
+		return Snapshot{}, fmt.Errorf("registry produced no records")
 	}
-	snap.V1PerRecord = float64(v1Total) / float64(snap.TotalRecords)
-	snap.V2PerRecord = float64(v2Total) / float64(snap.TotalRecords)
-	snap.SizeRatio = float64(v1Total) / float64(v2Total)
-	snap.SizeRatioComp = float64(v1CompTotal) / float64(v2CompTotal)
+	p.V1PerRecord = float64(v1Total) / float64(p.TotalRecords)
+	p.V2PerRecord = float64(v2Total) / float64(p.TotalRecords)
+	p.SizeRatio = float64(v1Total) / float64(v2Total)
+	p.SizeRatioComp = float64(v1CompTotal) / float64(v2CompTotal)
 
 	// Scan throughput over the combined stream.
 	v1All, err := encodeV1(all, false)
 	if err != nil {
-		return snap, err
+		return Snapshot{}, err
 	}
 	v2All, err := encodeV2(all, false)
 	if err != nil {
-		return snap, err
+		return Snapshot{}, err
 	}
 	cr, err := trace.NewColumnarReader(bytes.NewReader(v2All), int64(len(v2All)))
 	if err != nil {
-		return snap, err
+		return Snapshot{}, err
 	}
-	// The MB/s fields time one cold run of each scan, as they always have.
-	// The records/s fields, which the bar compares, keep each scan's fastest
-	// of codecScanRounds runs: a run takes a few milliseconds, so one
-	// collection or busy CPU in its window would decide a single comparison.
-	var v1Wall, v2Wall time.Duration
-	for round := range codecScanRounds {
-		start := time.Now()
-		n1, err := trace.Copy(discardSink{}, trace.NewBinaryReader(bytes.NewReader(v1All)))
-		if err != nil {
-			return snap, fmt.Errorf("v1 decode: %w", err)
-		}
-		d1 := time.Since(start)
-		start = time.Now()
-		n2, err := trace.Copy(discardSink{}, cr.Scan(trace.MatchAll(), 0))
-		if err != nil {
-			return snap, fmt.Errorf("v2 scan: %w", err)
-		}
-		d2 := time.Since(start)
-		if n1 != n2 || n1 != snap.TotalRecords {
-			return snap, fmt.Errorf("scan counts diverge: v1 %d, v2 %d, encoded %d", n1, n2, snap.TotalRecords)
-		}
-		if round == 0 {
-			snap.V1DecodeMBps = mbps(len(v1All), d1)
-			snap.V2ScanMBps = mbps(len(v2All), d2)
-			v1Wall, v2Wall = d1, d2
-		}
-		v1Wall, v2Wall = min(v1Wall, d1), min(v2Wall, d2)
-	}
-	snap.V1DecodeKrps = krps(snap.TotalRecords, v1Wall)
-	snap.V2ScanKrps = krps(snap.TotalRecords, v2Wall)
-
-	start := time.Now()
 	var colBytes int64
-	_, err = cr.ScanViews(trace.MatchAll(), 0, func(v *trace.BlockView, rows []int) error {
+	columnScan := func(v *trace.BlockView, rows []int) error {
 		bs, err := v.Bytes()
 		if err != nil {
 			return err
@@ -302,38 +253,66 @@ func BenchCodec() (CodecSnapshot, error) {
 			colBytes += bs[i] + int64(durs[i])
 		}
 		return nil
-	})
-	if err != nil {
-		return snap, fmt.Errorf("v2 column scan: %w", err)
 	}
-	snap.V2ColumnMBps = mbps(len(v2All), time.Since(start))
+	// Every rate keeps its scan's fastest of codecScanRounds runs: a run
+	// takes a few milliseconds, so one collection or busy CPU in its window
+	// would decide a single timing.
+	v1Wall, v2Wall, colWall := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range codecScanRounds {
+		start := time.Now()
+		n1, err := trace.Copy(discardSink{}, trace.NewBinaryReader(bytes.NewReader(v1All)))
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("v1 decode: %w", err)
+		}
+		v1Wall = min(v1Wall, time.Since(start))
+		start = time.Now()
+		n2, err := trace.Copy(discardSink{}, cr.Scan(trace.MatchAll(), 0))
+		if err != nil {
+			return Snapshot{}, fmt.Errorf("v2 scan: %w", err)
+		}
+		v2Wall = min(v2Wall, time.Since(start))
+		if n1 != n2 || n1 != p.TotalRecords {
+			return Snapshot{}, fmt.Errorf("scan counts diverge: v1 %d, v2 %d, encoded %d", n1, n2, p.TotalRecords)
+		}
+		start = time.Now()
+		if _, err := cr.ScanViews(trace.MatchAll(), 0, columnScan); err != nil {
+			return Snapshot{}, fmt.Errorf("v2 column scan: %w", err)
+		}
+		colWall = min(colWall, time.Since(start))
+	}
+	p.V1DecodeMBps = mbps(len(v1All), v1Wall)
+	p.V2ScanMBps = mbps(len(v2All), v2Wall)
+	p.V2ColumnMBps = mbps(len(v2All), colWall)
+	p.V1DecodeKrps = krps(p.TotalRecords, v1Wall)
+	p.V2ScanKrps = krps(p.TotalRecords, v2Wall)
 
 	// Index pruning probe: ranks 900-1000 of a 4096-rank rank-major trace.
-	const probeRanks = 4096
-	idxTrace, err := indexRankTrace(probeRanks, 8)
+	const probeRanks, perRank, lo, hi = 4096, 8, 900, 1000
+	idxTrace, err := indexRankTrace(probeRanks, perRank)
 	if err != nil {
-		return snap, err
+		return Snapshot{}, err
 	}
 	icr, err := trace.NewColumnarReader(bytes.NewReader(idxTrace), int64(len(idxTrace)))
 	if err != nil {
-		return snap, err
+		return Snapshot{}, err
 	}
-	q := trace.MatchAll().WithRanks(900, 1000)
+	q := trace.MatchAll().WithRanks(lo, hi)
 	scan, err := icr.ScanViews(q, 0, func(v *trace.BlockView, rows []int) error { return nil })
 	if err != nil {
-		return snap, fmt.Errorf("indexed query: %w", err)
+		return Snapshot{}, fmt.Errorf("indexed query: %w", err)
 	}
-	snap.IndexRanks = probeRanks
-	snap.IndexBlocks = scan.BlocksTotal
-	snap.IndexDecoded = scan.BlocksDecoded
-	snap.IndexFraction = float64(scan.BlocksDecoded) / float64(scan.BlocksTotal)
-	snap.IndexedMatched = scan.RecordsMatched
+	p.IndexRanks = probeRanks
+	p.IndexBlocks = scan.BlocksTotal
+	p.IndexDecoded = scan.BlocksDecoded
+	p.IndexFraction = float64(scan.BlocksDecoded) / float64(scan.BlocksTotal)
+	p.IndexedMatched = scan.RecordsMatched
 
-	snap.Passed = snap.SizeRatio >= CodecSizeRatioFloor &&
-		snap.IndexFraction <= CodecIndexFractionCeil &&
-		snap.IndexedMatched == 101*8 &&
-		snap.V2ScanKrps >= snap.V1DecodeKrps
-	return snap, nil
+	return newSnapshot("codec-matrix", p,
+		Bar{Name: "size_ratio", Value: p.SizeRatio, Op: ">=", Limit: 3.0},
+		Bar{Name: "index_decoded_fraction", Value: p.IndexFraction, Op: "<=", Limit: 0.20},
+		Bar{Name: "indexed_records_matched", Value: float64(p.IndexedMatched), Op: "==", Limit: (hi - lo + 1) * perRank},
+		Bar{Name: "v2_scan_krps", Value: p.V2ScanKrps, Op: ">=", Limit: p.V1DecodeKrps},
+	), nil
 }
 
 // discardSink counts records through Copy without keeping them.

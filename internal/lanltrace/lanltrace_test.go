@@ -81,7 +81,7 @@ func TestRawTraceOutputParses(t *testing.T) {
 	if !strings.Contains(text, "SYS_pwrite") {
 		t.Fatalf("raw trace missing writes:\n%s", text[:min(len(text), 500)])
 	}
-	recs, err := trace.NewTextReader(strings.NewReader(text)).ReadAll()
+	recs, err := trace.Collect(trace.NewTextReader(strings.NewReader(text)))
 	if err != nil {
 		t.Fatalf("raw trace does not parse: %v", err)
 	}

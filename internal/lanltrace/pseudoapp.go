@@ -2,7 +2,6 @@ package lanltrace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"iotaxo/internal/replay"
@@ -28,8 +27,8 @@ func GeneratePseudoApp(rawTraces []string, originalElapsed sim.Duration) (*repla
 		OriginalElapsed: originalElapsed,
 	}
 	for i, text := range rawTraces {
-		recs, err := trace.NewTextReader(strings.NewReader(text)).ReadAll()
-		if err != nil && err != io.EOF {
+		recs, err := trace.Collect(trace.NewTextReader(strings.NewReader(text)))
+		if err != nil {
 			return nil, fmt.Errorf("lanltrace: raw trace %d: %w", i, err)
 		}
 		rank := i

@@ -228,7 +228,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	if err := bw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := trace.NewBinaryReader(&buf).ReadAll()
+	recs, err := trace.Collect(trace.NewBinaryReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRawTraceStreamsBaselineRun(t *testing.T) {
 	if err := bw2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs2, err := trace.NewBinaryReader(&buf2).ReadAll()
+	recs2, err := trace.Collect(trace.NewBinaryReader(&buf2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,7 +206,7 @@ func TestForgedRecordCountBounded(t *testing.T) {
 		read func() error
 	}{
 		{"source", func() error {
-			_, err := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+			_, err := Collect(NewColumnarSource(bytes.NewReader(data)))
 			return err
 		}},
 		{"scan", func() error {

@@ -437,18 +437,3 @@ func (b *BinaryReader) Next() (Record, error) {
 	}
 	return rec, nil
 }
-
-// ReadAll drains the stream.
-func (b *BinaryReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		r, err := b.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-}

@@ -173,21 +173,6 @@ func (c *ColumnarSource) Next() (Record, error) {
 	return rec, nil
 }
 
-// ReadAll drains the stream.
-func (c *ColumnarSource) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		r, err := c.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-}
-
 // --- query ---
 
 // Query is a predicate pushed down into the columnar scan: a time window,

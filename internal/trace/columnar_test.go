@@ -51,7 +51,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	in := normalizeArgs(randomRecords(1000, 42))
 	for _, compress := range []bool{false, true} {
 		data := writeColumnar(t, in, ColumnarOptions{Compress: compress, RecordsPerBlock: 64})
-		out, err := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+		out, err := Collect(NewColumnarSource(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -111,7 +111,7 @@ func TestColumnarGolden(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("encoding differs from golden (%d vs %d bytes)", buf.Len(), len(want))
 			}
-			got, err := NewColumnarSource(bytes.NewReader(want)).ReadAll()
+			got, err := Collect(NewColumnarSource(bytes.NewReader(want)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestColumnarFlagsExposed(t *testing.T) {
 
 func TestColumnarEmptyStream(t *testing.T) {
 	data := writeColumnar(t, nil, ColumnarOptions{})
-	recs, err := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+	recs, err := Collect(NewColumnarSource(bytes.NewReader(data)))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
@@ -189,7 +189,7 @@ func TestColumnarFlushWithoutClose(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := NewColumnarSource(bytes.NewReader(buf.Bytes())).ReadAll()
+	out, err := Collect(NewColumnarSource(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 	clean := writeColumnar(t, recs, ColumnarOptions{RecordsPerBlock: 8})
 	data := append([]byte(nil), clean...)
 	data[len(data)/2] ^= 0xFF
-	if _, err := NewColumnarSource(bytes.NewReader(data)).ReadAll(); !errors.Is(err, ErrCorrupt) {
+	if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 
@@ -224,7 +224,7 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 	for off := columnarHeaderLen; off < len(clean); off++ {
 		data := append([]byte(nil), clean...)
 		data[off] ^= 0xFF
-		_, seqErr := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+		_, seqErr := Collect(NewColumnarSource(bytes.NewReader(data)))
 		_, idxErr := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
 		if seqErr == nil && idxErr == nil {
 			t.Fatalf("flipped byte %d of %d undetected", off, len(clean))
@@ -242,7 +242,7 @@ func TestColumnarDetectsTruncation(t *testing.T) {
 	// Cut at several depths: inside the trailer, the index, and data blocks.
 	for _, cut := range []int{5, trailerLen, trailerLen + 10, len(clean) / 2} {
 		data := clean[:len(clean)-cut]
-		if _, err := NewColumnarSource(bytes.NewReader(data)).ReadAll(); !errors.Is(err, ErrCorrupt) {
+		if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut %d: err = %v, want ErrCorrupt", cut, err)
 		}
 		if _, err := NewColumnarReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrCorrupt) {
@@ -263,7 +263,7 @@ func TestColumnarBadMagic(t *testing.T) {
 func TestColumnarTrailingGarbage(t *testing.T) {
 	data := writeColumnar(t, []Record{sampleRecord()}, ColumnarOptions{})
 	data = append(data, 0xde, 0xad)
-	if _, err := NewColumnarSource(bytes.NewReader(data)).ReadAll(); !errors.Is(err, ErrCorrupt) {
+	if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -276,10 +276,10 @@ func TestColumnarSourceFuzzProperty(t *testing.T) {
 				t.Errorf("panic on %x", data)
 			}
 		}()
-		NewColumnarSource(bytes.NewReader(data)).ReadAll()
+		Collect(NewColumnarSource(bytes.NewReader(data)))
 		NewColumnarReader(bytes.NewReader(data), int64(len(data)))
 		withMagic := append(append([]byte(nil), columnarMagic[:]...), data...)
-		NewColumnarSource(bytes.NewReader(withMagic)).ReadAll()
+		Collect(NewColumnarSource(bytes.NewReader(withMagic)))
 		NewColumnarReader(bytes.NewReader(withMagic), int64(len(withMagic)))
 		return true
 	}
@@ -502,7 +502,7 @@ func TestColumnarRoundTripProperty(t *testing.T) {
 			return false
 		}
 		w.Close()
-		out, err := NewColumnarSource(bytes.NewReader(buf.Bytes())).ReadAll()
+		out, err := Collect(NewColumnarSource(bytes.NewReader(buf.Bytes())))
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -737,7 +737,7 @@ func TestUnmatchedCorruptRowFails(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("scan of rows 0-3: err = %v after %d records, want ErrCorrupt", err, n-1)
 			}
-			if _, err := NewColumnarSource(bytes.NewReader(data)).ReadAll(); !errors.Is(err, ErrCorrupt) {
+			if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("sequential read: err = %v, want ErrCorrupt", err)
 			}
 		})

@@ -48,7 +48,7 @@ func TestBinarySpanRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := NewBinaryReader(bytes.NewReader(buf.Bytes()))
-		out, err := src.ReadAll()
+		out, err := Collect(src)
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -86,7 +86,7 @@ func TestBinaryDefaultDropsSpans(t *testing.T) {
 		t.Fatal("span fields leaked into default v1 encoding")
 	}
 	src := NewBinaryReader(bytes.NewReader(a))
-	out, err := src.ReadAll()
+	out, err := Collect(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestColumnarSpanRoundTrip(t *testing.T) {
 	in := withSpans(normalizeArgs(randomRecords(400, 41)), 42)
 	for _, compress := range []bool{false, true} {
 		data := writeColumnar(t, in, ColumnarOptions{Compress: compress, RecordsPerBlock: 64})
-		out, err := NewColumnarSource(bytes.NewReader(data)).ReadAll()
+		out, err := Collect(NewColumnarSource(bytes.NewReader(data)))
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}

@@ -325,7 +325,8 @@ func Copy(dst Sink, src Source) (int64, error) {
 
 // Collect drains a source into a slice: the bridge back to the slice-based
 // helpers. Records already consumed are returned alongside a mid-stream
-// error, mirroring the readers' ReadAll behavior.
+// error, so a caller keeps the intact prefix of a truncated or corrupt
+// trace.
 func Collect(src Source) ([]Record, error) {
 	var sink collectSink
 	_, err := Copy(&sink, src)

@@ -97,21 +97,6 @@ func (t *TextReader) Next() (Record, error) {
 	return Record{}, io.EOF
 }
 
-// ReadAll drains the stream.
-func (t *TextReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		r, err := t.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-}
-
 func (t *TextReader) parseHeader(line string) {
 	for _, f := range strings.Fields(strings.TrimPrefix(line, "#")) {
 		k, v, ok := strings.Cut(f, "=")

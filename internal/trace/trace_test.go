@@ -56,7 +56,7 @@ func TestTextRoundTrip(t *testing.T) {
 	if !strings.Contains(out, `SYS_open("/etc/hosts", 0, 438) = 3 <0.000034>`) {
 		t.Fatalf("unexpected text:\n%s", out)
 	}
-	recs, err := NewTextReader(&buf).ReadAll()
+	recs, err := Collect(NewTextReader(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestTextParserInfersIOFields(t *testing.T) {
 00:00:02.000000 MPI_File_write_at(0, 1048576, 4096) = 4096 <0.000200>
 00:00:03.000000 MPI_Barrier(92) = 0 <0.001000>
 `
-	recs, err := NewTextReader(strings.NewReader(src)).ReadAll()
+	recs, err := Collect(NewTextReader(strings.NewReader(src)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTextParserErrors(t *testing.T) {
 		"00:00:01.000000 SYS_open(\"x\") = 0",
 	}
 	for _, line := range bad {
-		_, err := NewTextReader(strings.NewReader(line + "\n")).ReadAll()
+		_, err := Collect(NewTextReader(strings.NewReader(line + "\n")))
 		if err == nil {
 			t.Errorf("no error for %q", line)
 		}
@@ -120,7 +120,7 @@ func TestTextParserErrors(t *testing.T) {
 
 func TestTextQuotedCommaArgs(t *testing.T) {
 	src := "00:00:01.000000 SYS_open(\"/a,b(c).txt\", 0, 438) = 3 <0.000010>\n"
-	recs, err := NewTextReader(strings.NewReader(src)).ReadAll()
+	recs, err := Collect(NewTextReader(strings.NewReader(src)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		out, err := NewBinaryReader(&buf).ReadAll()
+		out, err := Collect(NewBinaryReader(&buf))
 		if err != nil {
 			t.Fatalf("compress=%v: %v", compress, err)
 		}
@@ -263,7 +263,7 @@ func TestBinaryGolden(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("encoding differs from golden (%d vs %d bytes)", buf.Len(), len(want))
 			}
-			got, err := NewBinaryReader(bytes.NewReader(want)).ReadAll()
+			got, err := Collect(NewBinaryReader(bytes.NewReader(want)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestBinaryDetectsCorruption(t *testing.T) {
 	data := buf.Bytes()
 	// Flip a byte in the middle of the stream (inside some block payload).
 	data[len(data)/2] ^= 0xFF
-	_, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
+	_, err := Collect(NewBinaryReader(bytes.NewReader(data)))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -326,7 +326,7 @@ func TestBinaryDetectsTruncation(t *testing.T) {
 	}
 	w.Close()
 	data := buf.Bytes()[:buf.Len()-5]
-	_, err := NewBinaryReader(bytes.NewReader(data)).ReadAll()
+	_, err := Collect(NewBinaryReader(bytes.NewReader(data)))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -370,7 +370,7 @@ func TestReadersMidStreamCRCCorruption(t *testing.T) {
 	bad[offs[2]+8] ^= 0xFF
 
 	t.Run("serial", func(t *testing.T) {
-		recs, err := NewBinaryReader(bytes.NewReader(bad)).ReadAll()
+		recs, err := Collect(NewBinaryReader(bytes.NewReader(bad)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
@@ -389,7 +389,7 @@ func TestReadersMidStreamTruncation(t *testing.T) {
 	cut := data[:offs[3]+10]
 
 	t.Run("serial", func(t *testing.T) {
-		recs, err := NewBinaryReader(bytes.NewReader(cut)).ReadAll()
+		recs, err := Collect(NewBinaryReader(bytes.NewReader(cut)))
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
@@ -410,7 +410,7 @@ func TestBinaryEmptyStream(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf, BinaryOptions{})
 	w.Close()
-	recs, err := NewBinaryReader(&buf).ReadAll()
+	recs, err := Collect(NewBinaryReader(&buf))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
@@ -442,7 +442,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			return false
 		}
 		w.Close()
-		out, err := NewBinaryReader(&buf).ReadAll()
+		out, err := Collect(NewBinaryReader(&buf))
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -476,7 +476,7 @@ func TestTextRoundTripProperty(t *testing.T) {
 			return false
 		}
 		w.Flush()
-		out, err := NewTextReader(&buf).ReadAll()
+		out, err := Collect(NewTextReader(&buf))
 		if err != nil || len(out) != 1 {
 			return false
 		}
@@ -576,7 +576,7 @@ func TestBinaryReaderFuzzProperty(t *testing.T) {
 				t.Errorf("panic on %x", data)
 			}
 		}()
-		NewBinaryReader(bytes.NewReader(data)).ReadAll()
+		Collect(NewBinaryReader(bytes.NewReader(data)))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -589,7 +589,7 @@ func TestBinaryReaderFuzzProperty(t *testing.T) {
 	w.Write(&rec)
 	w.Close()
 	data := append(buf.Bytes(), 0xde, 0xad, 0xbe, 0xef, 0x01)
-	if _, err := NewBinaryReader(bytes.NewReader(data)).ReadAll(); err == nil {
+	if _, err := Collect(NewBinaryReader(bytes.NewReader(data))); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
@@ -623,7 +623,7 @@ func TestBinaryReaderBoundsAllocations(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			_, err := NewBinaryReader(bytes.NewReader(tc.data)).ReadAll()
+			_, err := Collect(NewBinaryReader(bytes.NewReader(tc.data)))
 			runtime.ReadMemStats(&after)
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -757,7 +757,7 @@ func TestTextReaderFuzzProperty(t *testing.T) {
 				t.Errorf("panic on %q", line)
 			}
 		}()
-		NewTextReader(strings.NewReader(line + "\n")).ReadAll()
+		Collect(NewTextReader(strings.NewReader(line + "\n")))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
