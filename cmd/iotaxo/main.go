@@ -57,6 +57,10 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the persisted simulation-result cache (in-run baseline sharing still applies)")
 	poolMem := flag.String("pool-mem", "", "memory budget for the simulation worker pool, e.g. 2GB or 512MB (empty = unlimited)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "iotaxo: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 
 	if budget, err := harness.ParseMemBudget(*poolMem); err != nil {
 		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)

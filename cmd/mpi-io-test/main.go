@@ -37,6 +37,10 @@ func main() {
 	traceOut := flag.String("trace-out", "", "with a tracer: directory for per-rank raw trace files")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "mpi-io-test: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 
 	pattern := workload.N1NonStrided
 	switch {

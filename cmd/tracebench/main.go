@@ -62,6 +62,10 @@ func main() {
 		harness.SetPoolMemBudget(budget)
 	}
 
+	if *bench == "" && flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracebench: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 	if *bench != "" {
 		if flag.NArg() > 1 {
 			fmt.Fprintf(os.Stderr, "tracebench: -bench takes one file argument, got %q (flags go before it)\n", flag.Args())

@@ -55,6 +55,10 @@ func main() {
 	flag.StringVar(&o.key, "key", "", "AES key for -mode encrypt (16/24/32 bytes)")
 	flag.StringVar(&o.salt, "salt", "iotaxo", "salt for -mode randomize")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "traceconv: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 
 	if o.in == "" {
 		fmt.Fprintln(os.Stderr, "traceconv: -in is required")

@@ -64,6 +64,10 @@ func main() {
 	flag.IntVar(&o.paths, "paths", 3, "critical-path breakdowns to print with -slice")
 	flag.IntVar(&o.limit, "limit", 0, "stop -print after this many records (0 = all)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracequery: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 
 	if o.in == "" {
 		fmt.Fprintln(os.Stderr, "tracequery: -in is required")

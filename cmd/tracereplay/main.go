@@ -32,6 +32,10 @@ func main() {
 	replayPath := flag.String("replay", "", "replay an existing trace file instead of generating one")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "tracereplay: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
+		os.Exit(2)
+	}
 
 	factory := func() *cluster.Cluster {
 		cfg := cluster.Default()

@@ -2,20 +2,22 @@ package iotaxo
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
-	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-// exportAllowlist names the exported top-level functions in internal/ that
-// may stand without a caller in non-test code, each with its reason.
-// Anything else without a caller is dead API and should be deleted.
+// exportAllowlist names the exported top-level functions ("pkg.Func") and
+// methods ("pkg.Type.Method") in internal/ that may stand without a caller
+// in non-test code, each with its reason. Anything else without a caller is
+// dead API: delete it, or move a probe only its own package's tests use
+// into a _test.go file.
 var exportAllowlist = map[string]string{
 	"core.PaperTable2":              "paper surface: renders the paper's Table 2",
 	"lanltrace.GeneratePseudoApp":   "paper surface: LANL-Trace's pseudo-application replay from raw trace text",
@@ -29,76 +31,55 @@ var exportAllowlist = map[string]string{
 	"analysis.ComputeInterarrival":  "analysis-tools axis: request inter-arrival statistics",
 	"trace.MergeSources":            "stream plumbing documented in README",
 	"trace.TransformSink":           "stream plumbing documented in README",
+
+	"aggregate.Aggregator.Sources":      "paper section 6 trace-data API: lists the registered trace sources",
+	"aggregate.Aggregator.TimelineCSV":  "paper section 6 trace-data API: the merged timeline as CSV",
+	"analysis.RankBalance.Format":       "analysis-tools axis: renders ComputeRankBalance",
+	"analysis.SizeHistogram.Format":     "analysis-tools axis: renders HistogramSizesSource",
+	"disk.Disk.Fail":                    "fault-handling axis: RAID fault injection",
+	"disk.Disk.Repair":                  "fault-handling axis: RAID fault injection",
+	"disk.Array.Disk":                   "fault-handling axis: selects the RAID member to fail or repair",
+	"vfs.ProcCtx.MMap":                  "events-captured axis: mmap I/O that syscall tracers miss (TestSeesMMapWritebackUnlikeSyscallTracers)",
+	"vfs.MMapRegion.Store":              "events-captured axis: the store a mapped region writes back (TestSeesMMapWritebackUnlikeSyscallTracers)",
+	"sim.Env.LiveProcs":                 "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
+	"sim.Env.Pending":                   "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
+	"sim.Env.Spawns":                    "probe read by harness TestSpawnGuardMatrixCell; a run report would call it",
+	"sim.Env.Spawned":                   "probe read by netsim TestDeliverySpawnsNoProcs; a run report would call it",
+	"sim.Mailbox.TryGet":                "probe read by the root BenchmarkMailboxPopDepth",
+	"vfs.Kernel.Clock":                  "probe read by cluster TestClockBoundsRespected",
+	"clocks.Clock.SkewAt":               "probe read by cluster TestClockBoundsRespected",
+	"trace.BinaryReader.Flags":          "probe read by tracefs TestEncryptedTraceHidesPathsButDecrypts",
+	"vfs.MemFS.Snapshot":                "probe read by tracefs TestLowerEndStateUnchanged",
+	"workload.Scale.TotalBytes":         "probe read by harness TestStrongScaleFloorsAtOneBlock",
+	"harness.TracefsResult.MaxOverhead": "probe read by the root BenchmarkTracefsOverhead",
 }
 
-// TestNoDeadExports fails when an exported top-level function in internal/
-// is referenced by no non-test Go file under cmd/, examples/, perfbench/ or
-// internal/. Tests do not count as callers: a function only tests call is
-// either an oracle that belongs in a _test.go file or API to delete.
+// TestNoDeadExports fails when an exported top-level function or an exported
+// method of a named type in internal/ has no use in the non-test Go files
+// under cmd/, examples/, perfbench/ or internal/, and is not allowlisted.
+// Tests do not count as callers: a name only tests use is either a probe that
+// belongs in a _test.go file or API to delete.
+//
+// The files are type-checked, so a use is an identifier that resolves to the
+// declared object, not one that merely shares its name. A method also counts
+// as used when its type (T or *T) implements an interface, declared in the
+// repo or in an imported package, that has a method of that name: calls
+// through the interface reach it.
 func TestNoDeadExports(t *testing.T) {
-	type fn struct{ pkg, name string }
-	var exported []fn
-	refs := make(map[fn]bool)
-	fset := token.NewFileSet()
-	for _, root := range []string{"cmd", "examples", "perfbench", "internal"} {
-		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			pkg := "iotaxo/" + filepath.ToSlash(filepath.Dir(p))
-			imports := make(map[string]string) // local name -> import path
-			for _, imp := range f.Imports {
-				ipath, _ := strconv.Unquote(imp.Path.Value)
-				name := path.Base(ipath)
-				if imp.Name != nil {
-					name = imp.Name.Name
-				}
-				imports[name] = ipath
-			}
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				self := ""
-				if ok && fd.Recv == nil {
-					self = fd.Name.Name
-					if root == "internal" && fd.Name.IsExported() {
-						exported = append(exported, fn{pkg, self})
-					}
-				}
-				ast.Inspect(decl, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							refs[fn{imports[x.Name], n.Sel.Name}] = true
-							return false
-						}
-					case *ast.Ident:
-						// A same-package use; a function naming itself
-						// (its declaration or a recursive call) is no caller.
-						if n.Name != self {
-							refs[fn{pkg, n.Name}] = true
-						}
-					}
-					return true
-				})
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	prog, err := loadRepo([]string{"cmd", "examples", "perfbench", "internal"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	exported := prog.internalExports()
 	if len(exported) == 0 {
-		t.Fatal("found no exported functions under internal/")
+		t.Fatal("found no exported functions or methods under internal/")
 	}
-	var dead []string
+	used := prog.uses()
+	ifaces := prog.interfaces()
 	uncalled := make(map[string]bool)
-	for _, f := range exported {
-		key := strings.TrimPrefix(f.pkg, "iotaxo/internal/") + "." + f.name
-		if refs[f] {
+	var dead []string
+	for key, fn := range exported {
+		if used[fn] || satisfiesInterface(fn, ifaces) {
 			continue
 		}
 		uncalled[key] = true
@@ -108,7 +89,7 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, key := range dead {
-		t.Errorf("%s is exported but no non-test code calls it: delete it or allowlist it with a reason", key)
+		t.Errorf("%s is exported but no non-test code uses it: delete it, move it into a _test.go file or allowlist it with a reason", key)
 	}
 	for key, reason := range exportAllowlist {
 		if !uncalled[key] {
@@ -118,4 +99,216 @@ func TestNoDeadExports(t *testing.T) {
 			t.Errorf("allowlist entry %s has no reason", key)
 		}
 	}
+}
+
+// repoProgram is the type-checked non-test code of the module's packages.
+type repoProgram struct {
+	fset  *token.FileSet
+	files map[string][]string // import path -> its non-test Go files
+	pkgs  map[string]*checkedPkg
+	std   types.Importer
+	order []*checkedPkg // in completion order
+}
+
+type checkedPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadRepo type-checks every package with non-test Go files under roots.
+// Module packages are checked from their parsed files, so each declaration
+// has one object however many packages import it; the standard library
+// comes from the "source" importer.
+func loadRepo(roots []string) (*repoProgram, error) {
+	fset := token.NewFileSet()
+	prog := &repoProgram{
+		fset:  fset,
+		files: make(map[string][]string),
+		pkgs:  make(map[string]*checkedPkg),
+		std:   importer.ForCompiler(fset, "source", nil),
+	}
+	for _, root := range roots {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			path := "iotaxo/" + filepath.ToSlash(filepath.Dir(p))
+			prog.files[path] = append(prog.files[path], p)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	paths := make([]string, 0, len(prog.files))
+	for path := range prog.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		if _, err := prog.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	return prog, nil
+}
+
+// Import type-checks a module package on first use, and hands any other
+// import path to the standard-library importer.
+func (prog *repoProgram) Import(path string) (*types.Package, error) {
+	names, ok := prog.files[path]
+	if !ok {
+		return prog.std.Import(path)
+	}
+	if cp := prog.pkgs[path]; cp != nil {
+		return cp.pkg, nil
+	}
+	cp := &checkedPkg{info: &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}}
+	prog.pkgs[path] = cp
+	for _, name := range names {
+		f, err := parser.ParseFile(prog.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		cp.files = append(cp.files, f)
+	}
+	conf := types.Config{Importer: prog}
+	pkg, err := conf.Check(path, prog.fset, cp.files, cp.info)
+	if err != nil {
+		return nil, err
+	}
+	cp.pkg = pkg
+	prog.order = append(prog.order, cp)
+	return pkg, nil
+}
+
+// internalExports maps "pkg.Func" and "pkg.Type.Method" to every exported
+// top-level function and every exported method of a package-level named
+// type in internal/.
+func (prog *repoProgram) internalExports() map[string]*types.Func {
+	out := make(map[string]*types.Func)
+	for _, cp := range prog.order {
+		pkgPath, ok := strings.CutPrefix(cp.pkg.Path(), "iotaxo/internal/")
+		if !ok {
+			continue
+		}
+		scope := cp.pkg.Scope()
+		for _, name := range scope.Names() {
+			switch obj := scope.Lookup(name).(type) {
+			case *types.Func:
+				if obj.Exported() {
+					out[pkgPath+"."+name] = obj
+				}
+			case *types.TypeName:
+				named, ok := obj.Type().(*types.Named)
+				if !ok || obj.IsAlias() {
+					continue
+				}
+				for m := range named.Methods() {
+					if m.Exported() {
+						out[pkgPath+"."+name+"."+m.Name()] = m
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// uses returns every function and method that some identifier in non-test
+// code resolves to, outside the declaration's own body: a recursive call is
+// no caller.
+func (prog *repoProgram) uses() map[*types.Func]bool {
+	used := make(map[*types.Func]bool)
+	for _, cp := range prog.order {
+		for _, f := range cp.files {
+			for _, decl := range f.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = cp.info.Defs[fd.Name]
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := cp.info.Uses[id].(*types.Func); ok && fn != self {
+						used[fn.Origin()] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	return used
+}
+
+// interfaces returns every interface with methods that the module declares,
+// names in a type expression, or reaches through its imports, the universe's
+// error included.
+func (prog *repoProgram) interfaces() []*types.Interface {
+	var out []*types.Interface
+	have := make(map[*types.Interface]bool)
+	add := func(t types.Type) {
+		if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return // a generic interface has no method set until instantiated
+		}
+		if iface, ok := t.Underlying().(*types.Interface); ok && iface.NumMethods() > 0 && !have[iface] {
+			have[iface] = true
+			out = append(out, iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	seen := make(map[*types.Package]bool)
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+	}
+	for _, cp := range prog.order {
+		walk(cp.pkg)
+		for _, tv := range cp.info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+	return out
+}
+
+// satisfiesInterface reports whether fn is a method whose receiver type,
+// as T or *T, implements one of ifaces that declares a method of fn's name.
+func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	for _, iface := range ifaces {
+		for m := range iface.Methods() {
+			if m.Name() == fn.Name() && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -104,17 +104,6 @@ func CorrectingSource(src trace.Source, est map[string]clocks.Estimate) trace.So
 	return trace.TransformSource(src, trace.CloneTransform, CorrectingTransform(est))
 }
 
-// CorrectTimeline maps each record's node-local timestamp onto the
-// reference timeline using per-node clock estimates (from the LANL-Trace
-// barrier timing job): the slice wrapper over CorrectingSource.
-func CorrectTimeline(recs []trace.Record, est map[string]clocks.Estimate) []trace.Record {
-	out, _ := trace.Collect(CorrectingSource(trace.SliceSource(recs), est))
-	if out == nil {
-		out = []trace.Record{}
-	}
-	return out
-}
-
 // IOStats aggregates data-movement statistics from a record stream.
 // ReadBytes and WriteBytes bucket directional data movement only; bytes
 // carried by direction-less records (mmap regions, syncs) count toward
@@ -166,12 +155,4 @@ func ComputeIOStatsSource(src trace.Source) (*IOStats, error) {
 	st := NewIOStats()
 	_, err := trace.Copy(st.Sink(), src)
 	return st, err
-}
-
-// Bandwidth reports bytes moved per second of in-call time, 0 when unknown.
-func (s IOStats) Bandwidth() float64 {
-	if s.TimeInIO <= 0 {
-		return 0
-	}
-	return float64(s.Bytes) / s.TimeInIO.Seconds()
 }

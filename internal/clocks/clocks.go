@@ -42,12 +42,6 @@ func (c *Clock) Local(global sim.Time) sim.Time {
 	return global + c.Skew + sim.Time(math.Round(c.Drift*float64(global)))
 }
 
-// Global converts a local timestamp back to global time (inverse of Local,
-// up to rounding of under a nanosecond).
-func (c *Clock) Global(local sim.Time) sim.Time {
-	return sim.Time(math.Round(float64(local-c.Skew) / (1 + c.Drift)))
-}
-
 // SkewAt reports the instantaneous skew (local - global) at a global time.
 func (c *Clock) SkewAt(global sim.Time) sim.Duration {
 	return c.Local(global) - global

@@ -226,9 +226,6 @@ func NewArray(env *sim.Env, cfg ArrayConfig) *Array {
 	return a
 }
 
-// Config returns the array configuration.
-func (a *Array) Config() ArrayConfig { return a.cfg }
-
 // Disk returns drive i, for failure injection in tests.
 func (a *Array) Disk(i int) *Disk { return a.disks[i] }
 

@@ -164,9 +164,6 @@ func DefaultCacheDir() string {
 	return filepath.Join(base, "iotaxo")
 }
 
-// Dir reports the persisted layer's directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats snapshots the cumulative counters.
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{

@@ -364,15 +364,3 @@ func (r PartraceResult) Format() string {
 	}
 	return b.String()
 }
-
-// BestFidelity returns the smallest fidelity error across rows (0 when no
-// rows were measured).
-func (r PartraceResult) BestFidelity() float64 {
-	best := 0.0
-	for i, row := range r.Rows {
-		if i == 0 || row.FidelityErr < best {
-			best = row.FidelityErr
-		}
-	}
-	return best
-}

@@ -9,6 +9,29 @@ import (
 	"iotaxo/internal/workload"
 )
 
+// The probes below read state that only this package's tests inspect.
+
+// BestFidelity returns the smallest fidelity error across rows (0 when no
+// rows were measured).
+func (r PartraceResult) BestFidelity() float64 {
+	best := 0.0
+	for i, row := range r.Rows {
+		if i == 0 || row.FidelityErr < best {
+			best = row.FidelityErr
+		}
+	}
+	return best
+}
+
+// WorkloadNames returns the matrix's column order.
+func (m MatrixResult) WorkloadNames() []string {
+	out := make([]string, len(m.Workloads))
+	for i, w := range m.Workloads {
+		out[i] = w.Name()
+	}
+	return out
+}
+
 // The harness tests assert the *shape* claims of the paper's evaluation at
 // a scaled-down data volume: who wins, by roughly what factor, and where
 // the curves bend. Absolute MB/s values are simulation artifacts.

@@ -92,15 +92,6 @@ func (m MatrixResult) FrameworkNames() []string {
 	return out
 }
 
-// WorkloadNames returns the matrix's column order.
-func (m MatrixResult) WorkloadNames() []string {
-	out := make([]string, len(m.Workloads))
-	for i, w := range m.Workloads {
-		out[i] = w.Name()
-	}
-	return out
-}
-
 // row returns framework fi's cells.
 func (m MatrixResult) row(fi int) []Series {
 	return m.Cells[fi*len(m.Workloads) : (fi+1)*len(m.Workloads)]

@@ -29,11 +29,6 @@ type CostModel struct {
 	PerOutputByte sim.Duration
 }
 
-// EventCost reports the total charge for one event producing n output bytes.
-func (m CostModel) EventCost(n int64) sim.Duration {
-	return m.EnterCost + m.ExitCost + sim.Duration(n)*m.PerOutputByte
-}
-
 // Ptrace approximates strace with timestamped output (-tt -T) written
 // synchronously to a per-process trace file: two ptrace stops per syscall
 // (four context switches), register and argument fetches via PTRACE_PEEKDATA,

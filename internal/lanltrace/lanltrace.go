@@ -23,7 +23,6 @@ import (
 
 	"iotaxo/internal/analysis"
 	"iotaxo/internal/clocks"
-	"iotaxo/internal/core"
 	"iotaxo/internal/interpose"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/sim"
@@ -122,9 +121,6 @@ type Framework struct {
 
 // New returns a framework with the given configuration.
 func New(cfg Config) *Framework { return &Framework{cfg: cfg.fix()} }
-
-// Name implements the common framework interface.
-func (f *Framework) Name() string { return "LANL-Trace" }
 
 // Mode returns the wrapped tracer mode.
 func (f *Framework) Mode() Mode { return f.cfg.Mode }
@@ -321,23 +317,4 @@ func (rep *Report) ClockEstimates() (map[string]clocks.Estimate, error) {
 		out[node] = est
 	}
 	return out, nil
-}
-
-// CorrectedTimeline returns all records mapped onto rank 0's clock and
-// merged in time order.
-func (rep *Report) CorrectedTimeline() ([]trace.Record, error) {
-	est, err := rep.ClockEstimates()
-	if err != nil {
-		return nil, err
-	}
-	corrected := analysis.CorrectTimeline(rep.AllRecords(), est)
-	sort.SliceStable(corrected, func(i, j int) bool { return corrected[i].Time < corrected[j].Time })
-	return corrected, nil
-}
-
-// Classification returns the taxonomy classification of this implementation
-// (matching the paper's Table 2 column for LANL-Trace). Measured overhead
-// is filled in by the harness.
-func (f *Framework) Classification() *core.Classification {
-	return core.PaperLANLTrace()
 }

@@ -197,26 +197,6 @@ func TestClockEstimatesRecoverSkew(t *testing.T) {
 	}
 }
 
-func TestCorrectedTimelineIsSorted(t *testing.T) {
-	cfg := cluster.Small()
-	cfg.MaxSkew = 200 * sim.Millisecond
-	c := cluster.New(cfg)
-	fw := New(StraceConfig())
-	params := smallParams()
-	rep := fw.Run(c.World, params.CommandLine(), func(p *sim.Proc, r *mpi.Rank) {
-		workload.Program(p, r, params, nil)
-	})
-	recs, err := rep.CorrectedTimeline()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Time < recs[i-1].Time {
-			t.Fatalf("timeline not sorted at %d", i)
-		}
-	}
-}
-
 func TestSkipTimingJob(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SkipTimingJob = true
@@ -244,8 +224,7 @@ func TestTimingJobNotTraced(t *testing.T) {
 }
 
 func TestClassificationMatchesPaper(t *testing.T) {
-	fw := New(DefaultConfig())
-	c := fw.Classification()
+	c := AsFramework(DefaultConfig()).Classification()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}

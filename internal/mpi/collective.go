@@ -45,32 +45,6 @@ type collContribution struct {
 	Pieces []collPiece
 }
 
-// WriteAtAll performs a collective write of one contiguous extent per rank:
-// every rank of the communicator must call it. Traced as
-// MPI_File_write_at_all. Returns the rank's own contributed byte count.
-func (f *File) WriteAtAll(p *sim.Proc, offset, length int64) (int64, error) {
-	var n int64
-	var err error
-	f.rank.libcallEnrich(p, "MPI_File_write_at_all",
-		func() []string {
-			return []string{strconv.Itoa(f.fd), strconv.FormatInt(offset, 10), strconv.FormatInt(length, 10)}
-		},
-		func() (string, func(*trace.Record)) {
-			pieces := []collPiece{}
-			if length > 0 {
-				pieces = append(pieces, collPiece{Offset: offset, Length: length})
-			}
-			n, err = f.writeCollectiveBody(p, pieces)
-			if err != nil {
-				return "-1", nil
-			}
-			return strconv.FormatInt(n, 10), func(r *trace.Record) {
-				r.Path, r.Offset, r.Bytes = f.path, offset, length
-			}
-		})
-	return n, err
-}
-
 // WriteStridedAll performs a collective write of a strided access set: each
 // rank passes the offsets of its equally-sized blocks (a flattened MPI file
 // view). One collective exchange covers the whole set, which is how real

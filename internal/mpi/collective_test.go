@@ -24,7 +24,7 @@ func TestWriteAtAllProducesSameEndStateAsIndependent(t *testing.T) {
 				off := int64(i*ranks+r.RankID()) * block
 				var werr error
 				if collective {
-					_, werr = f.WriteAtAll(p, off, block)
+					_, werr = f.WriteStridedAll(p, []int64{off}, block)
 				} else {
 					_, werr = f.WriteAt(p, off, block)
 				}
@@ -58,7 +58,7 @@ func TestWriteAtAllFasterForSmallStridedBlocks(t *testing.T) {
 			for i := 0; i < nobj; i++ {
 				off := int64(i*ranks+r.RankID()) * block
 				if collective {
-					f.WriteAtAll(p, off, block)
+					f.WriteStridedAll(p, []int64{off}, block)
 				} else {
 					f.WriteAt(p, off, block)
 				}
@@ -78,11 +78,11 @@ func TestWriteAtAllZeroLengthRanks(t *testing.T) {
 	c := smallCluster(4)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/zl", mpi.ModeCreate|mpi.ModeWronly)
-		length := int64(0)
+		var offsets []int64
 		if r.RankID() == 2 {
-			length = 128 << 10
+			offsets = []int64{int64(r.RankID()) * (128 << 10)}
 		}
-		if _, err := f.WriteAtAll(p, int64(r.RankID())*(128<<10), length); err != nil {
+		if _, err := f.WriteStridedAll(p, offsets, 128<<10); err != nil {
 			t.Errorf("rank %d: %v", r.RankID(), err)
 		}
 		f.Close(p)
@@ -97,7 +97,7 @@ func TestWriteAtAllAllZero(t *testing.T) {
 	c := smallCluster(2)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/empty", mpi.ModeCreate|mpi.ModeWronly)
-		if _, err := f.WriteAtAll(p, 0, 0); err != nil {
+		if _, err := f.WriteStridedAll(p, nil, 0); err != nil {
 			t.Errorf("rank %d: %v", r.RankID(), err)
 		}
 		f.Close(p)
@@ -118,7 +118,7 @@ func TestWriteAtAllOnlyAggregatorsIssueSyscalls(t *testing.T) {
 	}
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/agg", mpi.ModeCreate|mpi.ModeWronly)
-		f.WriteAtAll(p, int64(r.RankID())*65536, 65536)
+		f.WriteStridedAll(p, []int64{int64(r.RankID()) * 65536}, 65536)
 		f.Close(p)
 	})
 	aggs := c.World.CBNodes()
@@ -144,7 +144,7 @@ func TestWriteAtAllTracedAsCollective(t *testing.T) {
 	c.World.Rank(0).AttachLibHook(h)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		f, _ := r.FileOpen(p, "/pfs/t", mpi.ModeCreate|mpi.ModeWronly)
-		f.WriteAtAll(p, int64(r.RankID())*4096, 4096)
+		f.WriteStridedAll(p, []int64{int64(r.RankID()) * 4096}, 4096)
 		f.Close(p)
 	})
 	if h.names()["MPI_File_write_at_all"] != 1 {

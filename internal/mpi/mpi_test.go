@@ -107,57 +107,6 @@ func TestRepeatedBarriers(t *testing.T) {
 	}
 }
 
-func TestBcastFromEveryRoot(t *testing.T) {
-	for root := 0; root < 3; root++ {
-		c := smallCluster(3)
-		got := make([]any, 3)
-		c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-			var data any
-			if r.RankID() == root {
-				data = "payload"
-			}
-			got[r.RankID()] = r.Bcast(p, root, 64, data)
-		})
-		for i, g := range got {
-			if g != "payload" {
-				t.Fatalf("root %d: rank %d got %v", root, i, g)
-			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	c := smallCluster(4)
-	var collected []any
-	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-		res := r.Gather(p, 0, 8, r.RankID()*10)
-		if r.RankID() == 0 {
-			collected = res
-		}
-	})
-	if len(collected) != 4 {
-		t.Fatalf("collected %d", len(collected))
-	}
-	for i, v := range collected {
-		if v != i*10 {
-			t.Fatalf("collected[%d] = %v", i, v)
-		}
-	}
-}
-
-func TestAllreduceMax(t *testing.T) {
-	c := smallCluster(4)
-	results := make([]int64, 4)
-	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-		results[r.RankID()] = r.AllreduceMax(p, int64(r.RankID()*7))
-	})
-	for i, v := range results {
-		if v != 21 {
-			t.Fatalf("rank %d allreduce = %d, want 21", i, v)
-		}
-	}
-}
-
 func TestFileOpenWriteClose(t *testing.T) {
 	c := smallCluster(2)
 	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {

@@ -127,6 +127,3 @@ func (f *File) Close(p *sim.Proc) error {
 		})
 	return err
 }
-
-// Path returns the file path.
-func (f *File) Path() string { return f.path }

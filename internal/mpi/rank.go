@@ -34,9 +34,6 @@ func (r *Rank) Node() string { return r.node }
 // Proc returns the kernel process context (for attaching syscall tracers).
 func (r *Rank) Proc() *vfs.ProcCtx { return r.pc }
 
-// World returns the owning world.
-func (r *Rank) World() *World { return r.world }
-
 // AttachLibHook installs a library-call hook (ltrace / LD_PRELOAD style).
 func (r *Rank) AttachLibHook(h LibHook) { r.libHooks = append(r.libHooks, h) }
 
@@ -233,19 +230,6 @@ func (r *Rank) barrierBody(p *sim.Proc) {
 	}
 }
 
-// Bcast distributes bytes from root over a binomial tree (traced as
-// MPI_Bcast). The payload travels by value in Data for control uses.
-func (r *Rank) Bcast(p *sim.Proc, root int, bytes int64, data any) any {
-	var out any = data
-	r.libcall(p, "MPI_Bcast",
-		func() []string { return []string{strconv.FormatInt(bytes, 10), strconv.Itoa(root)} },
-		func() string {
-			out = r.bcastBody(p, root, bytes, data)
-			return "0"
-		})
-	return out
-}
-
 // bcastBody runs the classic MPICH binomial-tree broadcast: a nonzero
 // relative rank receives from (rel - lowbit(rel)), then forwards to
 // (rel + mask) for each mask below its receive round.
@@ -276,58 +260,8 @@ func (r *Rank) bcastBody(p *sim.Proc, root int, bytes int64, data any) any {
 	return got
 }
 
-// Gather collects one value per rank at root (traced as MPI_Gather); ranks
-// pass their contribution, root receives the slice indexed by rank.
-func (r *Rank) Gather(p *sim.Proc, root int, bytes int64, contribution any) []any {
-	var out []any
-	r.libcall(p, "MPI_Gather",
-		func() []string { return []string{strconv.FormatInt(bytes, 10), strconv.Itoa(root)} },
-		func() string {
-			n := len(r.world.ranks)
-			const tag = -888
-			if r.rank != root {
-				r.sendRaw(p, root, tag, bytes, contribution)
-				return "0"
-			}
-			out = make([]any, n)
-			out[root] = contribution
-			for i := 0; i < n; i++ {
-				if i == root {
-					continue
-				}
-				m := r.recvRaw(p, i, tag)
-				out[m.From] = m.Data
-			}
-			return "0"
-		})
-	return out
-}
-
-// AllreduceMax computes the maximum of an int64 across ranks (traced as
-// MPI_Allreduce): gather to rank 0, then broadcast.
-func (r *Rank) AllreduceMax(p *sim.Proc, v int64) int64 {
-	var result int64
-	r.libcall(p, "MPI_Allreduce", func() []string { return []string{strconv.FormatInt(v, 10)} }, func() string {
-		vals := r.gatherRaw(p, 0, 8, v)
-		if r.rank == 0 {
-			m := v
-			for _, raw := range vals {
-				if x, ok := raw.(int64); ok && x > m {
-					m = x
-				}
-			}
-			result = m
-		}
-		out := r.bcastBody(p, 0, 8, result)
-		if x, ok := out.(int64); ok {
-			result = x
-		}
-		return "0"
-	})
-	return result
-}
-
-// gatherRaw is Gather without tracing, used inside other collectives.
+// gatherRaw collects one value per rank at root, indexed by rank, without
+// tracing: the access-set exchange inside collective I/O.
 func (r *Rank) gatherRaw(p *sim.Proc, root int, bytes int64, contribution any) []any {
 	n := len(r.world.ranks)
 	const tag = -889

@@ -72,9 +72,6 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return &w.ranks[i] }
 
-// Env returns the simulation environment.
-func (w *World) Env() *sim.Env { return w.env }
-
 // Launch spawns every rank's program as a simulated process. It returns a
 // latch that opens when all ranks have finished; run the environment to
 // drive them. Per-rank completion times land in FinishedAt.

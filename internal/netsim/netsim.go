@@ -136,9 +136,6 @@ func New(env *sim.Env, cfg Config) *Network {
 // Env returns the owning simulation environment.
 func (n *Network) Env() *sim.Env { return n.env }
 
-// Config returns the interconnect parameters.
-func (n *Network) Config() Config { return n.cfg }
-
 // AddNode registers a node name and returns its interface. Adding the same
 // name twice is an error caught by panic (configuration bug).
 func (n *Network) AddNode(name string) *Iface {
@@ -199,15 +196,6 @@ func (n *Network) wireBytes(payload int64) int64 {
 		frames = 1
 	}
 	return payload + frames*n.cfg.FrameOverhead
-}
-
-// TransferTime reports the uncontended one-way time for a payload of the
-// given size: useful for analytical checks and tests.
-func (n *Network) TransferTime(payload int64) sim.Duration {
-	return n.cfg.PerMessageCPU +
-		sim.DurationOf(n.wireBytes(payload), n.cfg.BandwidthBps) +
-		n.cfg.Latency +
-		sim.DurationOf(n.wireBytes(payload), n.cfg.BandwidthBps)
 }
 
 // Send transmits msg from the calling process, stamping it with the

@@ -21,6 +21,32 @@ func testNet(env *sim.Env) *Network {
 	return n
 }
 
+// uncontended is the one-way time of a payload carried in the given number
+// of frames over an idle network: per-message CPU, transmit serialization,
+// latency and receive serialization.
+func uncontended(cfg Config, payload, frames int64) sim.Duration {
+	oneWay := sim.DurationOf(payload+frames*cfg.FrameOverhead, cfg.BandwidthBps)
+	return cfg.PerMessageCPU + oneWay + cfg.Latency + oneWay
+}
+
+// deliveredAt sends one payload from a to b over an idle testNet and
+// returns the virtual time it arrives.
+func deliveredAt(payload int64) sim.Time {
+	env := sim.NewEnv(1)
+	n := testNet(env)
+	inbox := n.Listen("b", 7)
+	var at sim.Time
+	env.Go("recv", func(p *sim.Proc) {
+		inbox.Get(p)
+		at = p.Now()
+	})
+	env.Go("send", func(p *sim.Proc) {
+		n.Send(p, Message{From: "a", To: "b", Port: 7, Size: payload})
+	})
+	env.Run()
+	return at
+}
+
 func TestSendDelivers(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
@@ -38,7 +64,7 @@ func TestSendDelivers(t *testing.T) {
 	if got.Payload != "hi" || got.From != "a" {
 		t.Fatalf("got %+v", got)
 	}
-	if want := n.TransferTime(1000); at != want {
+	if want := uncontended(n.cfg, 1000, 1); at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
 }
@@ -173,13 +199,7 @@ func TestStatsAccumulate(t *testing.T) {
 // MTU multiples: a 1460-byte payload fits one frame and 2920 bytes fit two —
 // the old `payload/1460 + 1` charged each an extra empty frame.
 func TestTransferTimeFrameCount(t *testing.T) {
-	env := sim.NewEnv(1)
-	n := testNet(env)
-	expect := func(payload, frames int64) sim.Duration {
-		wire := payload + frames*n.cfg.FrameOverhead
-		oneWay := sim.DurationOf(wire, n.cfg.BandwidthBps)
-		return n.cfg.PerMessageCPU + oneWay + n.cfg.Latency + oneWay
-	}
+	cfg := testNet(sim.NewEnv(1)).cfg
 	for _, c := range []struct {
 		payload, frames int64
 	}{
@@ -192,8 +212,8 @@ func TestTransferTimeFrameCount(t *testing.T) {
 		{2920, 2}, // two exact frames
 		{2921, 3},
 	} {
-		if got, want := n.TransferTime(c.payload), expect(c.payload, c.frames); got != want {
-			t.Errorf("TransferTime(%d) = %v, want %v (%d frames)", c.payload, got, want, c.frames)
+		if got, want := deliveredAt(c.payload), uncontended(cfg, c.payload, c.frames); got != want {
+			t.Errorf("%d-byte message delivered at %v, want %v (%d frames)", c.payload, got, want, c.frames)
 		}
 	}
 }
@@ -337,33 +357,27 @@ func TestEventDeliveryMatchesCourierReference(t *testing.T) {
 	}
 }
 
-// Property: TransferTime is monotone nondecreasing in payload size.
+// Property: delivery time is monotone nondecreasing in payload size.
 func TestTransferTimeMonotoneProperty(t *testing.T) {
-	env := sim.NewEnv(1)
-	n := testNet(env)
 	f := func(a, b uint32) bool {
 		x, y := int64(a), int64(b)
 		if x > y {
 			x, y = y, x
 		}
-		return n.TransferTime(x) <= n.TransferTime(y)
+		return deliveredAt(x) <= deliveredAt(y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	_ = env
 }
 
 // Property: per-byte cost falls as messages grow (framing amortization).
 func TestLargeMessagesMoreEfficient(t *testing.T) {
-	env := sim.NewEnv(1)
-	n := testNet(env)
-	small := n.TransferTime(1024).Seconds() / 1024
-	large := n.TransferTime(1<<22).Seconds() / float64(1<<22)
+	small := deliveredAt(1024).Seconds() / 1024
+	large := deliveredAt(1<<22).Seconds() / float64(1<<22)
 	if large >= small {
 		t.Fatalf("per-byte cost did not fall: small %g, large %g", small, large)
 	}
-	_ = env
 }
 
 func TestGigabitEthernetDefaults(t *testing.T) {

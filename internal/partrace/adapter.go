@@ -33,7 +33,6 @@ type fwSession struct {
 	fw    *Framework
 	c     *cluster.Cluster
 	hooks []*ioHook
-	trace *replay.Trace
 }
 
 // Run produces a replayable trace for the workload through the same
@@ -61,7 +60,6 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 		return framework.Report{}, err
 	}
 	s.hooks = baseHooks
-	s.trace = gen.Trace
 
 	rep := framework.Report{
 		Result:         spec.ResultFromStats(baseElapsed, perRank),
@@ -98,6 +96,3 @@ func (s *fwSession) Sources() []trace.Source {
 	}
 	return out
 }
-
-// Trace exposes the generated replayable trace.
-func (s *fwSession) Trace() *replay.Trace { return s.trace }

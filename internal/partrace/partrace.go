@@ -21,7 +21,6 @@ import (
 	"sort"
 
 	"iotaxo/internal/cluster"
-	"iotaxo/internal/core"
 	"iotaxo/internal/interpose"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/replay"
@@ -72,14 +71,6 @@ type Framework struct {
 
 // New returns a framework.
 func New(cfg Config) *Framework { return &Framework{cfg: cfg.fix()} }
-
-// Name implements the common framework interface.
-func (f *Framework) Name() string { return "//TRACE" }
-
-// Classification returns the taxonomy position (paper Table 2 column).
-func (f *Framework) Classification() *core.Classification {
-	return core.PaperParallelTrace()
-}
 
 // opEvent is one observed I/O call with both clocks: the local timestamp
 // (what the real tool sees) and the global completion time used to order

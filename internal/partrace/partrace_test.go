@@ -200,7 +200,7 @@ func TestSkewedClocksStillWork(t *testing.T) {
 }
 
 func TestClassificationMatchesPaper(t *testing.T) {
-	fw := New(DefaultConfig())
+	fw := AsFramework(DefaultConfig())
 	c := fw.Classification()
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

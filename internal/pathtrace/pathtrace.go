@@ -100,9 +100,6 @@ func (tr *Tracer) StartTask(p *sim.Proc, node string, rank int, label string) *C
 	return ctx
 }
 
-// Task returns the context's task id.
-func (c *Ctx) Task() TaskID { return c.task }
-
 // Record appends an event whose parent is the context's previous event,
 // advancing the context.
 func (c *Ctx) Record(p *sim.Proc, label string) EventID {
@@ -275,28 +272,6 @@ func (g *Graph) Format() string {
 	for _, r := range roots {
 		walk(r, 0)
 	}
-	return b.String()
-}
-
-// DOT renders the DAG in Graphviz format.
-func (g *Graph) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph task%d {\n", g.Task)
-	ids := make([]EventID, 0, len(g.Events))
-	for id := range g.Events {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := g.Events[id]
-		fmt.Fprintf(&b, "  e%d [label=\"%s\\nrank %d @%v\"];\n", id, e.Label, e.Rank, e.Time)
-	}
-	for _, id := range ids {
-		for _, pid := range g.Events[id].Parents {
-			fmt.Fprintf(&b, "  e%d -> e%d;\n", pid, id)
-		}
-	}
-	b.WriteString("}\n")
 	return b.String()
 }
 

@@ -11,7 +11,6 @@ package pfs
 
 import (
 	"fmt"
-	"sort"
 
 	"iotaxo/internal/disk"
 	"iotaxo/internal/fnvhash"
@@ -170,16 +169,6 @@ func (s *System) Snapshot(path string) (size int64, digest uint64, writes int64,
 		}
 	}
 	return size, digest, writes, true
-}
-
-// Paths lists files known to the metadata server, sorted.
-func (s *System) Paths() []string {
-	out := make([]string, 0, len(s.meta.files))
-	for p := range s.meta.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // --- striping math ---

@@ -96,9 +96,6 @@ func (e *Env) schedule(at Time, fn func()) {
 	e.queue.Push(event{at: at, seq: e.seq, fn: fn})
 }
 
-// At schedules fn to run as a pure event (not a process) at instant at.
-func (e *Env) At(at Time, fn func()) { e.schedule(at, fn) }
-
 // After schedules fn to run d nanoseconds from now.
 func (e *Env) After(d Duration, fn func()) { e.schedule(e.now+d, fn) }
 

@@ -113,12 +113,6 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// Name returns the process name given at spawn.
-func (p *Proc) Name() string { return p.name }
-
-// PID returns the process's unique id within its environment.
-func (p *Proc) PID() int { return p.pid }
-
 // Span returns the causal span the process is currently executing under
 // (0 = none).
 func (p *Proc) Span() uint64 { return p.span }

@@ -59,9 +59,6 @@ func (r *Resource) Release() {
 	r.inUse--
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // Mailbox is an unbounded FIFO of messages with blocking receive. Sends
 // never block (use a Resource to model transmission time); receives block
 // until a message arrives. Multiple receivers are served in FIFO order.
@@ -169,9 +166,6 @@ func (m *Mailbox[T]) TryGet() (v T, ok bool) {
 	return m.items.pop(), true
 }
 
-// Len reports the number of queued messages.
-func (m *Mailbox[T]) Len() int { return m.items.len() }
-
 // Signal is a broadcast condition: processes Wait on it and a later Fire
 // releases every current waiter at once. Fires with no waiters are not
 // remembered (it is a condition variable, not a latch).
@@ -199,9 +193,6 @@ func (s *Signal) Fire() {
 	}
 	s.env.schedule(s.env.now, func() { s.env.dispatchAll(ws) })
 }
-
-// Waiting reports the number of blocked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }
 
 // Latch is a one-shot gate: Open releases all present and future waiters.
 type Latch struct {

@@ -8,6 +8,20 @@ import (
 	"testing/quick"
 )
 
+// The probes below read state that only this package's tests inspect.
+
+// Len reports the number of queued messages.
+func (m *Mailbox[T]) Len() int { return m.items.len() }
+
+// InUse reports the number of units currently held.
+func (r *Resource) InUse() int { return r.inUse }
+
+// Waiting reports the number of blocked waiters.
+func (s *Signal) Waiting() int { return len(s.waiters) }
+
+// At schedules fn to run as a pure event (not a process) at instant at.
+func (e *Env) At(at Time, fn func()) { e.schedule(at, fn) }
+
 func TestEventOrdering(t *testing.T) {
 	env := NewEnv(1)
 	var got []int

@@ -630,9 +630,6 @@ func (c *ColumnarWriter) BytesWritten() int64 { return c.n }
 // BlocksWritten reports the number of data blocks emitted so far.
 func (c *ColumnarWriter) BlocksWritten() int64 { return int64(len(c.index)) }
 
-// Index returns the block metadata written so far (complete after Close).
-func (c *ColumnarWriter) Index() []BlockMeta { return c.index }
-
 // parseIndexPayload inverts the Close encoding. firstOffset is where the
 // first data block starts (just past the stream header); limit is where data
 // blocks must end (the index block's own offset).

@@ -39,9 +39,6 @@ type ColumnarSource struct {
 // NewColumnarSource wraps r for sequential decoding.
 func NewColumnarSource(r io.Reader) *ColumnarSource { return &ColumnarSource{r: r} }
 
-// Flags returns the stream flags after the first Next call.
-func (c *ColumnarSource) Flags() byte { return c.flags }
-
 // BlocksRead reports the number of data blocks decoded so far.
 func (c *ColumnarSource) BlocksRead() int64 { return c.blocks }
 
@@ -375,9 +372,6 @@ func NewColumnarReader(r io.ReaderAt, size int64) (*ColumnarReader, error) {
 	}
 	return &ColumnarReader{r: r, size: size, flags: hdr[8], index: index}, nil
 }
-
-// Flags returns the stream flags.
-func (c *ColumnarReader) Flags() byte { return c.flags }
 
 // Index returns the footer block index; callers must not mutate it.
 func (c *ColumnarReader) Index() []BlockMeta { return c.index }

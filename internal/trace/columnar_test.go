@@ -12,12 +12,21 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"testing/quick"
 
 	"iotaxo/internal/sim"
 )
+
+// The probes below read state that only this package's tests inspect.
+
+// Flags returns the stream flags after the first Next call.
+func (c *ColumnarSource) Flags() byte { return c.flags }
+
+// Flags returns the stream flags.
+func (c *ColumnarReader) Flags() byte { return c.flags }
 
 // normalizeArgs maps empty Args to nil so DeepEqual ignores the nil-vs-empty
 // distinction, like the v1 round-trip tests.
@@ -557,9 +566,10 @@ func TestColumnarViewColumnsAgreeWithRecords(t *testing.T) {
 	}
 }
 
-// rowsFromColumns is the model of materializeRows: row i of a block, built
-// from the per-column accessors.
-func rowsFromColumns(t *testing.T, v *BlockView, rows []int) []Record {
+// rowsFromColumns is the model of materializeRows for the columns that have
+// accessors: the given rows of a block with each such column overwritten
+// from its accessor. Fields without an accessor keep their value in recs.
+func rowsFromColumns(t *testing.T, v *BlockView, rows []int, recs []Record) []Record {
 	t.Helper()
 	must := func(err error) {
 		t.Helper()
@@ -571,19 +581,11 @@ func rowsFromColumns(t *testing.T, v *BlockView, rows []int) []Record {
 	must(err)
 	durs, err := v.Durs()
 	must(err)
-	nodes, err := v.Nodes()
-	must(err)
 	ranks, err := v.Ranks()
-	must(err)
-	pids, err := v.PIDs()
 	must(err)
 	classes, err := v.Classes()
 	must(err)
 	names, err := v.Names()
-	must(err)
-	args, err := v.Args()
-	must(err)
-	rets, err := v.Rets()
 	must(err)
 	paths, err := v.Paths()
 	must(err)
@@ -591,22 +593,13 @@ func rowsFromColumns(t *testing.T, v *BlockView, rows []int) []Record {
 	must(err)
 	bytesc, err := v.Bytes()
 	must(err)
-	uids, err := v.UIDs()
-	must(err)
-	gids, err := v.GIDs()
-	must(err)
 	spans, err := v.Spans()
 	must(err)
-	parents, err := v.Parents()
-	must(err)
-	out := make([]Record, len(rows))
+	out := slices.Clone(recs)
 	for k, i := range rows {
-		out[k] = Record{
-			Time: sim.Time(times[i]), Dur: sim.Duration(durs[i]), Node: nodes[i],
-			Rank: int(ranks[i]), PID: int(pids[i]), Class: classes[i], Name: names[i],
-			Args: args[i], Ret: rets[i], Path: paths[i], Offset: offsets[i], Bytes: bytesc[i],
-			UID: int(uids[i]), GID: int(gids[i]), Span: uint64(spans[i]), Parent: uint64(parents[i]),
-		}
+		r := &out[k]
+		r.Time, r.Dur, r.Rank, r.Class = sim.Time(times[i]), sim.Duration(durs[i]), int(ranks[i]), classes[i]
+		r.Name, r.Path, r.Offset, r.Bytes, r.Span = names[i], paths[i], offsets[i], bytesc[i], uint64(spans[i])
 	}
 	return out
 }
@@ -647,7 +640,6 @@ func TestMaterializeRowsMatchesColumns(t *testing.T) {
 			subsets = append(subsets, rows)
 		}
 		for _, rows := range subsets {
-			want := rowsFromColumns(t, v, rows)
 			// got walks every section of a view with nothing cached; reused
 			// reads the int columns rowsFromColumns decoded from v's caches.
 			fresh := &BlockView{count: v.count, classMask: v.classMask, dirMask: v.dirMask, secs: v.secs}
@@ -655,6 +647,7 @@ func TestMaterializeRowsMatchesColumns(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			want := rowsFromColumns(t, v, rows, got)
 			// Records written over a slice of other records must not keep
 			// any of their fields.
 			dirty := make([]Record, len(rows))

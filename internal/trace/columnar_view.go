@@ -29,19 +29,12 @@ type BlockView struct {
 	times   []int64
 	durs    []int64
 	ranks   []int64
-	pids    []int64
 	offsets []int64
 	bytesc  []int64
-	uids    []int64
-	gids    []int64
 	spans   []int64
-	parents []int64
 
-	nodes []string
 	names []string
 	paths []string
-	rets  []string
-	args  [][]string
 
 	rows []int // 0..count-1, built by everyRow
 }
@@ -276,26 +269,16 @@ func (v *BlockView) Durs() ([]int64, error) { return v.ints(colDurs, false, &v.d
 // Ranks returns the MPI rank column.
 func (v *BlockView) Ranks() ([]int64, error) { return v.ints(colRanks, true, &v.ranks) }
 
-// PIDs returns the process-id column.
-func (v *BlockView) PIDs() ([]int64, error) { return v.ints(colPIDs, true, &v.pids) }
-
 // Offsets returns the file-offset column.
 func (v *BlockView) Offsets() ([]int64, error) { return v.ints(colOffsets, true, &v.offsets) }
 
 // Bytes returns the byte-count column.
 func (v *BlockView) Bytes() ([]int64, error) { return v.ints(colBytes, false, &v.bytesc) }
 
-// UIDs returns the uid column.
-func (v *BlockView) UIDs() ([]int64, error) { return v.ints(colUIDs, false, &v.uids) }
-
 // Spans returns the causal-span column. Blocks written without spans omit
 // the section; those decode as all zeros ("no span") rather than erroring,
 // so span-less and pre-span traces stay readable.
 func (v *BlockView) Spans() ([]int64, error) { return v.optInts(colSpans, &v.spans) }
-
-// Parents returns the parent-span column, with the same tolerance for
-// span-less blocks as Spans.
-func (v *BlockView) Parents() ([]int64, error) { return v.optInts(colParents, &v.parents) }
 
 // optInts decodes an optional delta-varint column, synthesizing zeros when
 // the writer omitted the section.
@@ -310,36 +293,11 @@ func (v *BlockView) optInts(id byte, cache *[]int64) ([]int64, error) {
 	return v.ints(id, true, cache)
 }
 
-// GIDs returns the gid column, decoded relative to the uid column.
-func (v *BlockView) GIDs() ([]int64, error) {
-	if v.gids != nil {
-		return v.gids, nil
-	}
-	uids, err := v.UIDs()
-	if err != nil {
-		return nil, err
-	}
-	out, err := v.ints(colGIDs, false, &v.gids)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] += uids[i]
-	}
-	return out, nil
-}
-
-// Nodes returns the host-name column.
-func (v *BlockView) Nodes() ([]string, error) { return v.strs(colNodes, &v.nodes) }
-
 // Names returns the call-name column.
 func (v *BlockView) Names() ([]string, error) { return v.strs(colNames, &v.names) }
 
 // Paths returns the path column.
 func (v *BlockView) Paths() ([]string, error) { return v.strs(colPaths, &v.paths) }
-
-// Rets returns the formatted-return column.
-func (v *BlockView) Rets() ([]string, error) { return v.strs(colRets, &v.rets) }
 
 // classDir returns the packed class/direction column, validated.
 func (v *BlockView) classDir() ([]byte, error) {
@@ -377,23 +335,6 @@ func (v *BlockView) Dirs() ([]IODir, error) {
 	for i, b := range cd {
 		out[i] = IODir(b >> 4)
 	}
-	return out, nil
-}
-
-// Args returns the per-record argument lists.
-func (v *BlockView) Args() ([][]string, error) {
-	if v.args != nil {
-		return v.args, nil
-	}
-	dict, err := v.Dict()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]string, v.count)
-	if err := walkArgs(v.secs[colArgs], v.count, dict, v.everyRow(), func(i int, args []string) { out[i] = args }); err != nil {
-		return nil, err
-	}
-	v.args = out
 	return out, nil
 }
 
@@ -440,11 +381,10 @@ func materializeRows(v *BlockView, rows []int, buf []Record) ([]Record, error) {
 	out := slices.Grow(buf[:0], len(rows))[:len(rows)]
 	// A column an accessor already decoded (matchRows reads times, ranks
 	// and the stats columns a query constrains) was validated row by row
-	// then, so its matched rows come from the cache. The gid cache holds
-	// absolute gids, so that column is always walked.
+	// then, so its matched rows come from the cache.
 	cached := [maxColID + 1][]int64{
-		colTimes: v.times, colDurs: v.durs, colRanks: v.ranks, colPIDs: v.pids, colOffsets: v.offsets,
-		colBytes: v.bytesc, colUIDs: v.uids, colSpans: v.spans, colParents: v.parents,
+		colTimes: v.times, colDurs: v.durs, colRanks: v.ranks, colOffsets: v.offsets,
+		colBytes: v.bytesc, colSpans: v.spans,
 	}
 	for _, c := range intColumns {
 		if col := cached[c.id]; col != nil {

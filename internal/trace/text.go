@@ -47,9 +47,6 @@ func (t *TextWriter) Write(r *Record) error {
 	return err
 }
 
-// BytesWritten reports the total bytes emitted so far (pre-buffer-flush).
-func (t *TextWriter) BytesWritten() int64 { return t.n }
-
 // Flush drains the internal buffer.
 func (t *TextWriter) Flush() error { return t.w.Flush() }
 

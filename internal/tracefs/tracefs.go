@@ -244,12 +244,6 @@ func (f *FS) TraceRecords() ([]trace.Record, error) {
 	return trace.Collect(f.OpenTrace())
 }
 
-// TraceBinary returns a copy of the raw binary trace stream.
-func (f *FS) TraceBinary() []byte {
-	f.DrainForAnalysis()
-	return append([]byte(nil), f.out.Bytes()...)
-}
-
 // record builds a VFS-op record. Tracefs has no parallel awareness: Rank is
 // whatever the kernel reports (-1 for non-MPI), timestamps are raw local.
 func (f *FS) record(p *sim.Proc, name, path string, offset, bytes_ int64, cred vfs.Cred, ret string, dur sim.Duration) trace.Record {

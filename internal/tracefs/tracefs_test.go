@@ -330,7 +330,8 @@ func TestEncryptedTraceHidesPathsButDecrypts(t *testing.T) {
 		t.Fatalf("decrypt: %q %v", pt, err)
 	}
 	// Stream carries the anonymized flag.
-	rd := trace.NewBinaryReader(strings.NewReader(string(f.TraceBinary())))
+	f.DrainForAnalysis()
+	rd := trace.NewBinaryReader(bytes.NewReader(f.out.Bytes()))
 	rd.Next()
 	if rd.Flags()&trace.FlagAnonymized == 0 {
 		t.Fatal("anonymized flag missing")
@@ -379,7 +380,8 @@ func TestColumnarEmitterMatchesBinary(t *testing.T) {
 	if fCol.OutputBytes() >= fBin.OutputBytes() {
 		t.Fatalf("columnar not smaller: %d vs %d bytes", fCol.OutputBytes(), fBin.OutputBytes())
 	}
-	if format, _ := trace.DetectFormat(bytes.NewReader(fCol.TraceBinary())); format != trace.FormatColumnar {
+	fCol.DrainForAnalysis()
+	if format, _ := trace.DetectFormat(bytes.NewReader(fCol.out.Bytes())); format != trace.FormatColumnar {
 		t.Fatalf("columnar output detected as %v", format)
 	}
 }

@@ -38,7 +38,6 @@ type Kernel struct {
 	clock   *clocks.Clock
 	cfg     KernelConfig
 	mounts  []mountEntry
-	procs   []*ProcCtx
 	nextPID int
 
 	// SyscallCount aggregates all syscalls served, for analysis.
@@ -105,19 +104,14 @@ func (k *Kernel) Resolve(path string) (Filesystem, error) {
 // Spawn creates a process context on this node.
 func (k *Kernel) Spawn(cred Cred) *ProcCtx {
 	k.nextPID++
-	pc := &ProcCtx{
+	return &ProcCtx{
 		kernel: k,
 		pid:    10000 + k.nextPID,
 		cred:   cred,
 		nextFD: 3, // 0,1,2 reserved as on Unix
 		rank:   -1,
 	}
-	k.procs = append(k.procs, pc)
-	return pc
 }
-
-// Procs returns the node's process table in spawn order.
-func (k *Kernel) Procs() []*ProcCtx { return k.procs }
 
 // ProcCtx is one process's kernel-side state: credentials, fd table, and the
 // tracer hooks attached to it.
@@ -147,14 +141,8 @@ type fdEntry struct {
 // PID returns the process id.
 func (pc *ProcCtx) PID() int { return pc.pid }
 
-// Cred returns the process credentials.
-func (pc *ProcCtx) Cred() Cred { return pc.cred }
-
 // SetRank labels the process with its MPI rank for trace records.
 func (pc *ProcCtx) SetRank(rank int) { pc.rank = rank }
-
-// Rank returns the MPI rank label (-1 when not set).
-func (pc *ProcCtx) Rank() int { return pc.rank }
 
 // Kernel returns the owning kernel.
 func (pc *ProcCtx) Kernel() *Kernel { return pc.kernel }
@@ -164,9 +152,6 @@ func (pc *ProcCtx) AttachHook(h SyscallHook) { pc.hooks = append(pc.hooks, h) }
 
 // DetachHooks removes all tracer hooks.
 func (pc *ProcCtx) DetachHooks() { pc.hooks = nil }
-
-// Traced reports whether any hook is attached.
-func (pc *ProcCtx) Traced() bool { return len(pc.hooks) > 0 }
 
 // syscall wraps the execution of one system call with hook entry/exit, the
 // base kernel-crossing cost, and record construction. args renders the
@@ -284,36 +269,6 @@ func (pc *ProcCtx) PWrite(p *sim.Proc, fd int, offset, length int64) (int64, err
 			path := e.path
 			return strconv.FormatInt(n, 10), func(r *trace.Record) {
 				r.Path, r.Offset, r.Bytes = path, offset, n
-			}
-		})
-	return n, err
-}
-
-// Write writes length bytes at the fd's current position, advancing it.
-func (pc *ProcCtx) Write(p *sim.Proc, fd int, length int64) (int64, error) {
-	var n int64
-	var err error
-	pc.syscall(p, "SYS_write",
-		func() []string { return []string{strconv.Itoa(fd), strconv.FormatInt(length, 10)} },
-		func() (string, func(*trace.Record)) {
-			var e *fdEntry
-			e, err = pc.fd(fd)
-			if err != nil {
-				return errnoString(err), nil
-			}
-			if !e.flags.CanWrite() {
-				err = ErrReadOnly
-				return errnoString(err), nil
-			}
-			off := e.pos
-			n, err = e.file.WriteAt(p, off, length)
-			if err != nil {
-				return errnoString(err), nil
-			}
-			e.pos += n
-			path := e.path
-			return strconv.FormatInt(n, 10), func(r *trace.Record) {
-				r.Path, r.Offset, r.Bytes = path, off, n
 			}
 		})
 	return n, err

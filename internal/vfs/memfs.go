@@ -2,7 +2,6 @@ package vfs
 
 import (
 	"fmt"
-	"sort"
 
 	"iotaxo/internal/disk"
 	"iotaxo/internal/fnvhash"
@@ -114,16 +113,6 @@ func (m *MemFS) Snapshot(path string) (int64, uint64, int64, bool) {
 		return 0, 0, 0, false
 	}
 	return f.attr.Size, f.digest, f.writes, true
-}
-
-// Paths lists all files, sorted.
-func (m *MemFS) Paths() []string {
-	out := make([]string, 0, len(m.files))
-	for p := range m.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // memHandle is an open handle on a MemFS file.

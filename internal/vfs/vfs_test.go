@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,27 @@ import (
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
 )
+
+// The probes below read state that only this package's tests inspect.
+
+// Paths lists all files, sorted.
+func (m *MemFS) Paths() []string {
+	out := make([]string, 0, len(m.files))
+	for p := range m.files {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Cred returns the process credentials.
+func (pc *ProcCtx) Cred() Cred { return pc.cred }
+
+// Rank returns the MPI rank label (-1 when not set).
+func (pc *ProcCtx) Rank() int { return pc.rank }
+
+// Traced reports whether any hook is attached.
+func (pc *ProcCtx) Traced() bool { return len(pc.hooks) > 0 }
 
 func newTestKernel(env *sim.Env) (*Kernel, *MemFS) {
 	k := NewKernel(env, "node1", clocks.New(0, 0), DefaultKernelConfig())
@@ -49,24 +71,6 @@ func TestOpenWriteReadClose(t *testing.T) {
 	size, _, writes, ok := fs.Snapshot("/data/file1")
 	if !ok || size != 4096 || writes != 1 {
 		t.Fatalf("snapshot: size=%d writes=%d ok=%v", size, writes, ok)
-	}
-}
-
-func TestSequentialWriteAdvancesPosition(t *testing.T) {
-	env := sim.NewEnv(1)
-	k, fs := newTestKernel(env)
-	pc := k.Spawn(Cred{})
-	env.Go("app", func(p *sim.Proc) {
-		fd, _ := pc.Open(p, "/f", OCreate|OWronly, 0o644)
-		pc.Write(p, fd, 100)
-		pc.Write(p, fd, 100)
-		pc.Write(p, fd, 100)
-		pc.Close(p, fd)
-	})
-	env.Run()
-	size, _, _, _ := fs.Snapshot("/f")
-	if size != 300 {
-		t.Fatalf("size = %d, want 300", size)
 	}
 }
 

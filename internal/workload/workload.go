@@ -81,11 +81,6 @@ func (pr Params) CommandLine() string {
 		typ, strided, pr.BlockSize, pr.NObj)
 }
 
-// TotalBytes is the aggregate data volume across ranks.
-func (pr Params) TotalBytes(ranks int) int64 {
-	return int64(ranks) * int64(pr.NObj) * pr.BlockSize
-}
-
 // FileFor returns the path rank r writes to.
 func (pr Params) FileFor(rank int) string {
 	if pr.Pattern == NToN {
@@ -289,20 +284,4 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 
 	// "# Barrier after /mpi_io_test.exe ..." — Figure 1.
 	r.Barrier(p)
-}
-
-// ExpectedSizes returns the file sizes the pattern must leave behind, keyed
-// by path: the end-state oracle for integration tests.
-func (pr Params) ExpectedSizes(ranks int) map[string]int64 {
-	out := make(map[string]int64)
-	perRank := int64(pr.NObj) * pr.BlockSize
-	switch pr.Pattern {
-	case NToN:
-		for r := 0; r < ranks; r++ {
-			out[pr.FileFor(r)] = perRank
-		}
-	default:
-		out[pr.Path] = perRank * int64(ranks)
-	}
-	return out
 }

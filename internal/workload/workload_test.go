@@ -26,10 +26,18 @@ func TestPatternsLeaveExpectedSizes(t *testing.T) {
 			Path:      "/pfs/testfile",
 		}
 		res := Run(c.World, params)
-		if res.Bytes != params.TotalBytes(c.Ranks()) {
-			t.Fatalf("%v: bytes = %d, want %d", pat, res.Bytes, params.TotalBytes(c.Ranks()))
+		perRank := int64(params.NObj) * params.BlockSize
+		if want := perRank * int64(c.Ranks()); res.Bytes != want {
+			t.Fatalf("%v: bytes = %d, want %d", pat, res.Bytes, want)
 		}
-		for path, wantSize := range params.ExpectedSizes(c.Ranks()) {
+		sizes := map[string]int64{params.Path: perRank * int64(c.Ranks())}
+		if pat == NToN {
+			sizes = make(map[string]int64)
+			for r := 0; r < c.Ranks(); r++ {
+				sizes[params.FileFor(r)] = perRank
+			}
+		}
+		for path, wantSize := range sizes {
 			size, _, _, ok := c.PFS.Snapshot(path)
 			if !ok {
 				t.Fatalf("%v: %s missing", pat, path)
