@@ -242,8 +242,7 @@ func BenchmarkMatrixSweepWarm(b *testing.B) {
 // --- SCALING: overhead vs rank count ---
 
 // BenchmarkScaleSweep measures the sweep engine along RankAxis on a small
-// ladder: the sweep behind `tracebench -exp scaling` and `iotaxo -exp
-// scaling`.
+// ladder: the sweep behind `tracebench -exp scaling`.
 // The key metric is the top rung's elapsed overhead; wall time per op
 // tracks whether the hot-path trims keep high-rank rungs CI-affordable.
 func BenchmarkScaleSweep(b *testing.B) {
@@ -333,10 +332,10 @@ func BenchmarkSim65536Ranks(b *testing.B) {
 }
 
 // BenchmarkServerSweep measures the sweep engine along ServerAxis on the
-// smoke ladder: the sweep behind `tracebench -exp servers` and `iotaxo -exp
-// servers`. The key metric is the overhead gap between the 1-server and
-// top-rung points — the server axis exists to expose tracer cost once the
-// file system stops being the bottleneck.
+// smoke ladder: the sweep behind `tracebench -exp servers`. The key metric
+// is the overhead gap between the 1-server and top-rung points — the server
+// axis exists to expose tracer cost once the file system stops being the
+// bottleneck.
 func BenchmarkServerSweep(b *testing.B) {
 	o := harness.LadderSmokeOptions()
 	var gap float64
@@ -460,7 +459,7 @@ func BenchmarkSimProcessSwitch(b *testing.B) {
 func BenchmarkMailboxPopDepth(b *testing.B) {
 	for _, depth := range []int{16, 1024, 16384} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			mb := sim.NewMailbox[netsim.Message](sim.NewEnv(1))
+			mb := new(sim.Mailbox[netsim.Message]).Init(sim.NewEnv(1))
 			for i := 0; i < depth; i++ {
 				mb.Put(netsim.Message{Size: int64(i)})
 			}

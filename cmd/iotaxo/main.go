@@ -20,12 +20,6 @@
 //	iotaxo -table summary -measured
 //	iotaxo -table matrix
 //	iotaxo -table matrix -workload checkpoint-restart
-//	iotaxo -exp scaling
-//	iotaxo -exp scaling -scale-mode strong -max-ranks 64
-//	iotaxo -exp scaling -max-ranks 4096
-//	iotaxo -exp scaling -ranks-per-node 4
-//	iotaxo -exp servers
-//	iotaxo -exp servers -max-servers 32 -workload checkpoint-restart
 package main
 
 import (
@@ -44,32 +38,16 @@ func main() {
 	table := flag.String("table", "summary", "which table: template | summary | extended | card | matrix")
 	format := flag.String("format", "text", "output format: text | markdown | csv")
 	fwName := flag.String("framework", "LANL-Trace", "framework name for -table card (see -list)")
-	wlName := flag.String("workload", "", "restrict measurement to one workload (see -list-workloads); empty or all = every workload for tables, but -exp scaling/servers default to N-1 strided (all = registry)")
+	wlName := flag.String("workload", "", "restrict measurement to one workload (see -list-workloads); empty or all = every workload")
 	measured := flag.Bool("measured", false, "re-measure overheads on the simulated cluster (slow)")
 	list := flag.Bool("list", false, "list registered frameworks and exit")
 	listWorkloads := flag.Bool("list-workloads", false, "list registered workloads and exit")
-	exp := flag.String("exp", "", "run an experiment instead of printing a table: scaling | servers")
-	scaleMode := flag.String("scale-mode", "weak", "scaling mode for -exp scaling: weak | strong")
-	maxRanks := flag.Int("max-ranks", harness.DefaultMaxRanks, "top rung of the -exp scaling rank ladder (e.g. 4096)")
-	maxServers := flag.Int("max-servers", harness.DefaultMaxServers, "top rung of the -exp servers object-server ladder")
-	ranksPerNode := flag.Int("ranks-per-node", 1, "MPI ranks placed per compute node (placement axis)")
 	cacheDir := flag.String("cache-dir", harness.DefaultCacheDir(), "directory for the persisted simulation-result cache (empty = in-memory only)")
-	noCache := flag.Bool("no-cache", false, "disable the persisted simulation-result cache (in-run baseline sharing still applies)")
-	poolMem := flag.String("pool-mem", "", "memory budget for the simulation worker pool, e.g. 2GB or 512MB (empty = unlimited)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "iotaxo: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
 		os.Exit(2)
 	}
-
-	if budget, err := harness.ParseMemBudget(*poolMem); err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(2)
-	} else {
-		harness.SetPoolMemBudget(budget)
-	}
-
-	cache := resolveCache(*cacheDir, *noCache)
 
 	if *list {
 		fmt.Print(listOutput())
@@ -77,18 +55,6 @@ func main() {
 	}
 	if *listWorkloads {
 		fmt.Print(listWorkloadsOutput())
-		return
-	}
-	if *exp != "" {
-		switch *exp {
-		case "scaling":
-			runLadder(cache, harness.RankAxis, "ranks", *scaleMode, *maxRanks, *maxServers, *ranksPerNode, *wlName)
-		case "servers":
-			runLadder(cache, harness.ServerAxis, "PFS object servers", *scaleMode, *maxRanks, *maxServers, *ranksPerNode, *wlName)
-		default:
-			fmt.Fprintf(os.Stderr, "iotaxo: unknown experiment %q (have scaling, servers)\n", *exp)
-			os.Exit(2)
-		}
 		return
 	}
 
@@ -99,7 +65,7 @@ func main() {
 	if *table == "matrix" {
 		o = harness.MatrixSmokeOptions()
 	}
-	o.Cache = cache
+	o.Cache = harness.NewCache(*cacheDir)
 	if *wlName != "" && *wlName != "all" {
 		w, ok := workload.ByName(*wlName)
 		if !ok {
@@ -171,39 +137,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "iotaxo: unknown table %q\n", *table)
 		os.Exit(2)
 	}
-}
-
-// resolveCache builds the CLI's simulation-result cache: persisted under
-// dir by default, in-memory only with -no-cache (in-run baseline sharing
-// needs no directory). The cache only ever accelerates — results are
-// byte-identical with or without it — but it addresses simulation *inputs*:
-// after changing simulator code, clear the directory (or run -no-cache).
-func resolveCache(dir string, noCache bool) *harness.Cache {
-	if noCache {
-		return harness.NewCache("")
-	}
-	return harness.NewCache(dir)
-}
-
-// runLadder measures overhead along one testbed axis for every registered
-// framework: the -exp scaling (ranks) and -exp servers (PFS object servers)
-// experiments. Flag resolution is shared with tracebench via
-// harness.ResolveLadderOptions.
-func runLadder(cache *harness.Cache, ax harness.Axis, label, mode string, maxRanks, maxServers, ranksPerNode int, wlName string) {
-	o, err := harness.ResolveLadderOptions(harness.LadderOptions(), mode, maxRanks, maxServers, 0, ranksPerNode, wlName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(2)
-	}
-	o.Cache = cache
-	fmt.Printf("# measuring overhead vs %s on the simulated cluster...\n", label)
-	res, err := harness.SeriesMatrixSweep(ax, o)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "iotaxo: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Format())
-	fmt.Fprintln(os.Stderr, res.Stats.Footer())
 }
 
 // listOutput renders the framework registry: every framework that can be

@@ -50,17 +50,8 @@ func main() {
 	maxServers := flag.Int("max-servers", 0, "top rung of the -exp servers object-server ladder (default 16, 4 with -quick)")
 	ranksPerNode := flag.Int("ranks-per-node", 1, "MPI ranks placed per compute node for -exp scaling/servers (placement axis)")
 	cacheDir := flag.String("cache-dir", harness.DefaultCacheDir(), "directory for the persisted simulation-result cache (empty = in-memory only)")
-	noCache := flag.Bool("no-cache", false, "disable the persisted simulation-result cache (in-run baseline sharing still applies)")
 	bench := flag.String("bench", "", "run one benchmark (sweep | ladder | codec; ladder climbs to -max-ranks, default 65536), write its JSON snapshot to the file argument (default BENCH_<name>.json), then exit (nonzero if it fails or misses a bar)")
-	poolMem := flag.String("pool-mem", "", "memory budget for the simulation worker pool, e.g. 2GB or 512MB (empty = unlimited)")
 	flag.Parse()
-
-	if budget, err := harness.ParseMemBudget(*poolMem); err != nil {
-		fmt.Fprintf(os.Stderr, "tracebench: %v\n", err)
-		os.Exit(2)
-	} else {
-		harness.SetPoolMemBudget(budget)
-	}
 
 	if *bench == "" && flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "tracebench: unexpected arguments %q (every option is a flag, and flags go first)\n", flag.Args())
@@ -76,9 +67,6 @@ func main() {
 	}
 
 	cache := harness.NewCache(*cacheDir)
-	if *noCache {
-		cache = harness.NewCache("")
-	}
 
 	o := harness.DefaultOptions()
 	if *full {

@@ -14,10 +14,10 @@ import (
 )
 
 // exportAllowlist names the exported top-level functions ("pkg.Func") and
-// methods ("pkg.Type.Method") in internal/ that may stand without a caller
-// in non-test code, each with its reason. Anything else without a caller is
-// dead API: delete it, or move a probe only its own package's tests use
-// into a _test.go file.
+// methods ("pkg.Type.Method", the type possibly an interface) in internal/
+// that may stand without a caller in non-test code, each with its reason.
+// Anything else without a caller is dead API: delete it, or move a probe
+// only its own package's tests use into a _test.go file.
 var exportAllowlist = map[string]string{
 	"core.PaperTable2":              "paper surface: renders the paper's Table 2",
 	"lanltrace.GeneratePseudoApp":   "paper surface: LANL-Trace's pseudo-application replay from raw trace text",
@@ -34,6 +34,7 @@ var exportAllowlist = map[string]string{
 
 	"aggregate.Aggregator.Sources":      "paper section 6 trace-data API: lists the registered trace sources",
 	"aggregate.Aggregator.TimelineCSV":  "paper section 6 trace-data API: the merged timeline as CSV",
+	"aggregate.Source.Capabilities":     "paper section 6 trace-data API: which taxonomy axes a source's data supports",
 	"analysis.RankBalance.Format":       "analysis-tools axis: renders ComputeRankBalance",
 	"analysis.SizeHistogram.Format":     "analysis-tools axis: renders HistogramSizesSource",
 	"disk.Disk.Fail":                    "fault-handling axis: RAID fault injection",
@@ -54,9 +55,10 @@ var exportAllowlist = map[string]string{
 	"harness.TracefsResult.MaxOverhead": "probe read by the root BenchmarkTracefsOverhead",
 }
 
-// TestNoDeadExports fails when an exported top-level function or an exported
-// method of a named type in internal/ has no use in the non-test Go files
-// under cmd/, examples/, perfbench/ or internal/, and is not allowlisted.
+// TestNoDeadExports fails when an exported top-level function, an exported
+// method of a named type or an exported method of a named interface in
+// internal/ has no use in the non-test Go files under cmd/, examples/,
+// perfbench/ or internal/, and is not allowlisted.
 // Tests do not count as callers: a name only tests use is either a probe that
 // belongs in a _test.go file or API to delete.
 //
@@ -64,8 +66,16 @@ var exportAllowlist = map[string]string{
 // declared object, not one that merely shares its name. A method also counts
 // as used when its type (T or *T) implements an interface, declared in the
 // repo or in an imported package, that has a method of that name: calls
-// through the interface reach it.
+// through the interface reach it. An interface's own method is used only by
+// an identifier that resolves to it, a call through the interface: that
+// concrete types implement it is no use.
+//
+// The pass type-checks the whole module, so -short skips it; go test ./...
+// runs it.
 func TestNoDeadExports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
 	prog, err := loadRepo([]string{"cmd", "examples", "perfbench", "internal"})
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +199,9 @@ func (prog *repoProgram) Import(path string) (*types.Package, error) {
 
 // internalExports maps "pkg.Func" and "pkg.Type.Method" to every exported
 // top-level function and every exported method of a package-level named
-// type in internal/.
+// type in internal/. An interface type contributes the methods it declares
+// itself; the methods it embeds are keyed under the interfaces that declare
+// them.
 func (prog *repoProgram) internalExports() map[string]*types.Func {
 	out := make(map[string]*types.Func)
 	for _, cp := range prog.order {
@@ -209,7 +221,11 @@ func (prog *repoProgram) internalExports() map[string]*types.Func {
 				if !ok || obj.IsAlias() {
 					continue
 				}
-				for m := range named.Methods() {
+				methods := named.Methods()
+				if iface, ok := named.Underlying().(*types.Interface); ok {
+					methods = iface.ExplicitMethods()
+				}
+				for m := range methods {
 					if m.Exported() {
 						out[pkgPath+"."+name+"."+m.Name()] = m
 					}
@@ -292,11 +308,12 @@ func (prog *repoProgram) interfaces() []*types.Interface {
 	return out
 }
 
-// satisfiesInterface reports whether fn is a method whose receiver type,
-// as T or *T, implements one of ifaces that declares a method of fn's name.
+// satisfiesInterface reports whether fn is a concrete method whose receiver
+// type, as T or *T, implements one of ifaces that declares a method of fn's
+// name.
 func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
 	recv := fn.Signature().Recv()
-	if recv == nil {
+	if recv == nil || types.IsInterface(recv.Type()) {
 		return false
 	}
 	t := recv.Type()

@@ -15,7 +15,6 @@ import (
 	"iotaxo/internal/harness"
 	"iotaxo/internal/interpose"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -63,10 +62,8 @@ func (kprobeTrace) Attach(c *cluster.Cluster) framework.Session {
 		PerOutputByte: 5 * sim.Nanosecond,
 	}
 	for i := 0; i < c.World.Size(); i++ {
-		col := &interpose.Collector{}
-		rec := interpose.NewRecorder(model, col)
+		rec := interpose.NewRecorder(model, &interpose.Collector{})
 		c.World.Rank(i).AttachLibHook(rec)
-		s.cols = append(s.cols, col)
 		s.recs = append(s.recs, rec)
 	}
 	return s
@@ -74,7 +71,6 @@ func (kprobeTrace) Attach(c *cluster.Cluster) framework.Session {
 
 type kprobeSession struct {
 	c    *cluster.Cluster
-	cols []*interpose.Collector
 	recs []*interpose.Recorder
 }
 
@@ -86,14 +82,6 @@ func (s *kprobeSession) Run(spec workload.Spec) (framework.Report, error) {
 		rep.TraceBytes += r.OutputBytes
 	}
 	return rep, nil
-}
-
-func (s *kprobeSession) Sources() []trace.Source {
-	out := make([]trace.Source, len(s.cols))
-	for i, col := range s.cols {
-		out[i] = col.Source()
-	}
-	return out
 }
 
 func main() {

@@ -41,9 +41,6 @@ type Source interface {
 	// returns an independent cursor; records are safe for the caller to
 	// mutate.
 	Open() (trace.Source, error)
-	// Records returns the source's events. Implementations return copies;
-	// callers may mutate the result.
-	Records() ([]trace.Record, error)
 	// Capabilities describes the data.
 	Capabilities() Capabilities
 }
@@ -72,21 +69,6 @@ func (s *streamSource) Capabilities() Capabilities { return s.caps }
 
 func (s *streamSource) Open() (trace.Source, error) {
 	return s.open()
-}
-
-func (s *streamSource) Records() ([]trace.Record, error) {
-	src, err := s.Open()
-	if err != nil {
-		return nil, err
-	}
-	recs, err := trace.Collect(src)
-	if err != nil {
-		return nil, err
-	}
-	if recs == nil {
-		recs = []trace.Record{}
-	}
-	return recs, nil
 }
 
 // FromRecords wraps a plain record slice (e.g. parsed from a file).

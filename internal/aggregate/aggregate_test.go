@@ -29,6 +29,20 @@ func mkRecords(n int, class trace.EventClass, startAt sim.Time) []trace.Record {
 	return out
 }
 
+// records drains one fresh cursor over src.
+func records(t *testing.T, src Source) []trace.Record {
+	t.Helper()
+	cur, err := src.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.Collect(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestMergedOrdersAcrossSources(t *testing.T) {
 	a := New(
 		FromRecords("A", mkRecords(3, trace.ClassSyscall, 10*sim.Millisecond), Capabilities{}),
@@ -98,10 +112,7 @@ func TestLANLTraceSourceCorrectsSkew(t *testing.T) {
 	if !src.Capabilities().SkewCorrected {
 		t.Fatal("LANL-Trace source should be skew corrected")
 	}
-	recs, err := src.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := records(t, src)
 	if len(recs) == 0 {
 		t.Fatal("no records")
 	}
@@ -154,10 +165,7 @@ func TestReplayableSource(t *testing.T) {
 	if !src.Capabilities().Replayable {
 		t.Fatal("replayable capability missing")
 	}
-	recs, err := src.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := records(t, src)
 	if len(recs) != gen.Trace.OpCount() {
 		t.Fatalf("records = %d, ops = %d", len(recs), gen.Trace.OpCount())
 	}
@@ -205,9 +213,9 @@ func TestTimelineCSV(t *testing.T) {
 func TestSourcesMutationIsolation(t *testing.T) {
 	recs := mkRecords(1, trace.ClassSyscall, 0)
 	src := FromRecords("A", recs, Capabilities{})
-	got, _ := src.Records()
+	got := records(t, src)
 	got[0].Path = "/mutated"
-	again, _ := src.Records()
+	again := records(t, src)
 	if again[0].Path == "/mutated" {
 		t.Fatal("source exposes shared storage")
 	}

@@ -308,7 +308,7 @@ func TestTotalOpsCounts(t *testing.T) {
 func TestArrayCallAllocatesNothing(t *testing.T) {
 	env := sim.NewEnv(1)
 	a := NewArray(env, DefaultArray())
-	finished := sim.NewMailbox[error](env)
+	finished := new(sim.Mailbox[error]).Init(env)
 	done := func(err error) { finished.Put(err) }
 	allocs := -1.0
 	env.Go("client", func(p *sim.Proc) {

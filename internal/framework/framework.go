@@ -22,7 +22,6 @@ import (
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -42,13 +41,11 @@ type Framework interface {
 }
 
 // Session is one attached tracing instance. Run executes a workload spec
-// under tracing and reports the measurement; Sources exposes the records
-// the tracer captured, one stream per trace file it would have written.
-// The spec is any registered workload instantiated at some scale — sessions
-// wrap spec.Program with their probes and carry no workload knowledge.
+// under tracing and reports the measurement. The spec is any registered
+// workload instantiated at some scale — sessions wrap spec.Program with
+// their probes and carry no workload knowledge.
 type Session interface {
 	Run(spec workload.Spec) (Report, error)
-	Sources() []trace.Source
 }
 
 // Report is the quantitative outcome of one traced run: everything the

@@ -336,18 +336,12 @@ type SweepStats struct {
 	// PeakHeapBytes is the process heap high-water (HeapAlloc) sampled by
 	// the scheduler while this call's tasks ran.
 	PeakHeapBytes uint64
-	// MemBudget is the pool's memory budget in bytes (0 = unlimited).
-	MemBudget int64
 }
 
 // Footer renders the one-line accounting summary the CLIs print to stderr.
 func (s SweepStats) Footer() string {
-	f := fmt.Sprintf("# simulations: %d executed, %d shared baselines, %d cached (%d memory, %d disk); scheduler peak %d/%d; heap peak %s",
+	return fmt.Sprintf("# simulations: %d executed, %d shared baselines, %d cached (%d memory, %d disk); scheduler peak %d/%d; heap peak %s",
 		s.Executed, s.Shared, s.Hits(), s.MemHits, s.DiskHits, s.PeakConcurrency, s.PoolSize, fmtBytes(s.PeakHeapBytes))
-	if s.MemBudget > 0 {
-		f += fmt.Sprintf(" of %s budget", fmtBytes(uint64(s.MemBudget)))
-	}
-	return f
 }
 
 // fmtBytes renders a byte count with a binary-unit suffix for the footer.
@@ -371,6 +365,5 @@ func sweepStatsSince(c *Cache, before CacheStats) SweepStats {
 		PeakConcurrency: sched.peakConcurrency(),
 		PoolSize:        sched.size(),
 		PeakHeapBytes:   sched.peakHeapBytes(),
-		MemBudget:       sched.memBudgetBytes(),
 	}
 }

@@ -65,62 +65,6 @@ func TestSchedulerEmptyAndZeroSize(t *testing.T) {
 	}
 }
 
-// TestSchedulerMemBudgetSerializes pins the memory-sized pool: once the
-// per-task footprint estimate exists, a budget that fits only one task at a
-// time must degrade a wide pool to serial execution — never deadlock, never
-// exceed the budget with a second admission.
-func TestSchedulerMemBudgetSerializes(t *testing.T) {
-	s := newScheduler(4)
-	s.setMemBudget(100)
-	s.noteTaskGrowth(80) // one task's estimated footprint: only one fits
-	var ran atomic.Int64
-	tasks := make([]func(), 12)
-	for i := range tasks {
-		tasks[i] = func() {
-			time.Sleep(time.Millisecond)
-			ran.Add(1)
-		}
-	}
-	s.runAll(tasks)
-	if got := ran.Load(); got != 12 {
-		t.Fatalf("ran %d tasks, want 12", got)
-	}
-	if peak := s.peakConcurrency(); peak != 1 {
-		t.Fatalf("peak concurrency %d under one-task budget, want 1", peak)
-	}
-	// A budget with room for the whole pool re-widens it (sized off the
-	// live estimate, which the instrumented phase above has updated with
-	// real measurements).
-	s.resetPeak()
-	s.setMemBudget(s.taskHW.Load()*int64(s.size()) + 1)
-	s.runAll(tasks)
-	if peak := s.peakConcurrency(); peak < 2 {
-		t.Fatalf("peak concurrency %d under ample budget, want > 1", peak)
-	}
-}
-
-// TestSchedulerColdPoolUnthrottled: with no completed task to estimate
-// from, a budget must not serialize the first wave (the estimate is zero).
-func TestSchedulerColdPoolUnthrottled(t *testing.T) {
-	s := newScheduler(4)
-	s.setMemBudget(1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	gate := make(chan struct{})
-	tasks := []func(){
-		func() { wg.Done(); <-gate },
-		func() { wg.Wait(); close(gate) }, // deadlocks unless both admitted
-		func() {}, func() {},
-	}
-	done := make(chan struct{})
-	go func() { s.runAll(tasks); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cold pool serialized under budget: concurrent tasks deadlocked")
-	}
-}
-
 func TestSchedulerHeapWatermark(t *testing.T) {
 	s := newScheduler(2)
 	s.resetPeak()
@@ -134,41 +78,10 @@ func TestSchedulerHeapWatermark(t *testing.T) {
 	_ = sink
 }
 
-func TestParseMemBudget(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want int64
-		ok   bool
-	}{
-		{"", 0, true},
-		{"0", 0, true},
-		{"512MB", 512 << 20, true},
-		{"512MiB", 512 << 20, true},
-		{"2GB", 2 << 30, true},
-		{"2gb", 2 << 30, true},
-		{" 1.5 GB ", 3 << 29, true},
-		{"64KB", 64 << 10, true},
-		{"1TB", 1 << 40, true},
-		{"123", 123, true},
-		{"123B", 123, true},
-		{"-1GB", 0, false},
-		{"lots", 0, false},
-	} {
-		got, err := ParseMemBudget(c.in)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseMemBudget(%q) = %d, %v; want %d, ok=%v", c.in, got, err, c.want, c.ok)
-		}
-	}
-}
-
 func TestSweepStatsFooterRendersMemory(t *testing.T) {
 	s := SweepStats{PeakHeapBytes: 5 << 20}
 	if f := s.Footer(); !strings.Contains(f, "heap peak 5.0 MiB") {
 		t.Fatalf("footer missing heap peak: %q", f)
-	}
-	s.MemBudget = 2 << 30
-	if f := s.Footer(); !strings.Contains(f, "of 2.0 GiB budget") {
-		t.Fatalf("footer missing budget: %q", f)
 	}
 }
 

@@ -1,11 +1,8 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,46 +30,6 @@ const simPoolCap = 16
 // PoolSize reports the scheduler's concurrency bound:
 // min(GOMAXPROCS, simPoolCap), floored at 1.
 func PoolSize() int { return sched.size() }
-
-// SetPoolMemBudget bounds the pool by memory as well as by slots: while the
-// estimated heap footprint of running tasks would exceed budget bytes, new
-// tasks wait — except that one task is always admitted, so the pool cannot
-// deadlock and a budget smaller than any single simulation degrades to
-// serial execution rather than failure. Zero (the default) means unlimited.
-// The per-task footprint estimate is the largest heap growth observed across
-// completed tasks, so the first wave runs unthrottled and the bound tightens
-// as real measurements arrive.
-func SetPoolMemBudget(bytes int64) { sched.setMemBudget(bytes) }
-
-// ParseMemBudget parses a human-readable -pool-mem value: a decimal number
-// with an optional B/KB/MB/GB/TB (or KiB/MiB/GiB/TiB) suffix, all binary
-// powers of 1024. Empty and "0" mean unlimited.
-func ParseMemBudget(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, nil
-	}
-	upper := strings.ToUpper(t)
-	shift := 0
-	for _, u := range []struct {
-		suffix string
-		shift  int
-	}{
-		{"KIB", 10}, {"MIB", 20}, {"GIB", 30}, {"TIB", 40},
-		{"KB", 10}, {"MB", 20}, {"GB", 30}, {"TB", 40}, {"B", 0},
-	} {
-		if strings.HasSuffix(upper, u.suffix) {
-			upper = strings.TrimSuffix(upper, u.suffix)
-			shift = u.shift
-			break
-		}
-	}
-	n, err := strconv.ParseFloat(strings.TrimSpace(upper), 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("harness: bad memory budget %q (want e.g. 2GB, 512MB)", s)
-	}
-	return int64(n * float64(int64(1)<<shift)), nil
-}
 
 // sched is the package-wide scheduler shared by the sweep engine and the
 // deep-dive experiments: concurrent engine calls draw from one slot pool,
@@ -102,29 +59,13 @@ type scheduler struct {
 	// at every task boundary and by a coarse ticker during run calls, so it
 	// tracks mid-task highs, not just settle points.
 	peakHeap atomic.Uint64
-	// taskHW is the largest single-task heap growth observed (bytes): the
-	// per-task footprint estimate driving memory-budget admission. With
-	// concurrent tasks the boundary delta over-attributes neighbours'
-	// allocations; that errs toward admitting less, which is the safe side.
-	taskHW atomic.Int64
-
-	// Memory-budget admission gate. memReserved totals the footprint
-	// estimates of admitted-but-unfinished tasks; memRunning keeps the
-	// always-admit-one guarantee deadlock-free. All guarded by memMu.
-	memMu       sync.Mutex
-	memCond     *sync.Cond
-	memBudget   int64
-	memReserved int64
-	memRunning  int
 }
 
 func newScheduler(size int) *scheduler {
 	if size < 1 {
 		size = 1
 	}
-	s := &scheduler{slots: make(chan struct{}, size)}
-	s.memCond = sync.NewCond(&s.memMu)
-	return s
+	return &scheduler{slots: make(chan struct{}, size)}
 }
 
 // size returns the concurrency bound.
@@ -144,61 +85,13 @@ func (s *scheduler) peakConcurrency() int { return int(s.peak.Load()) }
 // tasks ran since the last resetPeak.
 func (s *scheduler) peakHeapBytes() uint64 { return s.peakHeap.Load() }
 
-func (s *scheduler) setMemBudget(b int64) {
-	s.memMu.Lock()
-	s.memBudget = b
-	s.memMu.Unlock()
-	s.memCond.Broadcast()
-}
-
-func (s *scheduler) memBudgetBytes() int64 {
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	return s.memBudget
-}
-
 // sampleHeap reads the live heap size and folds it into the high-water mark.
-func (s *scheduler) sampleHeap() uint64 {
+func (s *scheduler) sampleHeap() {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	for {
 		p := s.peakHeap.Load()
 		if ms.HeapAlloc <= p || s.peakHeap.CompareAndSwap(p, ms.HeapAlloc) {
-			return ms.HeapAlloc
-		}
-	}
-}
-
-// memAcquire admits one task under the memory budget, blocking until its
-// estimated footprint fits (or the pool is idle — one task always runs).
-// It returns the bytes reserved, which memRelease must return verbatim.
-func (s *scheduler) memAcquire() int64 {
-	s.memMu.Lock()
-	defer s.memMu.Unlock()
-	est := s.taskHW.Load()
-	for s.memBudget > 0 && s.memRunning > 0 && s.memReserved+est > s.memBudget {
-		s.memCond.Wait()
-		est = s.taskHW.Load()
-	}
-	s.memReserved += est
-	s.memRunning++
-	return est
-}
-
-func (s *scheduler) memRelease(reserved int64) {
-	s.memMu.Lock()
-	s.memReserved -= reserved
-	s.memRunning--
-	s.memMu.Unlock()
-	s.memCond.Broadcast()
-}
-
-// noteTaskGrowth folds one task's boundary heap delta into the per-task
-// footprint estimate (monotone max).
-func (s *scheduler) noteTaskGrowth(growth int64) {
-	for {
-		p := s.taskHW.Load()
-		if growth <= p || s.taskHW.CompareAndSwap(p, growth) {
 			return
 		}
 	}
@@ -274,7 +167,6 @@ func (s *scheduler) run(tasks []task) {
 					return
 				}
 				s.slots <- struct{}{}
-				reserved := s.memAcquire()
 				a := s.active.Add(1)
 				for {
 					p := s.peak.Load()
@@ -282,12 +174,10 @@ func (s *scheduler) run(tasks []task) {
 						break
 					}
 				}
-				h0 := s.sampleHeap()
+				s.sampleHeap()
 				ordered[i].run()
-				h1 := s.sampleHeap()
-				s.noteTaskGrowth(int64(h1) - int64(h0))
+				s.sampleHeap()
 				s.active.Add(-1)
-				s.memRelease(reserved)
 				<-s.slots
 			}
 		}()

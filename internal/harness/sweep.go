@@ -208,9 +208,8 @@ func (o Options) scaleRung(ranks int) workload.Scale {
 	return workload.WeakScale(block, o.PerRankBytes)
 }
 
-// ResolveLadderOptions builds a ladder experiment's configuration from CLI
-// flag values, shared by `iotaxo -exp scaling|servers` and `tracebench -exp
-// scaling|servers` so the front ends cannot drift. mode must parse.
+// ResolveLadderOptions builds a ladder experiment's configuration from
+// `tracebench -exp scaling|servers` flag values. mode must parse.
 // maxRanks, maxServers, ranks and ranksPerNode override the base when
 // positive, keep it when zero, and are rejected when negative. The workload
 // token selects the column axis: empty means the paper's most demanding

@@ -8,7 +8,6 @@ import (
 	"iotaxo/internal/interpose"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -69,18 +68,6 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 		TraceEvents:    rep.TraceEvents,
 		TraceBytes:     rep.TraceBytes,
 	}, nil
-}
-
-// Sources streams each rank's raw trace file, time-ordered within the rank.
-func (s *fwSession) Sources() []trace.Source {
-	if s.rep == nil {
-		return nil
-	}
-	out := make([]trace.Source, 0, len(s.rep.PerRank))
-	for i := range s.rep.PerRank {
-		out = append(out, s.rep.RankSource(i))
-	}
-	return out
 }
 
 // Report exposes the full LANL-Trace report (timing samples, clock

@@ -88,7 +88,7 @@ func (f *File) writeCollectiveBody(p *sim.Proc, mine []collPiece) (int64, error)
 		myBytes += pc.Length
 	}
 	contribution := collContribution{Rank: r.rank, Pieces: mine}
-	gathered := r.gatherRaw(p, 0, 16+int64(len(mine))*16, contribution)
+	gathered := r.gatherRaw(p, 16+int64(len(mine))*16, contribution)
 	var all []collContribution
 	if r.rank == 0 {
 		all = make([]collContribution, 0, size)
@@ -101,7 +101,7 @@ func (f *File) writeCollectiveBody(p *sim.Proc, mine []collPiece) (int64, error)
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Rank < all[j].Rank })
 	}
-	bcasted := r.bcastBody(p, 0, int64(size)*64, all)
+	bcasted := r.bcastBody(p, int64(size)*64, all)
 	all, _ = bcasted.([]collContribution)
 	if len(all) != size {
 		return 0, fmt.Errorf("mpi: collective exchange failed (%d/%d)", len(all), size)

@@ -230,51 +230,45 @@ func (r *Rank) barrierBody(p *sim.Proc) {
 	}
 }
 
-// bcastBody runs the classic MPICH binomial-tree broadcast: a nonzero
-// relative rank receives from (rel - lowbit(rel)), then forwards to
-// (rel + mask) for each mask below its receive round.
-func (r *Rank) bcastBody(p *sim.Proc, root int, bytes int64, data any) any {
+// bcastBody runs the classic MPICH binomial-tree broadcast from rank 0: a
+// nonzero rank receives from (rank - lowbit(rank)), then forwards to
+// (rank + mask) for each mask below its receive round.
+func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
 	n := len(r.world.ranks)
 	if n == 1 {
 		return data
 	}
-	rel := (r.rank - root + n) % n
 	const tag = -777
 	got := data
 	mask := 1
 	for mask < n {
-		if rel&mask != 0 {
-			parent := (rel - mask + root) % n
-			m := r.recvRaw(p, parent, tag)
+		if r.rank&mask != 0 {
+			m := r.recvRaw(p, r.rank-mask, tag)
 			got = m.Data
 			break
 		}
 		mask <<= 1
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
-		if rel+mask < n {
-			child := (rel + mask + root) % n
-			r.sendRaw(p, child, tag, bytes, got)
+		if r.rank+mask < n {
+			r.sendRaw(p, r.rank+mask, tag, bytes, got)
 		}
 	}
 	return got
 }
 
-// gatherRaw collects one value per rank at root, indexed by rank, without
+// gatherRaw collects one value per rank at rank 0, indexed by rank, without
 // tracing: the access-set exchange inside collective I/O.
-func (r *Rank) gatherRaw(p *sim.Proc, root int, bytes int64, contribution any) []any {
+func (r *Rank) gatherRaw(p *sim.Proc, bytes int64, contribution any) []any {
 	n := len(r.world.ranks)
 	const tag = -889
-	if r.rank != root {
-		r.sendRaw(p, root, tag, bytes, contribution)
+	if r.rank != 0 {
+		r.sendRaw(p, 0, tag, bytes, contribution)
 		return nil
 	}
 	out := make([]any, n)
-	out[root] = contribution
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
+	out[0] = contribution
+	for i := 1; i < n; i++ {
 		m := r.recvRaw(p, i, tag)
 		out[m.From] = m.Data
 	}

@@ -55,15 +55,6 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 	return rep, nil
 }
 
-// Sources streams the three per-layer trace files.
-func (s *fwSession) Sources() []trace.Source {
-	return []trace.Source{
-		s.ml.LayerSource(LayerLibrary),
-		s.ml.LayerSource(LayerSyscall),
-		s.ml.LayerSource(LayerFS),
-	}
-}
-
 // Analyzer exposes the attached multi-layer session for cross-layer
 // latency attribution (Analyze, Totals). perfbench's trace-query workload
 // reaches it through an interface assertion.

@@ -48,7 +48,7 @@ type Message struct {
 	Payload any
 
 	// Span is the causal span the message travels under: the sender's
-	// current span (stamped automatically by Send/Call, explicitly by the
+	// current span (stamped automatically by Send, explicitly by the
 	// event-chain variants). When a network tracer is attached, delivery
 	// records a ClassNetMsg child span and rewrites this field to it, so the
 	// receiver's records parent to the network hop.
@@ -343,43 +343,35 @@ func (d *delivery) rxDone() {
 	box.Put(msg)
 }
 
-// Call performs a synchronous request/response exchange: it sends req to
-// (To, Port) and blocks until a reply arrives on the caller's private reply
-// mailbox, which is passed to the server inside the request payload.
-//
-// Request/response protocols (the PFS client, MPI rendezvous) are built on
-// this helper. The reply payload is returned as-is.
+// rpc is a request/response exchange's request payload: the request and the
+// caller's private reply mailbox, which the server answers on. The mailbox
+// lives inside the payload, so a call allocates one object for both.
 type rpc struct {
 	Req   any
-	Reply *sim.Mailbox[Message]
+	Reply sim.Mailbox[Message]
 }
 
-// Call sends req and waits for the matching reply. replySize is the payload
-// size of the response message travelling back.
-func (n *Network) Call(p *sim.Proc, from, to string, port int, reqSize int64, req any) any {
-	reply := sim.NewMailbox[Message](n.env)
-	n.Send(p, Message{From: from, To: to, Port: port, Size: reqSize,
-		Payload: rpc{Req: req, Reply: reply}})
-	resp := reply.Get(p)
-	return resp.Payload
-}
-
-// CallThenSpan performs the request/response exchange of Call as a pure
-// event chain: done receives the reply payload at the instant a process
-// blocked in Call would resume. The private reply mailbox is consumed with
-// GetThen, so no process parks anywhere on the path. Event-chain callers have
-// no process to stamp a span from, so the request's causal span is passed
-// explicitly.
-func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any, span uint64, done func(resp any)) {
-	reply := sim.NewMailbox[Message](n.env)
+// CallThenSpan performs a request/response exchange as a pure event chain:
+// it sends req to (to, port) and done receives the reply message as it
+// lands on a private reply mailbox. The PFS client builds its data and
+// metadata RPCs on it; a process awaits it with p.Await, passing p.Span().
+// Event-chain callers have no process to stamp a span from, so the
+// request's causal span is passed explicitly.
+//
+// done waits on the reply mailbox before the request is sent: the reply
+// cannot land before the request has left, so the early wait moves no
+// event, and the send needs no completion callback of its own.
+func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any, span uint64, done func(Message)) {
+	call := &rpc{Req: req}
+	call.Reply.Init(n.env).GetThen(done)
 	n.SendThen(Message{From: from, To: to, Port: port, Size: reqSize,
-		Payload: rpc{Req: req, Reply: reply}, Span: span}, func() {
-		reply.GetThen(func(m Message) { done(m.Payload) })
-	})
+		Payload: call, Span: span}, nop)
 }
+
+func nop() {}
 
 // ServeRequestThen unwraps a message received by a server loop. If the
-// message was produced by Call or CallThenSpan, it returns the inner request
+// message was produced by CallThenSpan, it returns the inner request
 // and a respond function that sends respSize payload bytes back to the
 // caller; otherwise respond is nil and the raw payload is returned.
 //
@@ -390,11 +382,11 @@ func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any
 // client rx) under the request's span, so the reply hop joins the same
 // causal subtree.
 func (n *Network) ServeRequestThen(server string, msg Message) (req any, respond func(respSize int64, resp any, done func())) {
-	call, ok := msg.Payload.(rpc)
+	call, ok := msg.Payload.(*rpc)
 	if !ok {
 		return msg.Payload, nil
 	}
-	reply := call.Reply
+	reply := &call.Reply
 	from := msg.From
 	reqSpan := msg.Span
 	return call.Req, func(respSize int64, resp any, done func()) {

@@ -161,7 +161,12 @@ func TestCallRoundTrip(t *testing.T) {
 	})
 	var reply any
 	env.Go("client", func(p *sim.Proc) {
-		reply = n.Call(p, "a", "b", 2, 100, "ping")
+		p.Await(func(wake func()) {
+			n.CallThenSpan("a", "b", 2, 100, "ping", p.Span(), func(m Message) {
+				reply = m.Payload
+				wake()
+			})
+		})
 	})
 	env.Run()
 	if reply != "pong" {

@@ -7,7 +7,6 @@ import (
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -30,9 +29,8 @@ func (a *fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 }
 
 type fwSession struct {
-	fw    *Framework
-	c     *cluster.Cluster
-	hooks []*ioHook
+	fw *Framework
+	c  *cluster.Cluster
 }
 
 // Run produces a replayable trace for the workload through the same
@@ -59,7 +57,6 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 	if err != nil {
 		return framework.Report{}, err
 	}
-	s.hooks = baseHooks
 
 	rep := framework.Report{
 		Result:         spec.ResultFromStats(baseElapsed, perRank),
@@ -81,18 +78,4 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 	rep.ReplayMeasured = true
 	rep.ReplayErr = replay.Fidelity(gen.Trace.OriginalElapsed, rr.Elapsed)
 	return rep, nil
-}
-
-// Sources streams each rank's observed call stream (I/O and MPI calls) in
-// observation order — the per-rank human-readable trace files.
-func (s *fwSession) Sources() []trace.Source {
-	out := make([]trace.Source, 0, len(s.hooks))
-	for _, h := range s.hooks {
-		recs := make([]trace.Record, len(h.all))
-		for i := range h.all {
-			recs[i] = h.all[i].rec
-		}
-		out = append(out, trace.SliceSource(recs))
-	}
-	return out
 }

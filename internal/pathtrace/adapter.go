@@ -34,9 +34,7 @@ func (fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 	s := &fwSession{c: c, tracer: NewTracer()}
 	for i := 0; i < c.World.Size(); i++ {
 		r := c.World.Rank(i)
-		h := &pathHook{s: s, rank: i, node: r.Node()}
-		r.AttachLibHook(h)
-		s.hooks = append(s.hooks, h)
+		r.AttachLibHook(&pathHook{s: s, rank: i, node: r.Node()})
 	}
 	return s
 }
@@ -44,7 +42,6 @@ func (fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 type fwSession struct {
 	c      *cluster.Cluster
 	tracer *Tracer
-	hooks  []*pathHook
 	root   *Baggage
 	joins  int
 }
@@ -55,7 +52,6 @@ type pathHook struct {
 	rank int
 	node string
 	ctx  *Ctx
-	recs []trace.Record
 }
 
 // Enter implements mpi.LibHook.
@@ -77,7 +73,6 @@ func (h *pathHook) Exit(p *sim.Proc, rec *trace.Record) {
 		}
 	}
 	h.ctx.Record(p, rec.Name)
-	h.recs = append(h.recs, rec.Clone())
 }
 
 // Run executes the workload with the path instrumentation active.
@@ -94,13 +89,4 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 		rep.TraceBytes += int64(24 + len(e.Label) + len(e.Node)) // task+event ids, parents, label
 	}
 	return rep, nil
-}
-
-// Sources streams each rank's instrumented call stream.
-func (s *fwSession) Sources() []trace.Source {
-	out := make([]trace.Source, 0, len(s.hooks))
-	for _, h := range s.hooks {
-		out = append(out, trace.SliceSource(h.recs))
-	}
-	return out
 }

@@ -39,7 +39,7 @@ func TestLinearPath(t *testing.T) {
 func TestBaggageJoinAcrossProcs(t *testing.T) {
 	env := simpleEnv()
 	tr := NewTracer()
-	handoff := sim.NewMailbox[Baggage](env)
+	handoff := new(sim.Mailbox[Baggage]).Init(env)
 	env.Go("sender", func(p *sim.Proc) {
 		ctx := tr.StartTask(p, "n1", 0, "request")
 		p.Sleep(5)

@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 
+	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/vfs"
 )
@@ -39,9 +40,16 @@ func respErr(s string) error {
 	return fmt.Errorf("pfs: %s", s)
 }
 
-// metaCall round-trips one metadata request.
+// metaCall round-trips one metadata request, parking p on the same RPC
+// event chain the data path runs.
 func (c *Client) metaCall(p *sim.Proc, req metaReq) (metaResp, error) {
-	raw := c.sys.net.Call(p, c.node, c.sys.mdsNode, Port, reqHeader, req)
+	var raw any
+	p.Await(func(wake func()) {
+		c.sys.net.CallThenSpan(c.node, c.sys.mdsNode, Port, reqHeader, req, p.Span(), func(m netsim.Message) {
+			raw = m.Payload
+			wake()
+		})
+	})
 	resp, ok := raw.(metaResp)
 	if !ok {
 		return metaResp{}, fmt.Errorf("pfs: bad metadata response %T", raw)
@@ -70,7 +78,7 @@ func (c *Client) Open(p *sim.Proc, path string, flags vfs.OpenFlag, mode int, cr
 			wg.Add(1)
 			c.sys.env.After(0, func() {
 				c.sys.net.CallThenSpan(c.node, node, Port, reqHeader,
-					truncReq{Path: path}, span, func(any) { wg.Done() })
+					truncReq{Path: path}, span, func(netsim.Message) { wg.Done() })
 			})
 		}
 		wg.Wait(p)
@@ -154,12 +162,12 @@ func (f *clientFile) transfer(p *sim.Proc, offset, length int64, write bool) (in
 		wg.Add(1)
 		sys.env.After(0, func() {
 			sys.net.CallThenSpan(f.client.node, node, Port, reqSize,
-				ioReq{Path: f.path, Ranges: ranges, Write: write}, span, func(raw any) {
+				ioReq{Path: f.path, Ranges: ranges, Write: write}, span, func(m netsim.Message) {
 					defer wg.Done()
-					resp, ok := raw.(ioResp)
+					resp, ok := m.Payload.(ioResp)
 					if !ok {
 						if firstErr == nil {
-							firstErr = fmt.Errorf("pfs: bad io response %T", raw)
+							firstErr = fmt.Errorf("pfs: bad io response %T", m.Payload)
 						}
 						return
 					}

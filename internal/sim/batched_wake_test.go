@@ -15,7 +15,7 @@ import (
 // the single drain event.
 func TestBatchedWakeMailboxFIFO(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[int](env)
+	mb := new(Mailbox[int]).Init(env)
 	var order []int // receiver index in wake order
 	var vals []int  // message seen by that receiver
 	for i := 0; i < 3; i++ {
@@ -50,7 +50,7 @@ func TestBatchedWakeMailboxFIFO(t *testing.T) {
 // strict arrival order.
 func TestBatchedWakeMailboxMixedWaiters(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[int](env)
+	mb := new(Mailbox[int]).Init(env)
 	var got []string
 	env.Go("p0", func(p *Proc) {
 		v := mb.Get(p)
@@ -161,7 +161,7 @@ func TestBatchedWakeResourceMixedWaiters(t *testing.T) {
 // wake.
 func TestBatchedWakeGetThenReArm(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[int](env)
+	mb := new(Mailbox[int]).Init(env)
 	var got []int
 	var times []Time
 	var arm func()

@@ -155,7 +155,7 @@ func TestMailboxServeOrderMixedDeep(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			env := NewEnv(1)
-			mb := NewMailbox[int](env)
+			mb := new(Mailbox[int]).Init(env)
 			got := make([]int, n)
 			gotAt := make([]Time, n)
 			for k := 0; k < n; k++ {

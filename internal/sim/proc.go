@@ -27,7 +27,7 @@ type Proc struct {
 	yield func(struct{}) bool
 
 	// dispatchFn is the process's reusable dispatch event, allocated once at
-	// spawn. Every Sleep/unpark schedules it and Await hands it to the event
+	// spawn. Every Sleep schedules it and Await hands it to the event
 	// chain as the wake callback; caching it here keeps the simulator's
 	// hottest path (hundreds of wake events per rank) from allocating a
 	// fresh closure per event.
@@ -93,16 +93,13 @@ func (e *Env) dispatchAll(ws []*Proc) {
 	}
 }
 
-// park blocks the calling process until some event calls unpark (via
-// dispatch). It must only be called from p's own body.
+// park blocks the calling process until some event dispatches it. It must
+// only be called from p's own body.
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }
-
-// unpark schedules p to resume at the current virtual time.
-func (p *Proc) unpark() { p.env.schedule(p.env.now, p.dispatchFn) }
 
 // unparkAt schedules p to resume at instant at.
 func (p *Proc) unparkAt(at Time) { p.env.schedule(at, p.dispatchFn) }

@@ -89,19 +89,14 @@ type mboxWaiter[T any] struct {
 	fn func(T)
 }
 
-// NewMailbox returns an empty mailbox bound to env.
-func NewMailbox[T any](env *Env) *Mailbox[T] {
-	m := &Mailbox[T]{}
-	m.Init(env)
-	return m
-}
-
-// Init prepares a zero Mailbox in place: the slab-allocation twin of
-// NewMailbox, for preallocated per-node port arrays. A Mailbox must not be
-// copied after Init.
-func (m *Mailbox[T]) Init(env *Env) {
+// Init prepares a zero Mailbox in place, bound to env, and returns it: a
+// Mailbox lives in a preallocated per-node port array or inside the payload
+// that carries it, or stands alone as new(Mailbox[T]).Init(env). A Mailbox
+// must not be copied after Init.
+func (m *Mailbox[T]) Init(env *Env) *Mailbox[T] {
 	m.env = env
 	m.drainFn = m.drain
+	return m
 }
 
 // Put deposits v and, if receivers are waiting, schedules the drain event

@@ -510,7 +510,7 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 
 func TestMailboxBlockingGet(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[int](env)
+	mb := new(Mailbox[int]).Init(env)
 	var got int
 	var at Time
 	env.Go("recv", func(p *Proc) {
@@ -529,7 +529,7 @@ func TestMailboxBlockingGet(t *testing.T) {
 
 func TestMailboxFIFOAcrossReceivers(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[int](env)
+	mb := new(Mailbox[int]).Init(env)
 	var got []int
 	for i := 0; i < 3; i++ {
 		env.Go("recv", func(p *Proc) { got = append(got, mb.Get(p)) })
@@ -551,7 +551,7 @@ func TestMailboxFIFOAcrossReceivers(t *testing.T) {
 
 func TestMailboxTryGet(t *testing.T) {
 	env := NewEnv(1)
-	mb := NewMailbox[string](env)
+	mb := new(Mailbox[string]).Init(env)
 	if _, ok := mb.TryGet(); ok {
 		t.Fatal("TryGet on empty mailbox returned ok")
 	}

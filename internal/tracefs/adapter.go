@@ -8,7 +8,6 @@ import (
 	"iotaxo/internal/framework"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -79,13 +78,4 @@ func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
 		rep.TraceBytes += f.OutputBytes()
 	}
 	return rep, nil
-}
-
-// Sources streams each node's binary trace back as records.
-func (s *fwSession) Sources() []trace.Source {
-	out := make([]trace.Source, 0, len(s.mounts))
-	for _, f := range s.mounts {
-		out = append(out, f.OpenTrace())
-	}
-	return out
 }
