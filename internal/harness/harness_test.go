@@ -147,6 +147,7 @@ func TestTracefsExperimentBands(t *testing.T) {
 	if rows["+compression"].OutputBytes >= plain.OutputBytes {
 		t.Fatal("compression did not shrink output")
 	}
+	checkGolden(t, "tracefs_quick.txt", res.Format())
 }
 
 func TestParallelTraceFrontier(t *testing.T) {
@@ -158,6 +159,9 @@ func TestParallelTraceFrontier(t *testing.T) {
 		res := ParallelTraceExperiment(o)
 		if len(res.Rows) < 2 {
 			t.Fatalf("%d ranks: rows = %d", ranks, len(res.Rows))
+		}
+		if ranks == QuickOptions().Ranks {
+			checkGolden(t, "ptrace_quick.txt", res.Format())
 		}
 		if last := res.Rows[len(res.Rows)-1].SampledRanks; last != ranks {
 			t.Fatalf("%d ranks: top sampling level %d, want every rank", ranks, last)
@@ -190,6 +194,23 @@ func TestParallelTraceFrontier(t *testing.T) {
 			t.Fatalf("%d ranks: best fidelity error %.1f%%, want <=12%%", ranks, res.BestFidelity()*100)
 		}
 	}
+}
+
+func TestCollectiveAblation(t *testing.T) {
+	res := CollectiveAblation(QuickOptions())
+	if len(res.Rows) < 2 {
+		t.Fatalf("rows = %d", len(res.Rows))
+	}
+	// Two-phase I/O wins on sub-stripe blocks and loses once blocks are
+	// large enough that the shuffle costs more than it merges.
+	first, last := res.Rows[0], res.Rows[len(res.Rows)-1]
+	if first.SpeedupCollective <= 1 {
+		t.Errorf("%d KB: collective speedup %.2fx, want > 1", first.Block>>10, first.SpeedupCollective)
+	}
+	if last.SpeedupCollective >= 1 {
+		t.Errorf("%d KB: collective speedup %.2fx, want < 1", last.Block>>10, last.SpeedupCollective)
+	}
+	checkGolden(t, "collective_quick.txt", res.Format())
 }
 
 func TestFigure1OutputsLookRight(t *testing.T) {
