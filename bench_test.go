@@ -289,7 +289,7 @@ func benchSimRanks(b *testing.B, ranks int) {
 	var events float64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(cfg)
-		res := workload.Run(c.World, params)
+		res := params.Spec().Run(c.World)
 		if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
 			b.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
 		}
@@ -672,10 +672,10 @@ func BenchmarkCollectiveIOAblation(b *testing.B) {
 		cfg := cluster.Default()
 		cfg.ComputeNodes = 4
 		c := cluster.New(cfg)
-		res := workload.Run(c.World, workload.Params{
+		res := workload.Params{
 			Pattern: workload.N1Strided, BlockSize: 8 << 10, NObj: 16,
 			Path: "/pfs/coll", Collective: collective,
-		})
+		}.Spec().Run(c.World)
 		return res.BandwidthBps()
 	}
 	var speedup float64

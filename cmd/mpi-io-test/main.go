@@ -59,6 +59,8 @@ func main() {
 		ReadBack:     *readBack,
 	}
 
+	spec := params.Spec()
+
 	cfg := cluster.Default()
 	cfg.ComputeNodes = *np
 	cfg.Seed = *seed
@@ -66,7 +68,7 @@ func main() {
 
 	switch *tracer {
 	case "none":
-		res := workload.Run(c.World, params)
+		res := spec.Run(c.World)
 		printResult(res)
 	case "strace", "ltrace":
 		var fcfg lanltrace.Config
@@ -77,10 +79,10 @@ func main() {
 		}
 		fw := lanltrace.New(fcfg)
 		perRank := make([]workload.RankStats, c.Ranks())
-		rep := fw.Run(c.World, params.CommandLine(), func(p *sim.Proc, r *mpi.Rank) {
-			workload.Program(p, r, params, &perRank[r.RankID()])
+		rep := fw.Run(c.World, spec.CommandLine, func(p *sim.Proc, r *mpi.Rank) {
+			spec.Program(p, r, &perRank[r.RankID()])
 		})
-		res := workload.ResultFromStats(params, rep.Elapsed, perRank)
+		res := spec.ResultFromStats(rep.Elapsed, perRank)
 		printResult(res)
 		fmt.Printf("tracer           : LANL-Trace (%s), %d events, %d trace bytes\n",
 			fw.Mode(), rep.TraceEvents, rep.TraceBytes)
@@ -117,9 +119,9 @@ func main() {
 		ml := multilayer.Attach(c)
 		perRank := make([]workload.RankStats, c.Ranks())
 		elapsed := c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-			workload.Program(p, r, params, &perRank[r.RankID()])
+			spec.Program(p, r, &perRank[r.RankID()])
 		})
-		res := workload.ResultFromStats(params, elapsed, perRank)
+		res := spec.ResultFromStats(elapsed, perRank)
 		printResult(res)
 		fmt.Println("\n--- multi-layer latency attribution ---")
 		fmt.Print(ml.Analyze().Format())

@@ -13,9 +13,10 @@ import (
 	"testing"
 )
 
-// exportAllowlist names the exported top-level functions ("pkg.Func") and
-// methods ("pkg.Type.Method", the type possibly an interface) in internal/
-// that may stand without a caller in non-test code, each with its reason.
+// exportAllowlist names the exported package-level functions, constants,
+// variables and types ("pkg.Name") and methods ("pkg.Type.Method", the type
+// possibly an interface) in internal/ that may stand without a use in
+// non-test code, each with its reason.
 // Anything else without a caller is dead API: delete it, or move a probe
 // only its own package's tests use into a _test.go file.
 var exportAllowlist = map[string]string{
@@ -55,15 +56,18 @@ var exportAllowlist = map[string]string{
 	"harness.TracefsResult.MaxOverhead": "probe read by the root BenchmarkTracefsOverhead",
 }
 
-// TestNoDeadExports fails when an exported top-level function, an exported
-// method of a named type or an exported method of a named interface in
-// internal/ has no use in the non-test Go files under cmd/, examples/,
-// perfbench/ or internal/, and is not allowlisted.
+// TestNoDeadExports fails when an exported package-level function,
+// constant, variable or type, an exported method of a named type or an
+// exported method of a named interface in internal/ has no use in the
+// non-test Go files under cmd/, examples/, perfbench/ or internal/, and is
+// not allowlisted.
 // Tests do not count as callers: a name only tests use is either a probe that
 // belongs in a _test.go file or API to delete.
 //
 // The files are type-checked, so a use is an identifier that resolves to the
-// declared object, not one that merely shares its name. A method also counts
+// declared object, not one that merely shares its name. A use inside the
+// package that declares the name counts: the guard finds names nothing reads,
+// not names that could be unexported. A method also counts
 // as used when its type (T or *T) implements an interface, declared in the
 // repo or in an imported package, that has a method of that name: calls
 // through the interface reach it. An interface's own method is used only by
@@ -82,14 +86,14 @@ func TestNoDeadExports(t *testing.T) {
 	}
 	exported := prog.internalExports()
 	if len(exported) == 0 {
-		t.Fatal("found no exported functions or methods under internal/")
+		t.Fatal("found no exported names under internal/")
 	}
 	used := prog.uses()
 	ifaces := prog.interfaces()
 	uncalled := make(map[string]bool)
 	var dead []string
-	for key, fn := range exported {
-		if used[fn] || satisfiesInterface(fn, ifaces) {
+	for key, obj := range exported {
+		if fn, ok := obj.(*types.Func); used[obj] || ok && satisfiesInterface(fn, ifaces) {
 			continue
 		}
 		uncalled[key] = true
@@ -197,13 +201,13 @@ func (prog *repoProgram) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// internalExports maps "pkg.Func" and "pkg.Type.Method" to every exported
-// top-level function and every exported method of a package-level named
-// type in internal/. An interface type contributes the methods it declares
-// itself; the methods it embeds are keyed under the interfaces that declare
-// them.
-func (prog *repoProgram) internalExports() map[string]*types.Func {
-	out := make(map[string]*types.Func)
+// internalExports maps "pkg.Name" and "pkg.Type.Method" to every exported
+// package-level object (function, constant, variable or type) and every
+// exported method of a package-level named type in internal/. An interface
+// type contributes the methods it declares itself; the methods it embeds are
+// keyed under the interfaces that declare them.
+func (prog *repoProgram) internalExports() map[string]types.Object {
+	out := make(map[string]types.Object)
 	for _, cp := range prog.order {
 		pkgPath, ok := strings.CutPrefix(cp.pkg.Path(), "iotaxo/internal/")
 		if !ok {
@@ -211,12 +215,11 @@ func (prog *repoProgram) internalExports() map[string]*types.Func {
 		}
 		scope := cp.pkg.Scope()
 		for _, name := range scope.Names() {
-			switch obj := scope.Lookup(name).(type) {
-			case *types.Func:
-				if obj.Exported() {
-					out[pkgPath+"."+name] = obj
-				}
-			case *types.TypeName:
+			obj := scope.Lookup(name)
+			if obj.Exported() {
+				out[pkgPath+"."+name] = obj
+			}
+			if obj, ok := obj.(*types.TypeName); ok {
 				named, ok := obj.Type().(*types.Named)
 				if !ok || obj.IsAlias() {
 					continue
@@ -236,11 +239,11 @@ func (prog *repoProgram) internalExports() map[string]*types.Func {
 	return out
 }
 
-// uses returns every function and method that some identifier in non-test
-// code resolves to, outside the declaration's own body: a recursive call is
-// no caller.
-func (prog *repoProgram) uses() map[*types.Func]bool {
-	used := make(map[*types.Func]bool)
+// uses returns every object that some identifier in non-test code resolves
+// to, outside a function's own body: a recursive call is no caller. A
+// generic function or method resolves to its origin.
+func (prog *repoProgram) uses() map[types.Object]bool {
+	used := make(map[types.Object]bool)
 	for _, cp := range prog.order {
 		for _, f := range cp.files {
 			for _, decl := range f.Decls {
@@ -253,8 +256,14 @@ func (prog *repoProgram) uses() map[*types.Func]bool {
 					if !ok {
 						return true
 					}
-					if fn, ok := cp.info.Uses[id].(*types.Func); ok && fn != self {
-						used[fn.Origin()] = true
+					switch obj := cp.info.Uses[id].(type) {
+					case *types.Func:
+						if obj != self {
+							used[obj.Origin()] = true
+						}
+					case nil:
+					default:
+						used[obj] = true
 					}
 					return true
 				})

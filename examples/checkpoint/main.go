@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("checkpoint workload:", checkpointParams.CommandLine())
 
 	// 1. Untraced baseline.
-	base := workload.Run(newCluster().World, checkpointParams)
+	base := checkpointParams.Spec().Run(newCluster().World)
 	fmt.Printf("\n%-28s elapsed %-14v bandwidth %6.1f MB/s\n",
 		"untraced:", base.Elapsed, base.BandwidthBps()/1e6)
 

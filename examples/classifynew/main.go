@@ -75,7 +75,7 @@ type kprobeSession struct {
 }
 
 func (s *kprobeSession) Run(spec workload.Spec) (framework.Report, error) {
-	res := framework.RunWorkload(s.c, spec)
+	res := spec.Run(s.c.World)
 	rep := framework.Report{Result: res, TracingElapsed: res.Elapsed, Runs: 1}
 	for _, r := range s.recs {
 		rep.TraceEvents += r.Events

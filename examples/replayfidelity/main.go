@@ -78,7 +78,7 @@ func main() {
 		panic(err)
 	}
 	orig := factory()
-	workload.Run(orig.World, params)
+	params.Spec().Run(orig.World)
 	oSize, oDigest, oWrites, _ := orig.PFS.Snapshot(params.Path)
 	rep := factory()
 	if _, err := replay.Execute(rep, parsed); err != nil {

@@ -112,9 +112,9 @@ func TestTotalRanksOverCapacityPanics(t *testing.T) {
 func TestConstructionDeterministic(t *testing.T) {
 	run := func() sim.Duration {
 		c := cluster.New(cluster.Small())
-		return workload.Run(c.World, workload.Params{
+		return workload.Params{
 			Pattern: workload.N1Strided, BlockSize: 64 << 10, NObj: 2, Path: "/pfs/d",
-		}).Elapsed
+		}.Spec().Run(c.World).Elapsed
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("cluster construction not deterministic: %v vs %v", a, b)

@@ -75,10 +75,12 @@ type Report struct {
 }
 
 // Variant is optionally implemented by frameworks whose behaviour depends
-// on configuration beyond the registered Name — e.g. LANL-Trace's strace
-// and ltrace modes share one Name but produce different measurements. The
-// digest must be a stable fingerprint of that configuration, so the
-// harness's content-addressed result cache can tell the variants apart.
+// on configuration beyond the registered Name: LANL-Trace's strace and
+// ltrace modes, Tracefs's feature sets and //TRACE's sampling levels each
+// share one Name but produce different measurements. The digest must be a
+// stable fingerprint of every configuration field that changes a
+// measurement, so the harness's content-addressed result cache can tell
+// the variants apart.
 type Variant interface {
 	VariantDigest() uint64
 }
@@ -90,13 +92,6 @@ func VariantDigest(fw Framework) uint64 {
 		return v.VariantDigest()
 	}
 	return 0
-}
-
-// RunWorkload executes a workload spec on the cluster with per-rank
-// statistics: the shared Session.Run body for frameworks whose probes are
-// attached before launch.
-func RunWorkload(c *cluster.Cluster, spec workload.Spec) workload.Result {
-	return spec.Run(c.World)
 }
 
 // --- registry ---

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"iotaxo/internal/anonymize"
 	"iotaxo/internal/framework"
 	"iotaxo/internal/lanltrace"
+	"iotaxo/internal/partrace"
+	"iotaxo/internal/tracefs"
 	"iotaxo/internal/workload"
 )
 
@@ -281,6 +285,141 @@ func TestLANLTraceVariantsGetDistinctKeys(t *testing.T) {
 	}
 	if ltrace.Variant == 0 || strace.Variant == 0 {
 		t.Errorf("LANL-Trace variants must fingerprint their config (got %016x, %016x)", ltrace.Variant, strace.Variant)
+	}
+}
+
+// TestTracefsVariantOnSharedCache: a configured Tracefs instance shares the
+// registered Name with the default one, so its cache key must carry the
+// configuration. Served from a cache that already holds the default's cell,
+// the compressed variant must still report its own (smaller) trace.
+func TestTracefsVariantOnSharedCache(t *testing.T) {
+	o := QuickOptions()
+	o.BlockSizes = []int64{64 << 10}
+	w := workload.PatternWorkload(workload.N1Strided)
+	cfg := tracefs.DefaultConfig()
+	cfg.Compress = true
+	compressed := tracefs.AsFramework(cfg)
+	fresh, err := Sweep(BlockAxis, compressed, w, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Cache = NewCache("")
+	def, err := Sweep(BlockAxis, framework.MustLookup("Tracefs"), w, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Sweep(BlockAxis, compressed, w, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := shared.Points[0].TraceBytes, fresh.Points[0].TraceBytes
+	if got != want {
+		t.Fatalf("compressed Tracefs on a shared cache reports %d trace bytes, want %d (the default reports %d)",
+			got, want, def.Points[0].TraceBytes)
+	}
+	if want >= def.Points[0].TraceBytes {
+		t.Fatalf("compression did not shrink the trace: %d vs %d bytes", want, def.Points[0].TraceBytes)
+	}
+}
+
+// TestDeepDivesWarmCache: every deep-dive stages its simulations through the
+// memoizing task set, so a second call on one shared cache executes nothing
+// and renders byte-identically.
+func TestDeepDivesWarmCache(t *testing.T) {
+	for name, run := range map[string]func(Options) string{
+		"tracefs":    func(o Options) string { return TracefsExperiment(o).Format() },
+		"ptrace":     func(o Options) string { return ParallelTraceExperiment(o).Format() },
+		"collective": func(o Options) string { return CollectiveAblation(o).Format() },
+	} {
+		o := QuickOptions()
+		o.Cache = NewCache("")
+		cold := run(o)
+		if o.Cache.Stats().Executed == 0 {
+			t.Errorf("%s: the cold call executed no simulations through the cache", name)
+			continue
+		}
+		before := o.Cache.Stats()
+		warm := run(o)
+		if d := o.Cache.Stats().sub(before); d.Executed != 0 {
+			t.Errorf("%s: warm call executed %d simulations, want 0", name, d.Executed)
+		}
+		if warm != cold {
+			t.Errorf("%s: warm output differs:\n%s\nvs cold:\n%s", name, warm, cold)
+		}
+	}
+}
+
+// TestVariantDigestsCoverConfig walks the Tracefs and //TRACE configs by
+// reflection, in the style of cluster's TestConfigDigest: changing any
+// field that changes a measurement must change the framework's
+// VariantDigest, or configured instances would alias each other's cache
+// entries. A field added later fails here until VariantDigest hashes it or
+// the test names it as unmeasured.
+func TestVariantDigestsCoverConfig(t *testing.T) {
+	tfs := tracefs.DefaultConfig()
+	ptr := partrace.DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		cfg    reflect.Value
+		digest func() uint64
+		// set holds the mutation of each field whose kind the walk cannot
+		// mutate by itself; skip names the fields no measurement reads.
+		set  map[string]any
+		skip map[string]string
+	}{
+		{
+			name:   "tracefs",
+			cfg:    reflect.ValueOf(&tfs).Elem(),
+			digest: func() uint64 { return framework.VariantDigest(tracefs.AsFramework(tfs)) },
+			set: map[string]any{
+				"Filter":      tracefs.MustCompileFilter("op == write"),
+				"EncryptSpec": anonymize.Spec{anonymize.FieldPath: true},
+				"Key":         []byte("k"),
+			},
+			skip: map[string]string{"ForceStack": "Attach always sets it"},
+		},
+		{
+			name:   "partrace",
+			cfg:    reflect.ValueOf(&ptr).Elem(),
+			digest: func() uint64 { return framework.VariantDigest(partrace.AsFramework(ptr)) },
+			skip:   map[string]string{"RawTrace": "an output sink; no measurement reads it"},
+		},
+	} {
+		base := tc.digest()
+		if base == 0 {
+			t.Errorf("%s: the default config has no variant digest", tc.name)
+		}
+		var walk func(path string, v reflect.Value)
+		walk = func(path string, v reflect.Value) {
+			if v.Kind() == reflect.Struct {
+				for i := range v.NumField() {
+					walk(strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), v.Field(i))
+				}
+				return
+			}
+			if tc.skip[path] != "" {
+				return
+			}
+			before := reflect.ValueOf(v.Interface())
+			switch {
+			case tc.set[path] != nil:
+				v.Set(reflect.ValueOf(tc.set[path]))
+			case v.Kind() == reflect.Int || v.Kind() == reflect.Int64:
+				v.SetInt(v.Int() + 1)
+			case v.Kind() == reflect.Bool:
+				v.SetBool(!v.Bool())
+			default:
+				t.Fatalf("%s: %s: no mutation for kind %s; teach this test and VariantDigest about it", tc.name, path, v.Kind())
+			}
+			if tc.digest() == base {
+				t.Errorf("%s: mutating %s did not change the variant digest", tc.name, path)
+			}
+			v.Set(before)
+		}
+		walk("", tc.cfg)
+		if tc.digest() != base {
+			t.Fatalf("%s: the walk did not restore every field", tc.name)
+		}
 	}
 }
 

@@ -29,22 +29,26 @@ type CollectiveResult struct {
 // sub-stripe sizes: that is where two-phase I/O wins (merging sub-stripe
 // fragments into full stripe units avoids the RAID-5 read-modify-write),
 // while at large contiguous blocks the extra data shuffle makes it lose —
-// the crossover ROMIO's heuristics exist to navigate.
+// the crossover ROMIO's heuristics exist to navigate. Both columns are
+// untraced runs staged through the memoizing task set: the independent
+// column is the registered N-1 strided workload, so at 64 KB and 256 KB it
+// shares its cached baselines with the figure sweeps.
 func CollectiveAblation(o Options) CollectiveResult {
 	blocks := []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 256 << 10}
+	independent := workload.PatternWorkload(workload.N1Strided)
+	collective := workload.Variant("N-1 strided, collective", func(sc workload.Scale) workload.Params {
+		p := sc.MPIIOParams(workload.N1Strided)
+		p.Collective = true
+		return p
+	})
 	inds := make([]workload.Result, len(blocks))
 	colls := make([]workload.Result, len(blocks))
-	tasks := make([]func(), 0, 2*len(blocks))
+	ts := newTaskSet(o.cacheOrEphemeral())
 	for i, block := range blocks {
-		i := i
-		params := o.scaleFor(block).MPIIOParams(workload.N1Strided)
-		collParams := params
-		collParams.Collective = true
-		tasks = append(tasks,
-			func() { inds[i] = workload.Run(o.newCluster().World, params) },
-			func() { colls[i] = workload.Run(o.newCluster().World, collParams) })
+		ts.untraced(o, independent, o.scaleFor(block), &inds[i])
+		ts.untraced(o, collective, o.scaleFor(block), &colls[i])
 	}
-	sched.runAll(tasks)
+	ts.run()
 	res := CollectiveResult{Rows: make([]CollectiveRow, len(blocks))}
 	for i, block := range blocks {
 		row := CollectiveRow{

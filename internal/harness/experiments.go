@@ -6,6 +6,7 @@ import (
 
 	"iotaxo/internal/anonymize"
 	"iotaxo/internal/cluster"
+	"iotaxo/internal/framework"
 	"iotaxo/internal/lanltrace"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/partrace"
@@ -102,11 +103,17 @@ func (o Options) patternMatrix() []Series {
 	for i, p := range figurePatterns {
 		o.Workloads[i] = workload.PatternWorkload(p)
 	}
-	m, err := MatrixSweepOf(o, o.lanlFramework())
+	return o.sweepOf(o.lanlFramework())
+}
+
+// sweepOf runs fws over o's workloads along BlockAxis through the engine,
+// for the experiments whose built-in frameworks cannot fail a run.
+func (o Options) sweepOf(fws ...framework.Framework) []Series {
+	series, _, err := matrixSweepOf(BlockAxis, o, fws)
 	if err != nil {
-		panic(err) // LANL-Trace cannot fail a run
+		panic(err)
 	}
-	return m.Cells
+	return series
 }
 
 // Format renders the in-text table with the paper's values alongside.
@@ -172,87 +179,52 @@ type TracefsResult struct {
 	Rows []TracefsRow
 }
 
-// tracefsVariants is the escalating feature ladder of Section 4.2.
-func tracefsVariants() []struct {
-	name string
-	cfg  tracefs.Config
-} {
-	cfgF := tracefs.DefaultConfig()
-	cfgF.Filter = tracefs.MustCompileFilter("op == write && bytes >= 4096")
-
-	cfgU := tracefs.DefaultConfig()
-	cfgU.Buffer = 1
-
-	cfgC := tracefs.DefaultConfig()
-	cfgC.Checksum = true
-
-	cfgZ := tracefs.DefaultConfig()
-	cfgZ.Checksum = true
-	cfgZ.Compress = true
-
-	cfgE := tracefs.DefaultConfig()
-	cfgE.Checksum = true
-	cfgE.Compress = true
-	cfgE.Encrypt = true
-	cfgE.Key = []byte("0123456789abcdef")
-	spec, _ := anonymize.ParseSpec("path,uid,gid")
-	cfgE.EncryptSpec = spec
-
-	return []struct {
-		name string
-		cfg  tracefs.Config
-	}{
-		{"trace all ops (buffered)", tracefs.DefaultConfig()},
-		{"granularity: large writes only", cfgF},
-		{"unbuffered", cfgU},
-		{"+checksumming", cfgC},
-		{"+compression", cfgZ},
-		{"+CBC encryption (full)", cfgE},
+// tracefsVariants is the escalating feature ladder of Section 4.2: one
+// configured Tracefs framework per table row, with the row names.
+func tracefsVariants() (names []string, fws []framework.Framework) {
+	add := func(name string, set func(*tracefs.Config)) {
+		cfg := tracefs.DefaultConfig()
+		set(&cfg)
+		names = append(names, name)
+		fws = append(fws, tracefs.AsFramework(cfg))
 	}
+	add("trace all ops (buffered)", func(*tracefs.Config) {})
+	add("granularity: large writes only", func(c *tracefs.Config) {
+		c.Filter = tracefs.MustCompileFilter("op == write && bytes >= 4096")
+	})
+	add("unbuffered", func(c *tracefs.Config) { c.Buffer = 1 })
+	add("+checksumming", func(c *tracefs.Config) { c.Checksum = true })
+	add("+compression", func(c *tracefs.Config) { c.Checksum, c.Compress = true, true })
+	add("+CBC encryption (full)", func(c *tracefs.Config) {
+		c.Checksum, c.Compress, c.Encrypt = true, true, true
+		c.Key = []byte("0123456789abcdef")
+		c.EncryptSpec, _ = anonymize.ParseSpec("path,uid,gid")
+	})
+	return names, fws
 }
 
 // TracefsExperiment measures elapsed overhead for escalating feature sets
 // (paper bound: <=12.4% for full tracing of an I/O-intensive workload, with
 // "additional overhead for advanced features such as encryption and
-// checksum calculation"). Each configuration runs through the registry's
-// framework adapter: a Tracefs layer stacked over every compute node's
-// parallel-file-system mount, observing the small-block N-1 strided
-// workload — the I/O-intensive end of the sweep.
+// checksum calculation"). Each configuration is one framework row of the
+// engine's block-size sweep — a Tracefs layer stacked over every compute
+// node's parallel-file-system mount — observing the small-block N-1
+// strided workload, the I/O-intensive end of the sweep. The rows share one
+// untraced baseline, which is also the figure sweeps' 64 KB baseline.
 func TracefsExperiment(o Options) TracefsResult {
-	const block = 64 << 10
-	wl := workload.PatternWorkload(workload.N1Strided)
-	// The baseline is a leaf simulation like any other: it takes a pool slot
-	// so the scheduler's global bound holds even across concurrent callers,
-	// and it stages through the memoizing task set (its key coincides with
-	// the figure sweeps' 64 KB baseline). The variant runs below stay
-	// uncached: every configured Tracefs instance shares one registered
-	// Name with no variant fingerprint, so caching them would alias
-	// distinct feature sets.
-	var base workload.Result
-	ts := newTaskSet(o.cacheOrEphemeral())
-	ts.untraced(o, wl, o.scaleFor(block), &base)
-	ts.run()
-
-	variants := tracefsVariants()
-	res := TracefsResult{Rows: make([]TracefsRow, len(variants)+1)}
-	res.Rows[0] = TracefsRow{Name: "untraced (baseline)"}
-	tasks := make([]func(), 0, len(variants))
-	for i, v := range variants {
-		i, v := i, v
-		tasks = append(tasks, func() {
-			rep, err := o.runTracedAt(tracefs.AsFramework(v.cfg), wl, o.scaleFor(block))
-			if err != nil {
-				panic(err)
-			}
-			res.Rows[i+1] = TracefsRow{
-				Name:        v.name,
-				ElapsedOvh:  float64(rep.TracingElapsed-base.Elapsed) / float64(base.Elapsed),
-				OutputBytes: rep.TraceBytes,
-				Events:      rep.TraceEvents,
-			}
+	o.BlockSizes = []int64{64 << 10}
+	o.Workloads = []workload.Workload{workload.PatternWorkload(workload.N1Strided)}
+	names, fws := tracefsVariants()
+	res := TracefsResult{Rows: []TracefsRow{{Name: "untraced (baseline)"}}}
+	for i, s := range o.sweepOf(fws...) {
+		p := s.Points[0]
+		res.Rows = append(res.Rows, TracefsRow{
+			Name:        names[i],
+			ElapsedOvh:  p.ElapsedOvhFrac,
+			OutputBytes: p.TraceBytes,
+			Events:      p.TraceEvents,
 		})
 	}
-	sched.runAll(tasks)
 	return res
 }
 
@@ -296,60 +268,51 @@ type PartraceResult struct {
 
 // ParallelTraceExperiment sweeps the sampling knob, measuring total
 // trace-generation overhead (paper: ~0% to 205%) and replay fidelity
-// (paper: as low as 6%). Each sampling level runs through the registry's
-// framework adapter, which folds the throttled discovery runs and the
-// replay pass into the generic Report.
+// (paper: as low as 6%). Each sampling level is one framework row of the
+// engine's sweep, whose adapter folds the throttled discovery runs and the
+// replay pass into the generic Report. The job is a checkpoint-style
+// variant of N-1 strided: 8 objects of 256 KB per rank to /pfs/app.out,
+// with a barrier every 2 objects for the throttling runs to discover.
 func ParallelTraceExperiment(o Options) PartraceResult {
-	po := o
-	if po.Ranks > 8 {
-		po.Ranks = 8 // dependency probing is O(runs); keep the sweep tractable
+	if o.Ranks > 8 {
+		o.Ranks = 8 // dependency probing is O(runs); keep the sweep tractable
 	}
-	spec := workload.Params{
-		Pattern:      workload.N1Strided,
-		BlockSize:    256 << 10,
-		NObj:         8,
-		Path:         "/pfs/app.out",
-		BarrierEvery: 2,
-	}.Spec()
-	var un workload.Result
-	sched.runAll([]func(){func() { un = spec.Run(po.newCluster().World) }})
+	const block, objects = 256 << 10, 8
+	o.BlockSizes = []int64{block}
+	o.PerRankBytes = objects * block
+	job := workload.Variant("N-1 strided, barrier every 2", func(sc workload.Scale) workload.Params {
+		p := sc.MPIIOParams(workload.N1Strided)
+		p.Path = "/pfs/app.out"
+		p.BarrierEvery = 2
+		return p
+	})
+	o.Workloads = []workload.Workload{job}
 
 	// Sampling levels 0, 1, 2 and every rank, clamped to the job size and
 	// deduplicated so small jobs do not repeat (or over-ask) a level.
 	var levels []int
-	for _, l := range []int{0, 1, 2, po.Ranks} {
-		if l = min(l, po.Ranks); len(levels) == 0 || l > levels[len(levels)-1] {
+	for _, l := range []int{0, 1, 2, o.Ranks} {
+		if l = min(l, o.Ranks); len(levels) == 0 || l > levels[len(levels)-1] {
 			levels = append(levels, l)
 		}
 	}
-	res := PartraceResult{Rows: make([]PartraceRow, len(levels))}
-	tasks := make([]func(), 0, len(levels))
+	fws := make([]framework.Framework, len(levels))
 	for i, sampled := range levels {
-		i, sampled := i, sampled
-		tasks = append(tasks, func() {
-			// One sampling level is one leaf task: its discovery runs and
-			// replay pass execute sequentially inside the session, so the
-			// scheduler's bound still holds per live simulation.
-			cfg := partrace.DefaultConfig()
-			cfg.SampledRanks = sampled
-			rep, err := partrace.AsFramework(cfg).Attach(po.newCluster()).Run(spec)
-			if err != nil {
-				panic(err)
-			}
-			ovh := 0.0
-			if un.Elapsed > 0 {
-				ovh = float64(rep.TracingElapsed-un.Elapsed) / float64(un.Elapsed)
-			}
-			res.Rows[i] = PartraceRow{
-				SampledRanks: sampled,
-				Runs:         rep.Runs,
-				OverheadFrac: ovh,
-				DepCount:     rep.Deps,
-				FidelityErr:  rep.ReplayErr,
-			}
-		})
+		cfg := partrace.DefaultConfig()
+		cfg.SampledRanks = sampled
+		fws[i] = partrace.AsFramework(cfg)
 	}
-	sched.runAll(tasks)
+	res := PartraceResult{Rows: make([]PartraceRow, len(levels))}
+	for i, s := range o.sweepOf(fws...) {
+		p := s.Points[0]
+		res.Rows[i] = PartraceRow{
+			SampledRanks: levels[i],
+			Runs:         p.Runs,
+			OverheadFrac: p.ElapsedOvhFrac,
+			DepCount:     p.Deps,
+			FidelityErr:  p.ReplayErr,
+		}
+	}
 	return res
 }
 

@@ -12,8 +12,12 @@
 // along any axis, and MatrixSweep the block-size matrix that folds the
 // measured overheads into each framework's taxonomy classification. The
 // named figures and in-text tables are LANL-Trace instances of the same
-// engine, and all of it stages into one memoizing task set per call on a
-// shared bounded scheduler, so every rendered table is deterministic.
+// engine; the deep-dives are too, with one configured framework row per
+// Tracefs feature set or //TRACE sampling level, and the collective
+// ablation stages its untraced runs in the engine's task set. Every
+// experiment simulation but Figure 1's sample run stages into one memoizing
+// task set per call on a shared bounded scheduler, so every rendered table
+// is deterministic and a warm repeat executes nothing.
 //
 // Experiments run at a scaled-down data volume by default (the simulation's
 // cost is O(I/O events), and overhead *fractions* are volume-independent);
@@ -55,7 +59,7 @@ type Options struct {
 	Workloads []workload.Workload
 
 	// MaxRanks bounds RankAxis: ranks double from 4 up to MaxRanks. Zero
-	// means DefaultMaxRanks.
+	// means 512.
 	MaxRanks int
 	// ScaleMode selects weak scaling (fixed per-rank volume) or strong
 	// scaling (fixed total volume) along RankAxis.
@@ -69,7 +73,7 @@ type Options struct {
 	// zero keeps the testbed default. ServerAxis sweeps it.
 	PFSServers int
 	// MaxServers bounds ServerAxis: servers double from 1 up to MaxServers.
-	// Zero means DefaultMaxServers.
+	// Zero means 16.
 	MaxServers int
 
 	// Cache memoizes leaf-simulation summaries across engine calls (and,
@@ -337,10 +341,8 @@ func (ts *taskSet) run() { sched.run(ts.tasks) }
 // figure runs one of the built-in LANL-Trace figures, whose frameworks
 // cannot fail a run.
 func (o Options) figure(id, title string, p workload.Pattern) Series {
-	fig, err := Sweep(BlockAxis, o.lanlFramework(), workload.PatternWorkload(p), o)
-	if err != nil {
-		panic(err)
-	}
+	o.Workloads = []workload.Workload{workload.PatternWorkload(p)}
+	fig := o.sweepOf(o.lanlFramework())[0]
 	fig.ID, fig.Title = id, title
 	return fig
 }

@@ -17,19 +17,13 @@ import (
 // There are no framework- or workload-specific branches here: registering
 // a framework adds a row, registering a workload adds a column.
 
-// MatrixWorkloads returns the default workload axis of the matrix: every
-// registered workload, in registry order.
-func MatrixWorkloads() []workload.Workload {
-	return workload.All()
-}
-
 // matrixWorkloads is the options' workload axis: the explicit restriction
 // when set, the full registry otherwise.
 func (o Options) matrixWorkloads() []workload.Workload {
 	if len(o.Workloads) > 0 {
 		return o.Workloads
 	}
-	return MatrixWorkloads()
+	return workload.All()
 }
 
 // rangeOver folds n indexed values into their [lo, hi] envelope: the shared

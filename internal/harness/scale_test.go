@@ -16,14 +16,14 @@ import (
 func TestSchedulerBoundsConcurrency(t *testing.T) {
 	s := newScheduler(3)
 	var ran atomic.Int64
-	tasks := make([]func(), 20)
+	tasks := make([]task, 20)
 	for i := range tasks {
-		tasks[i] = func() {
+		tasks[i].run = func() {
 			time.Sleep(time.Millisecond)
 			ran.Add(1)
 		}
 	}
-	s.runAll(tasks)
+	s.run(tasks)
 	if got := ran.Load(); got != 20 {
 		t.Fatalf("ran %d tasks, want 20", got)
 	}
@@ -33,13 +33,13 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 }
 
 // TestSchedulerSharedBoundAcrossCallers verifies the slot pool is a global
-// bound: two concurrent runAll calls together never exceed the size.
+// bound: two concurrent run calls together never exceed the size.
 func TestSchedulerSharedBoundAcrossCallers(t *testing.T) {
 	s := newScheduler(2)
-	mk := func() []func() {
-		tasks := make([]func(), 8)
+	mk := func() []task {
+		tasks := make([]task, 8)
 		for i := range tasks {
-			tasks[i] = func() { time.Sleep(time.Millisecond) }
+			tasks[i].run = func() { time.Sleep(time.Millisecond) }
 		}
 		return tasks
 	}
@@ -48,7 +48,7 @@ func TestSchedulerSharedBoundAcrossCallers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.runAll(mk())
+			s.run(mk())
 		}()
 	}
 	wg.Wait()
@@ -58,7 +58,7 @@ func TestSchedulerSharedBoundAcrossCallers(t *testing.T) {
 }
 
 func TestSchedulerEmptyAndZeroSize(t *testing.T) {
-	newScheduler(0).runAll(nil) // must not hang or panic
+	newScheduler(0).run(nil) // must not hang or panic
 	s := newScheduler(-1)
 	if s.size() != 1 {
 		t.Fatalf("size = %d, want floor 1", s.size())
@@ -69,9 +69,9 @@ func TestSchedulerHeapWatermark(t *testing.T) {
 	s := newScheduler(2)
 	s.resetPeak()
 	var sink [][]byte
-	s.runAll([]func(){func() {
+	s.run([]task{{run: func() {
 		sink = append(sink, make([]byte, 8<<20))
-	}})
+	}}})
 	if got := s.peakHeapBytes(); got < 8<<20 {
 		t.Fatalf("heap watermark %d after an 8 MiB allocation, want >= 8 MiB", got)
 	}
@@ -158,7 +158,7 @@ func TestRankLadder(t *testing.T) {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := RankAxis.Rungs(Options{}); top[len(top)-1] != DefaultMaxRanks {
+	if top := RankAxis.Rungs(Options{}); top[len(top)-1] != defaultMaxRanks {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }

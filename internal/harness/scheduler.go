@@ -31,9 +31,9 @@ const simPoolCap = 16
 // min(GOMAXPROCS, simPoolCap), floored at 1.
 func PoolSize() int { return sched.size() }
 
-// sched is the package-wide scheduler shared by the sweep engine and the
-// deep-dive experiments: concurrent engine calls draw from one slot pool,
-// so the bound holds globally, not per call.
+// sched is the package-wide scheduler behind every task set: concurrent
+// engine calls draw from one slot pool, so the bound holds globally, not
+// per call.
 var sched = newScheduler(defaultPoolSize())
 
 func defaultPoolSize() int {
@@ -104,16 +104,6 @@ type task struct {
 	// I/O event count). Zero-cost tasks keep submission order.
 	cost int64
 	run  func()
-}
-
-// runAll executes every task and returns when all have finished, in
-// submission order. See run for the scheduling contract.
-func (s *scheduler) runAll(tasks []func()) {
-	ts := make([]task, len(tasks))
-	for i, fn := range tasks {
-		ts[i] = task{run: fn}
-	}
-	s.run(ts)
 }
 
 // run executes every task and returns when all have finished. Tasks start

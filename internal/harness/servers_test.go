@@ -28,7 +28,7 @@ func TestServerLadder(t *testing.T) {
 		t.Fatalf("off-grid ladder = %v", got)
 	}
 	// Zero defaults.
-	if top := ServerAxis.Rungs(Options{}); top[len(top)-1] != DefaultMaxServers {
+	if top := ServerAxis.Rungs(Options{}); top[len(top)-1] != defaultMaxServers {
 		t.Fatalf("default ladder top = %d", top[len(top)-1])
 	}
 }

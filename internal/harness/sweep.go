@@ -65,7 +65,7 @@ var BlockAxis = Axis{
 var RankAxis = Axis{
 	Name: "ranks", ID: "scale", Versus: " vs ranks", Matrix: "scaling",
 	Rungs: func(o Options) []int64 {
-		return doublingLadder(minScaleRanks, orDefault(o.MaxRanks, DefaultMaxRanks))
+		return doublingLadder(minScaleRanks, orDefault(o.MaxRanks, defaultMaxRanks))
 	},
 	Apply: func(o Options, v int64) (Options, workload.Scale) {
 		sc := o.scaleRung(int(v))
@@ -87,7 +87,7 @@ var RankAxis = Axis{
 var ServerAxis = Axis{
 	Name: "servers", ID: "servers", Versus: " vs PFS servers", Matrix: "server-count",
 	Rungs: func(o Options) []int64 {
-		return doublingLadder(minScaleServers, orDefault(o.MaxServers, DefaultMaxServers))
+		return doublingLadder(minScaleServers, orDefault(o.MaxServers, defaultMaxServers))
 	},
 	Apply: func(o Options, v int64) (Options, workload.Scale) {
 		o.PFSServers = int(v)
@@ -131,11 +131,11 @@ func ParseScaleMode(s string) (ScaleMode, bool) {
 }
 
 const (
-	// DefaultMaxRanks is the rank ladder's default top rung.
-	DefaultMaxRanks = 512
-	// DefaultMaxServers is the server ladder's default top rung, chosen to
+	// defaultMaxRanks is the rank ladder's default top rung.
+	defaultMaxRanks = 512
+	// defaultMaxServers is the server ladder's default top rung, chosen to
 	// bracket the paper testbed's 12 object servers.
-	DefaultMaxServers = 16
+	defaultMaxServers = 16
 
 	minScaleRanks   = 4 // the rank ladder's base rung
 	minScaleServers = 1 // the server ladder's base rung
@@ -150,8 +150,8 @@ func LadderOptions() Options {
 	o := DefaultOptions()
 	o.PerRankBytes = 1 << 20
 	o.BlockSizes = []int64{64 << 10}
-	o.MaxRanks = DefaultMaxRanks
-	o.MaxServers = DefaultMaxServers
+	o.MaxRanks = defaultMaxRanks
+	o.MaxServers = defaultMaxServers
 	return o
 }
 

@@ -12,6 +12,7 @@
 package interpose
 
 import (
+	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
 )
@@ -27,6 +28,17 @@ type CostModel struct {
 	// PerOutputByte is charged per byte of trace data emitted (synchronous
 	// write of the trace line/record to the trace file).
 	PerOutputByte sim.Duration
+}
+
+// Digest fingerprints the model for a framework's VariantDigest, the way
+// cluster.Config.Digest fingerprints a testbed: each field folds into its
+// own FNV-1a stream seeded by name and the field name, and the streams
+// XOR-combine.
+func (m CostModel) Digest(name string) uint64 {
+	f := func(field string) uint64 { return fnvhash.String(fnvhash.Offset64, name+"."+field) }
+	return fnvhash.Int64(f("EnterCost"), int64(m.EnterCost)) ^
+		fnvhash.Int64(f("ExitCost"), int64(m.ExitCost)) ^
+		fnvhash.Int64(f("PerOutputByte"), int64(m.PerOutputByte))
 }
 
 // Ptrace approximates strace with timestamped output (-tt -T) written

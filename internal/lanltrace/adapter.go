@@ -5,7 +5,6 @@ import (
 	"iotaxo/internal/core"
 	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/framework"
-	"iotaxo/internal/interpose"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/workload"
@@ -28,17 +27,10 @@ func (a *fwAdapter) Classification() *core.Classification { return core.PaperLAN
 // models — so cached results from one mode are never served to another.
 func (a *fwAdapter) VariantDigest() uint64 {
 	f := func(name string) uint64 { return fnvhash.String(fnvhash.Offset64, name) }
-	model := func(name string, m interpose.CostModel) uint64 {
-		var d uint64
-		d ^= fnvhash.Int64(f(name+".EnterCost"), int64(m.EnterCost))
-		d ^= fnvhash.Int64(f(name+".ExitCost"), int64(m.ExitCost))
-		d ^= fnvhash.Int64(f(name+".PerOutputByte"), int64(m.PerOutputByte))
-		return d
-	}
 	var d uint64
 	d ^= fnvhash.Int64(f("Mode"), int64(a.cfg.Mode))
-	d ^= model("SyscallModel", a.cfg.SyscallModel)
-	d ^= model("LibModel", a.cfg.LibModel)
+	d ^= a.cfg.SyscallModel.Digest("SyscallModel")
+	d ^= a.cfg.LibModel.Digest("LibModel")
 	d ^= fnvhash.Bool(f("SkipTimingJob"), a.cfg.SkipTimingJob)
 	return d
 }

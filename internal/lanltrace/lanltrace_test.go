@@ -125,7 +125,7 @@ func TestTracingAddsOverhead(t *testing.T) {
 	params := smallParams()
 	// Untraced baseline.
 	c1 := testCluster(false)
-	base := workload.Run(c1.World, params)
+	base := params.Spec().Run(c1.World)
 	// Traced.
 	rep, _ := runTraced(t, DefaultConfig(), false)
 	if rep.Elapsed <= base.Elapsed {
@@ -144,7 +144,7 @@ func TestStraceCheaperThanLtrace(t *testing.T) {
 func TestTracedRunSameFileSystemEndState(t *testing.T) {
 	params := smallParams()
 	c1 := testCluster(false)
-	workload.Run(c1.World, params)
+	params.Spec().Run(c1.World)
 	s1, d1, w1, ok1 := c1.PFS.Snapshot(params.Path)
 
 	c2 := testCluster(false)

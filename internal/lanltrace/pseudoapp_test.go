@@ -16,7 +16,7 @@ func TestPseudoAppReproducesIOSignature(t *testing.T) {
 
 	// Untraced baseline: end state + elapsed.
 	c0 := testCluster(false)
-	base := workload.Run(c0.World, params)
+	base := params.Spec().Run(c0.World)
 	s0, d0, w0, _ := c0.PFS.Snapshot(params.Path)
 
 	// Traced run (strace mode keeps timing distortion low).
@@ -60,7 +60,7 @@ func TestPseudoAppFidelityWeakerThanParallelTrace(t *testing.T) {
 	// (the reason the paper classifies "Replayable trace generation: No").
 	params := smallParams()
 	c0 := testCluster(false)
-	base := workload.Run(c0.World, params)
+	base := params.Spec().Run(c0.World)
 
 	c1 := testCluster(false)
 	fw := New(StraceConfig())

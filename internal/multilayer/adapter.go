@@ -31,7 +31,7 @@ type fwSession struct {
 
 // Run executes the workload with all three probe layers active.
 func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
-	res := framework.RunWorkload(s.c, spec)
+	res := spec.Run(s.c.World)
 	rep := framework.Report{
 		Result:         res,
 		TracingElapsed: res.Elapsed,

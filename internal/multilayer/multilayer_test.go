@@ -86,7 +86,7 @@ func TestEndStateUnchangedByInstrumentation(t *testing.T) {
 		Pattern: workload.N1Strided, BlockSize: 128 << 10, NObj: 4, Path: "/pfs/ml.out",
 	}
 	plain := testCluster()
-	workload.Run(plain.World, params)
+	params.Spec().Run(plain.World)
 	s1, d1, w1, _ := plain.PFS.Snapshot(params.Path)
 
 	instrumented := testCluster()

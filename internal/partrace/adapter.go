@@ -3,6 +3,7 @@ package partrace
 import (
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
+	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/framework"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/replay"
@@ -23,6 +24,19 @@ type fwAdapter struct{ cfg Config }
 
 func (a *fwAdapter) Name() string                         { return "//TRACE" }
 func (a *fwAdapter) Classification() *core.Classification { return core.PaperParallelTrace() }
+
+// VariantDigest distinguishes //TRACE configurations that share the
+// registered Name — the sampling levels of the paper's Section 4.3 — so a
+// cached run at one level is never served to another. RawTrace is an output
+// and changes no measurement, so it is left out; a run the harness serves
+// from its cache streams nothing to it.
+func (a *fwAdapter) VariantDigest() uint64 {
+	f := func(name string) uint64 { return fnvhash.String(fnvhash.Offset64, name) }
+	d := a.cfg.Model.Digest("Model")
+	d ^= fnvhash.Int64(f("ThrottleDelay"), int64(a.cfg.ThrottleDelay))
+	d ^= fnvhash.Int64(f("SampledRanks"), int64(a.cfg.SampledRanks))
+	return d
+}
 
 func (a *fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 	return &fwSession{fw: New(a.cfg), c: c}

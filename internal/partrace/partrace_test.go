@@ -173,7 +173,7 @@ func TestReplayedEndStateMatchesOriginal(t *testing.T) {
 	}
 	// Original end state.
 	cOrig := factory()
-	workload.Run(cOrig.World, params())
+	params().Spec().Run(cOrig.World)
 	s1, d1, w1, _ := cOrig.PFS.Snapshot(params().Path)
 	// Replayed end state.
 	cRep := factory()

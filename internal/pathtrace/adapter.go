@@ -77,7 +77,7 @@ func (h *pathHook) Exit(p *sim.Proc, rec *trace.Record) {
 
 // Run executes the workload with the path instrumentation active.
 func (s *fwSession) Run(spec workload.Spec) (framework.Report, error) {
-	res := framework.RunWorkload(s.c, spec)
+	res := spec.Run(s.c.World)
 	rep := framework.Report{
 		Result:         res,
 		TracingElapsed: res.Elapsed,

@@ -17,8 +17,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // MaxTime is the largest representable instant; RunUntil(MaxTime) drains the

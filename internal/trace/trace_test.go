@@ -466,7 +466,7 @@ func TestTextRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		in := randomRecord(rng)
-		in.Time = sim.Time(rng.Int63n(int64(24 * sim.Hour)))
+		in.Time = sim.Time(rng.Int63n(int64(24 * 3600 * sim.Second)))
 		// Text format carries microsecond resolution only.
 		in.Time = in.Time / 1000 * 1000
 		in.Dur = in.Dur / 1000 * 1000

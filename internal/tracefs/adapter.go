@@ -5,6 +5,7 @@ import (
 
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
+	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/framework"
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/sim"
@@ -24,6 +25,30 @@ type fwAdapter struct{ cfg Config }
 
 func (a *fwAdapter) Name() string                         { return "Tracefs" }
 func (a *fwAdapter) Classification() *core.Classification { return core.PaperTracefs() }
+
+// VariantDigest distinguishes Tracefs configurations that share the
+// registered Name — the feature ladder of the paper's Section 4.2 — so a
+// cached run of one feature set is never served to another. ForceStack is
+// left out: Attach always sets it.
+func (a *fwAdapter) VariantDigest() uint64 {
+	f := func(name string) uint64 { return fnvhash.String(fnvhash.Offset64, name) }
+	cfg := a.cfg
+	var d uint64
+	if cfg.Filter != nil {
+		d ^= fnvhash.String(f("Filter"), cfg.Filter.src)
+	}
+	d ^= fnvhash.Int64(f("Buffer"), int64(cfg.Buffer))
+	d ^= fnvhash.Bool(f("Compress"), cfg.Compress)
+	d ^= fnvhash.Bool(f("Columnar"), cfg.Columnar)
+	d ^= fnvhash.Bool(f("Checksum"), cfg.Checksum)
+	d ^= fnvhash.Bool(f("Encrypt"), cfg.Encrypt)
+	for field, on := range cfg.EncryptSpec {
+		d ^= fnvhash.Bool(f("EncryptSpec."+string(field)), on)
+	}
+	d ^= fnvhash.String(f("Key"), string(cfg.Key))
+	d ^= cfg.Model.Digest("Model")
+	return d
+}
 
 func (a *fwAdapter) Attach(c *cluster.Cluster) framework.Session {
 	s := &fwSession{c: c, byNode: make(map[string]*FS)}

@@ -19,7 +19,6 @@ import (
 // Sentinel errors for the syscall surface.
 var (
 	ErrNotExist     = errors.New("vfs: no such file")
-	ErrExist        = errors.New("vfs: file exists")
 	ErrBadFD        = errors.New("vfs: bad file descriptor")
 	ErrReadOnly     = errors.New("vfs: file not open for writing")
 	ErrWriteOnly    = errors.New("vfs: file not open for reading")

@@ -136,7 +136,7 @@ func (s Spec) Run(w *mpi.World) Result {
 // ResultFromStats assembles a Result from per-rank statistics gathered by a
 // caller that drove Program itself (e.g. under a tracing framework).
 func (s Spec) ResultFromStats(elapsed sim.Duration, perRank []RankStats) Result {
-	res := ResultFromStats(s.params, elapsed, perRank)
+	res := resultFromStats(s.params, elapsed, perRank)
 	res.Workload = s.Workload
 	return res
 }
@@ -168,6 +168,24 @@ func (s scenario) Name() string                      { return s.name }
 func (s scenario) Description() string               { return s.desc }
 func (s scenario) Spec(sc Scale) Spec                { return s.spec(sc) }
 func (s scenario) Run(w *mpi.World, sc Scale) Result { return s.spec(sc).Run(w) }
+
+// Variant returns an unregistered mpi_io_test workload: params derives the
+// run's parameterization from each scale, the way the registered patterns
+// use Scale.MPIIOParams. The harness's deep-dive experiments measure such
+// variants (a barrier-synchronized job, two-phase collective writes)
+// through the same engine and cache as registered scenarios. name is the
+// cache key's workload part, so it panics when name resolves to a
+// registered workload: the variant would alias that workload's results.
+func Variant(name string, params func(Scale) Params) Workload {
+	if _, ok := ByName(name); ok {
+		panic(fmt.Sprintf("workload: variant %q collides with a registered workload", name))
+	}
+	return scenario{name: name, spec: func(sc Scale) Spec {
+		s := params(sc).Spec()
+		s.Workload = name
+		return s
+	}}
+}
 
 // --- registry ---
 

@@ -81,12 +81,36 @@ func TestDuplicateWorkloadRegisterPanics(t *testing.T) {
 	Register(scenario{name: "n1strided", desc: "dup", spec: func(Scale) Spec { return Spec{} }})
 }
 
+func TestVariant(t *testing.T) {
+	sc := testScale()
+	params := func(sc Scale) Params {
+		p := sc.MPIIOParams(N1Strided)
+		p.BarrierEvery = 2
+		return p
+	}
+	v := Variant("strided with barriers", params)
+	if got := v.Spec(sc).Workload; got != "strided with barriers" {
+		t.Fatalf("variant spec names workload %q", got)
+	}
+	direct := params(sc).Spec().Run(testCluster().World)
+	viaVariant := v.Run(testCluster().World, sc)
+	if direct.Elapsed != viaVariant.Elapsed || direct.Bytes != viaVariant.Bytes || viaVariant.Params != params(sc) {
+		t.Fatalf("variant run diverged from its params: %+v vs %+v", viaVariant, direct)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a variant named after a registered workload did not panic")
+		}
+	}()
+	Variant("n-1 strided", params)
+}
+
 func TestPatternWorkloadMatchesDirectRun(t *testing.T) {
 	// The registered pattern workloads are the same program as a direct
 	// Params run: identical elapsed time and byte counts.
 	sc := testScale()
 	for _, p := range []Pattern{NToN, N1NonStrided, N1Strided} {
-		direct := Run(testCluster().World, sc.MPIIOParams(p))
+		direct := sc.MPIIOParams(p).Spec().Run(testCluster().World)
 		if PatternWorkload(p).Name() != p.String() {
 			t.Fatalf("PatternWorkload(%v) = %q", p, PatternWorkload(p).Name())
 		}

@@ -115,8 +115,7 @@ type RankStats struct {
 
 // Result summarizes a run.
 type Result struct {
-	// Workload is the registered scenario name for Spec-driven runs
-	// (empty for direct Params runs).
+	// Workload is the name of the scenario that ran (Spec.Workload).
 	Workload    string
 	Params      Params
 	Ranks       int
@@ -144,20 +143,9 @@ func (r Result) ReadBandwidthBps() float64 {
 	return float64(r.BytesRead) / r.ReadElapsed.Seconds()
 }
 
-// Run executes the benchmark on a world and returns the measurement. The
-// world's environment is driven to completion, so each Run needs a fresh
-// cluster.
-func Run(w *mpi.World, params Params) Result {
-	perRank := make([]RankStats, w.Size())
-	elapsed := w.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-		Program(p, r, params, &perRank[r.RankID()])
-	})
-	return ResultFromStats(params, elapsed, perRank)
-}
-
-// ResultFromStats assembles a Result from per-rank statistics gathered by a
-// caller that drove Program itself (e.g. under a tracing framework).
-func ResultFromStats(params Params, elapsed sim.Duration, perRank []RankStats) Result {
+// resultFromStats assembles a Result from per-rank statistics (see
+// Spec.ResultFromStats).
+func resultFromStats(params Params, elapsed sim.Duration, perRank []RankStats) Result {
 	res := Result{
 		Params:  params,
 		Ranks:   len(perRank),

@@ -25,7 +25,7 @@ func TestPatternsLeaveExpectedSizes(t *testing.T) {
 			NObj:      8,
 			Path:      "/pfs/testfile",
 		}
-		res := Run(c.World, params)
+		res := params.Spec().Run(c.World)
 		perRank := int64(params.NObj) * params.BlockSize
 		if want := perRank * int64(c.Ranks()); res.Bytes != want {
 			t.Fatalf("%v: bytes = %d, want %d", pat, res.Bytes, want)
@@ -98,7 +98,7 @@ func TestNonStridedSegments(t *testing.T) {
 
 func TestBandwidthPositiveAndBounded(t *testing.T) {
 	c := testCluster()
-	res := Run(c.World, Params{Pattern: N1Strided, BlockSize: 256 << 10, NObj: 4, Path: "/pfs/bw"})
+	res := Params{Pattern: N1Strided, BlockSize: 256 << 10, NObj: 4, Path: "/pfs/bw"}.Spec().Run(c.World)
 	bw := res.BandwidthBps()
 	if bw <= 0 {
 		t.Fatal("bandwidth not positive")
@@ -112,7 +112,7 @@ func TestBandwidthPositiveAndBounded(t *testing.T) {
 
 func TestElapsedCoversIOPhase(t *testing.T) {
 	c := testCluster()
-	res := Run(c.World, Params{Pattern: NToN, BlockSize: 64 << 10, NObj: 4, Path: "/pfs/e"})
+	res := Params{Pattern: NToN, BlockSize: 64 << 10, NObj: 4, Path: "/pfs/e"}.Spec().Run(c.World)
 	if res.IOElapsed <= 0 || res.Elapsed < res.IOElapsed {
 		t.Fatalf("elapsed=%v io=%v", res.Elapsed, res.IOElapsed)
 	}
@@ -127,7 +127,7 @@ func TestCommandLineMatchesFigure1Style(t *testing.T) {
 
 func TestTouchReadsBack(t *testing.T) {
 	c := testCluster()
-	res := Run(c.World, Params{Pattern: NToN, BlockSize: 64 << 10, NObj: 2, Path: "/pfs/t", Touch: true})
+	res := Params{Pattern: NToN, BlockSize: 64 << 10, NObj: 2, Path: "/pfs/t", Touch: true}.Spec().Run(c.World)
 	if res.Bytes != int64(c.Ranks())*2*(64<<10) {
 		t.Fatalf("bytes = %d", res.Bytes)
 	}
@@ -137,7 +137,7 @@ func TestLargerBlocksHigherBandwidth(t *testing.T) {
 	// The headline phenomenon: aggregate bandwidth grows with block size.
 	run := func(bs int64, nobj int) float64 {
 		c := testCluster()
-		res := Run(c.World, Params{Pattern: N1NonStrided, BlockSize: bs, NObj: nobj, Path: "/pfs/s"})
+		res := Params{Pattern: N1NonStrided, BlockSize: bs, NObj: nobj, Path: "/pfs/s"}.Spec().Run(c.World)
 		return res.BandwidthBps()
 	}
 	small := run(16<<10, 16)
@@ -150,7 +150,7 @@ func TestLargerBlocksHigherBandwidth(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() sim.Duration {
 		c := testCluster()
-		return Run(c.World, Params{Pattern: N1Strided, BlockSize: 64 << 10, NObj: 4, Path: "/pfs/d"}).Elapsed
+		return Params{Pattern: N1Strided, BlockSize: 64 << 10, NObj: 4, Path: "/pfs/d"}.Spec().Run(c.World).Elapsed
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("non-deterministic: %v vs %v", a, b)
@@ -167,10 +167,10 @@ func TestPatternStrings(t *testing.T) {
 
 func TestReadBackPhase(t *testing.T) {
 	c := testCluster()
-	res := Run(c.World, Params{
+	res := Params{
 		Pattern: N1Strided, BlockSize: 64 << 10, NObj: 4,
 		Path: "/pfs/rb", ReadBack: true,
-	})
+	}.Spec().Run(c.World)
 	if res.BytesRead != res.Bytes {
 		t.Fatalf("read back %d of %d bytes", res.BytesRead, res.Bytes)
 	}
@@ -185,10 +185,10 @@ func TestReadBackPhase(t *testing.T) {
 func TestReadBackAllPatterns(t *testing.T) {
 	for _, pat := range []Pattern{NToN, N1NonStrided, N1Strided} {
 		c := testCluster()
-		res := Run(c.World, Params{
+		res := Params{
 			Pattern: pat, BlockSize: 64 << 10, NObj: 2,
 			Path: "/pfs/rbp", ReadBack: true,
-		})
+		}.Spec().Run(c.World)
 		if res.BytesRead != res.Bytes {
 			t.Fatalf("%v: read %d of %d", pat, res.BytesRead, res.Bytes)
 		}
@@ -198,10 +198,10 @@ func TestReadBackAllPatterns(t *testing.T) {
 func TestCollectiveWorkloadMatchesIndependentEndState(t *testing.T) {
 	run := func(collective bool) (int64, uint64) {
 		c := testCluster()
-		Run(c.World, Params{
+		Params{
 			Pattern: N1Strided, BlockSize: 64 << 10, NObj: 4,
 			Path: "/pfs/cw", Collective: collective,
-		})
+		}.Spec().Run(c.World)
 		size, digest, _, _ := c.PFS.Snapshot("/pfs/cw")
 		return size, digest
 	}
