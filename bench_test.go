@@ -473,8 +473,9 @@ func BenchmarkMailboxPopDepth(b *testing.B) {
 }
 
 // BenchmarkSimProcessSwitchMany measures the same switch with 1024 procs
-// sleeping in round-robin: each wake pops a deep event heap and resumes a
-// different coroutine whose stack is cold, as a rank ladder's rounds do.
+// sleeping in round-robin: each wake pops the next of 1024 events queued for
+// one instant and resumes a different coroutine whose stack is cold, as a
+// rank ladder's rounds do.
 func BenchmarkSimProcessSwitchMany(b *testing.B) {
 	const procs = 1024
 	env := sim.NewEnv(1)

@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/lanltrace"
@@ -58,8 +60,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	for node, e := range est {
-		fmt.Printf("%-18s %v\n", node, e)
+	for _, node := range slices.Sorted(maps.Keys(est)) {
+		fmt.Printf("%-18s %v\n", node, est[node])
 	}
 
 	fmt.Printf("\napplication elapsed (traced): %v, trace volume: %d bytes in %d events\n",

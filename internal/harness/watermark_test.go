@@ -152,7 +152,7 @@ func TestSpawnGuardMatrixCell(t *testing.T) {
 // the network, the RAID arrays — contributes zero resident goroutines and
 // zero spawns at any rank count: total spawns are exactly ranks+1 (the rank
 // programs plus mpi.join), so everything beyond the programs themselves is
-// O(nodes+servers) state on the event heap, not goroutines.
+// O(nodes+servers) state on the event queue, not goroutines.
 func TestGoroutineWatermark65536Ranks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("65536-rank watermark run skipped in -short mode")

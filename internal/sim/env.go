@@ -12,8 +12,7 @@ import (
 // internally.
 type Env struct {
 	now   Time
-	queue eventHeap
-	seq   uint64
+	queue eventQueue
 	rng   *rand.Rand
 
 	procs   map[*Proc]struct{} // live (started, not finished) processes
@@ -92,8 +91,7 @@ func (e *Env) schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	e.seq++
-	e.queue.Push(event{at: at, seq: e.seq, fn: fn})
+	e.queue.push(at, fn)
 }
 
 // After schedules fn to run d nanoseconds from now.
@@ -120,10 +118,10 @@ func (e *Env) RunUntil(deadline Time) Time {
 		e.running = false
 		e.Stop()
 	}()
-	for e.queue.Len() > 0 && e.queue.Peek().at <= deadline {
-		ev := e.queue.Pop()
-		e.now = ev.at
-		ev.fn()
+	for e.queue.len() > 0 && e.queue.headAt() <= deadline {
+		var fn func()
+		e.now, fn = e.queue.pop()
+		fn()
 	}
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
@@ -146,4 +144,4 @@ func (e *Env) Stop() {
 }
 
 // Pending reports the number of queued events; useful in tests.
-func (e *Env) Pending() int { return e.queue.Len() }
+func (e *Env) Pending() int { return e.queue.len() }

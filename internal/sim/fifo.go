@@ -34,16 +34,17 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
-// grow doubles the ring (one slot when empty), unwrapping the entries to
-// the front of the new buffer.
-func (q *fifo[T]) grow() {
-	size := 2 * len(q.buf)
-	if size == 0 {
-		size = 1
-	}
-	buf := make([]T, size)
+// grow doubles the ring (one slot when empty).
+func (q *fifo[T]) grow() { q.growInto(make([]T, max(2*len(q.buf), 1))) }
+
+// growInto moves the entries of a full ring to the front of buf, which must
+// be twice the ring's length (one slot when empty), and returns the old
+// buffer, which still holds copies of the entries.
+func (q *fifo[T]) growInto(buf []T) []T {
 	k := copy(buf, q.buf[q.head:])
 	copy(buf[k:], q.buf[:q.head])
+	old := q.buf
 	q.buf = buf
 	q.head = 0
+	return old
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -634,33 +635,243 @@ func TestDeterminismSameSeed(t *testing.T) {
 	}
 }
 
-// Property: popping the heap always yields events in nondecreasing (at, seq)
-// order regardless of insertion order.
-func TestHeapOrderingProperty(t *testing.T) {
-	f := func(times []int16) bool {
-		var h eventHeap
-		for i, tm := range times {
-			at := Time(tm)
-			if at < 0 {
-				at = -at
-			}
-			h.Push(event{at: at, seq: uint64(i)})
-		}
-		var prev event
-		first := true
-		for h.Len() > 0 {
-			e := h.Pop()
-			if !first {
-				if e.at < prev.at || (e.at == prev.at && e.seq < prev.seq) {
-					return false
-				}
-			}
-			prev, first = e, false
-		}
-		return true
+// refEvent and refHeap are the reference model for eventQueue: a plain
+// binary min-heap of single events keyed on (at, seq), the order the
+// instant queue must reproduce exactly.
+type refEvent struct {
+	at  Time
+	seq uint64
+}
+
+type refHeap struct{ ev []refEvent }
+
+func (h *refHeap) less(i, j int) bool {
+	a, b := h.ev[i], h.ev[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	return a.seq < b.seq
+}
+
+func (h *refHeap) push(e refEvent) {
+	h.ev = append(h.ev, e)
+	for i := len(h.ev) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		i = parent
+	}
+}
+
+func (h *refHeap) pop() refEvent {
+	n := len(h.ev) - 1
+	top := h.ev[0]
+	h.ev[0] = h.ev[n]
+	h.ev = h.ev[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			return top
+		}
+		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
+		i = smallest
+	}
+}
+
+// queueOp is one step of a queue schedule: a pop, a push at the time of the
+// last pop (as Env.After(0) schedules), or a push at time at.
+type queueOp struct {
+	pop, atNow bool
+	at         Time
+}
+
+// collidingTimes returns n times, ascending from base, that all hash to
+// base's slot in the open-instant table.
+func collidingTimes(base Time, n int) []Time {
+	out := []Time{base}
+	for t := base + 1; len(out) < n; t++ {
+		if openSlot(t) == openSlot(base) {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// checkQueueAgainstModel runs ops on an eventQueue and on the reference heap,
+// then drains both, and reports the first pop where the two disagree on
+// (at, seq). Pops on an empty queue are skipped.
+func checkQueueAgainstModel(ops []queueOp) error {
+	var q eventQueue
+	var ref refHeap
+	var seq uint64
+	var popped uint64 // seq of the event whose fn ran last
+	var now Time      // time of the last pop
+	pop := func(step int) error {
+		at, fn := q.pop()
+		fn()
+		now = at
+		want := ref.pop()
+		if at != want.at || popped != want.seq {
+			return fmt.Errorf("pop at step %d: queue gave (at %d, seq %d), model (at %d, seq %d)",
+				step, at, popped, want.at, want.seq)
+		}
+		if q.len() != len(ref.ev) {
+			return fmt.Errorf("after pop at step %d: queue holds %d, model %d", step, q.len(), len(ref.ev))
+		}
+		return nil
+	}
+	for i, op := range ops {
+		if op.pop {
+			if q.len() == 0 {
+				continue
+			}
+			if err := pop(i); err != nil {
+				return err
+			}
+			continue
+		}
+		at := op.at
+		if op.atNow {
+			at = now
+		}
+		seq++
+		s := seq
+		q.push(at, func() { popped = s })
+		ref.push(refEvent{at: at, seq: s})
+	}
+	for q.len() > 0 {
+		if err := pop(len(ops)); err != nil {
+			return err
+		}
+	}
+	if len(ref.ev) != 0 {
+		return fmt.Errorf("queue drained with %d events left in the model", len(ref.ev))
+	}
+	return nil
+}
+
+// randomQueueOps builds a schedule the way simulations load the queue, mixing
+// bursts at one time, spreads over many distinct times, pushes at the time
+// just popped and times that collide in the open-instant table.
+func randomQueueOps(r *rand.Rand, n int) []queueOp {
+	collide := collidingTimes(Time(r.Intn(1000)), 6)
+	var ops []queueOp
+	var base Time // rises with the pops, as virtual time does
+	for len(ops) < n {
+		switch r.Intn(6) {
+		case 0: // a burst at one time
+			at := base + Time(r.Intn(4))
+			for k := r.Intn(40); k >= 0; k-- {
+				ops = append(ops, queueOp{at: at})
+			}
+		case 1: // many distinct times
+			for k := r.Intn(40); k >= 0; k-- {
+				ops = append(ops, queueOp{at: base + Time(r.Intn(500))})
+			}
+		case 2: // pushes at the time just popped, between pops
+			for k := r.Intn(10); k >= 0; k-- {
+				ops = append(ops, queueOp{pop: true}, queueOp{atNow: true})
+			}
+		case 3: // times sharing one slot, interleaved
+			for k := r.Intn(30); k >= 0; k-- {
+				ops = append(ops, queueOp{at: collide[r.Intn(len(collide))]})
+			}
+		default: // a run of pops
+			for k := r.Intn(50); k >= 0; k-- {
+				ops = append(ops, queueOp{pop: true})
+			}
+			base += Time(r.Intn(3))
+		}
+	}
+	return ops
+}
+
+// Property: the instant queue pops events in exactly the reference heap's
+// (at, seq) order on random schedules.
+func TestEventQueueMatchesModel(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 300; i++ {
+		ops := randomQueueOps(r, 50+r.Intn(400))
+		if err := checkQueueAgainstModel(ops); err != nil {
+			t.Fatalf("schedule %d: %v", i, err)
+		}
+	}
+}
+
+// decodeQueueOps reads a schedule from fuzz input, two bytes per step: the
+// first picks the step's kind (pop, push at the time just popped, push at a
+// time, push at a time that collides in the open-instant table), the second
+// its time.
+func decodeQueueOps(data []byte) []queueOp {
+	collide := collidingTimes(0, 16)
+	var ops []queueOp
+	for i := 0; i+1 < len(data); i += 2 {
+		kind, arg := data[i]%4, Time(data[i+1])
+		switch kind {
+		case 0:
+			ops = append(ops, queueOp{pop: true})
+		case 1:
+			ops = append(ops, queueOp{atNow: true})
+		case 2:
+			ops = append(ops, queueOp{at: arg})
+		case 3:
+			ops = append(ops, queueOp{at: collide[arg%16]})
+		}
+	}
+	return ops
+}
+
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0})
+	f.Add([]byte{3, 0, 3, 1, 3, 0, 3, 2, 0, 0, 3, 1, 0, 0, 3, 0})
+	f.Add([]byte{2, 9, 2, 3, 2, 200, 0, 0, 2, 3, 1, 7, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := checkQueueAgainstModel(decodeQueueOps(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The queue's edges seen through Env: a RunUntil deadline between two
+// instants, Pending, and Stop with events still queued.
+func TestRunUntilBetweenInstants(t *testing.T) {
+	env := NewEnv(1)
+	var order []Time
+	for _, at := range []Time{10, 20, 10, 30, 20} {
+		env.At(at, func() { order = append(order, env.Now()) })
+	}
+	var sleeper bool
+	env.Go("sleeper", func(p *Proc) {
+		defer func() { sleeper = true }()
+		p.Sleep(40)
+	})
+	if got := env.Pending(); got != 6 {
+		t.Fatalf("Pending before run = %d, want 6", got)
+	}
+	if end := env.RunUntil(25); end != 25 {
+		t.Fatalf("RunUntil(25) = %v, want 25", end)
+	}
+	if want := []Time{10, 10, 20, 20}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("ran at %v, want %v", order, want)
+	}
+	// The event at 30 and the sleeper's wake at 40 stay queued, unrun.
+	if got := env.Pending(); got != 2 {
+		t.Fatalf("Pending after RunUntil(25) = %d, want 2", got)
+	}
+	if !sleeper {
+		t.Fatal("Stop did not unwind the sleeping process")
+	}
+	if env.Now() != 25 {
+		t.Fatalf("Now = %v after RunUntil(25)", env.Now())
 	}
 }
 
@@ -699,9 +910,21 @@ func TestRandDeterministic(t *testing.T) {
 }
 
 func TestTimeString(t *testing.T) {
-	got := (1*Second + 500*Millisecond).String()
-	if got != "1.500000000s" {
-		t.Fatalf("String = %q", got)
+	for _, c := range []struct {
+		t    Time
+		want string
+	}{
+		{1*Second + 500*Millisecond, "1.500000000s"},
+		{0, "0.000000000s"},
+		{-1, "-0.000000001s"},
+		{-160813116, "-0.160813116s"},
+		{-(1*Second + 500*Millisecond), "-1.500000000s"},
+		{MaxTime, "9223372036.854775807s"},
+		{-MaxTime - 1, "-9223372036.854775808s"},
+	} {
+		if got := c.t.String(); got != c.want {
+			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
 	}
 }
 

@@ -26,9 +26,14 @@ const MaxTime Time = 1<<63 - 1
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// String formats the instant as seconds with nanosecond precision.
+// String formats the instant as seconds with nanosecond precision; a
+// negative time (a clock offset, say) carries one leading minus sign.
 func (t Time) String() string {
-	return fmt.Sprintf("%d.%09ds", int64(t)/int64(Second), int64(t)%int64(Second))
+	sign, mag := "", uint64(t)
+	if t < 0 {
+		sign, mag = "-", -mag
+	}
+	return fmt.Sprintf("%s%d.%09ds", sign, mag/uint64(Second), mag%uint64(Second))
 }
 
 // DurationOf converts a byte count and a bandwidth in bytes/second into the
