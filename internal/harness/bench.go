@@ -10,6 +10,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -80,7 +81,10 @@ func (s Snapshot) JSON() string {
 
 // BenchPhase is one timed pass of the bench sweep.
 type BenchPhase struct {
-	WallMS   float64 `json:"wall_ms"`
+	WallMS float64 `json:"wall_ms"`
+	// MallocsK is the heap objects the pass allocated, in thousands: the
+	// change in runtime/metrics' /gc/heap/allocs:objects across it.
+	MallocsK float64 `json:"mallocs_k"`
 	Executed int64   `json:"executed"`
 	Shared   int64   `json:"shared"`
 	MemHits  int64   `json:"mem_hits"`
@@ -108,32 +112,50 @@ func (p SweepPayload) Summary() string {
 		p.Cold.WallMS, p.Cold.Executed, p.Warm.WallMS, p.Warm.Executed, p.Warm.MemHits+p.Warm.DiskHits)
 }
 
+// benchSweepMallocsKLimit bounds the cold smoke sweep's allocated objects,
+// in thousands: about 20% above what the pooled PFS request chain measures,
+// so a per-request allocation creeping back into a hot path fails the bar.
+const benchSweepMallocsKLimit = 250
+
+// heapAllocs reads the process's cumulative count of heap allocations.
+func heapAllocs() uint64 {
+	sample := [1]metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(sample[:])
+	return sample[0].Value.Uint64()
+}
+
 // BenchSweep runs the full-registry smoke matrix twice against one fresh
 // in-memory cache — cold, then warm — and reports the perf snapshot. An
 // error means the sweep itself failed. Its bars are the memoization
-// invariants: the warm Format rendering matches the cold one byte for byte
-// (identical), and the warm run executes no simulation.
+// invariants — the warm Format rendering matches the cold one byte for byte
+// (identical), and the warm run executes no simulation — and the cold
+// sweep's allocation budget.
 func BenchSweep() (Snapshot, error) {
 	o := MatrixSmokeOptions()
 	o.Cache = NewCache("")
 
+	allocs := heapAllocs()
 	start := time.Now()
 	cold, err := MatrixSweep(o)
 	coldWall := time.Since(start)
+	coldAllocs := heapAllocs() - allocs
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("cold sweep: %w", err)
 	}
 
+	allocs = heapAllocs()
 	start = time.Now()
 	warm, err := MatrixSweep(o)
 	warmWall := time.Since(start)
+	warmAllocs := heapAllocs() - allocs
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("warm sweep: %w", err)
 	}
 
-	phase := func(wall time.Duration, s SweepStats) BenchPhase {
+	phase := func(wall time.Duration, allocs uint64, s SweepStats) BenchPhase {
 		return BenchPhase{
 			WallMS:   float64(wall.Microseconds()) / 1e3,
+			MallocsK: float64(allocs) / 1e3,
 			Executed: s.Executed,
 			Shared:   s.Shared,
 			MemHits:  s.MemHits,
@@ -148,13 +170,14 @@ func BenchSweep() (Snapshot, error) {
 		Frameworks:      len(cold.FrameworkNames()),
 		Workloads:       len(cold.Workloads),
 		Blocks:          len(o.BlockSizes),
-		Cold:            phase(coldWall, cold.Stats),
-		Warm:            phase(warmWall, warm.Stats),
+		Cold:            phase(coldWall, coldAllocs, cold.Stats),
+		Warm:            phase(warmWall, warmAllocs, warm.Stats),
 		PoolSize:        warm.Stats.PoolSize,
 		PeakConcurrency: cold.Stats.PeakConcurrency,
 	},
 		Bar{Name: "identical", Value: identical, Op: "==", Limit: 1},
 		Bar{Name: "warm.executed", Value: float64(warm.Stats.Executed), Op: "<=", Limit: 0},
+		Bar{Name: "cold.mallocs_k", Value: float64(coldAllocs) / 1e3, Op: "<=", Limit: benchSweepMallocsKLimit},
 	), nil
 }
 

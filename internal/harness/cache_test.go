@@ -485,7 +485,7 @@ func TestBenchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBars(t, snap, "identical", "warm.executed")
+	checkBars(t, snap, "identical", "warm.executed", "cold.mallocs_k")
 	p := snap.Payload.(SweepPayload)
 	if p.Warm.Executed != 0 {
 		t.Errorf("bench snapshot: warm run executed %d simulations, want 0", p.Warm.Executed)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,13 +86,20 @@ func (s *scheduler) peakConcurrency() int { return int(s.peak.Load()) }
 // tasks ran since the last resetPeak.
 func (s *scheduler) peakHeapBytes() uint64 { return s.peakHeap.Load() }
 
-// sampleHeap reads the live heap size and folds it into the high-water mark.
+// heapObjectsMetric is the runtime/metrics name of HeapAlloc: bytes in
+// live objects and in dead ones not yet swept.
+const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+
+// sampleHeap reads the heap size and folds it into the high-water mark.
+// It reads runtime/metrics, not runtime.ReadMemStats, which would stop the
+// world twice per task and once per sampler tick.
 func (s *scheduler) sampleHeap() {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	sample := [1]metrics.Sample{{Name: heapObjectsMetric}}
+	metrics.Read(sample[:])
+	heap := sample[0].Value.Uint64()
 	for {
 		p := s.peakHeap.Load()
-		if ms.HeapAlloc <= p || s.peakHeap.CompareAndSwap(p, ms.HeapAlloc) {
+		if heap <= p || s.peakHeap.CompareAndSwap(p, heap) {
 			return
 		}
 	}

@@ -9,6 +9,12 @@
 // on the destination port. Per-message software overhead and frame headers
 // make small messages proportionally expensive, which is one of the two
 // mechanisms behind the paper's bandwidth-versus-blocksize curves.
+//
+// The network moves messages and nothing more. A request/response protocol
+// (the parallel file system's RPCs) sends its request to a listening port
+// with SendThen and its response into the requester's own mailbox with
+// SendToThen; which response answers which request is the protocol's
+// business, carried in its payloads.
 package netsim
 
 import (
@@ -211,9 +217,9 @@ func (n *Network) Send(p *sim.Proc, msg Message) {
 	p.Await(func(wake func()) { n.SendThen(msg, wake) })
 }
 
-// SendThen transmits msg as a pure event chain, calling done once the
-// sender-side cost is paid: per-message CPU, then transmit serialization on
-// the source tx resource.
+// SendThen transmits msg as a pure event chain to the mailbox listening on
+// (msg.To, msg.Port), calling done once the sender-side cost is paid:
+// per-message CPU, then transmit serialization on the source tx resource.
 func (n *Network) SendThen(msg Message, done func()) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
@@ -224,11 +230,24 @@ func (n *Network) SendThen(msg Message, done func()) {
 	n.newDelivery(dst, dstBox, msg, n.wireBytes(msg.Size)).transmit(src, done)
 }
 
+// SendToThen is SendThen into a mailbox the caller owns instead of a
+// listening port: the message crosses the same wire from msg.From to
+// msg.To (msg.Port is not consulted) and lands in box. Request/response
+// protocols answer on it: the requester sends its own reply mailbox along
+// with the request, the server sends the response into that mailbox, and
+// the pairing of the two lives in the protocol, not here.
+func (n *Network) SendToThen(msg Message, box *sim.Mailbox[Message], done func()) {
+	src := n.Iface(msg.From)
+	dst := n.Iface(msg.To)
+	n.newDelivery(dst, box, msg, n.wireBytes(msg.Size)).transmit(src, done)
+}
+
 // delivery is one in-flight message: the pooled, fixed-shape state of its
 // event chain. Its stage methods are bound to func values once, when the
 // struct is first allocated, and the struct returns to its network's free
 // list as the message lands, so a message costs no heap object of its own.
-// The chain has two halves:
+// It lands in box: the listening port's mailbox for SendThen, the caller's
+// own for SendToThen. The chain has two halves:
 //
 //	transmit:  After(PerMessageCPU) → tx.AcquireThen → After(txTime) → tx.Release
 //	deliver:   After(0) → After(Latency) → rx.AcquireThen → After(rxTime) → rx.Release
@@ -341,60 +360,6 @@ func (d *delivery) rxDone() {
 	d.dst, d.box, d.msg = nil, nil, Message{}
 	d.next, n.free = n.free, d
 	box.Put(msg)
-}
-
-// rpc is a request/response exchange's request payload: the request and the
-// caller's private reply mailbox, which the server answers on. The mailbox
-// lives inside the payload, so a call allocates one object for both.
-type rpc struct {
-	Req   any
-	Reply sim.Mailbox[Message]
-}
-
-// CallThenSpan performs a request/response exchange as a pure event chain:
-// it sends req to (to, port) and done receives the reply message as it
-// lands on a private reply mailbox. The PFS client builds its data and
-// metadata RPCs on it; a process awaits it with p.Await, passing p.Span().
-// Event-chain callers have no process to stamp a span from, so the
-// request's causal span is passed explicitly.
-//
-// done waits on the reply mailbox before the request is sent: the reply
-// cannot land before the request has left, so the early wait moves no
-// event, and the send needs no completion callback of its own.
-func (n *Network) CallThenSpan(from, to string, port int, reqSize int64, req any, span uint64, done func(Message)) {
-	call := &rpc{Req: req}
-	call.Reply.Init(n.env).GetThen(done)
-	n.SendThen(Message{From: from, To: to, Port: port, Size: reqSize,
-		Payload: call, Span: span}, nop)
-}
-
-func nop() {}
-
-// ServeRequestThen unwraps a message received by a server loop. If the
-// message was produced by CallThenSpan, it returns the inner request
-// and a respond function that sends respSize payload bytes back to the
-// caller; otherwise respond is nil and the raw payload is returned.
-//
-// respond transmits the response as a pure event chain and calls done once
-// the server has paid per-message CPU and tx serialization; the server's
-// release of per-request state (a worker-pool unit, the next dispatch)
-// chains off done. The response travels the reverse path (server tx, switch,
-// client rx) under the request's span, so the reply hop joins the same
-// causal subtree.
-func (n *Network) ServeRequestThen(server string, msg Message) (req any, respond func(respSize int64, resp any, done func())) {
-	call, ok := msg.Payload.(*rpc)
-	if !ok {
-		return msg.Payload, nil
-	}
-	reply := &call.Reply
-	from := msg.From
-	reqSpan := msg.Span
-	return call.Req, func(respSize int64, resp any, done func()) {
-		src := n.Iface(server)
-		dst := n.Iface(from)
-		out := Message{From: server, To: from, Size: respSize, Payload: resp, Span: reqSpan}
-		n.newDelivery(dst, reply, out, n.wireBytes(respSize)).transmit(src, done)
-	}
 }
 
 // Nodes returns the registered node names, sorted.

@@ -148,25 +148,29 @@ func TestIncastRxContention(t *testing.T) {
 	}
 }
 
+// TestCallRoundTrip builds a request/response exchange on SendToThen: the
+// request carries the caller's reply mailbox, and the server answers into it.
 func TestCallRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
+	type call struct {
+		req   any
+		reply sim.Mailbox[Message]
+	}
 	inbox := n.Listen("b", 2)
 	inbox.GetThen(func(msg Message) {
-		req, respond := n.ServeRequestThen("b", msg)
-		if req != "ping" {
-			t.Errorf("server got %v", req)
+		c := msg.Payload.(*call)
+		if c.req != "ping" {
+			t.Errorf("server got %v", c.req)
 		}
-		respond(100, "pong", func() {})
+		n.SendToThen(Message{From: "b", To: msg.From, Size: 100, Payload: "pong", Span: msg.Span}, &c.reply, func() {})
 	})
 	var reply any
 	env.Go("client", func(p *sim.Proc) {
-		p.Await(func(wake func()) {
-			n.CallThenSpan("a", "b", 2, 100, "ping", p.Span(), func(m Message) {
-				reply = m.Payload
-				wake()
-			})
-		})
+		c := &call{req: "ping"}
+		c.reply.Init(env)
+		n.Send(p, Message{From: "a", To: "b", Port: 2, Size: 100, Payload: c})
+		reply = c.reply.Get(p).Payload
 	})
 	env.Run()
 	if reply != "pong" {
@@ -174,14 +178,22 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
-func TestServeRequestRawPayload(t *testing.T) {
+// TestSendToRawPayload: a message sent into a caller-owned mailbox needs no
+// listening port and arrives with its payload exactly as sent.
+func TestSendToRawPayload(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	req, respond := n.ServeRequestThen("b", Message{Payload: 42})
-	if req != 42 || respond != nil {
-		t.Fatalf("raw payload mishandled: req=%v respondNil=%v", req, respond == nil)
+	var box sim.Mailbox[Message]
+	box.Init(env)
+	n.SendToThen(Message{From: "a", To: "b", Size: 8, Payload: 42}, &box, func() {})
+	env.Run()
+	m, ok := box.TryGet()
+	if !ok || m.Payload != 42 {
+		t.Fatalf("raw payload mishandled: got=%v payload=%v", ok, m.Payload)
 	}
-	_ = env
+	if n.Iface("b").MsgsReceived != 1 {
+		t.Fatalf("receiver stats: %+v", n.Iface("b"))
+	}
 }
 
 func TestStatsAccumulate(t *testing.T) {

@@ -3,7 +3,6 @@ package pfs
 import (
 	"fmt"
 
-	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/vfs"
 )
@@ -40,72 +39,65 @@ func respErr(s string) error {
 	return fmt.Errorf("pfs: %s", s)
 }
 
-// metaCall round-trips one metadata request, parking p on the same RPC
-// event chain the data path runs.
-func (c *Client) metaCall(p *sim.Proc, req metaReq) (metaResp, error) {
-	var raw any
-	p.Await(func(wake func()) {
-		c.sys.net.CallThenSpan(c.node, c.sys.mdsNode, Port, reqHeader, req, p.Span(), func(m netsim.Message) {
-			raw = m.Payload
-			wake()
-		})
-	})
-	resp, ok := raw.(metaResp)
-	if !ok {
-		return metaResp{}, fmt.Errorf("pfs: bad metadata response %T", raw)
-	}
-	return resp, respErr(resp.Err)
+// metaCall round-trips one metadata request to the metadata server,
+// parking p on the same event chain the data path runs, and returns the
+// server's view of the file. The call goes back on the free list.
+func (c *Client) metaCall(p *sim.Proc, rq *call) (metaFile, error) {
+	p.Await(rq.awaitFn)
+	attr, err := rq.attr, respErr(rq.err)
+	c.sys.freeCall(rq)
+	return attr, err
+}
+
+// newMetaCall takes a call for a metadata request on path under p's span.
+func (c *Client) newMetaCall(p *sim.Proc, op callOp, path string) *call {
+	return c.sys.newCall(op, c.node, c.sys.mdsNode, path, p.Span())
 }
 
 // Open implements vfs.Filesystem.
 func (c *Client) Open(p *sim.Proc, path string, flags vfs.OpenFlag, mode int, cred vfs.Cred) (vfs.File, error) {
-	resp, err := c.metaCall(p, metaReq{
-		Op: "open", Path: path, Flags: int(flags), Mode: mode,
-		UID: cred.UID, GID: cred.GID,
-	})
+	rq := c.newMetaCall(p, opOpen, path)
+	rq.flags, rq.mode, rq.uid, rq.gid = int(flags), mode, cred.UID, cred.GID
+	attr, err := c.metaCall(p, rq)
 	if err != nil {
 		return nil, err
 	}
 	if flags&vfs.OTrunc != 0 && flags.CanWrite() {
-		// Truncation invalidates every server's object state. One event
-		// chain per server instead of a forked process (the kickoff events
-		// below occupy the same schedule slots the "pfs.trunc" spawn
-		// dispatches did); the caller parks until every server confirmed.
-		wg := sim.NewWaitGroup(c.sys.env)
-		span := p.Span() // captured: the After(0) closures run off-process
-		for i := 0; i < c.sys.cfg.Servers; i++ {
-			node := c.sys.ServerNode(i)
-			wg.Add(1)
-			c.sys.env.After(0, func() {
-				c.sys.net.CallThenSpan(c.node, node, Port, reqHeader,
-					truncReq{Path: path}, span, func(netsim.Message) { wg.Done() })
-			})
+		// Truncation invalidates every server's object state: one request
+		// per server, each kicked off by its own event, and the caller
+		// parks until every server confirmed.
+		sys := c.sys
+		fan := sys.newFanout()
+		for i := range sys.servers {
+			fan.add(sys.newCall(opTrunc, c.node, sys.ServerNode(i), path, p.Span()))
 		}
-		wg.Wait(p)
-		resp.Size = 0
+		fan.wait(p)
+		attr.size = 0
 	}
 	return &clientFile{
 		client: c,
 		path:   path,
 		flags:  flags,
 		attr: vfs.FileAttr{
-			Path: path, Size: resp.Size, UID: resp.UID, GID: resp.GID, Mode: resp.Mode,
+			Path: path, Size: attr.size, UID: attr.uid, GID: attr.gid, Mode: attr.mode,
 		},
 	}, nil
 }
 
 // Stat implements vfs.Filesystem.
 func (c *Client) Stat(p *sim.Proc, path string) (vfs.FileAttr, error) {
-	resp, err := c.metaCall(p, metaReq{Op: "stat", Path: path})
+	attr, err := c.metaCall(p, c.newMetaCall(p, opStat, path))
 	if err != nil {
 		return vfs.FileAttr{}, err
 	}
-	return vfs.FileAttr{Path: path, Size: resp.Size, UID: resp.UID, GID: resp.GID, Mode: resp.Mode}, nil
+	return vfs.FileAttr{Path: path, Size: attr.size, UID: attr.uid, GID: attr.gid, Mode: attr.mode}, nil
 }
 
 // Unlink implements vfs.Filesystem.
 func (c *Client) Unlink(p *sim.Proc, path string, cred vfs.Cred) error {
-	_, err := c.metaCall(p, metaReq{Op: "unlink", Path: path, UID: cred.UID, GID: cred.GID})
+	rq := c.newMetaCall(p, opUnlink, path)
+	rq.uid, rq.gid = cred.UID, cred.GID
+	_, err := c.metaCall(p, rq)
 	return err
 }
 
@@ -132,54 +124,32 @@ type clientFile struct {
 }
 
 // transfer fans one logical range out to the owning servers and waits for
-// all of them (one RPC per server, physically-adjacent units batched). Each
-// RPC is a pure event chain — the retired engine forked one "pfs.io"
-// process per server per call, the single largest source of goroutine churn
-// in the simulator. The kickoff events below take the schedule slots those
-// spawn dispatches occupied and the responses accumulate in arrival order,
-// so the schedule (and firstErr selection) is identical.
+// all of them: one request per server, physically-adjacent units batched,
+// each kicked off by its own event in server order. The replies are folded
+// in arrival order, so the first error is the first to arrive.
 func (f *clientFile) transfer(p *sim.Proc, offset, length int64, write bool) (int64, error) {
 	sys := f.client.sys
-	grouped := coalesce(sys.mapRange(offset, length))
-	var total int64
-	var firstErr error
-	wg := sim.NewWaitGroup(sys.env)
-	span := p.Span() // captured: the After(0) closures run off-process
-	for srv := 0; srv < sys.cfg.Servers; srv++ {
-		ranges := grouped[srv]
+	fan := sys.newFanout()
+	fan.pieces = sys.mapRange(fan.pieces[:0], offset, length)
+	coalesce(fan.grouped, fan.pieces)
+	op := opRead
+	if write {
+		op = opWrite
+	}
+	for srv, ranges := range fan.grouped {
 		if len(ranges) == 0 {
 			continue
 		}
-		node := sys.ServerNode(srv)
-		var bytes int64
-		for _, r := range ranges {
-			bytes += r.length
-		}
-		reqSize := int64(reqHeader)
+		c := sys.newCall(op, f.client.node, sys.ServerNode(srv), f.path, p.Span())
+		c.ranges = ranges
 		if write {
-			reqSize += bytes // write data travels with the request
+			for _, r := range ranges {
+				c.reqSize += r.length // write data travels with the request
+			}
 		}
-		wg.Add(1)
-		sys.env.After(0, func() {
-			sys.net.CallThenSpan(f.client.node, node, Port, reqSize,
-				ioReq{Path: f.path, Ranges: ranges, Write: write}, span, func(m netsim.Message) {
-					defer wg.Done()
-					resp, ok := m.Payload.(ioResp)
-					if !ok {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("pfs: bad io response %T", m.Payload)
-						}
-						return
-					}
-					if resp.Err != "" && firstErr == nil {
-						firstErr = fmt.Errorf("pfs: %s", resp.Err)
-					}
-					total += resp.N
-				})
-		})
+		fan.add(c)
 	}
-	wg.Wait(p)
-	return total, firstErr
+	return fan.wait(p)
 }
 
 // WriteAt implements vfs.File.
@@ -217,7 +187,9 @@ func (f *clientFile) Sync(p *sim.Proc) error {
 		return vfs.ErrBadFD
 	}
 	if f.maxEnd > 0 {
-		_, err := f.client.metaCall(p, metaReq{Op: "setsize", Path: f.path, Size: f.maxEnd})
+		rq := f.client.newMetaCall(p, opSetsize, f.path)
+		rq.size = f.maxEnd
+		_, err := f.client.metaCall(p, rq)
 		return err
 	}
 	return nil

@@ -24,16 +24,31 @@ type metaServer struct {
 	files   map[string]*metaFile
 	jpos    int64
 
+	// cur is the request in service; journals counts the journal records
+	// it still has to write before its reply goes out.
+	cur      *call
+	journals int
+
+	serveFn     func(netsim.Message)
+	armServeFn  func()
+	runFn       func()
+	journaledFn func()
+
 	Requests int64
 }
 
 func newMetaServer(sys *System) *metaServer {
-	return &metaServer{
+	m := &metaServer{
 		sys:     sys,
 		inbox:   sys.net.Listen(sys.mdsNode, Port),
 		journal: disk.NewDisk(sys.env, disk.DefaultDisk()),
 		files:   make(map[string]*metaFile),
 	}
+	m.serveFn = m.serve
+	m.armServeFn = m.armServe
+	m.runFn = m.run
+	m.journaledFn = m.journaled
+	return m
 }
 
 // start arms the event-driven serve chain. Like the data servers, the
@@ -41,124 +56,120 @@ func newMetaServer(sys *System) *metaServer {
 // permanent ".serve" loop): requests are received by a re-arming GetThen and
 // handled as an event chain. Service stays strictly serial — the next
 // request is accepted only after the current response has fully left the
-// NIC, exactly where the retired serve loop cycled back into Get.
+// NIC, exactly where the retired serve loop cycled back into Get — so the
+// server's progress lives on the server, one request at a time.
 func (m *metaServer) start() { m.armServe() }
 
-func (m *metaServer) armServe() {
-	m.inbox.GetThen(func(msg netsim.Message) {
-		m.Requests++
-		reqSpan := msg.Span
-		raw, respond := m.sys.net.ServeRequestThen(m.sys.mdsNode, msg)
-		req, ok := raw.(metaReq)
-		if !ok {
-			respond(reqHeader, metaResp{Err: "pfs: bad metadata request"}, m.armServe)
-			return
-		}
-		m.handleThen(req, reqSpan, func(resp metaResp) {
-			respond(reqHeader, resp, m.armServe)
-		})
-	})
+func (m *metaServer) armServe() { m.inbox.GetThen(m.serveFn) }
+
+// serve takes one request and charges the fixed CPU cost as one scheduled
+// event, where the retired handler slept. The request's span is allocated
+// unconditionally (a pure counter); its PFS_meta_* record, emitted only
+// under a tracer, covers the whole request including the CPU cost and any
+// journal writes.
+func (m *metaServer) serve(msg netsim.Message) {
+	m.Requests++
+	c := msg.Payload.(*call)
+	c.parent = msg.Span
+	c.span = m.sys.env.NextSpanID()
+	c.start = m.sys.env.Now()
+	m.cur = c
+	cost := m.sys.cfg.MetaCost
+	if cost < 0 {
+		cost = 0 // mirror Sleep's clamp
+	}
+	m.sys.env.After(cost, m.runFn)
 }
 
 const oCreate = 0x40 // mirrors vfs.OCreate without importing it
 const oTrunc = 0x200
 
-// handleThen services one metadata request as an event chain: the fixed
-// CPU cost first (one scheduled event, where the retired handler slept),
-// then the namespace mutation with journal writes chained through the
-// journal disk.
-func (m *metaServer) handleThen(req metaReq, parent uint64, done func(metaResp)) {
-	// Unconditional span allocation (pure counter), tracer-gated emission:
-	// the PFS_meta_* record covers the whole request including the fixed
-	// CPU cost and any journal writes.
-	span := m.sys.env.NextSpanID()
-	start := m.sys.env.Now()
-	inner := done
-	done = func(resp metaResp) {
-		if m.sys.tracer != nil {
-			ret := "0"
-			if resp.Err != "" {
-				ret = "-1 " + resp.Err
+// run applies the request to the namespace and fills in the reply, then
+// writes the journal records a mutation needs, one after another through the
+// journal disk, before replying.
+func (m *metaServer) run() {
+	c := m.cur
+	f, ok := m.files[c.path]
+	switch c.op {
+	case opOpen:
+		if !ok {
+			if c.flags&oCreate == 0 {
+				c.err = "ENOENT"
+				break
 			}
-			m.sys.tracer(&trace.Record{
-				Time: start, Dur: m.sys.env.Now() - start,
-				Node: m.sys.mdsNode, Rank: -1,
-				Class: trace.ClassPFSOp, Name: "PFS_meta_" + req.Op,
-				Ret: ret, Path: req.Path,
-				Span: span, Parent: parent,
-			})
+			f = &metaFile{uid: c.uid, gid: c.gid, mode: c.mode}
+			m.files[c.path] = f
+			m.journals++
 		}
-		inner(resp)
-	}
-	cost := m.sys.cfg.MetaCost
-	if cost < 0 {
-		cost = 0 // mirror Sleep's clamp
-	}
-	m.sys.env.After(cost, func() {
-		switch req.Op {
-		case "open":
-			f, ok := m.files[req.Path]
-			finish := func() {
-				if req.Flags&oTrunc != 0 {
-					f.size = 0
-					m.journalWriteThen(func() {
-						done(metaResp{Size: f.size, UID: f.uid, GID: f.gid, Mode: f.mode})
-					})
-					return
-				}
-				done(metaResp{Size: f.size, UID: f.uid, GID: f.gid, Mode: f.mode})
-			}
-			if !ok {
-				if req.Flags&oCreate == 0 {
-					done(metaResp{Err: "ENOENT"})
-					return
-				}
-				f = &metaFile{uid: req.UID, gid: req.GID, mode: req.Mode}
-				m.files[req.Path] = f
-				m.journalWriteThen(finish)
-				return
-			}
-			finish()
-		case "stat":
-			f, ok := m.files[req.Path]
-			if !ok {
-				done(metaResp{Err: "ENOENT"})
-				return
-			}
-			done(metaResp{Size: f.size, UID: f.uid, GID: f.gid, Mode: f.mode})
-		case "unlink":
-			if _, ok := m.files[req.Path]; !ok {
-				done(metaResp{Err: "ENOENT"})
-				return
-			}
-			delete(m.files, req.Path)
-			m.journalWriteThen(func() { done(metaResp{}) })
-		case "setsize":
-			f, ok := m.files[req.Path]
-			if !ok {
-				done(metaResp{Err: "ENOENT"})
-				return
-			}
-			if req.Size > f.size {
-				f.size = req.Size
-			}
-			done(metaResp{Size: f.size})
-		default:
-			done(metaResp{Err: "pfs: unknown metadata op " + req.Op})
+		if c.flags&oTrunc != 0 {
+			f.size = 0
+			m.journals++
 		}
-	})
+		c.attr = *f
+	case opStat:
+		if !ok {
+			c.err = "ENOENT"
+			break
+		}
+		c.attr = *f
+	case opUnlink:
+		if !ok {
+			c.err = "ENOENT"
+			break
+		}
+		delete(m.files, c.path)
+		m.journals++
+	case opSetsize:
+		if !ok {
+			c.err = "ENOENT"
+			break
+		}
+		if c.size > f.size {
+			f.size = c.size
+		}
+		c.attr = metaFile{size: f.size}
+	}
+	m.step()
 }
 
-// journalWriteThen appends a journal record for a namespace mutation,
-// calling done when the write leaves the journal disk. The journal position
-// advances after the write completes, and a write error is ignored (the
-// journal disk never fails in these simulations).
-func (m *metaServer) journalWriteThen(done func()) {
-	written := func() {
-		m.jpos += 4096
-		done()
+// step writes the next journal record the request still owes, or replies
+// once none is left. A write error is ignored (the journal disk never fails
+// in these simulations) and the journal advances as if it had succeeded.
+func (m *metaServer) step() {
+	if m.journals == 0 {
+		m.reply()
+		return
 	}
-	if m.journal.WriteThen(m.jpos, 4096, written) != nil {
-		written()
+	m.journals--
+	if m.journal.WriteThen(m.jpos, 4096, m.journaledFn) != nil {
+		m.journaled()
 	}
+}
+
+// journaled advances the journal position once a record has left the
+// journal disk.
+func (m *metaServer) journaled() {
+	m.jpos += 4096
+	m.step()
+}
+
+// reply traces the finished request and sends its reply; the server takes
+// the next request once the reply has left its NIC.
+func (m *metaServer) reply() {
+	c := m.cur
+	m.cur = nil
+	if m.sys.tracer != nil {
+		ret := "0"
+		if c.err != "" {
+			ret = "-1 " + c.err
+		}
+		m.sys.tracer(&trace.Record{
+			Time: c.start, Dur: m.sys.env.Now() - c.start,
+			Node: m.sys.mdsNode, Rank: -1,
+			Class: trace.ClassPFSOp, Name: opNames[c.op],
+			Ret: ret, Path: c.path,
+			Span: c.span, Parent: c.parent,
+		})
+	}
+	c.respond(reqHeader, m.armServeFn)
 }

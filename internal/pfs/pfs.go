@@ -10,8 +10,6 @@
 package pfs
 
 import (
-	"fmt"
-
 	"iotaxo/internal/disk"
 	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/netsim"
@@ -103,6 +101,13 @@ type System struct {
 	servers []*server
 	meta    *metaServer
 
+	// Free lists of in-flight requests and of process fan-outs, and how
+	// many of each were ever allocated (see call and fanout).
+	freeCalls *call
+	freeFans  *fanout
+	madeCalls int
+	madeFans  int
+
 	// tracer, when set, receives one ClassPFSOp record per served request
 	// (data servers and the metadata server alike).
 	tracer func(*trace.Record)
@@ -139,7 +144,7 @@ func New(net_ *netsim.Network, cfg Config) *System {
 func (s *System) Config() Config { return s.cfg }
 
 // ServerNode returns the node name of object server i.
-func (s *System) ServerNode(i int) string { return fmt.Sprintf("%s-oss%d", s.cfg.Name, i) }
+func (s *System) ServerNode(i int) string { return s.servers[i].node }
 
 // MDSNode returns the metadata server's node name.
 func (s *System) MDSNode() string { return s.mdsNode }
@@ -181,14 +186,13 @@ type stripeRange struct {
 	length int64
 }
 
-// mapRange splits a logical byte range into per-server pieces.
+// mapRange appends the per-server pieces of a logical byte range to dst.
 // Logical unit u = off/StripeUnit is stored on server u % Servers at
 // server-local position (u/Servers)*StripeUnit + off%StripeUnit, so
 // sequential logical I/O stays sequential on each server's object. The
 // mapping is invertible: servers reconstruct logical offsets from physical
 // positions for digest bookkeeping (see logicalOffset).
-func (s *System) mapRange(off, length int64) []stripeRange {
-	var out []stripeRange
+func (s *System) mapRange(dst []stripeRange, off, length int64) []stripeRange {
 	su := s.cfg.StripeUnit
 	n := int64(s.cfg.Servers)
 	for length > 0 {
@@ -198,7 +202,7 @@ func (s *System) mapRange(off, length int64) []stripeRange {
 		if chunk > length {
 			chunk = length
 		}
-		out = append(out, stripeRange{
+		dst = append(dst, stripeRange{
 			server: int(u % n),
 			phys:   (u/n)*su + within,
 			length: chunk,
@@ -206,7 +210,7 @@ func (s *System) mapRange(off, length int64) []stripeRange {
 		off += chunk
 		length -= chunk
 	}
-	return out
+	return dst
 }
 
 // logicalOffset inverts the striping map for a server-local position.
@@ -218,19 +222,20 @@ func (s *System) logicalOffset(serverIdx int, phys int64) int64 {
 	return logicalUnit*su + within
 }
 
-// coalesce merges physically adjacent ranges per server to cut message
+// coalesce groups pieces by server into grouped (one list per server,
+// each emptied first), merging physically adjacent ranges to cut message
 // counts, the way real PFS clients batch stripe units into one RPC per
 // server.
-func coalesce(rs []stripeRange) map[int][]stripeRange {
-	grouped := make(map[int][]stripeRange)
+func coalesce(grouped [][]stripeRange, rs []stripeRange) {
+	for i := range grouped {
+		grouped[i] = grouped[i][:0]
+	}
 	for _, r := range rs {
 		list := grouped[r.server]
 		if n := len(list); n > 0 && list[n-1].phys+list[n-1].length == r.phys {
 			list[n-1].length += r.length
-			grouped[r.server] = list
 			continue
 		}
 		grouped[r.server] = append(list, r)
 	}
-	return grouped
 }

@@ -315,7 +315,7 @@ func TestStripingRoundTripProperty(t *testing.T) {
 	f := func(offRaw uint32, lenRaw uint16) bool {
 		off := int64(offRaw) % (1 << 22)
 		length := int64(lenRaw)%(1<<18) + 1
-		pieces := sys.mapRange(off, length)
+		pieces := sys.mapRange(nil, off, length)
 		var total int64
 		cursor := off
 		for _, pc := range pieces {
@@ -342,12 +342,13 @@ func TestCoalescePreservesBytesProperty(t *testing.T) {
 	f := func(offRaw uint32, lenRaw uint32) bool {
 		off := int64(offRaw) % (1 << 22)
 		length := int64(lenRaw)%(1<<20) + 1
-		pieces := sys.mapRange(off, length)
+		pieces := sys.mapRange(nil, off, length)
 		var rawTotal int64
 		for _, pc := range pieces {
 			rawTotal += pc.length
 		}
-		grouped := coalesce(pieces)
+		grouped := make([][]stripeRange, sys.Config().Servers)
+		coalesce(grouped, pieces)
 		var coTotal int64
 		for srv, list := range grouped {
 			for _, r := range list {
@@ -371,14 +372,20 @@ func TestCoalesceReducesMessages(t *testing.T) {
 	sys := New(net_, smallConfig())
 	// A write spanning 8 full rounds of the stripe: 32 units over 4 servers
 	// must coalesce to exactly one range per server.
-	pieces := sys.mapRange(0, 32*sys.Config().StripeUnit)
-	grouped := coalesce(pieces)
+	pieces := sys.mapRange(nil, 0, 32*sys.Config().StripeUnit)
+	grouped := make([][]stripeRange, sys.Config().Servers)
+	coalesce(grouped, pieces)
+	servers := 0
 	for srv, list := range grouped {
+		if len(list) == 0 {
+			continue
+		}
+		servers++
 		if len(list) != 1 {
 			t.Fatalf("server %d got %d ranges, want 1", srv, len(list))
 		}
 	}
-	if len(grouped) != 4 {
-		t.Fatalf("grouped servers = %d", len(grouped))
+	if servers != 4 {
+		t.Fatalf("grouped servers = %d", servers)
 	}
 }

@@ -1,46 +1,14 @@
 package pfs
 
 import (
+	"fmt"
+
 	"iotaxo/internal/disk"
 	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
 )
-
-// Wire protocol request/response types. Payloads travel by reference inside
-// the simulator; Size fields on messages model the bytes on the wire.
-
-type ioReq struct {
-	Path   string
-	Ranges []stripeRange // phys ranges on this server
-	Write  bool
-}
-
-type ioResp struct {
-	N   int64
-	Err string
-}
-
-type truncReq struct{ Path string }
-
-type metaReq struct {
-	Op    string // "open", "stat", "unlink", "setsize"
-	Path  string
-	Flags int
-	Size  int64
-	UID   int
-	GID   int
-	Mode  int
-}
-
-type metaResp struct {
-	Err  string
-	Size int64
-	UID  int
-	GID  int
-	Mode int
-}
 
 // objState is one server's view of one file's object.
 type objState struct {
@@ -62,14 +30,17 @@ type server struct {
 
 	objects map[string]*objState
 
+	dispatchFn func(netsim.Message)
+	releaseFn  func()
+
 	// Stats.
 	Requests int64
 }
 
 func newServer(sys *System, idx int) *server {
-	node := sys.ServerNode(idx)
+	node := fmt.Sprintf("%s-oss%d", sys.cfg.Name, idx)
 	sys.net.AddNode(node)
-	return &server{
+	s := &server{
 		sys:     sys,
 		idx:     idx,
 		node:    node,
@@ -78,6 +49,9 @@ func newServer(sys *System, idx int) *server {
 		pool:    sim.NewResource(sys.env, sys.cfg.ServerProcs),
 		objects: make(map[string]*objState),
 	}
+	s.dispatchFn = s.dispatch
+	s.releaseFn = s.pool.Release
+	return s
 }
 
 // start arms the event-driven dispatch chain. The server runs with zero
@@ -88,8 +62,8 @@ func newServer(sys *System, idx int) *server {
 // ".dispatch" loop).
 //
 // The event sequencing mirrors the retired process engine exactly: the
-// GetThen callback fires where the dispatch process woke, the After(0)
-// kickoff below occupies the slot of the worker's spawn-dispatch event, and
+// GetThen callback fires where the dispatch process woke, dispatch's After(0)
+// kickoff occupies the slot of the worker's spawn-dispatch event, and
 // AcquireThen queues on the same FIFO the worker's Acquire parked on — so
 // simulated timestamps are byte-identical while goroutine churn drops to
 // zero.
@@ -98,127 +72,126 @@ func (s *server) start() { s.armDispatch() }
 // armDispatch registers the next-request callback. Re-arming from inside the
 // callback mirrors the dispatch loop cycling back into Get, including
 // consuming a burst of queued messages within one wake.
-func (s *server) armDispatch() {
-	s.inbox.GetThen(func(msg netsim.Message) {
-		s.Requests++
-		reqSpan := msg.Span
-		req, respond := s.sys.net.ServeRequestThen(s.node, msg)
-		s.sys.env.After(0, func() {
-			s.pool.AcquireThen(func() {
-				s.handleThen(req, reqSpan, respond, s.pool.Release)
-			})
-		})
-		s.armDispatch()
-	})
+func (s *server) armDispatch() { s.inbox.GetThen(s.dispatchFn) }
+
+// dispatch takes one request off the inbox and kicks off its admission to
+// the handler pool.
+func (s *server) dispatch(msg netsim.Message) {
+	s.Requests++
+	c := msg.Payload.(*call)
+	c.srv, c.parent = s, msg.Span
+	s.sys.env.After(0, c.admitFn)
+	s.armDispatch()
 }
 
-// handleThen services one request while holding a pool unit; done releases
-// it once the response has fully left the server's NIC (the same point the
+func (c *call) admit() { c.srv.pool.AcquireThen(c.handleFn) }
+
+// handle services one request while holding a pool unit; the unit goes back
+// once the response has fully left the server's NIC (the same point the
 // retired worker's deferred Release ran).
-func (s *server) handleThen(req any, parent uint64, respond func(int64, any, func()), done func()) {
+func (c *call) handle() {
+	s := c.srv
 	// Span allocation is unconditional (pure counter, schedule-neutral);
 	// record emission stays tracer-gated.
-	span := s.sys.env.NextSpanID()
-	start := s.sys.env.Now()
-	switch r := req.(type) {
-	case ioReq:
-		s.handleIOThen(r, span, func(n int64, err error) {
-			if s.sys.tracer != nil {
-				name := "PFS_read"
-				if r.Write {
-					name = "PFS_write"
-				}
-				ret := "0"
-				if err != nil {
-					ret = "-1 " + err.Error()
-				}
-				var off int64
-				if len(r.Ranges) > 0 {
-					off = s.sys.logicalOffset(s.idx, r.Ranges[0].phys)
-				}
-				s.sys.tracer(&trace.Record{
-					Time: start, Dur: s.sys.env.Now() - start,
-					Node: s.node, Rank: -1,
-					Class: trace.ClassPFSOp, Name: name, Ret: ret,
-					Path: r.Path, Offset: off, Bytes: n,
-					Span: span, Parent: parent,
-				})
-			}
-			resp := ioResp{N: n}
-			if err != nil {
-				resp.Err = err.Error()
-			}
-			respSize := int64(reqHeader)
-			if !r.Write {
-				respSize += n // read data travels back
-			}
-			respond(respSize, resp, done)
-		})
-	case truncReq:
-		delete(s.objects, r.Path)
+	c.span = s.sys.env.NextSpanID()
+	c.start = s.sys.env.Now()
+	if c.op == opTrunc {
+		delete(s.objects, c.path)
 		if s.sys.tracer != nil {
 			s.sys.tracer(&trace.Record{
-				Time: start, Dur: 0, Node: s.node, Rank: -1,
-				Class: trace.ClassPFSOp, Name: "PFS_trunc", Ret: "0",
-				Path: r.Path, Span: span, Parent: parent,
+				Time: c.start, Dur: 0, Node: s.node, Rank: -1,
+				Class: trace.ClassPFSOp, Name: opNames[opTrunc], Ret: "0",
+				Path: c.path, Span: c.span, Parent: c.parent,
 			})
 		}
-		respond(reqHeader, ioResp{}, done)
-	default:
-		respond(reqHeader, ioResp{Err: "pfs: bad request"}, done)
+		c.respond(reqHeader, s.releaseFn)
+		return
 	}
-}
-
-// handleIOThen runs the per-range transfers serially as an event chain,
-// mirroring the retired worker's loop: digest state updates after each write
-// completes, reads clamp against the object's physical end as it stands when
-// the range is reached, and the first error aborts the remaining ranges.
-func (s *server) handleIOThen(r ioReq, span uint64, done func(int64, error)) {
-	st, ok := s.objects[r.Path]
+	st, ok := s.objects[c.path]
 	if !ok {
 		st = &objState{}
-		s.objects[r.Path] = st
+		s.objects[c.path] = st
 	}
-	base := objectBase(r.Path)
-	var total int64
-	var step func(i int)
-	step = func(i int) {
-		for ; i < len(r.Ranges); i++ {
-			rg := r.Ranges[i]
-			next := i + 1
-			if r.Write {
-				s.array.WriteThenSpan(base+rg.phys, rg.length, span, func(err error) {
-					if err != nil {
-						done(total, err)
-						return
-					}
-					s.recordWrite(st, r.Path, rg)
-					total += rg.length
-					step(next)
-				})
-				return
-			}
-			length := rg.length
-			if rg.phys >= st.physEnd {
-				continue // hole / EOF on this server
-			}
-			if rg.phys+length > st.physEnd {
-				length = st.physEnd - rg.phys
-			}
-			add := length
-			s.array.ReadThenSpan(base+rg.phys, length, span, func(err error) {
-				if err != nil {
-					done(total, err)
-					return
-				}
-				total += add
-				step(next)
-			})
+	c.obj, c.base, c.i, c.n = st, objectBase(c.path), 0, 0
+	c.step()
+}
+
+// step runs the request's ranges serially as an event chain, mirroring the
+// retired worker's loop: digest state updates after each write completes,
+// reads clamp against the object's physical end as it stands when the range
+// is reached, and the first error aborts the remaining ranges.
+func (c *call) step() {
+	for ; c.i < len(c.ranges); c.i++ {
+		rg := c.ranges[c.i]
+		if c.op == opWrite {
+			c.srv.array.WriteThenSpan(c.base+rg.phys, rg.length, c.span, c.wroteFn)
 			return
 		}
-		done(total, nil)
+		length := rg.length
+		if rg.phys >= c.obj.physEnd {
+			continue // hole / EOF on this server
+		}
+		if rg.phys+length > c.obj.physEnd {
+			length = c.obj.physEnd - rg.phys
+		}
+		c.add = length
+		c.srv.array.ReadThenSpan(c.base+rg.phys, length, c.span, c.readFn)
+		return
 	}
-	step(0)
+	c.served(nil)
+}
+
+func (c *call) wrote(err error) {
+	if err != nil {
+		c.served(err)
+		return
+	}
+	rg := c.ranges[c.i]
+	c.srv.recordWrite(c.obj, c.path, rg)
+	c.n += rg.length
+	c.i++
+	c.step()
+}
+
+func (c *call) read(err error) {
+	if err != nil {
+		c.served(err)
+		return
+	}
+	c.n += c.add
+	c.i++
+	c.step()
+}
+
+// served traces the finished data request and sends its reply; read data
+// travels back with it.
+func (c *call) served(err error) {
+	s := c.srv
+	if s.sys.tracer != nil {
+		ret := "0"
+		if err != nil {
+			ret = "-1 " + err.Error()
+		}
+		var off int64
+		if len(c.ranges) > 0 {
+			off = s.sys.logicalOffset(s.idx, c.ranges[0].phys)
+		}
+		s.sys.tracer(&trace.Record{
+			Time: c.start, Dur: s.sys.env.Now() - c.start,
+			Node: s.node, Rank: -1,
+			Class: trace.ClassPFSOp, Name: opNames[c.op], Ret: ret,
+			Path: c.path, Offset: off, Bytes: c.n,
+			Span: c.span, Parent: c.parent,
+		})
+	}
+	if err != nil {
+		c.err = err.Error()
+	}
+	size := int64(reqHeader)
+	if c.op == opRead {
+		size += c.n
+	}
+	c.respond(size, s.releaseFn)
 }
 
 // objectBase allocates each file its own extent on the array so distinct
