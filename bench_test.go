@@ -293,7 +293,7 @@ func benchSimRanks(b *testing.B, ranks int) {
 		if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
 			b.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
 		}
-		if n := c.Env.Spawned("net.courier"); n != 0 {
+		if n := c.Env.Spawns()["net.courier"]; n != 0 {
 			b.Fatalf("%d courier procs spawned, want 0", n)
 		}
 		var n int64

@@ -46,7 +46,6 @@ var exportAllowlist = map[string]string{
 	"sim.Env.LiveProcs":                 "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
 	"sim.Env.Pending":                   "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
 	"sim.Env.Spawns":                    "probe read by harness TestSpawnGuardMatrixCell; a run report would call it",
-	"sim.Env.Spawned":                   "probe read by netsim TestDeliverySpawnsNoProcs; a run report would call it",
 	"sim.Mailbox.TryGet":                "probe read by the root BenchmarkMailboxPopDepth",
 	"vfs.Kernel.Clock":                  "probe read by cluster TestClockBoundsRespected",
 	"clocks.Clock.SkewAt":               "probe read by cluster TestClockBoundsRespected",

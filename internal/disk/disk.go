@@ -198,7 +198,7 @@ type Array struct {
 
 	// tracer, when set, receives one coarse ClassDiskIO record per array
 	// call (not per member-drive transfer), labelled with node.
-	tracer func(*trace.Record)
+	tracer func(trace.Record)
 	node   string
 
 	// free is the array's list of idle calls (see arrayOp).
@@ -207,7 +207,7 @@ type Array struct {
 
 // SetTracer installs (or, with nil fn, removes) the array-call tracer.
 // node labels emitted records with the owning server's node name.
-func (a *Array) SetTracer(node string, fn func(*trace.Record)) {
+func (a *Array) SetTracer(node string, fn func(trace.Record)) {
 	a.node, a.tracer = node, fn
 }
 
@@ -414,6 +414,8 @@ type driveBatch struct {
 	n   int // ops counted while grouping
 	i   int // next op to start
 
+	// advanceFn and stepFn are bound when the call first uses the drive
+	// (see run): most calls touch a few of a group's drives.
 	advanceFn func()
 	stepFn    func()
 }
@@ -429,10 +431,7 @@ func (a *Array) newOp(name string, off, length int64, parent uint64, done func(e
 		c = &arrayOp{a: a, batches: make([]driveBatch, len(a.disks))}
 		c.finishFn = c.finish
 		for i := range c.batches {
-			b := &c.batches[i]
-			b.c, b.d = c, a.disks[i]
-			b.advanceFn = b.advance
-			b.stepFn = b.step
+			c.batches[i].c, c.batches[i].d = c, a.disks[i]
 		}
 	}
 	c.name, c.off, c.length, c.parent, c.done = name, off, length, parent, done
@@ -478,6 +477,9 @@ func (c *arrayOp) run() {
 	}
 	for i := range c.batches {
 		if b := &c.batches[i]; len(b.ops) > 0 {
+			if b.advanceFn == nil {
+				b.advanceFn, b.stepFn = b.advance, b.step
+			}
 			c.a.env.After(0, b.advanceFn)
 		}
 	}
@@ -519,7 +521,7 @@ func (c *arrayOp) complete(err error) {
 		if err != nil {
 			ret = "-1 " + err.Error()
 		}
-		a.tracer(&trace.Record{
+		a.tracer(trace.Record{
 			Time:   c.start,
 			Dur:    a.env.Now() - c.start,
 			Node:   a.node,

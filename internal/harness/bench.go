@@ -113,9 +113,9 @@ func (p SweepPayload) Summary() string {
 }
 
 // benchSweepMallocsKLimit bounds the cold smoke sweep's allocated objects,
-// in thousands: about 20% above what the pooled PFS request chain measures,
-// so a per-request allocation creeping back into a hot path fails the bar.
-const benchSweepMallocsKLimit = 250
+// in thousands: about 20% above the 159k the pooled hot paths measure, so a
+// per-request allocation creeping back into a hot path fails the bar.
+const benchSweepMallocsKLimit = 190
 
 // heapAllocs reads the process's cumulative count of heap allocations.
 func heapAllocs() uint64 {

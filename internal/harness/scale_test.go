@@ -243,8 +243,8 @@ func TestScaleSweepDeterministic(t *testing.T) {
 // TestScaleSweepDeterministic4096 is the batched-wake determinism test at
 // ladder scale: two identical single-framework sweeps to a 4096-rank top
 // rung, each against a fresh cache, must render byte-identically. The
-// batched drain events (Mailbox.Put, Signal.Fire, WaitGroup.Add-to-zero)
-// and the event-chain server paths carry no hidden iteration-order or
+// batched drain events (Mailbox.Put, the mpi.join's wake) and the
+// event-chain server paths carry no hidden iteration-order or
 // timing dependence, however many waiters one instant accumulates at 4096
 // ranks. Under -race (CI's determinism step) or -short the top rung drops
 // to 1024 so the race-detector run stays affordable; the plain `go test`

@@ -94,8 +94,10 @@ func TestGoroutineWatermark512Ranks(t *testing.T) {
 
 // TestSpawnGuardMatrixCell is the spawn-regression guard: a full matrix
 // cell (untraced baseline plus a traced LANL-Trace run) must spawn exactly
-// the processes the workload itself owns — one mpi.rank per rank and one
-// mpi.join — and nothing else. Every infrastructure path is a pure event
+// the processes the workload itself owns — one mpi.rank per rank and the
+// one mpi.join that awaits the last rank and reads the job's end time — and
+// nothing else. Processes block only by Sleep or by awaiting an event
+// chain, so no wait primitive adds a process. Every infrastructure path is a pure event
 // chain now: message delivery (retired net.courier), PFS request service
 // (retired <node>.worker), metadata service, RAID fan-out (retired raid.io
 // children), and client I/O fan-out. This test is what keeps per-request
@@ -194,7 +196,7 @@ func verifyWatermark(t *testing.T, name string, env *sim.Env, peakG, peakLive, p
 		t.Fatalf("%s: peak goroutines %d not bounded by live procs %d + %d",
 			name, peakG, peakLive, procSlack)
 	}
-	if couriers := env.Spawned("net.courier"); couriers != 0 {
+	if couriers := env.Spawns()["net.courier"]; couriers != 0 {
 		t.Fatalf("%s: %d net.courier procs spawned, want 0", name, couriers)
 	}
 }

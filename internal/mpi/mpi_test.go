@@ -239,6 +239,40 @@ func TestRunToCompletionElapsed(t *testing.T) {
 	}
 }
 
+// TestRunToCompletionInstantRanks runs ranks that all return before the
+// join's first dispatch: the join must not block, the job takes no virtual
+// time, and the job spawns one process per rank plus the join.
+func TestRunToCompletionInstantRanks(t *testing.T) {
+	c := smallCluster(4)
+	elapsed := c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {})
+	if elapsed != 0 {
+		t.Fatalf("elapsed = %v, want 0", elapsed)
+	}
+	if n := c.Env.TotalSpawned(); n != 4+1 {
+		t.Fatalf("%d spawns, want ranks+1 = 5 (%v)", n, c.Env.Spawns())
+	}
+	if c.Env.LiveProcs() != 0 {
+		t.Fatalf("%d procs left live", c.Env.LiveProcs())
+	}
+}
+
+// TestRunToCompletionLastRankSleeps ends a job on one rank's sleep: the
+// elapsed time is exactly that sleep, read when the last rank finishes.
+func TestRunToCompletionLastRankSleeps(t *testing.T) {
+	c := smallCluster(4)
+	const last = 5 * sim.Millisecond
+	elapsed := c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+		if r.RankID() == 2 {
+			p.Sleep(last)
+			return
+		}
+		p.Sleep(sim.Millisecond * sim.Duration(r.RankID()))
+	})
+	if elapsed != last {
+		t.Fatalf("elapsed = %v, want %v", elapsed, last)
+	}
+}
+
 func TestDetachLibHooks(t *testing.T) {
 	c := smallCluster(1)
 	h := &hookRecorder{}

@@ -17,6 +17,13 @@ type Rank struct {
 	pc    *vfs.ProcCtx
 	inbox *sim.Mailbox[netsim.Message]
 
+	// recv is the rank's inbox receiver (deliver), bound once in NewWorld.
+	// It leaves the received envelope in got and wakes the process that
+	// awaits it through wake, so a receive allocates nothing.
+	recv func(netsim.Message)
+	got  *mpiMsg
+	wake func()
+
 	pending  []mpiMsg // arrived but unmatched messages
 	barGen   int      // barrier generation counter
 	libHooks []LibHook
@@ -154,9 +161,10 @@ func (r *Rank) recvRaw(p *sim.Proc, src, tag int) mpiMsg {
 		}
 	}
 	for {
-		msg := r.inbox.Get(p)
-		envelope, ok := msg.Payload.(*mpiMsg)
-		if !ok {
+		p.Await(r.awaitInbox)
+		envelope := r.got
+		r.got = nil
+		if envelope == nil {
 			continue
 		}
 		m := r.world.openEnvelope(envelope)
@@ -165,6 +173,19 @@ func (r *Rank) recvRaw(p *sim.Proc, src, tag int) mpiMsg {
 		}
 		r.pending = append(r.pending, m)
 	}
+}
+
+// awaitInbox arms the rank's receiver on its inbox; recvRaw awaits it.
+func (r *Rank) awaitInbox(wake func()) {
+	r.wake = wake
+	r.inbox.GetThen(r.recv)
+}
+
+// deliver is the rank's inbox receiver: it keeps the message's envelope (nil
+// for a foreign payload) for recvRaw and wakes the awaiting process.
+func (r *Rank) deliver(msg netsim.Message) {
+	r.got, _ = msg.Payload.(*mpiMsg)
+	r.wake()
 }
 
 // Send transmits bytes to dest with a tag (traced as MPI_Send).

@@ -41,9 +41,6 @@ type World struct {
 	// so steady messaging allocates none. It is per world, not global:
 	// sweep cells run worlds in parallel.
 	envelopes []*mpiMsg
-
-	// FinishedAt records each rank's completion time of the last Launch.
-	FinishedAt []sim.Time
 }
 
 // NewWorld creates a world with one rank per kernel entry. The same kernel
@@ -61,8 +58,8 @@ func NewWorld(net_ *netsim.Network, kernels []*vfs.Kernel) *World {
 			pc:    pc,
 			inbox: net_.Listen(k.Node(), PortBase+i),
 		}
+		w.ranks[i].recv = w.ranks[i].deliver
 	}
-	w.FinishedAt = make([]sim.Time, len(kernels))
 	return w
 }
 
@@ -72,43 +69,39 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return &w.ranks[i] }
 
-// Launch spawns every rank's program as a simulated process. It returns a
-// latch that opens when all ranks have finished; run the environment to
-// drive them. Per-rank completion times land in FinishedAt.
-func (w *World) Launch(program func(p *sim.Proc, r *Rank)) *sim.Latch {
-	done := sim.NewLatch(w.env)
-	wg := sim.NewWaitGroup(w.env)
-	wg.Add(len(w.ranks))
+// RunToCompletion spawns every rank's program as a simulated process and
+// drives the environment until all ranks finish, returning the elapsed
+// virtual time (job wall-clock). One more process, mpi.join, awaits the
+// last rank and reads the job's end time.
+func (w *World) RunToCompletion(program func(p *sim.Proc, r *Rank)) sim.Duration {
+	start := w.env.Now()
+	end := start
+	running := len(w.ranks)
+	var joinWake func()
 	for i := range w.ranks {
 		r := &w.ranks[i]
 		// All ranks share one spawn name: per-rank identity lives in the
-		// process context (pid/rank), and a shared literal keeps Launch free
-		// of per-rank Sprintf allocations at 65536 ranks.
+		// process context (pid/rank), and a shared literal keeps the launch
+		// free of per-rank Sprintf allocations at 65536 ranks.
 		w.env.Go("mpi.rank", func(p *sim.Proc) {
 			program(p, r)
-			w.FinishedAt[r.rank] = p.Now()
-			wg.Done()
+			running--
+			if running == 0 && joinWake != nil {
+				w.env.After(0, joinWake)
+			}
 		})
 	}
 	w.env.Go("mpi.join", func(p *sim.Proc) {
-		wg.Wait(p)
-		done.Open()
+		p.Await(func(wake func()) {
+			if running == 0 {
+				wake()
+				return
+			}
+			joinWake = wake
+		})
+		end = p.Now()
 	})
-	return done
-}
-
-// RunToCompletion launches the program and drives the environment until all
-// ranks finish, returning the elapsed virtual time (job wall-clock).
-func (w *World) RunToCompletion(program func(p *sim.Proc, r *Rank)) sim.Duration {
-	start := w.env.Now()
-	w.Launch(program)
 	w.env.Run()
-	var end sim.Time
-	for _, t := range w.FinishedAt {
-		if t > end {
-			end = t
-		}
-	}
 	return end - start
 }
 

@@ -119,13 +119,13 @@ func Attach(c *cluster.Cluster) *Session {
 	// Arm the three server-side layers. The network tracer emits one
 	// delivery record per message; the PFS tracer covers both the request
 	// handlers and (routed by class) the RAID groups beneath them.
-	c.Net.SetTracer(func(r *trace.Record) { s.netCol.Emit(r) })
-	c.PFS.SetTracer(func(r *trace.Record) {
+	c.Net.SetTracer(func(r trace.Record) { s.netCol.Emit(&r) })
+	c.PFS.SetTracer(func(r trace.Record) {
 		if r.Class == trace.ClassDiskIO {
-			s.diskCol.Emit(r)
+			s.diskCol.Emit(&r)
 			return
 		}
-		s.pfsCol.Emit(r)
+		s.pfsCol.Emit(&r)
 	})
 	return s
 }

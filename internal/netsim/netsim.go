@@ -115,7 +115,7 @@ type Network struct {
 
 	// tracer, when set, receives one ClassNetMsg record per message
 	// delivery. Untraced networks pay nothing on the delivery path.
-	tracer func(*trace.Record)
+	tracer func(trace.Record)
 
 	// free is the network's list of idle deliveries. A steady stream of
 	// messages recycles the same few structs, so the message path
@@ -125,7 +125,7 @@ type Network struct {
 }
 
 // SetTracer installs (or, with nil, removes) the delivery tracer.
-func (n *Network) SetTracer(fn func(*trace.Record)) { n.tracer = fn }
+func (n *Network) SetTracer(fn func(trace.Record)) { n.tracer = fn }
 
 // New returns an empty network with the given configuration.
 func New(env *sim.Env, cfg Config) *Network {
@@ -342,7 +342,7 @@ func (d *delivery) rxDone() {
 		// tracer the sender's span passes through untouched and the chain
 		// simply skips this layer.
 		span := n.env.NextSpanID()
-		n.tracer(&trace.Record{
+		n.tracer(trace.Record{
 			Time:   d.start,
 			Dur:    n.env.Now() - d.start,
 			Node:   dst.name,

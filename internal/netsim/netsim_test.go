@@ -6,7 +6,34 @@ import (
 	"testing/quick"
 
 	"iotaxo/internal/sim"
+	"iotaxo/internal/trace"
 )
+
+// receiver lets one process await a mailbox's GetThen. Its callback is bound
+// once, so a receive through it allocates nothing.
+type receiver[T any] struct {
+	mb   *sim.Mailbox[T]
+	v    T
+	wake func()
+	got  func(T)
+}
+
+func newReceiver[T any](mb *sim.Mailbox[T]) *receiver[T] {
+	r := &receiver[T]{mb: mb}
+	r.got = func(v T) { r.v = v; r.wake() }
+	return r
+}
+
+func (r *receiver[T]) start(wake func()) { r.wake = wake; r.mb.GetThen(r.got) }
+
+// get blocks p until the mailbox hands the receiver a message.
+func (r *receiver[T]) get(p *sim.Proc) T {
+	p.Await(r.start)
+	v := r.v
+	var zero T
+	r.v = zero
+	return v
+}
 
 func testNet(env *sim.Env) *Network {
 	n := New(env, Config{
@@ -37,7 +64,7 @@ func deliveredAt(payload int64) sim.Time {
 	inbox := n.Listen("b", 7)
 	var at sim.Time
 	env.Go("recv", func(p *sim.Proc) {
-		inbox.Get(p)
+		newReceiver(inbox).get(p)
 		at = p.Now()
 	})
 	env.Go("send", func(p *sim.Proc) {
@@ -54,7 +81,7 @@ func TestSendDelivers(t *testing.T) {
 	var got Message
 	var at sim.Time
 	env.Go("recv", func(p *sim.Proc) {
-		got = inbox.Get(p)
+		got = newReceiver(inbox).get(p)
 		at = p.Now()
 	})
 	env.Go("send", func(p *sim.Proc) {
@@ -99,8 +126,9 @@ func TestTxSerialization(t *testing.T) {
 	inbox := n.Listen("b", 1)
 	var arrivals []sim.Time
 	env.Go("recv", func(p *sim.Proc) {
+		r := newReceiver(inbox)
 		for i := 0; i < 2; i++ {
-			inbox.Get(p)
+			r.get(p)
 			arrivals = append(arrivals, p.Now())
 		}
 	})
@@ -129,8 +157,9 @@ func TestIncastRxContention(t *testing.T) {
 	inbox := n.Listen("c", 1)
 	var last sim.Time
 	env.Go("recv", func(p *sim.Proc) {
+		r := newReceiver(inbox)
 		for i := 0; i < 2; i++ {
-			inbox.Get(p)
+			r.get(p)
 			last = p.Now()
 		}
 	})
@@ -170,7 +199,7 @@ func TestCallRoundTrip(t *testing.T) {
 		c := &call{req: "ping"}
 		c.reply.Init(env)
 		n.Send(p, Message{From: "a", To: "b", Port: 2, Size: 100, Payload: c})
-		reply = c.reply.Get(p).Payload
+		reply = newReceiver(&c.reply).get(p).Payload
 	})
 	env.Run()
 	if reply != "pong" {
@@ -259,8 +288,9 @@ func TestDeliverySpawnsNoProcs(t *testing.T) {
 	inbox := n.Listen("b", 1)
 	const msgs = 64
 	env.Go("recv", func(p *sim.Proc) {
+		r := newReceiver(inbox)
 		for i := 0; i < msgs; i++ {
-			inbox.Get(p)
+			r.get(p)
 		}
 	})
 	env.Go("send", func(p *sim.Proc) {
@@ -272,7 +302,7 @@ func TestDeliverySpawnsNoProcs(t *testing.T) {
 	if got := n.Iface("b").MsgsReceived; got != msgs {
 		t.Fatalf("delivered %d messages, want %d", got, msgs)
 	}
-	if spawned := env.Spawned("net.courier"); spawned != 0 {
+	if spawned := env.Spawns()["net.courier"]; spawned != 0 {
 		t.Fatalf("%d courier procs spawned for %d messages, want 0", spawned, msgs)
 	}
 }
@@ -340,8 +370,9 @@ func TestEventDeliveryMatchesCourierReference(t *testing.T) {
 		inbox := n.Listen("sink", 1)
 		var arrivals []sim.Time
 		env.Go("recv", func(p *sim.Proc) {
+			r := newReceiver(inbox)
 			for i := 0; i < len(plan); i++ {
-				inbox.Get(p)
+				r.get(p)
 				arrivals = append(arrivals, p.Now())
 			}
 		})
@@ -409,33 +440,50 @@ func TestGigabitEthernetDefaults(t *testing.T) {
 
 // TestMessagePathAllocatesNothing guards the pooled message path. A client
 // process sends a request (Send), an event-chain server echoes it (GetThen,
-// then SendThen, re-arming from the send's done) and the client receives
-// the reply (Get). Once the delivery free list and the mailbox rings have
-// warmed up, a round trip allocates no object at all.
+// then SendThen, re-arming from the send's done) and the client awaits the
+// reply. Once the delivery free list and the mailbox rings have warmed up, a
+// round trip allocates no object at all, and a delivery tracer that takes
+// its records by value adds none.
 func TestMessagePathAllocatesNothing(t *testing.T) {
-	env := sim.NewEnv(1)
-	n := testNet(env)
-	requests := n.Listen("b", 7)
-	replies := n.Listen("a", 8)
-	var serve func(Message)
-	rearm := func() { requests.GetThen(serve) }
-	serve = func(m Message) {
-		n.SendThen(Message{From: "b", To: "a", Port: 8, Size: 512, Span: m.Span}, rearm)
-	}
-	rearm()
-	allocs := -1.0
-	env.Go("client", func(p *sim.Proc) {
-		roundTrip := func() {
-			n.Send(p, Message{From: "a", To: "b", Port: 7, Size: 4096})
-			replies.Get(p)
+	for _, traced := range []bool{false, true} {
+		name := "untraced"
+		if traced {
+			name = "traced"
 		}
-		for i := 0; i < 16; i++ {
-			roundTrip()
-		}
-		allocs = testing.AllocsPerRun(100, roundTrip)
-	})
-	env.Run()
-	if allocs != 0 {
-		t.Fatalf("a warmed-up round trip allocates %v objects, want 0", allocs)
+		t.Run(name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			n := testNet(env)
+			records := 0
+			if traced {
+				n.SetTracer(func(trace.Record) { records++ })
+			}
+			requests := n.Listen("b", 7)
+			replies := n.Listen("a", 8)
+			var serve func(Message)
+			rearm := func() { requests.GetThen(serve) }
+			serve = func(m Message) {
+				n.SendThen(Message{From: "b", To: "a", Port: 8, Size: 512, Span: m.Span}, rearm)
+			}
+			rearm()
+			allocs := -1.0
+			env.Go("client", func(p *sim.Proc) {
+				r := newReceiver(replies)
+				roundTrip := func() {
+					n.Send(p, Message{From: "a", To: "b", Port: 7, Size: 4096})
+					r.get(p)
+				}
+				for i := 0; i < 16; i++ {
+					roundTrip()
+				}
+				allocs = testing.AllocsPerRun(100, roundTrip)
+			})
+			env.Run()
+			if allocs != 0 {
+				t.Fatalf("a warmed-up round trip allocates %v objects, want 0", allocs)
+			}
+			if traced && records == 0 {
+				t.Fatal("the tracer saw no delivery")
+			}
+		})
 	}
 }

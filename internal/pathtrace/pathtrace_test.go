@@ -36,6 +36,32 @@ func TestLinearPath(t *testing.T) {
 	}
 }
 
+// receiver lets one process await a mailbox's GetThen. Its callback is bound
+// once, so a receive through it allocates nothing.
+type receiver[T any] struct {
+	mb   *sim.Mailbox[T]
+	v    T
+	wake func()
+	got  func(T)
+}
+
+func newReceiver[T any](mb *sim.Mailbox[T]) *receiver[T] {
+	r := &receiver[T]{mb: mb}
+	r.got = func(v T) { r.v = v; r.wake() }
+	return r
+}
+
+func (r *receiver[T]) start(wake func()) { r.wake = wake; r.mb.GetThen(r.got) }
+
+// get blocks p until the mailbox hands the receiver a message.
+func (r *receiver[T]) get(p *sim.Proc) T {
+	p.Await(r.start)
+	v := r.v
+	var zero T
+	r.v = zero
+	return v
+}
+
 func TestBaggageJoinAcrossProcs(t *testing.T) {
 	env := simpleEnv()
 	tr := NewTracer()
@@ -46,7 +72,7 @@ func TestBaggageJoinAcrossProcs(t *testing.T) {
 		handoff.Put(ctx.Baggage(p, "send"))
 	})
 	env.Go("receiver", func(p *sim.Proc) {
-		b := handoff.Get(p)
+		b := newReceiver(handoff).get(p)
 		ctx := tr.Join(p, b, "n2", 1, "recv")
 		p.Sleep(7)
 		ctx.Record(p, "reply")

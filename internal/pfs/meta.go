@@ -163,7 +163,7 @@ func (m *metaServer) reply() {
 		if c.err != "" {
 			ret = "-1 " + c.err
 		}
-		m.sys.tracer(&trace.Record{
+		m.sys.tracer(trace.Record{
 			Time: c.start, Dur: m.sys.env.Now() - c.start,
 			Node: m.sys.mdsNode, Rank: -1,
 			Class: trace.ClassPFSOp, Name: opNames[c.op],

@@ -110,14 +110,14 @@ type System struct {
 
 	// tracer, when set, receives one ClassPFSOp record per served request
 	// (data servers and the metadata server alike).
-	tracer func(*trace.Record)
+	tracer func(trace.Record)
 }
 
 // SetTracer installs (or, with nil fn, removes) a request tracer on the
 // deployment. The same sink is also installed as the DISK tracer on every
 // object server's RAID group, labelled with the owning server's node, so one
 // call arms the two deepest layers of the causal chain.
-func (s *System) SetTracer(fn func(*trace.Record)) {
+func (s *System) SetTracer(fn func(trace.Record)) {
 	s.tracer = fn
 	for _, srv := range s.servers {
 		srv.array.SetTracer(srv.node, fn)

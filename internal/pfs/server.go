@@ -98,7 +98,7 @@ func (c *call) handle() {
 	if c.op == opTrunc {
 		delete(s.objects, c.path)
 		if s.sys.tracer != nil {
-			s.sys.tracer(&trace.Record{
+			s.sys.tracer(trace.Record{
 				Time: c.start, Dur: 0, Node: s.node, Rank: -1,
 				Class: trace.ClassPFSOp, Name: opNames[opTrunc], Ret: "0",
 				Path: c.path, Span: c.span, Parent: c.parent,
@@ -176,7 +176,7 @@ func (c *call) served(err error) {
 		if len(c.ranges) > 0 {
 			off = s.sys.logicalOffset(s.idx, c.ranges[0].phys)
 		}
-		s.sys.tracer(&trace.Record{
+		s.sys.tracer(trace.Record{
 			Time: c.start, Dur: s.sys.env.Now() - c.start,
 			Node: s.node, Rank: -1,
 			Class: trace.ClassPFSOp, Name: opNames[c.op], Ret: ret,

@@ -235,13 +235,12 @@ func Execute(c *cluster.Cluster, tr *Trace) (Result, error) {
 	}
 	env := c.Env
 
-	// Completion latches per (rank, op).
-	done := make([][]*sim.Latch, tr.Ranks)
-	for r := range done {
-		done[r] = make([]*sim.Latch, len(tr.Ops[r]))
-		for k := range done[r] {
-			done[r][k] = sim.NewLatch(env)
-		}
+	// One completion gate per (rank, op), carved from one slab.
+	gates := make([][]gate, tr.Ranks)
+	slab := make([]gate, tr.OpCount())
+	for r := range gates {
+		n := len(tr.Ops[r])
+		gates[r], slab = slab[:n:n], slab[n:]
 	}
 	// Dependency lookup: deps into (rank, op).
 	depsInto := make(map[[2]int][]Dep)
@@ -251,8 +250,6 @@ func Execute(c *cluster.Cluster, tr *Trace) (Result, error) {
 	}
 
 	perRank := make([]sim.Duration, tr.Ranks)
-	wg := sim.NewWaitGroup(env)
-	wg.Add(tr.Ranks)
 	var firstErr error
 
 	for rank := 0; rank < tr.Ranks; rank++ {
@@ -260,7 +257,6 @@ func Execute(c *cluster.Cluster, tr *Trace) (Result, error) {
 		kern := c.Kernels[rank%len(c.Kernels)]
 		pc := kern.Spawn(vfs.Cred{UID: 500, GID: 500, User: "replay"})
 		env.Go(fmt.Sprintf("replay.rank%d", rank), func(p *sim.Proc) {
-			defer wg.Done()
 			start := p.Now()
 			fds := make(map[string]int)
 			for k, op := range tr.Ops[rank] {
@@ -268,17 +264,16 @@ func Execute(c *cluster.Cluster, tr *Trace) (Result, error) {
 					p.Sleep(op.Compute)
 				}
 				for _, d := range depsInto[[2]int{rank, k}] {
-					done[d.FromRank][d.FromOp].Wait(p)
+					gates[d.FromRank][d.FromOp].await(p)
 				}
 				if err := executeOp(p, pc, fds, op); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("replay: rank %d op %d (%v %s): %w", rank, k, op.Kind, op.Path, err)
 				}
-				done[rank][k].Open()
+				gates[rank][k].open(env)
 			}
 			perRank[rank] = p.Now() - start
 		})
 	}
-	env.Go("replay.join", func(p *sim.Proc) { wg.Wait(p) })
 	env.Run()
 	if firstErr != nil {
 		return Result{}, firstErr
@@ -290,6 +285,38 @@ func Execute(c *cluster.Cluster, tr *Trace) (Result, error) {
 		}
 	}
 	return Result{Elapsed: last, PerRank: perRank}, nil
+}
+
+// gate is one operation's completion: ranks that depend on the operation
+// await it, and the operation's own rank opens it once the operation ran.
+type gate struct {
+	opened  bool
+	waiters []func()
+}
+
+// await blocks p until g opens; it returns at once when g is open already.
+func (g *gate) await(p *sim.Proc) {
+	p.Await(func(wake func()) {
+		if g.opened {
+			wake()
+			return
+		}
+		g.waiters = append(g.waiters, wake)
+	})
+}
+
+// open opens g and wakes its waiters in wait order, all from one event at
+// the current instant.
+func (g *gate) open(env *sim.Env) {
+	g.opened = true
+	if ws := g.waiters; len(ws) > 0 {
+		g.waiters = nil
+		env.After(0, func() {
+			for _, wake := range ws {
+				wake()
+			}
+		})
+	}
 }
 
 func executeOp(p *sim.Proc, pc *vfs.ProcCtx, fds map[string]int, op Op) error {

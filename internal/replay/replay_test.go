@@ -280,3 +280,32 @@ func TestOpFromRecordKinds(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedDependencyGate makes three ranks wait on one operation, rank 0's
+// late write, and gives rank 3 a second dependency on an operation that
+// opened long before rank 3 reaches it. The waiters must wake in wait order
+// at the write's instant and the open gate must not block; the pinned
+// figures move if a wake leaves its event slot.
+func TestSharedDependencyGate(t *testing.T) {
+	tr := simpleTrace(4)
+	tr.Ops[0][0].Compute = 50 * sim.Millisecond
+	tr.Deps = []Dep{
+		{FromRank: 0, FromOp: 1, ToRank: 1, ToOp: 1},
+		{FromRank: 0, FromOp: 1, ToRank: 2, ToOp: 1},
+		{FromRank: 0, FromOp: 1, ToRank: 3, ToOp: 1},
+		{FromRank: 1, FromOp: 0, ToRank: 3, ToOp: 2},
+	}
+	res, err := Execute(testCluster(), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []sim.Duration{54363064, 58039712, 58249264, 58458816}
+	if res.Elapsed != 58458816 || len(res.PerRank) != len(want) {
+		t.Fatalf("result %+v, want elapsed 58458816 and per-rank %v", res, want)
+	}
+	for r, d := range want {
+		if res.PerRank[r] != d {
+			t.Fatalf("per-rank %v, want %v", res.PerRank, want)
+		}
+	}
+}

@@ -4,11 +4,11 @@ import (
 	"testing"
 )
 
-// These tests pin down the batched wake path: Mailbox.Put, Signal.Fire, and
-// WaitGroup.Add-to-zero schedule one drain event that serves every waiter in
-// FIFO order. The batching is only sound if arrival order survives — across
-// bursts, across a mailbox's mixed process/callback receivers, and across
-// waiters that re-register from inside their own wake.
+// These tests pin down the batched wake path: Mailbox.Put schedules one
+// drain event that serves every waiting receiver in FIFO order. The batching
+// is only sound if arrival order survives — across bursts, across receivers
+// that wake awaiting processes and plain callbacks alike, and across
+// receivers that re-arm from inside their own callback.
 
 // TestBatchedWakeMailboxFIFO delivers a same-instant burst to several parked
 // receivers: messages must map to receivers in registration order, through
@@ -21,7 +21,7 @@ func TestBatchedWakeMailboxFIFO(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Go("recv", func(p *Proc) {
-			v := mb.Get(p)
+			v := newReceiver(mb).get(p)
 			order = append(order, i)
 			vals = append(vals, v)
 		})
@@ -45,34 +45,39 @@ func TestBatchedWakeMailboxFIFO(t *testing.T) {
 	}
 }
 
-// TestBatchedWakeMailboxMixedWaiters interleaves parked processes and
-// GetThen callbacks in one receive queue: a burst must serve both kinds in
-// strict arrival order.
+// TestBatchedWakeMailboxMixedWaiters interleaves processes awaiting GetThen
+// and plain GetThen callbacks in one receive queue: a burst must serve both
+// kinds in strict arrival order, within the one drain event.
 func TestBatchedWakeMailboxMixedWaiters(t *testing.T) {
 	env := NewEnv(1)
 	mb := new(Mailbox[int]).Init(env)
 	var got []string
-	env.Go("p0", func(p *Proc) {
-		v := mb.Get(p)
-		got = append(got, "p0", itoa(v))
-	})
-	env.Go("arm", func(p *Proc) {
-		// Registered second, after p0 has parked (procs spawn in order).
-		mb.GetThen(func(v int) { got = append(got, "cb1", itoa(v)) })
-	})
-	env.Go("p2", func(p *Proc) {
-		p.Sleep(1) // register third, strictly after the callback
-		v := mb.Get(p)
-		got = append(got, "p2", itoa(v))
-	})
+	var at []Time
+	awaiter := func(name string, delay Duration) {
+		env.Go(name, func(p *Proc) {
+			p.Sleep(delay)
+			v := newReceiver(mb).get(p)
+			got, at = append(got, name, itoa(v)), append(at, p.Now())
+		})
+	}
+	callback := func(name string, delay Duration) {
+		env.After(delay, func() {
+			mb.GetThen(func(v int) { got, at = append(got, name, itoa(v)), append(at, env.Now()) })
+		})
+	}
+	awaiter("p0", 0)
+	callback("cb1", 1)
+	awaiter("p2", 2)
+	callback("cb3", 3)
+	awaiter("p4", 4)
 	env.Go("send", func(p *Proc) {
 		p.Sleep(5)
-		mb.Put(1)
-		mb.Put(2)
-		mb.Put(3)
+		for v := 1; v <= 5; v++ {
+			mb.Put(v)
+		}
 	})
 	env.Run()
-	want := []string{"p0", "1", "cb1", "2", "p2", "3"}
+	want := []string{"p0", "1", "cb1", "2", "p2", "3", "cb3", "4", "p4", "5"}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
@@ -81,33 +86,10 @@ func TestBatchedWakeMailboxMixedWaiters(t *testing.T) {
 			t.Fatalf("got %v, want %v", got, want)
 		}
 	}
-}
-
-// TestBatchedWakeSignalReWait re-registers a waiter from inside its own
-// wake: the drain serves the captured population only, so the re-wait must
-// land in the next Fire, not loop inside the current drain.
-func TestBatchedWakeSignalReWait(t *testing.T) {
-	env := NewEnv(1)
-	sig := NewSignal(env)
-	wakes := 0
-	env.Go("w", func(p *Proc) {
-		sig.Wait(p)
-		wakes++
-		sig.Wait(p)
-		wakes++
-	})
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(5)
-		sig.Fire()
-		if sig.Waiting() != 0 {
-			t.Error("waiter re-registered before the drain ran")
+	for _, t0 := range at {
+		if t0 != 5 {
+			t.Fatalf("burst served at %v, want all at 5", at)
 		}
-		p.Sleep(5)
-		sig.Fire()
-	})
-	env.Run()
-	if wakes != 2 {
-		t.Fatalf("wakes = %d, want 2 (one per Fire)", wakes)
 	}
 }
 

@@ -11,7 +11,9 @@
 //
 // Each simulated operation is written once, as an event chain of callbacks
 // that allocates no process; a process runs the same chain by blocking on it
-// with Proc.Await. All other substrate packages (network, disks, file
-// systems, MPI) are built on this kernel; virtual time is an int64
-// nanosecond count.
+// with Proc.Await. A process blocks in exactly two ways: Sleep, for a span
+// of virtual time, and Await, for an event chain such as a resource claim
+// (Resource.AcquireThen) or a receive (Mailbox.GetThen). All other substrate
+// packages (network, disks, file systems, MPI) are built on this kernel;
+// virtual time is an int64 nanosecond count.
 package sim

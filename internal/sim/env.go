@@ -42,15 +42,10 @@ func NewEnv(seed int64) *Env {
 // simulation's contribution to the runtime's goroutine population.
 func (e *Env) LiveProcs() int { return len(e.procs) }
 
-// Spawned reports how many processes have ever been spawned under the given
-// Go name. Scalability tests use it to prove hot paths (network message
-// delivery) allocate no process per event.
-func (e *Env) Spawned(name string) int { return e.spawns[name] }
-
 // Spawns returns a copy of the full spawn census: processes ever spawned,
-// keyed by Go name. Regression guards iterate it to assert that no
-// per-request or per-message process names (".worker", ".dispatch",
-// "pfs.io", ...) reappear in an eventized hot path.
+// keyed by Go name. Regression guards read it to assert that no per-request
+// or per-message process names (".worker", ".dispatch", "pfs.io",
+// "net.courier", ...) reappear in an eventized hot path.
 func (e *Env) Spawns() map[string]int {
 	out := make(map[string]int, len(e.spawns))
 	for name, n := range e.spawns {
@@ -60,9 +55,9 @@ func (e *Env) Spawns() map[string]int {
 }
 
 // TotalSpawned reports the number of processes ever spawned in this
-// environment, across all names. After full eventization this is
-// O(ranks): one process per MPI rank plus a constant few joiners,
-// regardless of request volume.
+// environment, across all names. The simulated layers spawn none, so an MPI
+// job spawns one process per rank plus one mpi.join, regardless of request
+// volume.
 func (e *Env) TotalSpawned() int {
 	total := 0
 	for _, n := range e.spawns {

@@ -135,8 +135,9 @@ func TestResourceServeOrderMixedDeep(t *testing.T) {
 	}
 }
 
-// TestMailboxServeOrderMixedDeep registers receivers of both kinds, process
-// Get and callback GetThen, at random, and checks that receiver k gets
+// TestMailboxServeOrderMixedDeep registers receivers of both kinds, a
+// process awaiting GetThen and a plain GetThen callback, at random, and
+// checks that receiver k gets
 // message k at the instant it can. One run queues receivers faster than
 // messages arrive (a deep recvq); the other queues messages faster than
 // receivers arrive (a deep item queue).
@@ -163,7 +164,7 @@ func TestMailboxServeOrderMixedDeep(t *testing.T) {
 				receive := func(v int) { got[k], gotAt[k] = v, env.Now() }
 				if rng.Intn(2) == 0 {
 					env.At(tc.recvAt(k), func() {
-						env.Go("recv", func(p *Proc) { receive(mb.Get(p)) })
+						env.Go("recv", func(p *Proc) { receive(newReceiver(mb).get(p)) })
 					})
 				} else {
 					env.At(tc.recvAt(k), func() { mb.GetThen(receive) })

@@ -12,8 +12,8 @@ type killedError struct{}
 func (killedError) Error() string { return "sim: process killed at shutdown" }
 
 // Proc is a simulated process: a coroutine that runs in strict alternation
-// with the scheduler. All blocking methods (Sleep, Await, Mailbox.Get, ...)
-// must be called from the process's own body.
+// with the scheduler. A process blocks in exactly two ways, Sleep and Await,
+// each called from the process's own body.
 type Proc struct {
 	env  *Env
 	pid  int
@@ -86,23 +86,13 @@ func (e *Env) dispatch(p *Proc) {
 	}
 }
 
-// dispatchAll resumes each process in ws, in order.
-func (e *Env) dispatchAll(ws []*Proc) {
-	for _, p := range ws {
-		e.dispatch(p)
-	}
-}
-
-// park blocks the calling process until some event dispatches it. It must
-// only be called from p's own body.
+// park blocks the calling process until some event dispatches it. Only
+// Sleep and Await call it, from p's own body.
 func (p *Proc) park() {
 	if !p.yield(struct{}{}) {
 		panic(killedError{})
 	}
 }
-
-// unparkAt schedules p to resume at instant at.
-func (p *Proc) unparkAt(at Time) { p.env.schedule(at, p.dispatchFn) }
 
 // Env returns the owning environment.
 func (p *Proc) Env() *Env { return p.env }
@@ -128,7 +118,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.unparkAt(p.env.now + d)
+	p.env.schedule(p.env.now+d, p.dispatchFn)
 	p.park()
 }
 

@@ -17,11 +17,34 @@ func (m *Mailbox[T]) Len() int { return m.items.len() }
 // InUse reports the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// Waiting reports the number of blocked waiters.
-func (s *Signal) Waiting() int { return len(s.waiters) }
-
 // At schedules fn to run as a pure event (not a process) at instant at.
 func (e *Env) At(at Time, fn func()) { e.schedule(at, fn) }
+
+// receiver lets one process await a mailbox's GetThen. Its callback is bound
+// once, so a receive through it allocates nothing.
+type receiver[T any] struct {
+	mb   *Mailbox[T]
+	v    T
+	wake func()
+	got  func(T)
+}
+
+func newReceiver[T any](mb *Mailbox[T]) *receiver[T] {
+	r := &receiver[T]{mb: mb}
+	r.got = func(v T) { r.v = v; r.wake() }
+	return r
+}
+
+func (r *receiver[T]) start(wake func()) { r.wake = wake; r.mb.GetThen(r.got) }
+
+// get blocks p until the mailbox hands the receiver a message.
+func (r *receiver[T]) get(p *Proc) T {
+	p.Await(r.start)
+	v := r.v
+	var zero T
+	r.v = zero
+	return v
+}
 
 func TestEventOrdering(t *testing.T) {
 	env := NewEnv(1)
@@ -198,6 +221,26 @@ func TestProcSleepAllocatesNothing(t *testing.T) {
 	env.Run()
 	if allocs != 0 {
 		t.Fatalf("Sleep allocates %v per switch, want 0", allocs)
+	}
+}
+
+// TestAwaitedGetAllocatesNothing guards the awaited receive: a process that
+// parks on a bound receiver and is woken by the drain allocates nothing.
+func TestAwaitedGetAllocatesNothing(t *testing.T) {
+	env := NewEnv(1)
+	mb := new(Mailbox[int]).Init(env)
+	var allocs float64
+	env.Go("recv", func(p *Proc) {
+		r := newReceiver(mb)
+		put := func() { mb.Put(1) }
+		allocs = testing.AllocsPerRun(1000, func() {
+			env.After(1, put)
+			r.get(p)
+		})
+	})
+	env.Run()
+	if allocs != 0 {
+		t.Fatalf("an awaited receive allocates %v, want 0", allocs)
 	}
 }
 
@@ -479,7 +522,7 @@ func TestAwaitStopUnwinds(t *testing.T) {
 
 func TestSpawnedAndLiveProcs(t *testing.T) {
 	env := NewEnv(1)
-	if env.LiveProcs() != 0 || env.Spawned("w") != 0 {
+	if env.LiveProcs() != 0 || env.Spawns()["w"] != 0 {
 		t.Fatal("fresh env reports procs")
 	}
 	for i := 0; i < 3; i++ {
@@ -490,8 +533,8 @@ func TestSpawnedAndLiveProcs(t *testing.T) {
 		t.Fatalf("LiveProcs = %d, want 4", env.LiveProcs())
 	}
 	env.Run()
-	if env.Spawned("w") != 3 || env.Spawned("other") != 1 || env.Spawned("nosuch") != 0 {
-		t.Fatalf("spawn counts: w=%d other=%d", env.Spawned("w"), env.Spawned("other"))
+	if n := env.Spawns(); n["w"] != 3 || n["other"] != 1 || n["nosuch"] != 0 || len(n) != 2 {
+		t.Fatalf("spawn counts: %v", n)
 	}
 	if env.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs after Run = %d, want 0", env.LiveProcs())
@@ -515,7 +558,7 @@ func TestMailboxBlockingGet(t *testing.T) {
 	var got int
 	var at Time
 	env.Go("recv", func(p *Proc) {
-		got = mb.Get(p)
+		got = newReceiver(mb).get(p)
 		at = p.Now()
 	})
 	env.Go("send", func(p *Proc) {
@@ -533,7 +576,7 @@ func TestMailboxFIFOAcrossReceivers(t *testing.T) {
 	mb := new(Mailbox[int]).Init(env)
 	var got []int
 	for i := 0; i < 3; i++ {
-		env.Go("recv", func(p *Proc) { got = append(got, mb.Get(p)) })
+		env.Go("recv", func(p *Proc) { got = append(got, newReceiver(mb).get(p)) })
 	}
 	env.Go("send", func(p *Proc) {
 		p.Sleep(1)
@@ -560,55 +603,6 @@ func TestMailboxTryGet(t *testing.T) {
 	v, ok := mb.TryGet()
 	if !ok || v != "x" {
 		t.Fatalf("TryGet = %q,%v", v, ok)
-	}
-}
-
-func TestSignalBroadcast(t *testing.T) {
-	env := NewEnv(1)
-	sig := NewSignal(env)
-	woke := 0
-	for i := 0; i < 4; i++ {
-		env.Go("w", func(p *Proc) {
-			sig.Wait(p)
-			woke++
-		})
-	}
-	env.Go("firer", func(p *Proc) {
-		p.Sleep(10)
-		sig.Fire()
-	})
-	env.Run()
-	if woke != 4 {
-		t.Fatalf("woke = %d, want 4", woke)
-	}
-}
-
-func TestLatchOpenBeforeWait(t *testing.T) {
-	env := NewEnv(1)
-	l := NewLatch(env)
-	l.Open()
-	passed := false
-	env.Go("w", func(p *Proc) {
-		l.Wait(p) // must not block
-		passed = true
-	})
-	env.Run()
-	if !passed {
-		t.Fatal("waiter blocked on open latch")
-	}
-}
-
-func TestWaitGroupZeroWaitDoesNotBlock(t *testing.T) {
-	env := NewEnv(1)
-	wg := NewWaitGroup(env)
-	ok := false
-	env.Go("w", func(p *Proc) {
-		wg.Wait(p)
-		ok = true
-	})
-	env.Run()
-	if !ok {
-		t.Fatal("Wait on zero counter blocked")
 	}
 }
 
