@@ -11,9 +11,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/core"
@@ -275,35 +277,44 @@ func workloadFramework() framework.Framework {
 	return framework.MustLookup("LANL-Trace")
 }
 
-// benchSimRanks drives one untraced job (one 64 KB object per rank) end to
-// end — cluster construction included — at the given rank count. It is the
-// proving-ground benchmark for the per-event hot paths: rank counts past
-// the scaling ladder's default top rung must stay affordable for CI.
-func benchSimRanks(b *testing.B, ranks int) {
+// simRanksJob runs benchSimRanks' job once: one untraced N-N job (one 64 KB
+// object per rank) end to end, cluster construction included. It returns
+// the cluster so callers can read its counters.
+func simRanksJob(tb testing.TB, ranks int) *cluster.Cluster {
 	cfg := cluster.Default()
 	cfg.ComputeNodes = ranks
 	params := workload.Params{
 		Pattern: workload.NToN, BlockSize: 64 << 10, NObj: 1,
 		Path: fmt.Sprintf("/pfs/scale%d", ranks),
 	}
-	var events float64
+	c := cluster.New(cfg)
+	res := params.Spec().Run(c.World)
+	if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
+		tb.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
+	}
+	if n := c.Env.Spawns()["net.courier"]; n != 0 {
+		tb.Fatalf("%d courier procs spawned, want 0", n)
+	}
+	return c
+}
+
+// benchSimRanks drives simRanksJob at the given rank count. It is the
+// proving-ground benchmark for the per-event hot paths: rank counts past
+// the scaling ladder's default top rung must stay affordable for CI.
+func benchSimRanks(b *testing.B, ranks int) {
+	var syscalls, switches float64
 	for i := 0; i < b.N; i++ {
-		c := cluster.New(cfg)
-		res := params.Spec().Run(c.World)
-		if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
-			b.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
-		}
-		if n := c.Env.Spawns()["net.courier"]; n != 0 {
-			b.Fatalf("%d courier procs spawned, want 0", n)
-		}
+		c := simRanksJob(b, ranks)
 		var n int64
 		for _, k := range c.Kernels {
 			n += k.SyscallCount
 		}
-		events = float64(n)
+		syscalls = float64(n)
+		switches = float64(c.Env.Switches())
 	}
-	b.ReportMetric(events, "syscalls")
-	b.ReportMetric(events/float64(ranks), "syscalls/rank")
+	b.ReportMetric(syscalls, "syscalls")
+	b.ReportMetric(syscalls/float64(ranks), "syscalls/rank")
+	b.ReportMetric(switches/float64(ranks), "switches/rank")
 }
 
 func BenchmarkSim1024Ranks(b *testing.B) { benchSimRanks(b, 1024) }
@@ -329,6 +340,35 @@ func BenchmarkSim65536Ranks(b *testing.B) {
 		b.Skip("65536-rank rung skipped in -short mode")
 	}
 	benchSimRanks(b, 65536)
+}
+
+// BenchmarkSimBarrier runs 8 back-to-back barriers across 4096 ranks with
+// no I/O: the dissemination barrier's ceil(log2 p) = 12 rounds per barrier
+// are the only work. Each barrier is one event chain per rank that its
+// process awaits once, so switches/rank stays near the 8 barriers plus the
+// rank's first activation however many rounds a barrier takes.
+func BenchmarkSimBarrier(b *testing.B) {
+	const ranks, barriers = 4096, 8
+	cfg := cluster.Default()
+	cfg.ComputeNodes = ranks
+	rounds := bits.Len(uint(ranks - 1))
+	var switches float64
+	var elapsed time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := cluster.New(cfg)
+		b.StartTimer()
+		start := time.Now()
+		c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+			for j := 0; j < barriers; j++ {
+				r.Barrier(p)
+			}
+		})
+		elapsed += time.Since(start)
+		switches = float64(c.Env.Switches())
+	}
+	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(b.N*ranks*barriers*rounds), "ns/rank-round")
+	b.ReportMetric(switches/ranks, "switches/rank")
 }
 
 // BenchmarkServerSweep measures the sweep engine along ServerAxis on the

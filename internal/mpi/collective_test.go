@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"fmt"
 	"testing"
 
 	"iotaxo/internal/mpi"
@@ -10,40 +11,48 @@ import (
 func TestWriteAtAllProducesSameEndStateAsIndependent(t *testing.T) {
 	// Strided stripe-aligned pattern: collective and independent writes
 	// must leave an identical file (size, digest, write count at the
-	// stripe-unit granularity).
-	const ranks, block, nobj = 4, 64 << 10, 4
-	run := func(collective bool) (int64, uint64) {
-		c := smallCluster(ranks)
-		c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
-			f, err := r.FileOpen(p, "/pfs/coll", mpi.ModeCreate|mpi.ModeWronly)
-			if err != nil {
-				t.Errorf("open: %v", err)
-				return
-			}
-			for i := 0; i < nobj; i++ {
-				off := int64(i*ranks+r.RankID()) * block
-				var werr error
-				if collective {
-					_, werr = f.WriteStridedAll(p, []int64{off}, block)
-				} else {
-					_, werr = f.WriteAt(p, off, block)
+	// stripe-unit granularity), and each collective call reports the
+	// calling rank's bytes. The rank counts run the access-set gather and
+	// broadcast on a lone rank, a tree of one edge, a power of two and a
+	// tree that is not one.
+	const block, nobj = 64 << 10, 4
+	for _, ranks := range []int{1, 2, 4, 5} {
+		t.Run(fmt.Sprint(ranks), func(t *testing.T) {
+			run := func(collective bool) (int64, uint64) {
+				c := smallCluster(ranks)
+				c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+					f, err := r.FileOpen(p, "/pfs/coll", mpi.ModeCreate|mpi.ModeWronly)
+					if err != nil {
+						t.Errorf("open: %v", err)
+						return
+					}
+					for i := 0; i < nobj; i++ {
+						off := int64(i*ranks+r.RankID()) * block
+						var n int64
+						var werr error
+						if collective {
+							n, werr = f.WriteStridedAll(p, []int64{off}, block)
+						} else {
+							n, werr = f.WriteAt(p, off, block)
+						}
+						if n != block || werr != nil {
+							t.Errorf("rank %d: write = %d, %v; want %d", r.RankID(), n, werr, block)
+						}
+					}
+					f.Close(p)
+				})
+				size, digest, _, ok := c.PFS.Snapshot("/pfs/coll")
+				if !ok {
+					t.Fatal("file missing")
 				}
-				if werr != nil {
-					t.Errorf("write: %v", werr)
-				}
+				return size, digest
 			}
-			f.Close(p)
+			s1, d1 := run(false)
+			s2, d2 := run(true)
+			if s1 != s2 || d1 != d2 || s2 != int64(ranks*nobj*block) {
+				t.Fatalf("end states differ: independent (%d,%x) vs collective (%d,%x), want size %d", s1, d1, s2, d2, ranks*nobj*block)
+			}
 		})
-		size, digest, _, ok := c.PFS.Snapshot("/pfs/coll")
-		if !ok {
-			t.Fatal("file missing")
-		}
-		return size, digest
-	}
-	s1, d1 := run(false)
-	s2, d2 := run(true)
-	if s1 != s2 || d1 != d2 {
-		t.Fatalf("end states differ: independent (%d,%x) vs collective (%d,%x)", s1, d1, s2, d2)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"fmt"
 	"testing"
 
 	"iotaxo/internal/cluster"
@@ -325,5 +326,82 @@ func TestPingPongAllocatesNoEnvelopes(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a warmed-up ping-pong allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestBarrierAllocatesNothing guards the barrier's event chain: once the
+// envelope and delivery free lists, the inboxes and the pending lists have
+// warmed up, a barrier across 4 ranks allocates no object at all.
+func TestBarrierAllocatesNothing(t *testing.T) {
+	const warm, runs = 16, 100
+	c := smallCluster(4)
+	allocs := -1.0
+	c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+		barrier := func() { r.Barrier(p) }
+		for i := 0; i < warm; i++ {
+			barrier()
+		}
+		if r.RankID() == 0 {
+			allocs = testing.AllocsPerRun(runs, barrier)
+			return
+		}
+		// AllocsPerRun calls its function once more than runs.
+		for i := 0; i < runs+1; i++ {
+			barrier()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed-up barrier allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestBarrierNonPowerOfTwo runs two barriers at 3, 5 and 7 ranks, where the
+// dissemination rounds wrap around. Ranks arrive staggered, the last rank
+// first, and rank 0 sends the last rank a message that lands while the last
+// rank waits inside the first barrier. No rank may leave a barrier before
+// the last arrival, and a Recv issued after the barriers must still match
+// the message.
+func TestBarrierNonPowerOfTwo(t *testing.T) {
+	for _, n := range []int{3, 5, 7} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			c := smallCluster(n)
+			last := n - 1
+			arrive := make([]sim.Time, n)
+			exit := make([]sim.Time, n)
+			var got int64
+			var landed bool
+			c.World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+				id := r.RankID()
+				p.Sleep(sim.Duration((id+1)%n) * 10 * sim.Millisecond)
+				if id == 0 {
+					r.Send(p, last, 99, 1234)
+				}
+				arrive[id] = p.Now()
+				r.Barrier(p)
+				exit[id] = p.Now()
+				r.Barrier(p)
+				if id == last {
+					// Rank 0 sent at 10 ms; the last rank has waited in the
+					// first barrier since 0 and left it after the latest arrival.
+					landed = exit[id] > 20*sim.Millisecond
+					got = r.Recv(p, 0, 99)
+				}
+			})
+			var lastArrive sim.Time
+			for _, a := range arrive {
+				lastArrive = max(lastArrive, a)
+			}
+			for i, e := range exit {
+				if e < lastArrive {
+					t.Errorf("rank %d left the barrier at %v, before the last arrival at %v", i, e, lastArrive)
+				}
+			}
+			if !landed {
+				t.Errorf("the last rank left the first barrier at %v: the message did not land mid-barrier", exit[last])
+			}
+			if got != 1234 {
+				t.Errorf("Recv after the barriers got %d bytes, want 1234", got)
+			}
+		})
 	}
 }

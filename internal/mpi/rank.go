@@ -17,14 +17,21 @@ type Rank struct {
 	pc    *vfs.ProcCtx
 	inbox *sim.Mailbox[netsim.Message]
 
-	// recv is the rank's inbox receiver (deliver), bound once in NewWorld.
-	// It leaves the received envelope in got and wakes the process that
-	// awaits it through wake, so a receive allocates nothing.
-	recv func(netsim.Message)
-	got  *mpiMsg
-	wake func()
+	// recv (deliver) is the rank's inbox receiver and stepFn (step) its
+	// collective chain's stage, both bound once in NewWorld, so that a
+	// receive or a collective allocates nothing.
+	recv   func(netsim.Message)
+	stepFn func()
 
-	pending  []mpiMsg // arrived but unmatched messages
+	// The armed receive (recvThen): got holds its source and tag until the
+	// oldest matching message replaces it whole; next runs when that message
+	// arrived later.
+	got  mpiMsg
+	next func()
+
+	pending  []mpiMsg // arrived but unmatched messages, in arrival order
+	coll     coll     // the collective chain in progress
+	wake     func()   // resumes the process awaiting coll
 	barGen   int      // barrier generation counter
 	libHooks []LibHook
 
@@ -137,57 +144,6 @@ func (r *Rank) Wtime(p *sim.Proc) sim.Time {
 	return r.pc.Kernel().LocalTime(p.Now())
 }
 
-// sendRaw transmits without tracing (internal transport for collectives).
-// The payload travels in a pooled envelope that recvRaw recycles.
-func (r *Rank) sendRaw(p *sim.Proc, dest, tag int, bytes int64, data any) {
-	dst := &r.world.ranks[dest]
-	envelope := r.world.newEnvelope()
-	*envelope = mpiMsg{From: r.rank, Tag: tag, Bytes: bytes, Data: data}
-	r.world.net.Send(p, netsim.Message{
-		From:    r.node,
-		To:      dst.node,
-		Port:    PortBase + dest,
-		Size:    bytes + 64, // MPI envelope
-		Payload: envelope,
-	})
-}
-
-// recvRaw blocks until a message with the given source and tag arrives.
-func (r *Rank) recvRaw(p *sim.Proc, src, tag int) mpiMsg {
-	for i, m := range r.pending {
-		if m.From == src && m.Tag == tag {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return m
-		}
-	}
-	for {
-		p.Await(r.awaitInbox)
-		envelope := r.got
-		r.got = nil
-		if envelope == nil {
-			continue
-		}
-		m := r.world.openEnvelope(envelope)
-		if m.From == src && m.Tag == tag {
-			return m
-		}
-		r.pending = append(r.pending, m)
-	}
-}
-
-// awaitInbox arms the rank's receiver on its inbox; recvRaw awaits it.
-func (r *Rank) awaitInbox(wake func()) {
-	r.wake = wake
-	r.inbox.GetThen(r.recv)
-}
-
-// deliver is the rank's inbox receiver: it keeps the message's envelope (nil
-// for a foreign payload) for recvRaw and wakes the awaiting process.
-func (r *Rank) deliver(msg netsim.Message) {
-	r.got, _ = msg.Payload.(*mpiMsg)
-	r.wake()
-}
-
 // Send transmits bytes to dest with a tag (traced as MPI_Send).
 func (r *Rank) Send(p *sim.Proc, dest, tag int, bytes int64) {
 	r.SendData(p, dest, tag, bytes, nil)
@@ -227,71 +183,12 @@ func (r *Rank) RecvData(p *sim.Proc, src, tag int) (int64, any) {
 }
 
 // Barrier synchronizes all ranks with a dissemination barrier: ceil(log2 N)
-// rounds of pairwise messages (traced as MPI_Barrier).
+// rounds of pairwise messages (traced as MPI_Barrier). The rounds run as one
+// event chain that the process awaits once, so a barrier parks the process
+// once however many rounds it takes.
 func (r *Rank) Barrier(p *sim.Proc) {
 	r.libcall(p, "MPI_Barrier", func() []string { return []string{"92"} }, func() string {
 		r.barrierBody(p)
 		return "0"
 	})
-}
-
-func (r *Rank) barrierBody(p *sim.Proc) {
-	n := len(r.world.ranks)
-	if n == 1 {
-		return
-	}
-	gen := r.barGen
-	r.barGen++
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		peerTo := (r.rank + dist) % n
-		peerFrom := (r.rank - dist + n) % n
-		tag := -(1000 + gen*64 + round)
-		r.sendRaw(p, peerTo, tag, 8, nil)
-		r.recvRaw(p, peerFrom, tag)
-	}
-}
-
-// bcastBody runs the classic MPICH binomial-tree broadcast from rank 0: a
-// nonzero rank receives from (rank - lowbit(rank)), then forwards to
-// (rank + mask) for each mask below its receive round.
-func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
-	n := len(r.world.ranks)
-	if n == 1 {
-		return data
-	}
-	const tag = -777
-	got := data
-	mask := 1
-	for mask < n {
-		if r.rank&mask != 0 {
-			m := r.recvRaw(p, r.rank-mask, tag)
-			got = m.Data
-			break
-		}
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if r.rank+mask < n {
-			r.sendRaw(p, r.rank+mask, tag, bytes, got)
-		}
-	}
-	return got
-}
-
-// gatherRaw collects one value per rank at rank 0, indexed by rank, without
-// tracing: the access-set exchange inside collective I/O.
-func (r *Rank) gatherRaw(p *sim.Proc, bytes int64, contribution any) []any {
-	n := len(r.world.ranks)
-	const tag = -889
-	if r.rank != 0 {
-		r.sendRaw(p, 0, tag, bytes, contribution)
-		return nil
-	}
-	out := make([]any, n)
-	out[0] = contribution
-	for i := 1; i < n; i++ {
-		m := r.recvRaw(p, i, tag)
-		out[m.From] = m.Data
-	}
-	return out
 }

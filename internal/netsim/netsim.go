@@ -53,11 +53,10 @@ type Message struct {
 	Size    int64 // payload bytes (framing added by the network)
 	Payload any
 
-	// Span is the causal span the message travels under: the sender's
-	// current span (stamped automatically by Send, explicitly by the
-	// event-chain variants). When a network tracer is attached, delivery
-	// records a ClassNetMsg child span and rewrites this field to it, so the
-	// receiver's records parent to the network hop.
+	// Span is the causal span the message travels under, stamped by the
+	// sender: normally its process's current span. When a network tracer is
+	// attached, delivery records a ClassNetMsg child span and rewrites this
+	// field to it, so the receiver's records parent to the network hop.
 	Span uint64
 }
 
@@ -202,19 +201,6 @@ func (n *Network) wireBytes(payload int64) int64 {
 		frames = 1
 	}
 	return payload + frames*n.cfg.FrameOverhead
-}
-
-// Send transmits msg from the calling process, stamping it with the
-// process's span when it carries none. The caller awaits SendThen's chain,
-// so it blocks for the sender-side software cost and transmit serialization
-// (as a kernel send blocks while the NIC queue drains); propagation, receive
-// serialization and delivery proceed asynchronously, and no goroutine or
-// process is allocated per message.
-func (n *Network) Send(p *sim.Proc, msg Message) {
-	if msg.Span == 0 {
-		msg.Span = p.Span()
-	}
-	p.Await(func(wake func()) { n.SendThen(msg, wake) })
 }
 
 // SendThen transmits msg as a pure event chain to the mailbox listening on

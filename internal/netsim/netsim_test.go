@@ -26,6 +26,16 @@ func newReceiver[T any](mb *sim.Mailbox[T]) *receiver[T] {
 
 func (r *receiver[T]) start(wake func()) { r.wake = wake; r.mb.GetThen(r.got) }
 
+// Send transmits msg from p, stamped with p's span when it carries none: p
+// awaits SendThen's chain, so it blocks for the sender-side software cost and
+// transmit serialization while delivery proceeds on without it.
+func (n *Network) Send(p *sim.Proc, msg Message) {
+	if msg.Span == 0 {
+		msg.Span = p.Span()
+	}
+	p.Await(func(wake func()) { n.SendThen(msg, wake) })
+}
+
 // get blocks p until the mailbox hands the receiver a message.
 func (r *receiver[T]) get(p *sim.Proc) T {
 	p.Await(r.start)

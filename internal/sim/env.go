@@ -21,6 +21,9 @@ type Env struct {
 	stopped bool
 	nextPID int
 
+	// switches counts coroutine resumes (see Switches).
+	switches uint64
+
 	// nextSpan backs NextSpanID. It is a pure counter with no effect on
 	// virtual time, the event queue, or the rng, so allocating spans cannot
 	// perturb a schedule: traced and untraced runs stay byte-identical.
@@ -41,6 +44,14 @@ func NewEnv(seed int64) *Env {
 // each is a coroutine backed by one parked goroutine, so this is the
 // simulation's contribution to the runtime's goroutine population.
 func (e *Env) LiveProcs() int { return len(e.procs) }
+
+// Switches reports the number of coroutine resumes so far: each is one
+// next()/yield hand-off into a process and back, the simulator's costliest
+// step. A process's first activation counts, and so does every Sleep and
+// every Await that parks; an Await whose chain completes synchronously does
+// not. Like the event history, the count is a deterministic function of the
+// seed and the program.
+func (e *Env) Switches() uint64 { return e.switches }
 
 // Spawns returns a copy of the full spawn census: processes ever spawned,
 // keyed by Go name. Regression guards read it to assert that no per-request

@@ -81,6 +81,7 @@ func (e *Env) dispatch(p *Proc) {
 		p.awaiting = false
 		return
 	}
+	e.switches++
 	if _, ok := p.next(); !ok {
 		delete(e.procs, p)
 	}
