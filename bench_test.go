@@ -277,43 +277,43 @@ func workloadFramework() framework.Framework {
 	return framework.MustLookup("LANL-Trace")
 }
 
-// simRanksJob runs benchSimRanks' job once: one untraced N-N job (one 64 KB
-// object per rank) end to end, cluster construction included. It returns
-// the cluster so callers can read its counters.
-func simRanksJob(tb testing.TB, ranks int) *cluster.Cluster {
+// simRanksJob returns benchSimRanks' job at the given rank count: one
+// untraced N-N job, one 64 KB object per rank.
+func simRanksJob(ranks int) (cluster.Config, workload.Params) {
 	cfg := cluster.Default()
 	cfg.ComputeNodes = ranks
 	params := workload.Params{
 		Pattern: workload.NToN, BlockSize: 64 << 10, NObj: 1,
 		Path: fmt.Sprintf("/pfs/scale%d", ranks),
 	}
-	c := cluster.New(cfg)
-	res := params.Spec().Run(c.World)
-	if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
-		tb.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
-	}
-	if n := c.Env.Spawns()["net.courier"]; n != 0 {
-		tb.Fatalf("%d courier procs spawned, want 0", n)
-	}
-	return c
+	return cfg, params
 }
 
-// benchSimRanks drives simRanksJob at the given rank count. It is the
+// benchSimRanks drives one untraced job (one 64 KB object per rank) end to
+// end — cluster construction included — at the given rank count. It is the
 // proving-ground benchmark for the per-event hot paths: rank counts past
 // the scaling ladder's default top rung must stay affordable for CI.
 func benchSimRanks(b *testing.B, ranks int) {
-	var syscalls, switches float64
+	cfg, params := simRanksJob(ranks)
+	var events, switches float64
 	for i := 0; i < b.N; i++ {
-		c := simRanksJob(b, ranks)
+		c := cluster.New(cfg)
+		res := params.Spec().Run(c.World)
+		if res.Ranks != ranks || res.Bytes != int64(ranks)*params.BlockSize {
+			b.Fatalf("ranks=%d bytes=%d", res.Ranks, res.Bytes)
+		}
+		if n := c.Env.Spawns()["net.courier"]; n != 0 {
+			b.Fatalf("%d courier procs spawned, want 0", n)
+		}
 		var n int64
 		for _, k := range c.Kernels {
 			n += k.SyscallCount
 		}
-		syscalls = float64(n)
+		events = float64(n)
 		switches = float64(c.Env.Switches())
 	}
-	b.ReportMetric(syscalls, "syscalls")
-	b.ReportMetric(syscalls/float64(ranks), "syscalls/rank")
+	b.ReportMetric(events, "syscalls")
+	b.ReportMetric(events/float64(ranks), "syscalls/rank")
 	b.ReportMetric(switches/float64(ranks), "switches/rank")
 }
 

@@ -8,40 +8,17 @@ import (
 )
 
 // A rank's messaging runs as event chains. Sending is one stage, sendThen,
-// and receiving one routine, recvThen, and the collectives (the
-// dissemination barrier, the binomial-tree broadcast and the gather) string
-// them together in step, a stage bound once per rank. A process awaits a
-// point-to-point send or receive, or a whole collective, once. The chains run
-// in the events that resume a process, at the point where the process would
+// and receiving one routine, recvThen. The dissemination barrier strings them
+// together in barrierStep, a stage bound once per rank, so a process awaits a
+// point-to-point send or receive, or a whole barrier, once. The chains run in
+// the events that resume a process, at the point where the process would
 // have resumed, so they schedule exactly what a process running the same
-// rounds would.
+// rounds would. The broadcast and the gather are process-side loops over the
+// awaited sendRaw and recvRaw.
 
-// Tags of the internal collectives. Barrier round k of generation g uses
+// barrierTag tags the barrier's messages: round k of generation g uses
 // barrierTag - 64*g - k.
-const (
-	barrierTag = -1000
-	bcastTag   = -777
-	gatherTag  = -889
-)
-
-// collOp names the collective a rank's chain runs.
-type collOp uint8
-
-const (
-	opBarrier collOp = iota + 1
-	opBcast
-	opGather
-)
-
-// coll is the state of a rank's collective chain: which collective and how
-// far it has come. What a collective carries travels in the rank's got
-// message (broadcast) or the world's gathered slice (gather), so the state
-// every rank holds stays small.
-type coll struct {
-	span uint64 // span the chain's messages travel under
-	i    int    // barrier: stages done; broadcast: tree mask; gather: last source
-	op   collOp
-}
+const barrierTag = -1000
 
 // sendThen transmits a message to rank dest as an event chain, in a pooled
 // envelope that the receiving rank recycles, and calls next once the
@@ -150,153 +127,49 @@ func (r *Rank) recvRaw(p *sim.Proc, src, tag int) mpiMsg {
 	return r.takeGot()
 }
 
-// runColl runs the collective set up in r.coll as one event chain and parks
-// p until the chain's last stage completes.
-func (r *Rank) runColl(p *sim.Proc, op collOp) {
-	r.coll.op, r.coll.span = op, p.Span()
-	p.Await(r.startColl)
-}
-
-// startColl starts the collective chain; wake resumes its process.
-func (r *Rank) startColl(wake func()) {
-	r.wake = wake
-	r.step()
-}
-
-// step runs the collective chain up to its next stage that cannot complete
-// at once: a send, or a receive whose message has not arrived. That stage
-// calls step again when it completes.
-func (r *Rank) step() {
-	switch r.coll.op {
-	case opBarrier:
-		r.barrierStep()
-	case opBcast:
-		r.bcastStep()
-	case opGather:
-		r.gatherStep()
-	}
-}
-
-// finish ends the collective chain and resumes its process, which takes the
-// result and clears r.coll. Nothing may touch the rank's state after finish.
-func (r *Rank) finish() {
-	wake := r.wake
-	r.wake = nil
-	wake()
-}
-
-// barrierBody runs the barrier without tracing.
+// barrierBody runs the barrier without tracing: the process awaits the
+// barrier's event chain once.
 func (r *Rank) barrierBody(p *sim.Proc) {
 	if len(r.world.ranks) == 1 {
 		return
 	}
-	r.runColl(p, opBarrier)
+	r.barSpan = p.Span()
+	p.Await(r.startBarrier)
 	r.barGen++
-	r.coll = coll{}
+	r.barStage = 0
+	r.got = mpiMsg{}
 }
 
-// barrierStep runs the dissemination barrier: in round k the rank sends to
-// rank+2^k and receives from rank-2^k (mod p), for 2^k < p. coll.i counts the
-// stages done, two per round: after an even count it sends, after an odd
-// count it receives.
+// startBarrier starts the barrier chain; wake resumes its process.
+func (r *Rank) startBarrier(wake func()) {
+	r.wake = wake
+	r.barrierStep()
+}
+
+// barrierStep runs the dissemination barrier up to its next stage that
+// cannot complete at once, which calls barrierStep again when it completes:
+// in round k the rank sends to rank+2^k and receives from rank-2^k (mod p),
+// for 2^k < p. barStage counts the stages done, two per round: after an even
+// count it sends, after an odd count it receives. After the last round it
+// resumes the process; nothing may touch the rank's state after that.
 func (r *Rank) barrierStep() {
-	c := &r.coll
 	n := len(r.world.ranks)
 	for {
-		round := c.i >> 1
+		round := r.barStage >> 1
 		dist := 1 << round
 		if dist >= n {
-			r.finish()
+			wake := r.wake
+			r.wake = nil
+			wake()
 			return
 		}
 		tag := barrierTag - 64*r.barGen - round
-		c.i++
-		if c.i&1 == 1 {
-			r.sendThen((r.rank+dist)%n, tag, 8, nil, c.span, r.stepFn)
+		r.barStage++
+		if r.barStage&1 == 1 {
+			r.sendThen((r.rank+dist)%n, tag, 8, nil, r.barSpan, r.stepFn)
 			return
 		}
 		if !r.recvThen((r.rank-dist+n)%n, tag, r.stepFn) {
-			return
-		}
-	}
-}
-
-// bcastBody runs the classic MPICH binomial-tree broadcast from rank 0 and
-// returns the payload: a nonzero rank receives from (rank - lowbit(rank)),
-// then forwards to (rank + mask) for each mask below its receive round.
-// Every rank forwards the message it holds in r.got: rank 0 puts its own
-// payload there, the others receive it there.
-func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
-	if len(r.world.ranks) == 1 {
-		return data
-	}
-	if r.rank == 0 {
-		r.got = mpiMsg{Bytes: bytes, Data: data}
-	}
-	r.runColl(p, opBcast)
-	r.coll = coll{}
-	return r.takeGot().Data
-}
-
-// bcastStep runs the broadcast. coll.i is the tree mask: zero before the
-// first step, then lowbit(rank) at a nonzero rank, which first receives the
-// payload from its parent, and the least power of two >= p at rank 0.
-func (r *Rank) bcastStep() {
-	c := &r.coll
-	n := len(r.world.ranks)
-	if c.i == 0 {
-		if r.rank == 0 {
-			for c.i = 1; c.i < n; c.i <<= 1 {
-			}
-		} else {
-			c.i = r.rank & -r.rank
-			if !r.recvThen(r.rank-c.i, bcastTag, r.stepFn) {
-				return
-			}
-		}
-	}
-	for c.i >>= 1; c.i > 0; c.i >>= 1 {
-		if dest := r.rank + c.i; dest < n {
-			r.sendThen(dest, bcastTag, r.got.Bytes, r.got.Data, c.span, r.stepFn)
-			return
-		}
-	}
-	r.finish()
-}
-
-// gatherRaw collects one value per rank at rank 0, indexed by rank, without
-// tracing: the access-set exchange inside collective I/O. A nonzero rank
-// sends its contribution; rank 0 receives the others in rank order, as one
-// chain that fills the world's gathered slice.
-func (r *Rank) gatherRaw(p *sim.Proc, bytes int64, contribution any) []any {
-	if r.rank != 0 {
-		r.sendRaw(p, 0, gatherTag, bytes, contribution)
-		return nil
-	}
-	out := make([]any, len(r.world.ranks))
-	out[0] = contribution
-	r.world.gathered = out
-	r.runColl(p, opGather)
-	r.coll = coll{}
-	r.world.gathered = nil
-	return out
-}
-
-// gatherStep receives the contributions of ranks 1, 2, ... in order.
-// coll.i is the rank received from last: 0, rank 0 itself, at the start.
-func (r *Rank) gatherStep() {
-	c := &r.coll
-	out := r.world.gathered
-	for {
-		if c.i > 0 {
-			out[c.i] = r.takeGot().Data
-		}
-		c.i++
-		if c.i == len(out) {
-			r.finish()
-			return
-		}
-		if !r.recvThen(c.i, gatherTag, r.stepFn) {
 			return
 		}
 	}

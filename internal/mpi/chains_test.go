@@ -25,9 +25,10 @@ func newTestWorld(n int) *World {
 }
 
 // TestMatchedMessageLeavesNoStaleCopy receives three messages out of order,
-// so that two wait in the pending list and leave it from its front. No slot
-// of the list's backing array may keep a message afterwards: a stale copy
-// would pin its payload until the slot is overwritten.
+// so that two wait in the pending list and leave it from its front, then
+// runs a barrier. No slot of the list's backing array may keep a message
+// afterwards, and neither rank may hold its last match: a stale copy would
+// pin its payload until the slot is overwritten.
 func TestMatchedMessageLeavesNoStaleCopy(t *testing.T) {
 	w := newTestWorld(2)
 	payloads := []*[64]byte{new([64]byte), new([64]byte), new([64]byte)}
@@ -37,12 +38,13 @@ func TestMatchedMessageLeavesNoStaleCopy(t *testing.T) {
 			for tag, data := range payloads {
 				r.SendData(p, 1, tag, 64, data)
 			}
-			return
+		} else {
+			for _, tag := range []int{2, 0, 1} {
+				_, data := r.RecvData(p, 0, tag)
+				got = append(got, data)
+			}
 		}
-		for _, tag := range []int{2, 0, 1} {
-			_, data := r.RecvData(p, 0, tag)
-			got = append(got, data)
-		}
+		r.Barrier(p)
 	})
 	if len(got) != 3 || got[0] != payloads[2] || got[1] != payloads[0] || got[2] != payloads[1] {
 		t.Fatalf("received %v, want payloads 2, 0, 1", got)
@@ -56,7 +58,9 @@ func TestMatchedMessageLeavesNoStaleCopy(t *testing.T) {
 			t.Errorf("pending slot %d past len keeps %+v", i, m)
 		}
 	}
-	if r.got != (mpiMsg{}) {
-		t.Errorf("the last match is still held: %+v", r.got)
+	for i := range 2 {
+		if m := w.Rank(i).got; m != (mpiMsg{}) {
+			t.Errorf("rank %d still holds its last match: %+v", i, m)
+		}
 	}
 }

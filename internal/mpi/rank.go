@@ -17,9 +17,9 @@ type Rank struct {
 	pc    *vfs.ProcCtx
 	inbox *sim.Mailbox[netsim.Message]
 
-	// recv (deliver) is the rank's inbox receiver and stepFn (step) its
-	// collective chain's stage, both bound once in NewWorld, so that a
-	// receive or a collective allocates nothing.
+	// recv (deliver) is the rank's inbox receiver and stepFn (barrierStep)
+	// its barrier chain's stage, both bound once in NewWorld, so that a
+	// receive or a barrier allocates nothing.
 	recv   func(netsim.Message)
 	stepFn func()
 
@@ -29,10 +29,16 @@ type Rank struct {
 	got  mpiMsg
 	next func()
 
-	pending  []mpiMsg // arrived but unmatched messages, in arrival order
-	coll     coll     // the collective chain in progress
-	wake     func()   // resumes the process awaiting coll
-	barGen   int      // barrier generation counter
+	pending []mpiMsg // arrived but unmatched messages, in arrival order
+
+	// The barrier chain in progress (barrierStep): the stages it has done,
+	// the span its messages travel under and the wake that resumes the
+	// awaiting process.
+	barStage int
+	barSpan  uint64
+	wake     func()
+	barGen   int // barrier generation counter
+
 	libHooks []LibHook
 
 	// Stats.
@@ -191,4 +197,49 @@ func (r *Rank) Barrier(p *sim.Proc) {
 		r.barrierBody(p)
 		return "0"
 	})
+}
+
+// bcastBody runs the classic MPICH binomial-tree broadcast from rank 0: a
+// nonzero rank receives from (rank - lowbit(rank)), then forwards to
+// (rank + mask) for each mask below its receive round.
+func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
+	n := len(r.world.ranks)
+	if n == 1 {
+		return data
+	}
+	const tag = -777
+	got := data
+	mask := 1
+	for mask < n {
+		if r.rank&mask != 0 {
+			m := r.recvRaw(p, r.rank-mask, tag)
+			got = m.Data
+			break
+		}
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if r.rank+mask < n {
+			r.sendRaw(p, r.rank+mask, tag, bytes, got)
+		}
+	}
+	return got
+}
+
+// gatherRaw collects one value per rank at rank 0, indexed by rank, without
+// tracing: the access-set exchange inside collective I/O.
+func (r *Rank) gatherRaw(p *sim.Proc, bytes int64, contribution any) []any {
+	n := len(r.world.ranks)
+	const tag = -889
+	if r.rank != 0 {
+		r.sendRaw(p, 0, tag, bytes, contribution)
+		return nil
+	}
+	out := make([]any, n)
+	out[0] = contribution
+	for i := 1; i < n; i++ {
+		m := r.recvRaw(p, i, tag)
+		out[m.From] = m.Data
+	}
+	return out
 }

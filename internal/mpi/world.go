@@ -3,10 +3,10 @@
 // dissemination barrier, binomial-tree collectives, and MPI-IO.
 //
 // A rank's messaging runs as event chains on its inbox: one send stage and
-// one receive-match routine, which the barrier, broadcast and gather string
-// into one chain per collective. A rank's process parks once per
-// point-to-point call and once per collective, however many rounds the
-// collective takes.
+// one receive-match routine, which the barrier strings into one chain. A
+// rank's process parks once per point-to-point call and once per barrier,
+// however many rounds the barrier takes; the broadcast and gather inside
+// collective I/O await each of their sends and receives.
 //
 // MPI-IO calls execute real system calls through the node kernel, so an
 // strace-style tracer attached at the syscall boundary observes the nested
@@ -47,10 +47,6 @@ type World struct {
 	// so steady messaging allocates none. It is per world, not global:
 	// sweep cells run worlds in parallel.
 	envelopes []*mpiMsg
-
-	// gathered is rank 0's gather result while its gather chain runs: rank
-	// 0 is every gather's root, so one slice per world serves.
-	gathered []any
 }
 
 // NewWorld creates a world with one rank per kernel entry. The same kernel
@@ -69,7 +65,7 @@ func NewWorld(net_ *netsim.Network, kernels []*vfs.Kernel) *World {
 			inbox: net_.Listen(k.Node(), PortBase+i),
 		}
 		w.ranks[i].recv = w.ranks[i].deliver
-		w.ranks[i].stepFn = w.ranks[i].step
+		w.ranks[i].stepFn = w.ranks[i].barrierStep
 	}
 	return w
 }

@@ -14,7 +14,7 @@
 // with Proc.Await. A process blocks in exactly two ways: Sleep, for a span
 // of virtual time, and Await, for an event chain such as a resource claim
 // (Resource.AcquireThen), a receive (Mailbox.GetThen) or a whole MPI
-// collective; Env.Switches counts the coroutine resumes that result. All
+// barrier; Env.Switches counts the coroutine resumes that result. All
 // other substrate packages (network, disks, file systems, MPI) are built on
 // this kernel; virtual time is an int64 nanosecond count.
 package sim

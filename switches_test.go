@@ -1,10 +1,14 @@
 package iotaxo_test
 
-import "testing"
+import (
+	"testing"
+
+	"iotaxo/internal/cluster"
+)
 
 // switchesPerRank is what benchSimRanks' job costs each rank in coroutine
 // resumes: its first activation, the sleeps and syscalls of its program, and
-// one park per barrier. Collectives run as event chains, so the barrier's
+// one park per barrier. The barrier runs as an event chain, so its
 // ceil(log2 p) rounds add no switch and the figure is the same at every rank
 // count.
 const switchesPerRank = 21
@@ -21,7 +25,11 @@ func TestSwitchesPerRankFlat(t *testing.T) {
 	}
 	var rests []int64
 	for _, ranks := range rungs {
-		c := simRanksJob(t, ranks)
+		cfg, params := simRanksJob(ranks)
+		c := cluster.New(cfg)
+		if res := params.Spec().Run(c.World); res.Ranks != ranks {
+			t.Fatalf("%d ranks ran, want %d", res.Ranks, ranks)
+		}
 		s := int64(c.Env.Switches())
 		t.Logf("%d ranks: %d switches, %.2f per rank", ranks, s, float64(s)/float64(ranks))
 		rests = append(rests, s-switchesPerRank*int64(ranks))
