@@ -22,7 +22,6 @@ import (
 var exportAllowlist = map[string]string{
 	"core.PaperTable2":              "paper surface: renders the paper's Table 2",
 	"lanltrace.GeneratePseudoApp":   "paper surface: LANL-Trace's pseudo-application replay from raw trace text",
-	"replay.FromRecords":            "replay axis: builds a replayable trace from any record stream",
 	"aggregate.FromReplayable":      "paper section 6 trace-data API: the //TRACE adapter",
 	"pfs.DefaultNFS":                "parallel-FS compatibility axis: the single-server file system Tracefs stacks on",
 	"analysis.SummarizeSource":      "analysis-tools axis: the Figure 1 call summary over any record stream",
@@ -239,18 +238,23 @@ func (prog *repoProgram) internalExports() map[string]types.Object {
 }
 
 // uses returns every object that some identifier in non-test code resolves
-// to, outside a function's own body: a recursive call is no caller. A
-// generic function or method resolves to its origin.
+// to, outside a function's own body and outside a method's receiver: a
+// recursive call is no caller, and a method declared on a type is no use of
+// the type. A generic function or method resolves to its origin.
 func (prog *repoProgram) uses() map[types.Object]bool {
 	used := make(map[types.Object]bool)
 	for _, cp := range prog.order {
 		for _, f := range cp.files {
 			for _, decl := range f.Decls {
 				var self types.Object
+				var recv *ast.FieldList
 				if fd, ok := decl.(*ast.FuncDecl); ok {
-					self = cp.info.Defs[fd.Name]
+					self, recv = cp.info.Defs[fd.Name], fd.Recv
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
+					if recv != nil && n == ast.Node(recv) {
+						return false
+					}
 					id, ok := n.(*ast.Ident)
 					if !ok {
 						return true

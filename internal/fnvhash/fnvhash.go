@@ -2,10 +2,10 @@
 // simulators' per-I/O hot paths (extent digests, inode placement), where
 // hash/fnv + fmt would allocate a hasher and format buffers on every call.
 //
-// Both internal/vfs and internal/pfs compute their extent digests through
-// this one implementation, which keeps the digests bit-identical across
-// file systems — end-state comparisons between a local FS and the parallel
-// FS rely on that. Only hash *equality* is meaningful to callers.
+// Both internal/vfs and internal/pfs compute their extent digests with
+// Extent, which keeps the digests bit-identical across file systems —
+// end-state comparisons between a local FS and the parallel FS rely on
+// that. Only hash *equality* is meaningful to callers.
 package fnvhash
 
 import "math"
@@ -55,4 +55,10 @@ func Bool(h uint64, v bool) uint64 {
 	h ^= b
 	h *= prime64
 	return h
+}
+
+// Extent digests one written extent of path: n bytes at offset off. A
+// file's end-state digest is the XOR of its extents' digests.
+func Extent(path string, off, n int64) uint64 {
+	return Int64(Int64(String(Offset64, path), off), n)
 }

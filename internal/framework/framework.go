@@ -68,10 +68,12 @@ type Report struct {
 	// frameworks whose classification says RevealsDeps.
 	Deps int
 	// ReplayMeasured reports that the framework generated a replayable
-	// trace and measured its fidelity; ReplayErr is the end-to-end runtime
-	// error fraction of the replayed pseudo-application.
+	// trace and replayed it; ReplayElapsed is the replayed
+	// pseudo-application's end-to-end elapsed time. The framework does not
+	// score it: the sweep engine compares it with the untraced run it
+	// measures anyway, the paper's fidelity metric.
 	ReplayMeasured bool
-	ReplayErr      float64
+	ReplayElapsed  sim.Duration
 }
 
 // Variant is optionally implemented by frameworks whose behaviour depends

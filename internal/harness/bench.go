@@ -113,9 +113,9 @@ func (p SweepPayload) Summary() string {
 }
 
 // benchSweepMallocsKLimit bounds the cold smoke sweep's allocated objects,
-// in thousands: about 20% above the 159k the pooled hot paths measure, so a
+// in thousands: about 20% above the 144k the pooled hot paths measure, so a
 // per-request allocation creeping back into a hot path fails the bar.
-const benchSweepMallocsKLimit = 190
+const benchSweepMallocsKLimit = 172
 
 // heapAllocs reads the process's cumulative count of heap allocations.
 func heapAllocs() uint64 {

@@ -42,7 +42,7 @@ import (
 // cacheSchema versions the persisted entry format AND the simulated
 // behaviour it captures. Bump on any change to the simulators, cost models,
 // or result summaries: entries written under another schema are ignored.
-const cacheSchema = 1
+const cacheSchema = 2
 
 // simKey identifies one leaf simulation by its complete input set. Two runs
 // with equal keys are the same deterministic simulation and must produce

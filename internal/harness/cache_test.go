@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -226,7 +227,7 @@ func TestStaleSchemaVersionIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	mangleCacheFiles(t, dir, func(b []byte) []byte {
-		return bytes.Replace(b, []byte(`{"schema":1,`), []byte(`{"schema":0,`), 1)
+		return bytes.Replace(b, fmt.Appendf(nil, `{"schema":%d,`, cacheSchema), fmt.Appendf(nil, `{"schema":%d,`, cacheSchema-1), 1)
 	})
 
 	o.Cache = NewCache(dir)
@@ -249,13 +250,13 @@ func TestStaleSchemaVersionIgnored(t *testing.T) {
 // cacheSchema bump.
 func TestSimKeysPinned(t *testing.T) {
 	want := map[string]string{
-		"N-1 non-strided":    "v1||0000000000000000|N-1 non-strided|0c6868357317be46|2137a13ba9160b71",
-		"N-1 strided":        "v1||0000000000000000|N-1 strided|0c6868357317be46|2137a13ba9160b71",
-		"N-N":                "v1||0000000000000000|N-N|0c6868357317be46|2137a13ba9160b71",
-		"analytics-scan":     "v1||0000000000000000|analytics-scan|0c6868357317be46|2137a13ba9160b71",
-		"checkpoint-restart": "v1||0000000000000000|checkpoint-restart|0c6868357317be46|2137a13ba9160b71",
-		"metadata-storm":     "v1||0000000000000000|metadata-storm|0c6868357317be46|2137a13ba9160b71",
-		"producer-consumer":  "v1||0000000000000000|producer-consumer|0c6868357317be46|2137a13ba9160b71",
+		"N-1 non-strided":    "v2||0000000000000000|N-1 non-strided|0c6868357317be46|2137a13ba9160b71",
+		"N-1 strided":        "v2||0000000000000000|N-1 strided|0c6868357317be46|2137a13ba9160b71",
+		"N-N":                "v2||0000000000000000|N-N|0c6868357317be46|2137a13ba9160b71",
+		"analytics-scan":     "v2||0000000000000000|analytics-scan|0c6868357317be46|2137a13ba9160b71",
+		"checkpoint-restart": "v2||0000000000000000|checkpoint-restart|0c6868357317be46|2137a13ba9160b71",
+		"metadata-storm":     "v2||0000000000000000|metadata-storm|0c6868357317be46|2137a13ba9160b71",
+		"producer-consumer":  "v2||0000000000000000|producer-consumer|0c6868357317be46|2137a13ba9160b71",
 	}
 	o := MatrixSmokeOptions()
 	sc := o.scaleFor(o.BlockSizes[0])
@@ -382,7 +383,6 @@ func TestVariantDigestsCoverConfig(t *testing.T) {
 			name:   "partrace",
 			cfg:    reflect.ValueOf(&ptr).Elem(),
 			digest: func() uint64 { return framework.VariantDigest(partrace.AsFramework(ptr)) },
-			skip:   map[string]string{"RawTrace": "an output sink; no measurement reads it"},
 		},
 	} {
 		base := tc.digest()

@@ -31,6 +31,7 @@ import (
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/framework"
 	"iotaxo/internal/lanltrace"
+	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/workload"
 
@@ -207,7 +208,8 @@ type BandwidthPoint struct {
 	Runs        int // application executions the framework consumed
 	Deps        int // dependency edges discovered, if the framework reveals them
 	// ReplayMeasured/ReplayErr report replay fidelity for frameworks that
-	// generate replayable traces.
+	// generate replayable traces: the replayed run's end-to-end runtime
+	// error against UntracedElapsed.
 	ReplayMeasured bool
 	ReplayErr      float64
 }
@@ -226,7 +228,8 @@ func (o Options) runTracedAt(fw framework.Framework, w workload.Workload, sc wor
 }
 
 // makePoint folds one rung's (untraced, traced) run pair at scale sc into a
-// sweep point: the one place overhead fractions are computed.
+// sweep point: the one place overhead fractions and replay fidelity are
+// computed.
 func makePoint(rung int64, sc workload.Scale, un workload.Result, rep framework.Report) BandwidthPoint {
 	tr := rep.Result
 	pt := BandwidthPoint{
@@ -242,7 +245,9 @@ func makePoint(rung int64, sc workload.Scale, un workload.Result, rep framework.
 		Runs:            rep.Runs,
 		Deps:            rep.Deps,
 		ReplayMeasured:  rep.ReplayMeasured,
-		ReplayErr:       rep.ReplayErr,
+	}
+	if rep.ReplayMeasured {
+		pt.ReplayErr = replay.Fidelity(un.Elapsed, rep.ReplayElapsed)
 	}
 	if un.BandwidthBps() > 0 {
 		pt.BandwidthOvhFrac = (un.BandwidthBps() - tr.BandwidthBps()) / un.BandwidthBps()

@@ -92,35 +92,6 @@ type Sink interface {
 	Emit(rec *trace.Record)
 }
 
-// SinkFunc adapts a function to Sink.
-type SinkFunc func(rec *trace.Record)
-
-// Emit implements Sink.
-func (f SinkFunc) Emit(rec *trace.Record) { f(rec) }
-
-// StreamSink adapts a pipeline sink to the hook-facing Sink interface, so a
-// framework can stream records straight into a codec or transform chain as
-// they are observed.
-type StreamSink struct {
-	dst trace.Sink
-	err error
-}
-
-// StreamTo wraps a pipeline sink. Check Err after the run; closing the
-// underlying trace.Sink remains the caller's job.
-func StreamTo(dst trace.Sink) *StreamSink { return &StreamSink{dst: dst} }
-
-// Emit implements Sink. Pipeline errors are sticky and reported by Err —
-// the hook interfaces have no error channel of their own.
-func (s *StreamSink) Emit(rec *trace.Record) {
-	if s.err == nil {
-		s.err = s.dst.Write(rec)
-	}
-}
-
-// Err reports the first error returned by the underlying pipeline sink.
-func (s *StreamSink) Err() error { return s.err }
-
 // Recorder charges a cost model per observed event and forwards records to
 // a sink. It implements vfs.SyscallHook and mpi.LibHook (the two interfaces
 // share their method set by design).

@@ -93,16 +93,6 @@ func eventCost(m CostModel, n int64) sim.Duration {
 	return m.EnterCost + m.ExitCost + sim.Duration(n)*m.PerOutputByte
 }
 
-func TestSinkFunc(t *testing.T) {
-	var got *trace.Record
-	s := SinkFunc(func(r *trace.Record) { got = r })
-	r := sampleRecord()
-	s.Emit(&r)
-	if got == nil || got.Name != "SYS_pwrite" {
-		t.Fatal("SinkFunc did not forward")
-	}
-}
-
 func TestCollectorClones(t *testing.T) {
 	col := &Collector{}
 	r := sampleRecord()

@@ -14,6 +14,12 @@
 // accuracy by using sampling for their node-throttling technique") trades
 // dependency coverage — and hence replay fidelity — against total tracing
 // time.
+//
+// The replayable trace is replay.FromRecords over the baseline traced run's
+// records, plus the discovered dependency edges. Generate also runs the
+// application untraced, for callers that want overhead and fidelity on
+// their own; the registry session does not, and reports only the replay's
+// elapsed time for the sweep engine to score against its untraced run.
 package partrace
 
 import (
@@ -38,10 +44,6 @@ type Config struct {
 	// SampledRanks is the number of ranks probed with throttling runs
 	// (the sampling knob); 0 discovers no dependencies, -1 probes all.
 	SampledRanks int
-	// RawTrace, when set, receives every record of the baseline traced run
-	// as it is observed — the streaming raw-trace emitter. The sink is not
-	// closed by the framework; throttled discovery runs do not emit.
-	RawTrace trace.Sink
 }
 
 // DefaultConfig probes two ranks, the paper's implied sweet spot (~205%
@@ -72,13 +74,12 @@ type Framework struct {
 // New returns a framework.
 func New(cfg Config) *Framework { return &Framework{cfg: cfg.fix()} }
 
-// opEvent is one observed I/O call with both clocks: the local timestamp
-// (what the real tool sees) and the global completion time used to order
-// events across nodes when wiring dependency edges.
+// opEvent is one observed replayable I/O call with both clocks: the local
+// start timestamp (what the real tool sees) and the global entry and
+// completion times used to order events across nodes when wiring
+// dependency edges.
 type opEvent struct {
-	rec         trace.Record
 	localStart  sim.Time
-	localEnd    sim.Time
 	globalStart sim.Time
 	globalEnd   sim.Time
 }
@@ -86,33 +87,10 @@ type opEvent struct {
 // ioHook is the LD_PRELOAD interposition layer for one rank.
 type ioHook struct {
 	model    interpose.CostModel
-	throttle sim.Duration // nonzero during a dependency-discovery run
-	raw      *interpose.StreamSink
+	throttle sim.Duration    // nonzero during a dependency-discovery run
+	log      *[]trace.Record // every rank's records of the baseline run; nil in a discovery run
 	events   []opEvent
-	all      []opEvent // including non-I/O MPI calls, for think-time math
 	enterAt  sim.Time
-}
-
-func isIOCall(name string) bool {
-	switch name {
-	case "MPI_File_open", "MPI_File_write_at", "MPI_File_read_at",
-		"MPI_File_write", "MPI_File_read", "MPI_File_close", "MPI_File_sync":
-		return true
-	}
-	return false
-}
-
-// isReplayableCall reports whether the call maps to a replay op
-// (replay.OpFromRecord): the op index space findDeps and buildTrace must
-// share. MPI_File_sync is throttled and traced like any I/O call but has
-// no replay op, so it must not shift dependency indices.
-func isReplayableCall(name string) bool {
-	switch name {
-	case "MPI_File_open", "MPI_File_write_at", "MPI_File_read_at",
-		"MPI_File_write", "MPI_File_read", "MPI_File_close":
-		return true
-	}
-	return false
 }
 
 // Enter implements mpi.LibHook.
@@ -131,52 +109,50 @@ func (h *ioHook) Exit(p *sim.Proc, rec *trace.Record) {
 	if n := rec.EstimatedTextSize(); h.model.PerOutputByte > 0 {
 		p.Sleep(sim.Duration(n) * h.model.PerOutputByte)
 	}
-	if h.throttle > 0 && isIOCall(rec.Name) {
+	// Every I/O call maps to a replay op but MPI_File_sync, which is
+	// throttled and traced like the others. events holds the replayable
+	// ones only: their indices are the replay trace's op indices, which the
+	// dependency edges findDeps wires refer to.
+	_, replayable := replay.OpFromRecord(rec)
+	if h.throttle > 0 && (replayable || rec.Name == "MPI_File_sync") {
 		// Slow this node's I/O responses.
 		p.Sleep(h.throttle)
 	}
-	if h.raw != nil {
-		h.raw.Emit(rec)
+	if h.log != nil {
+		*h.log = append(*h.log, rec.Clone())
 	}
-	ev := opEvent{
-		rec:         rec.Clone(),
-		localStart:  rec.Time,
-		localEnd:    rec.Time + rec.Dur,
-		globalStart: h.enterAt,
-		globalEnd:   p.Now(),
-	}
-	h.all = append(h.all, ev)
-	if isReplayableCall(rec.Name) {
-		h.events = append(h.events, ev)
+	if replayable {
+		h.events = append(h.events, opEvent{
+			localStart:  rec.Time,
+			globalStart: h.enterAt,
+			globalEnd:   p.Now(),
+		})
 	}
 }
 
-// runObserved executes one traced run on a fresh cluster and returns
-// per-rank hooks + elapsed.
-func (f *Framework) runObserved(factory func() *cluster.Cluster, program func(*sim.Proc, *mpi.Rank), throttledRank int) ([]*ioHook, sim.Duration, error) {
-	return f.runObservedOn(factory(), program, throttledRank)
-}
-
-// runObservedOn executes one traced run on the given (unused) cluster.
-func (f *Framework) runObservedOn(c *cluster.Cluster, program func(*sim.Proc, *mpi.Rank), throttledRank int) ([]*ioHook, sim.Duration, error) {
+// runObserved executes one traced run of program on c, a cluster nothing
+// has run on, throttling throttledRank's I/O responses. A run with
+// throttledRank -1 is the baseline: it throttles nothing and also returns
+// every rank's records in observation order.
+func (f *Framework) runObserved(c *cluster.Cluster, program func(*sim.Proc, *mpi.Rank), throttledRank int) ([]*ioHook, []trace.Record, sim.Duration) {
 	n := c.World.Size()
-	var raw *interpose.StreamSink
-	if f.cfg.RawTrace != nil && throttledRank < 0 {
-		raw = interpose.StreamTo(f.cfg.RawTrace)
+	var log *[]trace.Record
+	if throttledRank < 0 {
+		log = new([]trace.Record)
 	}
 	hooks := make([]*ioHook, n)
 	for i := 0; i < n; i++ {
-		hooks[i] = &ioHook{model: f.cfg.Model, raw: raw}
+		hooks[i] = &ioHook{model: f.cfg.Model, log: log}
 		if i == throttledRank {
 			hooks[i].throttle = f.cfg.ThrottleDelay
 		}
 		c.World.Rank(i).AttachLibHook(hooks[i])
 	}
 	elapsed := c.World.RunToCompletion(program)
-	if raw != nil && raw.Err() != nil {
-		return hooks, elapsed, fmt.Errorf("partrace: raw trace sink: %w", raw.Err())
+	if log == nil {
+		return hooks, nil, elapsed
 	}
-	return hooks, elapsed, nil
+	return hooks, *log, elapsed
 }
 
 // GenResult is the output of trace generation.
@@ -205,32 +181,32 @@ func (g *GenResult) OverheadFrac() float64 {
 // Generate produces a replayable trace for the program. factory must build
 // identical fresh clusters (the deterministic simulation makes repeated
 // runs comparable, as repeated batch runs were on the paper's testbed).
+// It also runs the program once untraced: UntracedElapsed, OverheadFrac
+// and the trace's OriginalElapsed are measured against that run.
 func (f *Framework) Generate(factory func() *cluster.Cluster, program func(*sim.Proc, *mpi.Rank)) (*GenResult, error) {
-	res, _, _, err := f.generate(nil, factory, program, program)
-	return res, err
+	untraced := factory().World.RunToCompletion(program)
+	res, _, _, err := f.generate(factory(), factory, program, program)
+	if err != nil {
+		return nil, err
+	}
+	res.UntracedElapsed = untraced
+	res.Trace.OriginalElapsed = untraced
+	return res, nil
 }
 
-// generate is the shared trace-generation pipeline behind Generate and the
-// framework-registry adapter: untraced baseline, baseline traced run
-// (on base when non-nil, else a fresh cluster) executing baseProgram, then
-// one throttled discovery run of program per sampled rank. It also returns
-// the baseline run's hooks and elapsed time for callers that need the raw
-// observation.
-func (f *Framework) generate(base *cluster.Cluster, factory func() *cluster.Cluster, baseProgram, program func(*sim.Proc, *mpi.Rank)) (*GenResult, []*ioHook, sim.Duration, error) {
-	// Untraced baseline (for fidelity and overhead accounting).
-	untraced := factory().World.RunToCompletion(program)
-
-	// Baseline traced run: the replayable trace's op streams.
-	if base == nil {
-		base = factory()
-	}
-	baseHooks, baseElapsed, err := f.runObservedOn(base, baseProgram, -1)
-	if err != nil {
-		return nil, nil, 0, err
-	}
+// generate is the trace-generation pipeline behind Generate and the
+// framework-registry adapter: the baseline traced run of baseProgram on
+// base, then one throttled discovery run of program per sampled rank, each
+// on a fresh cluster from factory. The replay trace is built by
+// replay.FromRecords over the baseline's records, with the discovered
+// dependency edges added. generate also returns those records and the
+// baseline's elapsed time, the raw observation the adapter reports. It
+// runs nothing untraced, so the trace's OriginalElapsed is left zero.
+func (f *Framework) generate(base *cluster.Cluster, factory func() *cluster.Cluster, baseProgram, program func(*sim.Proc, *mpi.Rank)) (*GenResult, []trace.Record, sim.Duration, error) {
+	baseHooks, recs, baseElapsed := f.runObserved(base, baseProgram, -1)
 	n := len(baseHooks)
 
-	res := &GenResult{UntracedElapsed: untraced, Runs: 1, TracingElapsed: baseElapsed}
+	res := &GenResult{Runs: 1, TracingElapsed: baseElapsed}
 
 	// Dependency discovery: throttle sampled ranks one run at a time.
 	probes := f.cfg.SampledRanks
@@ -239,23 +215,23 @@ func (f *Framework) generate(base *cluster.Cluster, factory func() *cluster.Clus
 	}
 	var deps []replay.Dep
 	for probe := 0; probe < probes; probe++ {
-		thrHooks, thrElapsed, err := f.runObserved(factory, program, probe)
-		if err != nil {
-			return nil, nil, 0, err
-		}
+		thrHooks, _, thrElapsed := f.runObserved(factory(), program, probe)
 		res.Runs++
 		res.TracingElapsed += thrElapsed
 		deps = append(deps, f.findDeps(baseHooks, thrHooks, probe)...)
 	}
-	deps = dedupeDeps(deps)
 
-	tr, err := buildTrace(baseHooks, deps, untraced)
+	tr, err := replay.FromRecords(trace.SliceSource(recs), 0)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, fmt.Errorf("partrace: %w", err)
+	}
+	tr.Deps = dedupeDeps(deps)
+	if err := tr.Validate(); err != nil {
+		return nil, nil, 0, fmt.Errorf("partrace: generated trace invalid: %w", err)
 	}
 	res.Trace = tr
 	res.DepCount = len(tr.Deps)
-	return res, baseHooks, baseElapsed, nil
+	return res, recs, baseElapsed, nil
 }
 
 // findDeps compares a throttled run against the baseline: ops on other
@@ -328,45 +304,4 @@ func dedupeDeps(deps []replay.Dep) []replay.Dep {
 		return a.ToOp < b.ToOp
 	})
 	return out
-}
-
-// buildTrace converts observed streams into a replayable trace. The think
-// time before each I/O op excludes time spent inside non-I/O MPI calls
-// (barriers): //TRACE replaces synchronization with explicit dependency
-// edges rather than replaying MPI.
-func buildTrace(hooks []*ioHook, deps []replay.Dep, untraced sim.Duration) (*replay.Trace, error) {
-	tr := &replay.Trace{
-		Ranks:           len(hooks),
-		Ops:             make([][]replay.Op, len(hooks)),
-		Deps:            deps,
-		OriginalElapsed: untraced,
-	}
-	for rank, h := range hooks {
-		var lastIOEnd sim.Time
-		var nonIO sim.Duration
-		if len(h.all) > 0 {
-			lastIOEnd = h.all[0].localStart
-		}
-		for _, ev := range h.all {
-			if !isIOCall(ev.rec.Name) {
-				nonIO += ev.rec.Dur
-				continue
-			}
-			think := ev.localStart - lastIOEnd - nonIO
-			if think < 0 {
-				think = 0
-			}
-			op, ok := replay.OpFromRecord(&ev.rec)
-			if ok {
-				op.Compute = think
-				tr.Ops[rank] = append(tr.Ops[rank], op)
-			}
-			lastIOEnd = ev.localEnd
-			nonIO = 0
-		}
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("partrace: generated trace invalid: %w", err)
-	}
-	return tr, nil
 }

@@ -8,7 +8,6 @@ import (
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -213,50 +212,34 @@ func TestClassificationMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestRawTraceStreamsBaselineRun(t *testing.T) {
-	// Stream the baseline run's records straight into the binary codec as
-	// they are observed — the emitter side of the pipeline.
-	var buf bytes.Buffer
-	bw := trace.NewBinaryWriter(&buf, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32})
-	cfg := DefaultConfig()
-	cfg.SampledRanks = 0
-	cfg.RawTrace = bw
-	res, err := New(cfg).Generate(factory, program)
+// TestSessionMatchesGenerate: the registry session and Generate share one
+// pipeline, so on identical clusters the session reports the runs, edges
+// and tracing time Generate does, and the replay elapsed time that
+// replay.Execute gives for Generate's trace.
+func TestSessionMatchesGenerate(t *testing.T) {
+	gen, err := New(DefaultConfig()).Generate(factory, program)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.Collect(trace.NewBinaryReader(&buf))
+	rr, err := replay.Execute(factory(), gen.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("no records streamed")
+	c := factory()
+	if c.Ranks() != 4 {
+		t.Fatalf("cell has %d ranks, want 4", c.Ranks())
 	}
-	// The stream carries at least every replayable op of the result.
-	if len(recs) < res.Trace.OpCount() {
-		t.Fatalf("streamed %d records for %d replayable ops", len(recs), res.Trace.OpCount())
-	}
-	// Only the baseline run emits: re-generating with sampling must not
-	// multiply the stream.
-	var buf2 bytes.Buffer
-	bw2 := trace.NewBinaryWriter(&buf2, trace.BinaryOptions{Compress: true, RecordsPerBlock: 32})
-	cfg2 := DefaultConfig()
-	cfg2.SampledRanks = -1 // probe every rank
-	cfg2.RawTrace = bw2
-	if _, err := New(cfg2).Generate(factory, program); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs2, err := trace.Collect(trace.NewBinaryReader(&buf2))
+	rep, err := AsFramework(DefaultConfig()).Attach(c).Run(params().Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs2) != len(recs) {
-		t.Fatalf("throttled runs leaked into the raw stream: %d vs %d records", len(recs2), len(recs))
+	if !rep.ReplayMeasured {
+		t.Fatal("session did not replay its trace")
+	}
+	if rep.Runs != gen.Runs || rep.Deps != gen.DepCount ||
+		rep.TracingElapsed != gen.TracingElapsed || rep.ReplayElapsed != rr.Elapsed {
+		t.Fatalf("session runs=%d deps=%d tracing=%v replay=%v; Generate runs=%d deps=%d tracing=%v replay=%v",
+			rep.Runs, rep.Deps, rep.TracingElapsed, rep.ReplayElapsed,
+			gen.Runs, gen.DepCount, gen.TracingElapsed, rr.Elapsed)
 	}
 }

@@ -11,7 +11,6 @@ package pfs
 
 import (
 	"iotaxo/internal/disk"
-	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
@@ -151,12 +150,6 @@ func (s *System) MDSNode() string { return s.mdsNode }
 
 // Array returns object server i's RAID group (failure injection in tests).
 func (s *System) Array(i int) *disk.Array { return s.servers[i].array }
-
-// extentHash mirrors the vfs digest — both go through internal/fnvhash's
-// allocation-free FNV-1a — so end-state comparisons are uniform.
-func extentHash(path string, off, n int64) uint64 {
-	return fnvhash.Int64(fnvhash.Int64(fnvhash.String(fnvhash.Offset64, path), off), n)
-}
 
 // Snapshot aggregates (size, digest, writes) for a path across all object
 // servers: the end-state triple integration tests compare.

@@ -214,7 +214,7 @@ func (s *server) recordWrite(st *objState, path string, rg stripeRange) {
 			chunk = length
 		}
 		logOff := s.sys.logicalOffset(s.idx, phys)
-		st.digest ^= extentHash(path, logOff, chunk)
+		st.digest ^= fnvhash.Extent(path, logOff, chunk)
 		st.writes++
 		if end := logOff + chunk; end > st.maxEnd {
 			st.maxEnd = end

@@ -95,8 +95,10 @@ func OpFromRecord(r *trace.Record) (Op, bool) {
 // the Source-consuming constructor of the pseudo-application pipeline.
 // Records must be time-ordered within each rank (interleaving across ranks
 // is fine); think time before each I/O op is the start-time gap from the
-// previous I/O op on the same rank, minus time spent inside non-replayable
-// MPI calls (synchronization becomes dependency edges, not replayed MPI).
+// end of the previous I/O call on the same rank, minus time spent inside
+// non-I/O MPI calls (synchronization becomes dependency edges, not
+// replayed MPI). An MPI_File_sync is an I/O call without a replay op: it
+// ends the think interval but adds no op.
 func FromRecords(src trace.Source, originalElapsed sim.Duration) (*Trace, error) {
 	type rankState struct {
 		ops       []Op
@@ -123,18 +125,16 @@ func FromRecords(src trace.Source, originalElapsed sim.Duration) (*Trace, error)
 			st.lastIOEnd = r.Time
 		}
 		op, ok := OpFromRecord(r)
-		if !ok {
+		if !ok && r.Name != "MPI_File_sync" {
 			if r.Class == trace.ClassMPI {
 				st.nonIO += r.Dur
 			}
 			return nil
 		}
-		think := r.Time - st.lastIOEnd - sim.Time(st.nonIO)
-		if think < 0 {
-			think = 0
+		if ok {
+			op.Compute = max(r.Time-st.lastIOEnd-st.nonIO, 0)
+			st.ops = append(st.ops, op)
 		}
-		op.Compute = sim.Duration(think)
-		st.ops = append(st.ops, op)
 		st.lastIOEnd = r.Time + sim.Time(r.Dur)
 		st.nonIO = 0
 		return nil

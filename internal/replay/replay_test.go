@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,6 +253,40 @@ func TestFromRecordsBuildsReplayableTrace(t *testing.T) {
 	// The built trace must execute.
 	if _, err := Execute(testCluster(), tr); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromRecordsSyncEndsThinkInterval pins the think-time rule at an
+// MPI_File_sync: the sync is an I/O call with no replay op, so it adds no
+// op, and the next op's think time runs from the sync's end rather than
+// counting the sync as synchronization time.
+func TestFromRecordsSyncEndsThinkInterval(t *testing.T) {
+	recs := []trace.Record{
+		{Time: 0, Dur: sim.Millisecond, Rank: 0, Class: trace.ClassMPI,
+			Name: "MPI_File_open", Path: "/pfs/f"},
+		{Time: 3 * sim.Millisecond, Dur: 2 * sim.Millisecond, Rank: 0, Class: trace.ClassMPI,
+			Name: "MPI_File_write_at", Path: "/pfs/f", Bytes: 4096},
+		{Time: 8 * sim.Millisecond, Dur: 4 * sim.Millisecond, Rank: 0, Class: trace.ClassMPI,
+			Name: "MPI_File_sync", Path: "/pfs/f"},
+		{Time: 14 * sim.Millisecond, Dur: sim.Millisecond, Rank: 0, Class: trace.ClassMPI,
+			Name: "MPI_Barrier"},
+		{Time: 20 * sim.Millisecond, Dur: sim.Millisecond, Rank: 0, Class: trace.ClassMPI,
+			Name: "MPI_File_write_at", Path: "/pfs/f", Offset: 4096, Bytes: 4096},
+	}
+	tr, err := FromRecords(trace.SliceSource(recs), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []OpKind
+	for _, op := range tr.Ops[0] {
+		kinds = append(kinds, op.Kind)
+	}
+	if !slices.Equal(kinds, []OpKind{OpOpen, OpWrite, OpWrite}) {
+		t.Fatalf("ops %v, want open, write, write", kinds)
+	}
+	// 20ms start - 12ms sync end - 1ms barrier.
+	if got := tr.Ops[0][2].Compute; got != 7*sim.Millisecond {
+		t.Fatalf("think time after the sync: %v, want 7ms", got)
 	}
 }
 

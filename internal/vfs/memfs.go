@@ -123,14 +123,10 @@ type memHandle struct {
 	closed bool
 }
 
-// extentHash digests one written extent; it and pathPos run on every
-// simulated I/O operation, so both go through the shared allocation-free
-// FNV-1a in internal/fnvhash — the same implementation pfs uses, keeping
-// end-state digest comparisons uniform across file systems.
-func extentHash(path string, off, n int64) uint64 {
-	return fnvhash.Int64(fnvhash.Int64(fnvhash.String(fnvhash.Offset64, path), off), n)
-}
-
+// pathPos and the extent digest run on every simulated I/O operation, so
+// both go through the shared allocation-free FNV-1a in internal/fnvhash —
+// the extent digest is the one pfs uses, keeping end-state digest
+// comparisons uniform across file systems.
 func pathPos(path string) int64 {
 	return int64(fnvhash.String(fnvhash.Offset64, path) % (1 << 38)) // spread inodes over the disk
 }
@@ -147,7 +143,7 @@ func (h *memHandle) WriteAt(p *sim.Proc, offset, length int64) (int64, error) {
 	if end := offset + length; end > h.f.attr.Size {
 		h.f.attr.Size = end
 	}
-	h.f.digest ^= extentHash(h.f.attr.Path, offset, length)
+	h.f.digest ^= fnvhash.Extent(h.f.attr.Path, offset, length)
 	h.f.writes++
 	return length, nil
 }
