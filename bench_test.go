@@ -295,7 +295,7 @@ func simRanksJob(ranks int) (cluster.Config, workload.Params) {
 // the scaling ladder's default top rung must stay affordable for CI.
 func benchSimRanks(b *testing.B, ranks int) {
 	cfg, params := simRanksJob(ranks)
-	var events, switches float64
+	var events, switches, elided float64
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(cfg)
 		res := params.Spec().Run(c.World)
@@ -311,10 +311,12 @@ func benchSimRanks(b *testing.B, ranks int) {
 		}
 		events = float64(n)
 		switches = float64(c.Env.Switches())
+		elided = float64(c.Env.Elided())
 	}
 	b.ReportMetric(events, "syscalls")
 	b.ReportMetric(events/float64(ranks), "syscalls/rank")
 	b.ReportMetric(switches/float64(ranks), "switches/rank")
+	b.ReportMetric(elided/float64(ranks), "elided/rank")
 }
 
 func BenchmarkSim1024Ranks(b *testing.B) { benchSimRanks(b, 1024) }
@@ -481,9 +483,27 @@ func BenchmarkSimKernelEvents(b *testing.B) {
 	env.Run()
 }
 
+// BenchmarkSimProcessSwitch measures one hand-off: two processes sleep in
+// lockstep, so each wake finds the other's already queued before its own
+// and every Sleep parks.
 func BenchmarkSimProcessSwitch(b *testing.B) {
 	env := sim.NewEnv(1)
-	env.Go("switcher", func(p *sim.Proc) {
+	for _, n := range []int{b.N - b.N/2, b.N / 2} {
+		env.Go("switcher", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
+	b.ResetTimer()
+	env.Run()
+}
+
+// BenchmarkSimSleepElided measures a Sleep that returns without a hand-off:
+// one process sleeping alone, so no queued event can precede its wake.
+func BenchmarkSimSleepElided(b *testing.B) {
+	env := sim.NewEnv(1)
+	env.Go("sleeper", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(1)
 		}

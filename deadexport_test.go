@@ -44,7 +44,6 @@ var exportAllowlist = map[string]string{
 	"vfs.MMapRegion.Store":              "events-captured axis: the store a mapped region writes back (TestSeesMMapWritebackUnlikeSyscallTracers)",
 	"sim.Env.LiveProcs":                 "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
 	"sim.Env.Pending":                   "probe read by harness TestGoroutineWatermark512Ranks; a run report would call it",
-	"sim.Env.Switches":                  "probe read by the root TestSwitchesPerRankFlat and the BenchmarkSim* rank benchmarks; a run report would call it",
 	"sim.Env.Spawns":                    "probe read by harness TestSpawnGuardMatrixCell; a run report would call it",
 	"vfs.Kernel.Clock":                  "probe read by cluster TestClockBoundsRespected",
 	"clocks.Clock.SkewAt":               "probe read by cluster TestClockBoundsRespected",

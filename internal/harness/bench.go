@@ -37,7 +37,7 @@ type Payload interface {
 // Snapshot is one BENCH_<name>.json record: the bench's payload and its
 // evaluated bars. Passed is true when every bar holds.
 type Snapshot struct {
-	// Schema is the cache schema the snapshot was produced under.
+	// Schema is snapshotSchema, the version of this envelope.
 	Schema     int     `json:"schema"`
 	Experiment string  `json:"experiment"`
 	Bars       []Bar   `json:"bars"`
@@ -45,10 +45,15 @@ type Snapshot struct {
 	Payload    Payload `json:"payload"`
 }
 
+// snapshotSchema versions the Snapshot envelope: bump it when the envelope's
+// fields change. It is not cacheSchema, which versions simulated results: a
+// cache-format change leaves every committed snapshot's envelope as it was.
+const snapshotSchema = 1
+
 // newSnapshot evaluates bars against their limits and wraps them with the
 // payload. It is the one place a bar passes or fails.
 func newSnapshot(experiment string, payload Payload, bars ...Bar) Snapshot {
-	s := Snapshot{Schema: cacheSchema, Experiment: experiment, Bars: []Bar{}, Passed: true, Payload: payload}
+	s := Snapshot{Schema: snapshotSchema, Experiment: experiment, Bars: []Bar{}, Passed: true, Payload: payload}
 	for _, b := range bars {
 		switch b.Op {
 		case "<=":
@@ -89,6 +94,10 @@ type BenchPhase struct {
 	Shared   int64   `json:"shared"`
 	MemHits  int64   `json:"mem_hits"`
 	DiskHits int64   `json:"disk_hits"`
+	// SwitchesK and ElidedK are the coroutine resumes and elided sleeps of
+	// the pass's executed simulations, in thousands.
+	SwitchesK float64 `json:"switches_k"`
+	ElidedK   float64 `json:"elided_k"`
 }
 
 // SweepPayload is the sweep bench's measurements: the smoke matrix timed
@@ -117,6 +126,12 @@ func (p SweepPayload) Summary() string {
 // per-request allocation creeping back into a hot path fails the bar.
 const benchSweepMallocsKLimit = 172
 
+// benchSweepSwitchesKLimit bounds the cold smoke sweep's coroutine resumes,
+// in thousands: about 20% above the 10.57k it measures when every sleep
+// that no event can precede returns without a hand-off (15.19k resumes
+// when every sleep parks), so a lost elision fails the bar.
+const benchSweepSwitchesKLimit = 12.7
+
 // heapAllocs reads the process's cumulative count of heap allocations.
 func heapAllocs() uint64 {
 	sample := [1]metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
@@ -129,7 +144,7 @@ func heapAllocs() uint64 {
 // error means the sweep itself failed. Its bars are the memoization
 // invariants — the warm Format rendering matches the cold one byte for byte
 // (identical), and the warm run executes no simulation — and the cold
-// sweep's allocation budget.
+// sweep's allocation and hand-off budgets.
 func BenchSweep() (Snapshot, error) {
 	o := MatrixSmokeOptions()
 	o.Cache = NewCache("")
@@ -154,12 +169,14 @@ func BenchSweep() (Snapshot, error) {
 
 	phase := func(wall time.Duration, allocs uint64, s SweepStats) BenchPhase {
 		return BenchPhase{
-			WallMS:   float64(wall.Microseconds()) / 1e3,
-			MallocsK: float64(allocs) / 1e3,
-			Executed: s.Executed,
-			Shared:   s.Shared,
-			MemHits:  s.MemHits,
-			DiskHits: s.DiskHits,
+			WallMS:    float64(wall.Microseconds()) / 1e3,
+			MallocsK:  float64(allocs) / 1e3,
+			Executed:  s.Executed,
+			Shared:    s.Shared,
+			MemHits:   s.MemHits,
+			DiskHits:  s.DiskHits,
+			SwitchesK: float64(s.Switches) / 1e3,
+			ElidedK:   float64(s.Elided) / 1e3,
 		}
 	}
 	identical := 0.0
@@ -178,6 +195,7 @@ func BenchSweep() (Snapshot, error) {
 		Bar{Name: "identical", Value: identical, Op: "==", Limit: 1},
 		Bar{Name: "warm.executed", Value: float64(warm.Stats.Executed), Op: "<=", Limit: 0},
 		Bar{Name: "cold.mallocs_k", Value: float64(coldAllocs) / 1e3, Op: "<=", Limit: benchSweepMallocsKLimit},
+		Bar{Name: "cold.switches_k", Value: float64(cold.Stats.Switches) / 1e3, Op: "<=", Limit: benchSweepSwitchesKLimit},
 	), nil
 }
 

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -73,6 +75,28 @@ func TestSnapshotBars(t *testing.T) {
 	}
 	if snap := newSnapshot("test", nil); !snap.Passed || snap.Bars == nil {
 		t.Errorf("a snapshot without bars: passed %v, bars %v; want passed and an empty list", snap.Passed, snap.Bars)
+	}
+}
+
+// TestCommittedSnapshotsSchema checks that every committed BENCH_*.json
+// carries the current snapshot envelope version.
+func TestCommittedSnapshotsSchema(t *testing.T) {
+	files, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed snapshots found (%v)", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct{ Schema int }
+		if err := json.Unmarshal(b, &env); err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if env.Schema != snapshotSchema {
+			t.Errorf("%s: schema %d, want snapshotSchema %d", filepath.Base(f), env.Schema, snapshotSchema)
+		}
 	}
 }
 

@@ -36,6 +36,7 @@ import (
 
 	"iotaxo/internal/fnvhash"
 	"iotaxo/internal/framework"
+	"iotaxo/internal/sim"
 	"iotaxo/internal/workload"
 )
 
@@ -104,6 +105,11 @@ type CacheStats struct {
 	// persisted layers (a singleflight wait resolves as a MemHit).
 	MemHits  int64
 	DiskHits int64
+	// Switches and Elided sum the executed simulations' coroutine resumes
+	// and elided sleeps (sim.Env.Switches and Elided) over the clusters the
+	// engine built for them.
+	Switches int64
+	Elided   int64
 }
 
 // sub returns the counter delta since an earlier snapshot.
@@ -113,6 +119,8 @@ func (s CacheStats) sub(before CacheStats) CacheStats {
 		Shared:   s.Shared - before.Shared,
 		MemHits:  s.MemHits - before.MemHits,
 		DiskHits: s.DiskHits - before.DiskHits,
+		Switches: s.Switches - before.Switches,
+		Elided:   s.Elided - before.Elided,
 	}
 }
 
@@ -135,6 +143,8 @@ type Cache struct {
 	shared   atomic.Int64
 	memHits  atomic.Int64
 	diskHits atomic.Int64
+	switches atomic.Int64
+	elided   atomic.Int64
 }
 
 // NewCache returns a cache persisting under dir; dir == "" is memory-only.
@@ -171,7 +181,15 @@ func (c *Cache) Stats() CacheStats {
 		Shared:   c.shared.Load(),
 		MemHits:  c.memHits.Load(),
 		DiskHits: c.diskHits.Load(),
+		Switches: c.switches.Load(),
+		Elided:   c.elided.Load(),
 	}
+}
+
+// countHandoffs adds one executed simulation's hand-offs to the counters.
+func (c *Cache) countHandoffs(env *sim.Env) {
+	c.switches.Add(int64(env.Switches()))
+	c.elided.Add(int64(env.Elided()))
 }
 
 // untraced returns the cached baseline summary for k, running the

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -485,10 +486,16 @@ func TestBenchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBars(t, snap, "identical", "warm.executed", "cold.mallocs_k")
+	checkBars(t, snap, "identical", "warm.executed", "cold.mallocs_k", "cold.switches_k")
 	p := snap.Payload.(SweepPayload)
-	if p.Warm.Executed != 0 {
-		t.Errorf("bench snapshot: warm run executed %d simulations, want 0", p.Warm.Executed)
+	if p.Warm.Executed != 0 || p.Warm.SwitchesK != 0 || p.Warm.ElidedK != 0 {
+		t.Errorf("bench snapshot: warm run executed %d simulations (%gk switches, %gk elided), want none",
+			p.Warm.Executed, p.Warm.SwitchesK, p.Warm.ElidedK)
+	}
+	// Elision moves resumes to Elided and changes no schedule, so the sum
+	// is the cold sweep's resume count when every sleep parks.
+	if resumes := math.Round((p.Cold.SwitchesK + p.Cold.ElidedK) * 1e3); resumes != coldResumes {
+		t.Errorf("bench snapshot: cold switches+elided = %.0f, want %d", resumes, coldResumes)
 	}
 	o := MatrixSmokeOptions()
 	wantExecuted, wantShared := matrixLeafCounts(o)
@@ -503,6 +510,10 @@ func TestBenchSweep(t *testing.T) {
 		t.Fatalf("snapshot JSON round-trip diverged: %+v, want %+v", *back, p)
 	}
 }
+
+// coldResumes is the cold smoke sweep's Switches+Elided over its executed
+// clusters: its coroutine resumes when every Sleep parks.
+const coldResumes = 15186
 
 // TestSweepStatsFooter pins the stderr accounting line's shape.
 func TestSweepStatsFooter(t *testing.T) {

@@ -214,16 +214,21 @@ type BandwidthPoint struct {
 	ReplayErr      float64
 }
 
-// runUntracedAt executes one untraced benchmark run at an explicit scale.
-func (o Options) runUntracedAt(w workload.Workload, sc workload.Scale) workload.Result {
+// runUntracedAt executes one untraced benchmark run at an explicit scale
+// and adds its cluster's hand-offs to cache's counters.
+func (o Options) runUntracedAt(w workload.Workload, sc workload.Scale, cache *Cache) workload.Result {
 	c := o.newCluster()
+	defer cache.countHandoffs(c.Env)
 	return w.Run(c.World, sc)
 }
 
 // runTracedAt executes one traced benchmark run at an explicit scale
-// through the generic framework interface: fresh cluster, attach, run.
-func (o Options) runTracedAt(fw framework.Framework, w workload.Workload, sc workload.Scale) (framework.Report, error) {
+// through the generic framework interface: fresh cluster, attach, run. It
+// adds the cluster's hand-offs to cache's counters; clusters a framework
+// builds for itself are not counted.
+func (o Options) runTracedAt(fw framework.Framework, w workload.Workload, sc workload.Scale, cache *Cache) (framework.Report, error) {
 	c := o.newCluster()
+	defer cache.countHandoffs(c.Env)
 	return fw.Attach(c).Run(w.Spec(sc))
 }
 
@@ -315,7 +320,7 @@ func (ts *taskSet) untraced(o Options, w workload.Workload, sc workload.Scale, d
 	ts.tasks = append(ts.tasks, task{
 		cost: simCost(o, sc, false),
 		run: func() {
-			res := ts.cache.untraced(k, func() workload.Result { return o.runUntracedAt(w, sc) })
+			res := ts.cache.untraced(k, func() workload.Result { return o.runUntracedAt(w, sc, ts.cache) })
 			for _, d := range f.dsts {
 				*d = res
 			}
@@ -330,7 +335,7 @@ func (ts *taskSet) traced(o Options, fw framework.Framework, w workload.Workload
 	ts.tasks = append(ts.tasks, task{
 		cost: simCost(o, sc, true),
 		run: func() {
-			rep, err := ts.cache.traced(k, func() (framework.Report, error) { return o.runTracedAt(fw, w, sc) })
+			rep, err := ts.cache.traced(k, func() (framework.Report, error) { return o.runTracedAt(fw, w, sc, ts.cache) })
 			if err != nil {
 				*errDst = fmt.Errorf("harness: %s: %w", label, err)
 				return

@@ -186,9 +186,9 @@ func TestPlacementSweepDeterministic(t *testing.T) {
 func TestPlacementChangesContention(t *testing.T) {
 	o := LadderSmokeOptions()
 	o.Ranks = 16
-	base := o.runUntracedAt(workload.PatternWorkload(workload.N1Strided), o.scaleRung(16))
+	base := o.runUntracedAt(workload.PatternWorkload(workload.N1Strided), o.scaleRung(16), NewCache(""))
 	o.RanksPerNode = 4
-	packed := o.runUntracedAt(workload.PatternWorkload(workload.N1Strided), o.scaleRung(16))
+	packed := o.runUntracedAt(workload.PatternWorkload(workload.N1Strided), o.scaleRung(16), NewCache(""))
 	if base.Ranks != 16 || packed.Ranks != 16 {
 		t.Fatalf("ranks: base %d, packed %d", base.Ranks, packed.Ranks)
 	}

@@ -14,7 +14,11 @@
 // with Proc.Await. A process blocks in exactly two ways: Sleep, for a span
 // of virtual time, and Await, for an event chain such as a resource claim
 // (Resource.AcquireThen), a receive (Mailbox.GetThen) or a whole MPI
-// barrier; Env.Switches counts the coroutine resumes that result. All
-// other substrate packages (network, disks, file systems, MPI) are built on
-// this kernel; virtual time is an int64 nanosecond count.
+// barrier; Env.Switches counts the coroutine resumes that result. A process
+// hands off only when the schedule needs it: a Sleep that no queued event
+// can precede, called while the process runs as a whole event of its own,
+// advances the clock and returns without a switch (Env.Elided counts these),
+// so the (time, sequence) order of every event is the same as if it had
+// parked. All other substrate packages (network, disks, file systems, MPI)
+// are built on this kernel; virtual time is an int64 nanosecond count.
 package sim

@@ -21,8 +21,13 @@ type Env struct {
 	stopped bool
 	nextPID int
 
-	// switches counts coroutine resumes (see Switches).
+	// deadline is the running RunUntil's: a Sleep past it must park.
+	deadline Time
+
+	// switches counts coroutine resumes (see Switches); elided counts the
+	// sleeps that returned without one (see Elided).
 	switches uint64
+	elided   uint64
 
 	// nextSpan backs NextSpanID. It is a pure counter with no effect on
 	// virtual time, the event queue, or the rng, so allocating spans cannot
@@ -49,9 +54,15 @@ func (e *Env) LiveProcs() int { return len(e.procs) }
 // next()/yield hand-off into a process and back, the simulator's costliest
 // step. A process's first activation counts, and so does every Sleep and
 // every Await that parks; an Await whose chain completes synchronously does
-// not. Like the event history, the count is a deterministic function of the
-// seed and the program.
+// not, nor does a Sleep that no event could precede (see Elided). Like the
+// event history, the count is a deterministic function of the seed and the
+// program.
 func (e *Env) Switches() uint64 { return e.switches }
+
+// Elided reports the number of Sleeps so far that returned without a
+// hand-off because no event could run before their wake. Switches()+Elided()
+// is the number of resumes the same program costs when every Sleep parks.
+func (e *Env) Elided() uint64 { return e.elided }
 
 // Spawns returns a copy of the full spawn census: processes ever spawned,
 // keyed by Go name. Regression guards read it to assert that no per-request
@@ -120,6 +131,7 @@ func (e *Env) RunUntil(deadline Time) Time {
 		panic("sim: environment already stopped")
 	}
 	e.running = true
+	e.deadline = deadline
 	defer func() {
 		e.running = false
 		e.Stop()

@@ -13,7 +13,8 @@ func (killedError) Error() string { return "sim: process killed at shutdown" }
 
 // Proc is a simulated process: a coroutine that runs in strict alternation
 // with the scheduler. A process blocks in exactly two ways, Sleep and Await,
-// each called from the process's own body.
+// each called from the process's own body. A Sleep that no queued event can
+// precede does not block: it advances the clock and returns.
 type Proc struct {
 	env  *Env
 	pid  int
@@ -38,6 +39,13 @@ type Proc struct {
 	// Await returns without parking.
 	awaiting bool
 
+	// whole is set while the process runs as a whole event: the scheduler
+	// popped its own wake (its first activation or a Sleep's), so nothing
+	// else is part of the running event. An Await that parks clears it,
+	// because a chain may call the wake inside another event's callback,
+	// whose rest must run at that event's time.
+	whole bool
+
 	// span is the causal span the process is currently executing under
 	// (0 = none). Layers that start a child operation save the old value,
 	// install their own span, and restore on return, so records emitted by
@@ -54,7 +62,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	}
 	e.nextPID++
 	e.spawns[name]++
-	p := &Proc{env: e, pid: e.nextPID, name: name}
+	p := &Proc{env: e, pid: e.nextPID, name: name, whole: true}
 	p.dispatchFn = func() { e.dispatch(p) }
 	e.procs[p] = struct{}{}
 	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
@@ -113,13 +121,26 @@ func (p *Proc) SetSpan(s uint64) (prev uint64) {
 	return prev
 }
 
-// Sleep suspends the process for d nanoseconds of virtual time. Negative
-// durations sleep zero time but still yield to the scheduler.
+// Sleep suspends the process for d nanoseconds of virtual time; negative
+// durations sleep zero time. The process parks on a wake scheduled at
+// now+d, unless nothing could run before that wake: it runs as a whole
+// event, every queued event is strictly later than now+d, and now+d is within
+// the running RunUntil's deadline. Then Sleep only advances the clock to
+// now+d and returns, with no hand-off (Env.Elided counts these). The
+// schedule is the same either way.
 func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.schedule(p.env.now+d, p.dispatchFn)
+	e := p.env
+	t := e.now + d
+	if p.whole && t <= e.deadline && (e.queue.len() == 0 || e.queue.headAt() > t) {
+		e.now = t
+		e.elided++
+		return
+	}
+	e.schedule(t, p.dispatchFn)
+	p.whole = true // only the scheduler runs this wake, as its own event
 	p.park()
 }
 
@@ -134,6 +155,7 @@ func (p *Proc) Await(start func(wake func())) {
 	start(p.dispatchFn)
 	if p.awaiting {
 		p.awaiting = false
+		p.whole = false
 		p.park()
 	}
 }

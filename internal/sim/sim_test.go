@@ -210,17 +210,41 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 	checkGoroutines(t, base)
 }
 
-// TestProcSleepAllocatesNothing guards the hand-off cost: a process switch
-// (schedule, park, dispatch) must not allocate.
+// TestProcSleepAllocatesNothing guards both ways a Sleep returns: a hand-off
+// (schedule, park, dispatch), here forced by a second process sleeping in
+// lockstep, and an elided sleep of a process alone in the queue. Neither
+// may allocate.
 func TestProcSleepAllocatesNothing(t *testing.T) {
-	env := NewEnv(1)
-	var allocs float64
-	env.Go("switcher", func(p *Proc) {
-		allocs = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
-	})
-	env.Run()
-	if allocs != 0 {
-		t.Fatalf("Sleep allocates %v per switch, want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		paired bool
+	}{{"hand-off", true}, {"elided", false}} {
+		env := NewEnv(1)
+		var allocs float64
+		var switches, elided uint64
+		done := false
+		env.Go("switcher", func(p *Proc) {
+			p.Sleep(1) // let the partner start
+			s, e := env.Switches(), env.Elided()
+			allocs = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+			switches, elided = env.Switches()-s, env.Elided()-e
+			done = true
+		})
+		if tc.paired {
+			env.Go("partner", func(p *Proc) {
+				for !done {
+					p.Sleep(1)
+				}
+			})
+		}
+		env.Run()
+		if allocs != 0 {
+			t.Fatalf("%s: Sleep allocates %v per call, want 0", tc.name, allocs)
+		}
+		// AllocsPerRun sleeps once more to warm up.
+		if tc.paired && elided != 0 || !tc.paired && (switches != 0 || elided != 1001) {
+			t.Fatalf("%s: %d switches, %d elided over 1001 sleeps", tc.name, switches, elided)
+		}
 	}
 }
 
