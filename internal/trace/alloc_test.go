@@ -173,23 +173,18 @@ func forgedCountTrace(t *testing.T, count int) []byte {
 
 	var buf bytes.Buffer
 	w := NewColumnarWriter(&buf, ColumnarOptions{Compress: true})
-	w.writeHeader()
-	if err := w.compress(payload); err != nil {
+	if err := w.start(); err != nil {
 		t.Fatal(err)
 	}
-	stored := w.zbuf.Bytes()
-	meta := BlockMeta{Offset: w.n, Len: int64(blockHeaderLen + len(stored)), Count: count, ClassMask: 1, HasStats: true}
-	hdr := packBlockHeader(blockData, meta, len(stored), 0)
-	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], stored))
-	if err := w.writeAll(hdr[:], stored); err != nil {
+	if err := w.writeBlock(BlockMeta{Count: count, ClassMask: 1, HasStats: true}, payload); err != nil {
 		t.Fatal(err)
 	}
-	w.index = append(w.index, meta)
+	stored := w.index[0].Len - blockHeaderLen
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(stored) > 1<<10 {
-		t.Fatalf("forged block stores %d bytes, want a short one", len(stored))
+	if stored > 1<<10 {
+		t.Fatalf("forged block stores %d bytes, want a short one", stored)
 	}
 	return buf.Bytes()
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,9 +21,12 @@ import (
 // Per-block checksumming detects corruption and truncation; compression and
 // block size are options, mirroring the paper's description of Tracefs
 // output: "Binary, with optional checksumming, compression, ... or buffering
-// (to improve performance)".
+// (to improve performance)". The stream header, the block read, compression
+// and the writer's byte count are shared with the columnar format (frame.go).
 
 var binaryMagic = [8]byte{'I', 'O', 'T', 'X', 'B', 'I', 'N', '1'}
+
+const binaryBlockHeaderLen = 8 // payloadLen:u32le crc:u32le
 
 // Binary stream flags.
 const (
@@ -46,16 +48,11 @@ type BinaryOptions struct {
 
 // BinaryWriter encodes records into the binary format.
 type BinaryWriter struct {
-	w       io.Writer
+	frameWriter
 	opts    BinaryOptions
-	buf     bytes.Buffer  // encoded records of the pending block
-	frame   bytes.Buffer  // the framed block being written
-	fw      *flate.Writer // created on the first compressed block, Reset per block
+	buf     bytes.Buffer // encoded records of the pending block
 	inBlock int
-	started bool
-	n       int64
 	blocks  int64
-	err     error
 }
 
 // NewBinaryWriter returns a writer; Close must be called to flush the final
@@ -64,64 +61,43 @@ func NewBinaryWriter(w io.Writer, opts BinaryOptions) *BinaryWriter {
 	if opts.RecordsPerBlock <= 0 {
 		opts.RecordsPerBlock = 512
 	}
-	return &BinaryWriter{w: w, opts: opts}
-}
-
-func (b *BinaryWriter) writeHeader() {
-	if b.started || b.err != nil {
-		return
+	b := &BinaryWriter{frameWriter: newFrameWriter(w, binaryMagic, opts.Compress, opts.Anonymized), opts: opts}
+	if opts.Spans {
+		b.header[8] |= FlagSpans
 	}
-	b.started = true
-	var flags byte
-	if b.opts.Compress {
-		flags |= FlagCompressed
-	}
-	if b.opts.Anonymized {
-		flags |= FlagAnonymized
-	}
-	if b.opts.Spans {
-		flags |= FlagSpans
-	}
-	hdr := append(binaryMagic[:], flags)
-	n, err := b.w.Write(hdr)
-	b.n += int64(n)
-	b.err = err
+	return b
 }
 
 // Write encodes one record, flushing a block when the threshold is reached.
 func (b *BinaryWriter) Write(r *Record) error {
-	if b.err != nil {
-		return b.err
+	if err := b.start(); err != nil {
+		return err
 	}
-	b.writeHeader()
 	encodeRecord(&b.buf, r, b.opts.Spans)
 	b.inBlock++
 	if b.inBlock >= b.opts.RecordsPerBlock {
 		return b.Flush()
 	}
-	return b.err
+	return nil
 }
 
-// Flush emits the current block, if any.
+// Flush emits the current block, if any: payload length and CRC-32, then
+// the payload as stored.
 func (b *BinaryWriter) Flush() error {
-	if b.err != nil {
-		return b.err
+	if err := b.start(); err != nil {
+		return err
 	}
-	b.writeHeader()
 	if b.buf.Len() == 0 {
 		return nil
 	}
-	if err := b.frameBlock(); err != nil {
-		b.err = err
-		return err
-	}
-	n, err := b.w.Write(b.frame.Bytes())
-	b.n += int64(n)
-	b.err = err
+	framed := b.frame(binaryBlockHeaderLen, b.buf.Bytes())
+	stored := framed[binaryBlockHeaderLen:]
+	binary.LittleEndian.PutUint32(framed[0:], uint32(len(stored)))
+	binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(stored))
 	b.blocks++
 	b.buf.Reset()
 	b.inBlock = 0
-	return b.err
+	return b.write(framed)
 }
 
 // Close flushes the final block.
@@ -132,39 +108,6 @@ func (b *BinaryWriter) BytesWritten() int64 { return b.n }
 
 // BlocksWritten reports the number of blocks emitted so far.
 func (b *BinaryWriter) BlocksWritten() int64 { return b.blocks }
-
-// frameBlock frames the pending block into b.frame: payload length and
-// CRC-32, then the payload, flate-compressed on compressed streams. The one
-// compressor is Reset for every block, which makes it equivalent to a
-// fresh one, so each block still compresses independently.
-func (b *BinaryWriter) frameBlock() error {
-	var hdr [8]byte // filled in once the payload length is known
-	b.frame.Reset()
-	b.frame.Write(hdr[:])
-	if b.opts.Compress {
-		if b.fw == nil {
-			fw, err := flate.NewWriter(&b.frame, flate.BestSpeed)
-			if err != nil {
-				return err
-			}
-			b.fw = fw
-		} else {
-			b.fw.Reset(&b.frame)
-		}
-		if _, err := b.fw.Write(b.buf.Bytes()); err != nil {
-			return err
-		}
-		if err := b.fw.Close(); err != nil {
-			return err
-		}
-	} else {
-		b.frame.Write(b.buf.Bytes())
-	}
-	framed := b.frame.Bytes()
-	binary.LittleEndian.PutUint32(framed[0:], uint32(len(framed)-8))
-	binary.LittleEndian.PutUint32(framed[4:], crc32.ChecksumIEEE(framed[8:]))
-	return nil
-}
 
 func putUvarint(buf *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
@@ -337,19 +280,16 @@ func (b *BinaryReader) decodeRecord() (Record, error) {
 	return r, nil
 }
 
-// BinaryReader decodes the binary format, verifying per-block CRCs.
+// BinaryReader decodes the binary format, verifying per-block CRCs. Its
+// first error sticks: every later Next returns it.
 type BinaryReader struct {
-	r        io.Reader
-	flags    byte
-	started  bool
-	stored   bytes.Buffer  // the current block's payload as stored
-	inflated bytes.Buffer  // its decompressed payload on compressed streams
-	fr       io.ReadCloser // created on the first compressed block, Reset per block
-	block    []byte        // the undecoded rest of the current block
+	frameReader
+	block []byte // the undecoded rest of the current block
 	// strs interns the current block's strings. It is cleared at every
 	// block, so it never holds more than one block's bytes.
 	strs   map[string]string
 	blocks int64
+	err    error
 }
 
 // BlocksRead reports the number of blocks decoded so far.
@@ -357,65 +297,24 @@ func (b *BinaryReader) BlocksRead() int64 { return b.blocks }
 
 // NewBinaryReader wraps r for decoding.
 func NewBinaryReader(r io.Reader) *BinaryReader {
-	return &BinaryReader{r: r, strs: make(map[string]string)}
+	return &BinaryReader{frameReader: frameReader{r: r, magic: binaryMagic}, strs: make(map[string]string)}
 }
 
 // Flags returns the stream flags after the first Next call.
 func (b *BinaryReader) Flags() byte { return b.flags }
 
-func (b *BinaryReader) readHeader() error {
-	if b.started {
-		return nil
-	}
-	b.started = true
-	var hdr [9]byte
-	if _, err := io.ReadFull(b.r, hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if !bytes.Equal(hdr[:8], binaryMagic[:]) {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	b.flags = hdr[8]
-	return nil
-}
-
 func (b *BinaryReader) nextBlock() error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(b.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF
-		}
-		return fmt.Errorf("%w: short block header", ErrCorrupt)
+	framed, err := b.readBlock(binaryBlockHeaderLen, 0)
+	if err != nil {
+		return err
 	}
-	plen := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if plen > 1<<30 {
-		return fmt.Errorf("%w: unreasonable block size %d", ErrCorrupt, plen)
-	}
-	// Copy rather than allocate plen up front: a corrupt length prefix
-	// must not cost more memory than the bytes actually present.
-	b.stored.Reset()
-	if _, err := io.CopyN(&b.stored, b.r, int64(plen)); err != nil {
-		return fmt.Errorf("%w: truncated block", ErrCorrupt)
-	}
-	payload := b.stored.Bytes()
-	if crc32.ChecksumIEEE(payload) != want {
+	stored := framed[binaryBlockHeaderLen:]
+	if crc32.ChecksumIEEE(stored) != binary.LittleEndian.Uint32(framed[4:]) {
 		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
 	}
-	if b.flags&FlagCompressed != 0 {
-		src := bytes.NewReader(payload)
-		if b.fr == nil {
-			b.fr = flate.NewReader(src)
-		} else if err := b.fr.(flate.Resetter).Reset(src, nil); err != nil {
-			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-		}
-		b.inflated.Reset()
-		if _, err := b.inflated.ReadFrom(b.fr); err != nil {
-			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-		}
-		payload = b.inflated.Bytes()
+	if b.block, err = b.payload(stored); err != nil {
+		return err
 	}
-	b.block = payload
 	clear(b.strs)
 	b.blocks++
 	return nil
@@ -423,17 +322,18 @@ func (b *BinaryReader) nextBlock() error {
 
 // Next returns the next record or io.EOF.
 func (b *BinaryReader) Next() (Record, error) {
-	if err := b.readHeader(); err != nil {
-		return Record{}, err
+	if b.err != nil {
+		return Record{}, b.err
 	}
 	for len(b.block) == 0 {
-		if err := b.nextBlock(); err != nil {
-			return Record{}, err
+		if b.err = b.nextBlock(); b.err != nil {
+			return Record{}, b.err
 		}
 	}
 	rec, err := b.decodeRecord()
 	if err != nil {
-		return Record{}, fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
+		b.err = fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
+		return Record{}, b.err
 	}
 	return rec, nil
 }

@@ -2,10 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strconv"
 
@@ -42,6 +40,10 @@ import (
 // self-contained: a stream cut after any block boundary (a writer that
 // Flushed but never Closed) still reads sequentially; only indexed queries
 // need the footer.
+//
+// The framing — stream header, block header and CRC, compression, trailer —
+// lives in frame.go, shared with the v1 format; this file holds the
+// columns and the footer index.
 
 var (
 	columnarMagic = [8]byte{'I', 'O', 'T', 'X', 'C', 'O', 'L', '2'}
@@ -57,12 +59,6 @@ const (
 // indexStatsV1 tags the footer-index extension carrying per-block
 // offset/bytes/span min/max statistics.
 const indexStatsV1 byte = 1
-
-const (
-	columnarHeaderLen = 9  // magic + flags
-	blockHeaderLen    = 40 // fixed-width block header
-	trailerLen        = 12 // index framed length + tail magic
-)
 
 // Column section IDs. The dictionary section always comes first in a
 // payload; column sections follow in ID order.
@@ -347,91 +343,16 @@ func (e *blockEncoder) reset() {
 	clear(e.argSeen)
 }
 
-// packBlockHeader renders the fixed-width block header.
-func packBlockHeader(kind byte, m BlockMeta, payloadLen int, crc uint32) [blockHeaderLen]byte {
-	var h [blockHeaderLen]byte
-	h[0] = kind
-	h[2] = m.ClassMask
-	h[3] = m.DirMask
-	binary.LittleEndian.PutUint32(h[4:], uint32(m.Count))
-	binary.LittleEndian.PutUint32(h[8:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(h[12:], crc)
-	binary.LittleEndian.PutUint64(h[16:], uint64(int64(m.MinTime)))
-	binary.LittleEndian.PutUint64(h[24:], uint64(int64(m.MaxTime)))
-	binary.LittleEndian.PutUint32(h[32:], uint32(int32(m.MinRank)))
-	binary.LittleEndian.PutUint32(h[36:], uint32(int32(m.MaxRank)))
-	return h
-}
-
-// blockCRC computes a block's checksum: CRC-32 over the header with its CRC
-// field zeroed, then the stored payload. Covering the header extends v1's
-// corruption semantics to the pruning metadata (ranges, masks, counts) that
-// lives outside the payload.
-func blockCRC(hdr, payload []byte) uint32 {
-	var h [blockHeaderLen]byte
-	copy(h[:], hdr)
-	h[12], h[13], h[14], h[15] = 0, 0, 0, 0
-	return crc32.Update(crc32.ChecksumIEEE(h[:]), crc32.IEEETable, payload)
-}
-
-// blockHeader is the parsed form.
-type blockHeader struct {
-	kind       byte
-	classMask  uint8
-	dirMask    uint8
-	count      int
-	payloadLen int
-	crc        uint32
-	minTime    sim.Time
-	maxTime    sim.Time
-	minRank    int
-	maxRank    int
-}
-
-// parseBlockHeader validates and unpacks a fixed-width block header.
-func parseBlockHeader(h []byte) (blockHeader, error) {
-	if len(h) < blockHeaderLen {
-		return blockHeader{}, fmt.Errorf("%w: short block header", ErrCorrupt)
-	}
-	bh := blockHeader{
-		kind:       h[0],
-		classMask:  h[2],
-		dirMask:    h[3],
-		count:      int(binary.LittleEndian.Uint32(h[4:])),
-		payloadLen: int(binary.LittleEndian.Uint32(h[8:])),
-		crc:        binary.LittleEndian.Uint32(h[12:]),
-		minTime:    sim.Time(int64(binary.LittleEndian.Uint64(h[16:]))),
-		maxTime:    sim.Time(int64(binary.LittleEndian.Uint64(h[24:]))),
-		minRank:    int(int32(binary.LittleEndian.Uint32(h[32:]))),
-		maxRank:    int(int32(binary.LittleEndian.Uint32(h[36:]))),
-	}
-	if bh.kind != blockData && bh.kind != blockIndex {
-		return blockHeader{}, fmt.Errorf("%w: bad block kind %d", ErrCorrupt, bh.kind)
-	}
-	if h[1] != 0 {
-		return blockHeader{}, fmt.Errorf("%w: bad reserved byte", ErrCorrupt)
-	}
-	if bh.payloadLen > 1<<30 || bh.count > 1<<28 {
-		return blockHeader{}, fmt.Errorf("%w: unreasonable block size", ErrCorrupt)
-	}
-	return bh, nil
-}
-
 // ColumnarWriter encodes records into the columnar v2 format. Close must be
 // called to flush the final block and append the footer index and trailer;
 // a stream that was only Flushed remains readable sequentially but cannot
 // serve indexed queries.
 type ColumnarWriter struct {
-	w       io.Writer
-	opts    ColumnarOptions
-	enc     blockEncoder
-	zbuf    bytes.Buffer  // the compressed payload of the block being written
-	zw      *flate.Writer // created on the first compressed block, Reset per block
-	index   []BlockMeta
-	started bool
-	closed  bool
-	n       int64
-	err     error
+	frameWriter
+	opts   ColumnarOptions
+	enc    blockEncoder
+	index  []BlockMeta
+	closed bool
 }
 
 // NewColumnarWriter returns a v2 writer; Close must be called.
@@ -439,33 +360,14 @@ func NewColumnarWriter(w io.Writer, opts ColumnarOptions) *ColumnarWriter {
 	if opts.RecordsPerBlock <= 0 {
 		opts.RecordsPerBlock = DefaultColumnarRecordsPerBlock
 	}
-	return &ColumnarWriter{w: w, opts: opts}
-}
-
-func (c *ColumnarWriter) writeHeader() {
-	if c.started || c.err != nil {
-		return
-	}
-	c.started = true
-	var flags byte
-	if c.opts.Compress {
-		flags |= FlagCompressed
-	}
-	if c.opts.Anonymized {
-		flags |= FlagAnonymized
-	}
-	hdr := append(columnarMagic[:], flags)
-	n, err := c.w.Write(hdr)
-	c.n += int64(n)
-	c.err = err
+	return &ColumnarWriter{frameWriter: newFrameWriter(w, columnarMagic, opts.Compress, opts.Anonymized), opts: opts}
 }
 
 // Write appends one record, cutting a block when the threshold is reached.
 func (c *ColumnarWriter) Write(r *Record) error {
-	if c.err != nil {
-		return c.err
+	if err := c.start(); err != nil {
+		return err
 	}
-	c.writeHeader()
 	if err := c.enc.add(r); err != nil {
 		c.err = err
 		return err
@@ -473,20 +375,19 @@ func (c *ColumnarWriter) Write(r *Record) error {
 	if c.enc.count >= c.opts.RecordsPerBlock {
 		return c.Flush()
 	}
-	return c.err
+	return nil
 }
 
 // Flush cuts the pending partial block, if any. Frequent flushes shrink
 // blocks and cost compression ratio, exactly like v1.
 func (c *ColumnarWriter) Flush() error {
-	if c.err != nil {
-		return c.err
+	if err := c.start(); err != nil {
+		return err
 	}
-	c.writeHeader()
 	if c.enc.count == 0 {
-		return c.err
+		return nil
 	}
-	meta := BlockMeta{
+	err := c.writeBlock(BlockMeta{
 		Count:     c.enc.count,
 		MinTime:   c.enc.minTime,
 		MaxTime:   c.enc.maxTime,
@@ -501,58 +402,23 @@ func (c *ColumnarWriter) Flush() error {
 		MaxBytes:  c.enc.maxBytes,
 		MinSpan:   c.enc.minSpan,
 		MaxSpan:   c.enc.maxSpan,
-	}
-	payload := c.enc.payload()
-	stored := payload
-	if c.opts.Compress {
-		if err := c.compress(payload); err != nil {
-			c.err = err
-			return err
-		}
-		stored = c.zbuf.Bytes()
-	}
-	meta.Offset = c.n
-	meta.Len = int64(blockHeaderLen + len(stored))
-	hdr := packBlockHeader(blockData, meta, len(stored), 0)
-	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], stored))
-	if err := c.writeAll(hdr[:], stored); err != nil {
-		return err
-	}
+	}, c.enc.payload())
 	c.enc.reset()
-	c.index = append(c.index, meta)
-	return c.err
+	return err
 }
 
-// compress deflates one block payload into c.zbuf. The one compressor is
-// Reset for every block, which makes it equivalent to a fresh one, so each
-// block still compresses independently.
-func (c *ColumnarWriter) compress(payload []byte) error {
-	c.zbuf.Reset()
-	if c.zw == nil {
-		zw, err := flate.NewWriter(&c.zbuf, flate.BestSpeed)
-		if err != nil {
-			return err
-		}
-		c.zw = zw
-	} else {
-		c.zw.Reset(&c.zbuf)
-	}
-	if _, err := c.zw.Write(payload); err != nil {
+// writeBlock frames one data block of meta's records and adds it to the
+// footer index.
+func (c *ColumnarWriter) writeBlock(meta BlockMeta, payload []byte) error {
+	framed := c.frame(blockHeaderLen, payload)
+	meta.Offset = c.n
+	meta.Len = int64(len(framed))
+	hdr := packBlockHeader(blockData, meta, framed[blockHeaderLen:])
+	copy(framed, hdr[:])
+	if err := c.write(framed); err != nil {
 		return err
 	}
-	return c.zw.Close()
-}
-
-// writeAll writes the given byte slices, accounting and sticking errors.
-func (c *ColumnarWriter) writeAll(bufs ...[]byte) error {
-	for _, b := range bufs {
-		n, err := c.w.Write(b)
-		c.n += int64(n)
-		if err != nil {
-			c.err = err
-			return err
-		}
-	}
+	c.index = append(c.index, meta)
 	return nil
 }
 
@@ -616,12 +482,11 @@ func (c *ColumnarWriter) Close() error {
 		putUvarint(&payload, m.MinSpan)
 		putUvarint(&payload, m.MaxSpan-m.MinSpan)
 	}
-	hdr := packBlockHeader(blockIndex, agg, payload.Len(), 0)
-	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], payload.Bytes()))
+	hdr := packBlockHeader(blockIndex, agg, payload.Bytes())
 	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint32(trailer[0:], uint32(blockHeaderLen+payload.Len()))
 	copy(trailer[4:], columnarTail[:])
-	return c.writeAll(hdr[:], payload.Bytes(), trailer[:])
+	return c.write(hdr[:], payload.Bytes(), trailer[:])
 }
 
 // BytesWritten reports the encoded size so far.
@@ -641,24 +506,25 @@ func parseIndexPayload(payload []byte, firstOffset, limit int64) ([]BlockMeta, e
 	if err != nil || n > uint64(len(payload)) {
 		return nil, fmt.Errorf("%w: bad index block count", ErrCorrupt)
 	}
+	// u and v read one field each, setting err when it fails.
+	u := func() uint64 {
+		x, e := binary.ReadUvarint(br)
+		if e != nil {
+			err = e
+		}
+		return x
+	}
+	v := func() int64 {
+		x, e := binary.ReadVarint(br)
+		if e != nil {
+			err = e
+		}
+		return x
+	}
 	metas := make([]BlockMeta, 0, n)
 	off := firstOffset
 	for i := uint64(0); i < n; i++ {
 		var m BlockMeta
-		u := func() uint64 {
-			v, e := binary.ReadUvarint(br)
-			if e != nil {
-				err = e
-			}
-			return v
-		}
-		v := func() int64 {
-			v, e := binary.ReadVarint(br)
-			if e != nil {
-				err = e
-			}
-			return v
-		}
 		m.Offset = off
 		m.Len = int64(u())
 		m.Count = int(u())
@@ -690,20 +556,6 @@ func parseIndexPayload(payload []byte, firstOffset, limit int64) ([]BlockMeta, e
 	}
 	for i := range metas {
 		m := &metas[i]
-		u := func() uint64 {
-			v, e := binary.ReadUvarint(br)
-			if e != nil {
-				err = e
-			}
-			return v
-		}
-		v := func() int64 {
-			v, e := binary.ReadVarint(br)
-			if e != nil {
-				err = e
-			}
-			return v
-		}
 		m.MinOffset = v()
 		m.MaxOffset = m.MinOffset + int64(u())
 		m.MinBytes = v()

@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -18,96 +15,44 @@ import (
 // ColumnarSource decodes a v2 stream front to back: the Source adapter used
 // by OpenAuto and any consumer without random access. It verifies every
 // block CRC, and when the stream carries a footer index it verifies that
-// the index matches the blocks actually read and that the trailer closes
-// the file; an index-less stream (a writer that Flushed but never Closed)
-// simply ends at the last data block.
+// every index entry matches the block actually read and that the trailer
+// closes the file; an index-less stream (a writer that Flushed but never
+// Closed) simply ends at the last data block. Its first error sticks: every
+// later Next returns it.
 type ColumnarSource struct {
-	r        io.Reader
-	flags    byte
-	started  bool
-	off      int64
-	stored   bytes.Buffer  // the current block's payload as stored
-	inflated bytes.Buffer  // its decompressed payload on compressed streams
-	fr       io.ReadCloser // created on the first compressed block, Reset per block
-	rows     []int         // 0, 1, 2, ...: every row of a block
-	cur      []Record
-	curIdx   int
-	blocks   int64
-	err      error
+	frameReader
+	seen   []blockHeader // the data blocks read, checked against the index
+	rows   []int         // 0, 1, 2, ...: every row of a block
+	cur    []Record
+	curIdx int
+	err    error
 }
 
 // NewColumnarSource wraps r for sequential decoding.
-func NewColumnarSource(r io.Reader) *ColumnarSource { return &ColumnarSource{r: r} }
+func NewColumnarSource(r io.Reader) *ColumnarSource {
+	return &ColumnarSource{frameReader: frameReader{r: r, magic: columnarMagic}}
+}
 
 // BlocksRead reports the number of data blocks decoded so far.
-func (c *ColumnarSource) BlocksRead() int64 { return c.blocks }
-
-// readFull reads exactly len(b) bytes, tracking the stream offset.
-func (c *ColumnarSource) readFull(b []byte) error {
-	n, err := io.ReadFull(c.r, b)
-	c.off += int64(n)
-	return err
-}
-
-func (c *ColumnarSource) readHeader() error {
-	if c.started {
-		return nil
-	}
-	c.started = true
-	var hdr [columnarHeaderLen]byte
-	if err := c.readFull(hdr[:]); err != nil {
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if !bytes.Equal(hdr[:8], columnarMagic[:]) {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	c.flags = hdr[8]
-	return nil
-}
+func (c *ColumnarSource) BlocksRead() int64 { return int64(len(c.seen)) }
 
 // nextBlock reads and decodes the next data block into c.cur, or returns
 // io.EOF after validating the footer (when present) and end of stream.
 func (c *ColumnarSource) nextBlock() error {
-	var hb [blockHeaderLen]byte
-	start := c.off
-	if err := c.readFull(hb[:]); err != nil {
-		if err == io.EOF {
-			return io.EOF // index-less stream ends at a block boundary
-		}
-		return fmt.Errorf("%w: short block header", ErrCorrupt)
+	block, err := c.readBlock(blockHeaderLen, 8) // payloadLen: header bytes 8-11
+	if err != nil {
+		return err // io.EOF: an index-less stream ends at a block boundary
 	}
-	h, err := parseBlockHeader(hb[:])
+	h, stored, err := openBlock(block)
 	if err != nil {
 		return err
 	}
-	// Copy rather than allocate payloadLen up front: a corrupt length
-	// prefix must not cost more memory than the bytes actually present.
-	c.stored.Reset()
-	n, err := io.CopyN(&c.stored, c.r, int64(h.payloadLen))
-	c.off += n
-	if err != nil {
-		return fmt.Errorf("%w: truncated block", ErrCorrupt)
-	}
-	stored := c.stored.Bytes()
-	if blockCRC(hb[:], stored) != h.crc {
-		return fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
-	}
 	if h.kind == blockIndex {
-		return c.finish(h, stored, start)
+		return c.finish(stored)
 	}
-	payload := stored
-	if c.flags&FlagCompressed != 0 {
-		src := bytes.NewReader(stored)
-		if c.fr == nil {
-			c.fr = flate.NewReader(src)
-		} else if err := c.fr.(flate.Resetter).Reset(src, nil); err != nil {
-			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-		}
-		c.inflated.Reset()
-		if _, err := c.inflated.ReadFrom(c.fr); err != nil {
-			return fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-		}
-		payload = c.inflated.Bytes()
+	payload, err := c.payload(stored)
+	if err != nil {
+		return err
 	}
 	v, err := parseBlockView(payload, h)
 	if err != nil {
@@ -121,26 +66,37 @@ func (c *ColumnarSource) nextBlock() error {
 		return err
 	}
 	c.cur, c.curIdx = recs, 0
-	c.blocks++
+	c.seen = append(c.seen, h)
 	return nil
 }
 
-// finish validates the footer index against the blocks read, consumes the
-// trailer, and requires end of stream.
-func (c *ColumnarSource) finish(h blockHeader, payload []byte, indexOff int64) error {
-	metas, err := parseIndexPayload(payload, columnarHeaderLen, indexOff)
+// finish checks the footer index against the blocks read, then the trailer,
+// and requires end of stream.
+func (c *ColumnarSource) finish(payload []byte) error {
+	indexOff := int64(streamHeaderLen)
+	for _, h := range c.seen {
+		indexOff += int64(blockHeaderLen + h.payloadLen)
+	}
+	metas, err := parseIndexPayload(payload, streamHeaderLen, indexOff)
 	if err != nil {
 		return err
 	}
-	if int64(len(metas)) != c.blocks {
-		return fmt.Errorf("%w: index lists %d blocks, stream has %d", ErrCorrupt, len(metas), c.blocks)
+	if len(metas) != len(c.seen) {
+		return fmt.Errorf("%w: index lists %d blocks, stream has %d", ErrCorrupt, len(metas), len(c.seen))
+	}
+	for i, m := range metas {
+		if err := c.seen[i].checkEntry(m); err != nil {
+			return err
+		}
 	}
 	var trailer [trailerLen]byte
-	if err := c.readFull(trailer[:]); err != nil {
+	if _, err := io.ReadFull(c.r, trailer[:]); err != nil {
 		return fmt.Errorf("%w: short trailer", ErrCorrupt)
 	}
-	framed := int64(binary.LittleEndian.Uint32(trailer[0:]))
-	if framed != int64(blockHeaderLen+len(payload)) || !bytes.Equal(trailer[4:], columnarTail[:]) {
+	size := indexOff + blockHeaderLen + int64(len(payload)) + trailerLen
+	if off, err := indexOffset(trailer, size); err != nil {
+		return err
+	} else if off != indexOff {
 		return fmt.Errorf("%w: bad trailer", ErrCorrupt)
 	}
 	var one [1]byte
@@ -154,10 +110,6 @@ func (c *ColumnarSource) finish(h blockHeader, payload []byte, indexOff int64) e
 func (c *ColumnarSource) Next() (Record, error) {
 	if c.err != nil {
 		return Record{}, c.err
-	}
-	if err := c.readHeader(); err != nil {
-		c.err = err
-		return Record{}, err
 	}
 	for c.curIdx >= len(c.cur) {
 		if err := c.nextBlock(); err != nil {
@@ -263,9 +215,9 @@ func (q Query) Matches(r *Record) bool {
 		r.Span >= q.SpanMin && r.Span <= q.SpanMax
 }
 
-// matchesLegacyBlock is the time/rank/class half of MatchesBlock — the
-// pruning available before the footer stats extension existed.
-func (q Query) matchesLegacyBlock(m BlockMeta) bool {
+// matchesRanges is the time/rank/class half of MatchesBlock: range pruning
+// on the fields every footer index entry carries, stats extension or not.
+func (q Query) matchesRanges(m BlockMeta) bool {
 	return m.MaxTime >= q.TimeMin && m.MinTime <= q.TimeMax &&
 		m.MaxRank >= q.RankMin && m.MinRank <= q.RankMax &&
 		(q.Classes == 0 || q.Classes&m.ClassMask != 0)
@@ -275,7 +227,7 @@ func (q Query) matchesLegacyBlock(m BlockMeta) bool {
 // matching record; blocks failing it are skipped without being read. Blocks
 // without stats (pre-extension files) are never pruned by stats predicates.
 func (q Query) MatchesBlock(m BlockMeta) bool {
-	if !q.matchesLegacyBlock(m) {
+	if !q.matchesRanges(m) {
 		return false
 	}
 	if m.HasStats {
@@ -318,7 +270,6 @@ func (q Query) containsBlock(m BlockMeta) bool {
 // admit, fanned out over a worker pool.
 type ColumnarReader struct {
 	r     io.ReaderAt
-	size  int64
 	flags byte
 	index []BlockMeta
 }
@@ -328,49 +279,37 @@ type ColumnarReader struct {
 // Closed — are rejected with ErrCorrupt; they remain readable with
 // ColumnarSource.
 func NewColumnarReader(r io.ReaderAt, size int64) (*ColumnarReader, error) {
-	minSize := int64(columnarHeaderLen + blockHeaderLen + 1 + trailerLen)
-	if size < minSize {
+	if size < streamHeaderLen+blockHeaderLen+1+trailerLen {
 		return nil, fmt.Errorf("%w: too short for a columnar trace", ErrCorrupt)
 	}
-	var hdr [columnarHeaderLen]byte
-	if _, err := r.ReadAt(hdr[:], 0); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if !bytes.Equal(hdr[:8], columnarMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	flags, err := readStreamHeader(io.NewSectionReader(r, 0, streamHeaderLen), columnarMagic)
+	if err != nil {
+		return nil, err
 	}
 	var trailer [trailerLen]byte
 	if _, err := r.ReadAt(trailer[:], size-trailerLen); err != nil {
 		return nil, fmt.Errorf("%w: short trailer: %v", ErrCorrupt, err)
 	}
-	if !bytes.Equal(trailer[4:], columnarTail[:]) {
-		return nil, fmt.Errorf("%w: missing trailer (stream not Closed?)", ErrCorrupt)
+	idxOff, err := indexOffset(trailer, size)
+	if err != nil {
+		return nil, err
 	}
-	framed := int64(binary.LittleEndian.Uint32(trailer[0:]))
-	idxOff := size - trailerLen - framed
-	if framed < blockHeaderLen+1 || idxOff < columnarHeaderLen {
-		return nil, fmt.Errorf("%w: bad index length", ErrCorrupt)
-	}
-	buf := make([]byte, framed)
-	if _, err := r.ReadAt(buf, idxOff); err != nil {
+	block := make([]byte, size-trailerLen-idxOff)
+	if _, err := r.ReadAt(block, idxOff); err != nil {
 		return nil, fmt.Errorf("%w: short index block: %v", ErrCorrupt, err)
 	}
-	h, err := parseBlockHeader(buf[:blockHeaderLen])
+	h, payload, err := openBlock(block)
 	if err != nil {
 		return nil, err
 	}
-	payload := buf[blockHeaderLen:]
-	if h.kind != blockIndex || h.payloadLen != len(payload) {
+	if h.kind != blockIndex {
 		return nil, fmt.Errorf("%w: bad index block", ErrCorrupt)
 	}
-	if blockCRC(buf[:blockHeaderLen], payload) != h.crc {
-		return nil, fmt.Errorf("%w: index CRC mismatch", ErrCorrupt)
-	}
-	index, err := parseIndexPayload(payload, columnarHeaderLen, idxOff)
+	index, err := parseIndexPayload(payload, streamHeaderLen, idxOff)
 	if err != nil {
 		return nil, err
 	}
-	return &ColumnarReader{r: r, size: size, flags: hdr[8], index: index}, nil
+	return &ColumnarReader{r: r, flags: flags, index: index}, nil
 }
 
 // Index returns the footer block index; callers must not mutate it.
@@ -395,8 +334,8 @@ type ScanStats struct {
 	BlocksDecoded  int   // blocks read and decoded for this query
 	RecordsMatched int64 // rows passing the full predicate
 	BytesRead      int64 // file bytes fetched
-	// BlocksPrunedByStats counts blocks the legacy time/rank/class pruning
-	// would have decoded but the footer offset/bytes/span statistics skipped.
+	// BlocksPrunedByStats counts blocks the time/rank/class range pruning
+	// admits but the footer offset/bytes/span statistics skipped.
 	BlocksPrunedByStats int
 }
 
@@ -452,7 +391,7 @@ func (c *ColumnarReader) newScanEngine(q Query, workers int, materialize bool) *
 	for _, m := range c.index {
 		if q.MatchesBlock(m) {
 			matched = append(matched, m)
-		} else if q.matchesLegacyBlock(m) {
+		} else if q.matchesRanges(m) {
 			e.stats.BlocksPrunedByStats++
 		}
 	}
@@ -486,15 +425,11 @@ func (e *scanEngine) feed(matched []BlockMeta) {
 	}
 }
 
-// worker processes blocks, reusing one flate reader and scratch buffer.
+// worker processes blocks, reusing one inflater.
 func (e *scanEngine) worker() {
-	var fr io.ReadCloser
-	var db bytes.Buffer
-	if e.compressed {
-		fr = flate.NewReader(bytes.NewReader(nil))
-	}
+	var in inflater
 	for job := range e.jobs {
-		job.view, job.rows, job.err = e.decode(job.meta, fr, &db)
+		job.view, job.rows, job.err = e.decode(job.meta, &in)
 		if job.err == nil && e.materialize {
 			var buf []Record
 			if slab, ok := recordSlabs.Get().(*[]Record); ok {
@@ -515,32 +450,25 @@ func (e *scanEngine) worker() {
 
 // decode reads one block, verifies it against its index entry, and returns
 // the view plus the rows matching the query.
-func (e *scanEngine) decode(m BlockMeta, fr io.ReadCloser, db *bytes.Buffer) (*BlockView, []int, error) {
-	buf := make([]byte, m.Len)
-	if _, err := e.r.ReadAt(buf, m.Offset); err != nil {
+func (e *scanEngine) decode(m BlockMeta, in *inflater) (*BlockView, []int, error) {
+	block := make([]byte, m.Len)
+	if _, err := e.r.ReadAt(block, m.Offset); err != nil {
 		return nil, nil, fmt.Errorf("%w: short block read: %v", ErrCorrupt, err)
 	}
-	h, err := parseBlockHeader(buf[:blockHeaderLen])
+	h, payload, err := openBlock(block)
 	if err != nil {
 		return nil, nil, err
 	}
-	if h.kind != blockData || h.count != m.Count || int64(blockHeaderLen+h.payloadLen) != m.Len {
-		return nil, nil, fmt.Errorf("%w: block disagrees with index", ErrCorrupt)
+	if err := h.checkEntry(m); err != nil {
+		return nil, nil, err
 	}
-	stored := buf[blockHeaderLen:]
-	if blockCRC(buf[:blockHeaderLen], stored) != h.crc {
-		return nil, nil, fmt.Errorf("%w: block CRC mismatch", ErrCorrupt)
-	}
-	payload := stored
 	if e.compressed {
-		if err := fr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
-			return nil, nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+		inflated, err := in.inflate(payload)
+		if err != nil {
+			return nil, nil, err
 		}
-		db.Reset()
-		if _, err := db.ReadFrom(fr); err != nil {
-			return nil, nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-		}
-		payload = append([]byte(nil), db.Bytes()...)
+		// The view outlives this block, the inflater's buffer does not.
+		payload = append([]byte(nil), inflated...)
 	}
 	v, err := parseBlockView(payload, h)
 	if err != nil {

@@ -210,9 +210,11 @@ func TestColumnarFlushWithoutClose(t *testing.T) {
 	}
 }
 
-// Mirror of TestBinaryDetectsCorruption: any flipped byte — payload, block
-// header, or footer — must surface as ErrCorrupt on a sequential read (or,
-// for trailer bytes, at least fail the indexed open below).
+// Mirror of TestBinaryDetectsCorruption: any flipped byte past the stream
+// header — payload, block header, footer index or trailer — must surface as
+// ErrCorrupt both on a sequential read and on an indexed open plus a full
+// scan, on plain and compressed streams (flag-byte flips excepted, as in v1
+// where flags are also unprotected).
 func TestColumnarDetectsCorruption(t *testing.T) {
 	rec := sampleRecord()
 	recs := make([]Record, 32)
@@ -220,24 +222,65 @@ func TestColumnarDetectsCorruption(t *testing.T) {
 		recs[i] = rec
 		recs[i].Time = sim.Time(i) * sim.Second
 	}
-	clean := writeColumnar(t, recs, ColumnarOptions{RecordsPerBlock: 8})
-	data := append([]byte(nil), clean...)
-	data[len(data)/2] ^= 0xFF
-	if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
-	}
-
-	// Flip every single byte past the stream header in turn: sequential read
-	// or indexed open must notice each one (flag-byte flips excepted, as in
-	// v1 where flags are also unprotected).
-	for off := columnarHeaderLen; off < len(clean); off++ {
-		data := append([]byte(nil), clean...)
-		data[off] ^= 0xFF
-		_, seqErr := Collect(NewColumnarSource(bytes.NewReader(data)))
-		_, idxErr := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
-		if seqErr == nil && idxErr == nil {
-			t.Fatalf("flipped byte %d of %d undetected", off, len(clean))
+	for _, compress := range []bool{false, true} {
+		clean := writeColumnar(t, recs, ColumnarOptions{RecordsPerBlock: 8, Compress: compress})
+		for off := streamHeaderLen; off < len(clean); off++ {
+			data := append([]byte(nil), clean...)
+			data[off] ^= 0xFF
+			if _, err := Collect(NewColumnarSource(bytes.NewReader(data))); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("compress=%v: flipped byte %d of %d: sequential err = %v, want ErrCorrupt", compress, off, len(clean), err)
+			}
+			if err := scanAll(data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("compress=%v: flipped byte %d of %d: indexed err = %v, want ErrCorrupt", compress, off, len(clean), err)
+			}
 		}
+	}
+}
+
+// scanAll opens data as a v2 trace and drains a match-all scan.
+func scanAll(data []byte) error {
+	cr, err := NewColumnarReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return err
+	}
+	_, err = Copy(&countSink{}, cr.Scan(MatchAll(), 1))
+	return err
+}
+
+// TestColumnarIndexMustMatchBlocks forges a footer index, with a valid CRC,
+// whose entry for block 0 claims one record too few. Every reader must
+// reject it: the sequential one by checking each entry against the block it
+// read, the indexed one when the scan reaches the block.
+func TestColumnarIndexMustMatchBlocks(t *testing.T) {
+	file := writeColumnar(t, normalizeArgs(randomRecords(8, 5)), ColumnarOptions{RecordsPerBlock: 4})
+	end := len(file) - trailerLen
+	idxOff := end - int(binary.LittleEndian.Uint32(file[end:]))
+	index := append([]byte(nil), file[idxOff+blockHeaderLen:end]...)
+	// The payload opens with the entry count, then block 0's length and
+	// record count, all uvarints.
+	_, n := binary.Uvarint(index)
+	_, l := binary.Uvarint(index[n:])
+	if index[n+l] != 4 {
+		t.Fatalf("block 0 count byte = %d, want 4", index[n+l])
+	}
+	index[n+l] = 3
+	data := withIndex(file[:idxOff], index)
+
+	src := NewColumnarSource(bytes.NewReader(data))
+	if _, err := Collect(src); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("sequential err = %v, want ErrCorrupt", err)
+	} else {
+		checkErrSticks(t, src, err)
+	}
+	auto, _, err := OpenAuto(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Collect(auto); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("OpenAuto err = %v, want ErrCorrupt", err)
+	}
+	if err := scanAll(data); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("indexed err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -704,12 +747,12 @@ func TestUnmatchedCorruptRowFails(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := append([]byte(nil), clean...)
-			hb := data[columnarHeaderLen : columnarHeaderLen+blockHeaderLen]
+			hb := data[streamHeaderLen : streamHeaderLen+blockHeaderLen]
 			h, err := parseBlockHeader(hb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			payload := data[columnarHeaderLen+blockHeaderLen:][:h.payloadLen]
+			payload := data[streamHeaderLen+blockHeaderLen:][:h.payloadLen]
 			v, err := parseBlockView(payload, h)
 			if err != nil {
 				t.Fatal(err)
@@ -783,8 +826,7 @@ func FuzzColumnarReader(f *testing.F) {
 // withIndex frames payload as the footer index block after base, with a
 // valid CRC and trailer.
 func withIndex(base, payload []byte) []byte {
-	hdr := packBlockHeader(blockIndex, BlockMeta{}, len(payload), 0)
-	binary.LittleEndian.PutUint32(hdr[12:], blockCRC(hdr[:], payload))
+	hdr := packBlockHeader(blockIndex, BlockMeta{}, payload)
 	out := append(append(append([]byte(nil), base...), hdr[:]...), payload...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(blockHeaderLen+len(payload)))
 	return append(out, columnarTail[:]...)

@@ -370,14 +370,29 @@ func TestReadersMidStreamCRCCorruption(t *testing.T) {
 	bad[offs[2]+8] ^= 0xFF
 
 	t.Run("serial", func(t *testing.T) {
-		recs, err := Collect(NewBinaryReader(bytes.NewReader(bad)))
+		r := NewBinaryReader(bytes.NewReader(bad))
+		recs, err := Collect(r)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 		if len(recs) != 2*perBlock {
 			t.Fatalf("got %d records before the corrupt block, want %d", len(recs), 2*perBlock)
 		}
+		checkErrSticks(t, r, err)
 	})
+}
+
+// checkErrSticks checks that a source which returned err keeps returning
+// it, with no record: it neither reads on past a corrupt block nor turns
+// the corruption into a clean io.EOF.
+func checkErrSticks(t *testing.T, src Source, err error) {
+	t.Helper()
+	for i := range 3 {
+		rec, again := src.Next()
+		if again != err || !reflect.DeepEqual(rec, Record{}) {
+			t.Fatalf("Next %d after %v: record %+v, err = %v", i+1, err, rec, again)
+		}
+	}
 }
 
 // ... and truncation mid-block behaves the same way.
@@ -389,13 +404,15 @@ func TestReadersMidStreamTruncation(t *testing.T) {
 	cut := data[:offs[3]+10]
 
 	t.Run("serial", func(t *testing.T) {
-		recs, err := Collect(NewBinaryReader(bytes.NewReader(cut)))
+		r := NewBinaryReader(bytes.NewReader(cut))
+		recs, err := Collect(r)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 		if len(recs) != 3*perBlock {
 			t.Fatalf("got %d records before truncation, want %d", len(recs), 3*perBlock)
 		}
+		checkErrSticks(t, r, err)
 	})
 }
 
