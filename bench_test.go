@@ -523,10 +523,11 @@ func BenchmarkMailboxPopDepth(b *testing.B) {
 			for i := 0; i < depth; i++ {
 				mb.Put(netsim.Message{Size: int64(i)})
 			}
+			take := func(netsim.Message) {}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mb.Put(netsim.Message{Size: int64(i)})
-				mb.TryGet()
+				mb.GetThen(take)
 			}
 		})
 	}

@@ -65,9 +65,11 @@ var exportAllowlist = map[string]string{
 // declared object, not one that merely shares its name. A use inside the
 // package that declares the name counts: the guard finds names nothing reads,
 // not names that could be unexported. A method also counts
-// as used when its type (T or *T) implements an interface, declared in the
-// repo or in an imported package, that has a method of that name: calls
-// through the interface reach it. An interface's own method is used only by
+// as used when it is in the method set of a type (T or *T) the module
+// declares that implements an interface, declared in the repo or in an
+// imported package, that has a method of that name: calls through the
+// interface reach it. The type may be the method's own or one that embeds
+// it, so a method promoted from an embedded type counts too. An interface's own method is used only by
 // an identifier that resolves to it, a call through the interface: that
 // concrete types implement it is no use.
 //
@@ -86,11 +88,11 @@ func TestNoDeadExports(t *testing.T) {
 		t.Fatal("found no exported names under internal/")
 	}
 	used := prog.uses()
-	ifaces := prog.interfaces()
+	viaIface := prog.interfaceMethods(prog.interfaces())
 	uncalled := make(map[string]bool)
 	var dead []string
 	for key, obj := range exported {
-		if fn, ok := obj.(*types.Func); used[obj] || ok && satisfiesInterface(fn, ifaces) {
+		if fn, ok := obj.(*types.Func); used[obj] || ok && viaIface[fn] {
 			continue
 		}
 		uncalled[key] = true
@@ -319,24 +321,53 @@ func (prog *repoProgram) interfaces() []*types.Interface {
 	return out
 }
 
-// satisfiesInterface reports whether fn is a concrete method whose receiver
-// type, as T or *T, implements one of ifaces that declares a method of fn's
-// name.
-func satisfiesInterface(fn *types.Func, ifaces []*types.Interface) bool {
-	recv := fn.Signature().Recv()
-	if recv == nil || types.IsInterface(recv.Type()) {
-		return false
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	for _, iface := range ifaces {
-		for m := range iface.Methods() {
-			if m.Name() == fn.Name() && (types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
-				return true
+// interfaceMethods returns the concrete methods that calls through one of
+// ifaces can reach: for every named type the module declares, as T and as
+// *T, and every interface in ifaces that it implements, the method its
+// method set selects for each of the interface's methods. A method promoted
+// from an embedded field is selected as the embedded type's own.
+func (prog *repoProgram) interfaceMethods(ifaces []*types.Interface) map[*types.Func]bool {
+	out := make(map[*types.Func]bool)
+	for _, cp := range prog.order {
+		scope := cp.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			var t types.Type = named
+			if named.TypeParams().Len() > 0 {
+				// A generic type has a method set as its methods'
+				// receiver sees it, instantiated with its own parameters.
+				if named.NumMethods() == 0 {
+					continue
+				}
+				t = named.Method(0).Signature().Recv().Type()
+				if ptr, ok := t.(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+			}
+			for _, t := range []types.Type{t, types.NewPointer(t)} {
+				mset := types.NewMethodSet(t)
+				if mset.Len() == 0 {
+					continue
+				}
+				for _, iface := range ifaces {
+					if !types.Implements(t, iface) {
+						continue
+					}
+					for m := range iface.Methods() {
+						if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+							out[sel.Obj().(*types.Func).Origin()] = true
+						}
+					}
+				}
 			}
 		}
 	}
-	return false
+	return out
 }

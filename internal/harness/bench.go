@@ -10,6 +10,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 	"strings"
 	"time"
@@ -213,8 +214,18 @@ type BenchRung struct {
 	Ranks  int     `json:"ranks"`
 	WallMS float64 `json:"wall_ms"`
 	// PeakHeapMB is the scheduler-sampled heap high-water (HeapAlloc, MiB)
-	// while this rung's two simulations ran.
+	// while this rung's two simulations ran. It counts unswept garbage and
+	// no goroutine stacks.
 	PeakHeapMB float64 `json:"peak_heap_mb"`
+	// StackKBPerRank is the high-water of the heap reserved for goroutine
+	// stacks, less its level before the rung, per simulated rank live at
+	// once (ranks times the rung's peak concurrency: its cells are the same
+	// size). A rank is one coroutine, so this is what a rank's stack costs.
+	StackKBPerRank float64 `json:"stack_kb_per_rank"`
+	// LiveHeapMB is the high-water of the heap the garbage collector last
+	// marked live (MiB) while the rung ran: the part of PeakHeapMB that is
+	// not garbage.
+	LiveHeapMB float64 `json:"live_heap_mb"`
 }
 
 // LadderPayload is the ladder bench's measurements: the single-cell scaling
@@ -234,7 +245,8 @@ type LadderPayload struct {
 func (p LadderPayload) Summary() string {
 	var b strings.Builder
 	for _, r := range p.Rungs {
-		fmt.Fprintf(&b, "# ladder: %6d ranks  %9.0f ms  heap peak %7.1f MB\n", r.Ranks, r.WallMS, r.PeakHeapMB)
+		fmt.Fprintf(&b, "# ladder: %6d ranks  %9.0f ms  heap peak %7.1f MB  live %7.1f MB  stack %4.1f KB/rank\n",
+			r.Ranks, r.WallMS, r.PeakHeapMB, r.LiveHeapMB, r.StackKBPerRank)
 	}
 	fmt.Fprintf(&b, "# ladder: %d rungs (%s on %s, %s scaling)", len(p.Rungs), p.Framework, p.Workload, p.Mode)
 	return b.String()
@@ -242,14 +254,14 @@ func (p LadderPayload) Summary() string {
 
 // BenchLadder times one single-cell (one framework, one workload) rung at
 // each rank count doubling from BenchLadderMinRanks to maxRanks (0 means
-// 65536), uncached, and reports wall time plus the scheduler's heap
-// high-water per rung. The cell is the paper's own — LANL-Trace on the N-1
-// strided pattern, weak scaling — at one block per rank: the ladder tracks
-// the engine's per-rank fixed costs (construction, messaging, scheduling,
-// tracing), which data volume would only dilute, and one block keeps the
-// 65536-rank rung minutes, not hours. The snapshot has no bars: wall time
-// and heap depend on the host, so no fixed limit would mean the same thing
-// on two machines.
+// 65536), uncached, and reports wall time plus the scheduler's heap,
+// live-heap and stack high-waters per rung. The cell is the paper's own —
+// LANL-Trace on the N-1 strided pattern, weak scaling — at one block per
+// rank: the ladder tracks the engine's per-rank fixed costs (construction,
+// messaging, scheduling, tracing), which data volume would only dilute,
+// and one block keeps the 65536-rank rung minutes, not hours. The snapshot
+// has no bars: wall time and memory depend on the host, so no fixed limit
+// would mean the same thing on two machines.
 func BenchLadder(maxRanks int) (Snapshot, error) {
 	if maxRanks <= 0 {
 		maxRanks = benchLadderMaxRanks
@@ -268,19 +280,27 @@ func BenchLadder(maxRanks int) (Snapshot, error) {
 		PoolSize:     PoolSize(),
 	}
 	for _, ranks := range doublingLadder(BenchLadderMinRanks, maxRanks) {
-		// One rung at a time, so each rung's wall time and heap peak are
-		// its own.
+		// One rung at a time, so each rung's wall time and memory peaks
+		// are its own. The collection first returns the last rung's
+		// stacks, so the stack base is the idle process's.
 		rung := RankAxis
 		rung.Rungs = func(Options) []int64 { return []int64{ranks} }
+		runtime.GC()
+		stackBase := stackBytes()
 		sched.resetPeak()
 		start := time.Now()
 		if _, err := Sweep(rung, fw, w, o); err != nil {
 			return Snapshot{}, fmt.Errorf("rung %d: %w", ranks, err)
 		}
+		wall := time.Since(start)
+		stacks := sched.peakStacks.Load()
+		liveRanks := float64(ranks) * float64(max(sched.peakConcurrency(), 1))
 		p.Rungs = append(p.Rungs, BenchRung{
-			Ranks:      int(ranks),
-			WallMS:     float64(time.Since(start).Microseconds()) / 1e3,
-			PeakHeapMB: float64(sched.peakHeapBytes()) / (1 << 20),
+			Ranks:          int(ranks),
+			WallMS:         float64(wall.Microseconds()) / 1e3,
+			PeakHeapMB:     float64(sched.peakHeapBytes()) / (1 << 20),
+			StackKBPerRank: float64(stacks-min(stackBase, stacks)) / liveRanks / 1024,
+			LiveHeapMB:     float64(sched.peakLive.Load()) / (1 << 20),
 		})
 	}
 	return newSnapshot("scale-ladder", p), nil

@@ -139,8 +139,10 @@ func krps(records int64, wall time.Duration) float64 {
 	return float64(records) / 1e3 / wall.Seconds()
 }
 
-// codecScanRounds is how many times the throughput probe runs each scan.
-const codecScanRounds = 30
+// codecScanRounds is how many times the throughput probe runs each scan:
+// enough that, under a load that keeps a 2-vCPU host busy, each scan still
+// gets some runs to itself.
+const codecScanRounds = 100
 
 // indexRankTrace builds the 4096-rank rank-major trace the pruning probe
 // queries: real-shaped write records, one block per 512.
@@ -254,9 +256,11 @@ func BenchCodec() (Snapshot, error) {
 		}
 		return nil
 	}
-	// Every rate keeps its scan's fastest of codecScanRounds runs: a run
-	// takes a few milliseconds, so one collection or busy CPU in its window
-	// would decide a single timing.
+	// The scans run interleaved, one run each per round, and every rate
+	// keeps its scan's fastest of codecScanRounds runs: the host's other
+	// work only ever slows a run down, and on a busy host it slows most
+	// of them, so a median would time the load (the v2 scan's worker pool
+	// most of all), not the codec.
 	v1Wall, v2Wall, colWall := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for range codecScanRounds {
 		start := time.Now()

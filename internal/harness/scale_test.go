@@ -243,10 +243,10 @@ func TestScaleSweepDeterministic(t *testing.T) {
 // TestScaleSweepDeterministic4096 is the batched-wake determinism test at
 // ladder scale: two identical single-framework sweeps to a 4096-rank top
 // rung, each against a fresh cache, must render byte-identically. The
-// batched drain events (Mailbox.Put, the mpi.join's wake) and the
-// event-chain server paths carry no hidden iteration-order or
-// timing dependence, however many waiters one instant accumulates at 4096
-// ranks. Under -race (CI's determinism step) or -short the top rung drops
+// batched drain events (Mailbox.Put, a rank's arrivals, the mpi.join's
+// wake) and the event-chain server paths carry no hidden iteration-order
+// or timing dependence, however many waiters one instant accumulates at
+// 4096 ranks. Under -race (CI's determinism step) or -short the top rung drops
 // to 1024 so the race-detector run stays affordable; the plain `go test`
 // run exercises the full 4096 ladder.
 func TestScaleSweepDeterministic4096(t *testing.T) {

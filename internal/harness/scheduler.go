@@ -58,8 +58,12 @@ type scheduler struct {
 
 	// peakHeap is the highest HeapAlloc observed while tasks ran: sampled
 	// at every task boundary and by a coarse ticker during run calls, so it
-	// tracks mid-task highs, not just settle points.
-	peakHeap atomic.Uint64
+	// tracks mid-task highs, not just settle points. peakStacks and peakLive
+	// are the highest goroutine stack bytes and live heap (as of the last
+	// GC) seen by the same samples.
+	peakHeap   atomic.Uint64
+	peakStacks atomic.Uint64
+	peakLive   atomic.Uint64
 }
 
 func newScheduler(size int) *scheduler {
@@ -72,10 +76,12 @@ func newScheduler(size int) *scheduler {
 // size returns the concurrency bound.
 func (s *scheduler) size() int { return cap(s.slots) }
 
-// resetPeak clears the peak-concurrency and heap watermarks (test hook).
+// resetPeak clears the peak-concurrency and memory watermarks.
 func (s *scheduler) resetPeak() {
 	s.peak.Store(0)
 	s.peakHeap.Store(0)
+	s.peakStacks.Store(0)
+	s.peakLive.Store(0)
 }
 
 // peakConcurrency reports the highest number of simultaneously running
@@ -86,23 +92,42 @@ func (s *scheduler) peakConcurrency() int { return int(s.peak.Load()) }
 // tasks ran since the last resetPeak.
 func (s *scheduler) peakHeapBytes() uint64 { return s.peakHeap.Load() }
 
-// heapObjectsMetric is the runtime/metrics name of HeapAlloc: bytes in
-// live objects and in dead ones not yet swept.
-const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+// The runtime/metrics names the scheduler samples: HeapAlloc (bytes in
+// live objects and in dead ones not yet swept), the heap reserved for
+// goroutine stacks (which HeapAlloc does not count), and the bytes the last
+// GC marked live.
+const (
+	heapObjectsMetric = "/memory/classes/heap/objects:bytes"
+	stacksMetric      = "/memory/classes/heap/stacks:bytes"
+	liveHeapMetric    = "/gc/heap/live:bytes"
+)
 
-// sampleHeap reads the heap size and folds it into the high-water mark.
-// It reads runtime/metrics, not runtime.ReadMemStats, which would stop the
-// world twice per task and once per sampler tick.
+// sampleHeap reads the heap, stack and live-heap sizes and folds each into
+// its high-water mark. It reads runtime/metrics, not runtime.ReadMemStats,
+// which would stop the world twice per task and once per sampler tick.
 func (s *scheduler) sampleHeap() {
-	sample := [1]metrics.Sample{{Name: heapObjectsMetric}}
+	sample := [3]metrics.Sample{{Name: heapObjectsMetric}, {Name: stacksMetric}, {Name: liveHeapMetric}}
 	metrics.Read(sample[:])
-	heap := sample[0].Value.Uint64()
+	raise(&s.peakHeap, sample[0].Value.Uint64())
+	raise(&s.peakStacks, sample[1].Value.Uint64())
+	raise(&s.peakLive, sample[2].Value.Uint64())
+}
+
+// raise lifts the watermark w to v if v is higher.
+func raise(w *atomic.Uint64, v uint64) {
 	for {
-		p := s.peakHeap.Load()
-		if heap <= p || s.peakHeap.CompareAndSwap(p, heap) {
+		p := w.Load()
+		if v <= p || w.CompareAndSwap(p, v) {
 			return
 		}
 	}
+}
+
+// stackBytes reads the heap bytes reserved for goroutine stacks now.
+func stackBytes() uint64 {
+	sample := [1]metrics.Sample{{Name: stacksMetric}}
+	metrics.Read(sample[:])
+	return sample[0].Value.Uint64()
 }
 
 // task is one schedulable leaf simulation with an a-priori cost estimate,

@@ -142,34 +142,16 @@ func (f *Framework) Run(w *mpi.World, command string, program func(p *sim.Proc, 
 	appStart := make([]sim.Time, n)
 	appEnd := make([]sim.Time, n)
 
+	// The rank's closure keeps only what spans program's run: the timing
+	// jobs and the tracer attachment run in helpers whose frames are gone
+	// by then, so a parked rank's stack stays shallow.
 	w.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
 		me := r.RankID()
-		if !f.cfg.SkipTimingJob {
-			rep.Pre[me] = timingJob(p, r)
-		}
-
-		// Attach the tracer (strace/ltrace fork+attach at app launch).
-		col := &interpose.Collector{}
-		rep.PerRank[me] = col
-		sysRec := interpose.NewRecorder(f.cfg.SyscallModel, col)
-		r.Proc().AttachHook(sysRec)
-		recorders = append(recorders, sysRec)
-		if f.cfg.Mode == ModeLtrace {
-			libRec := interpose.NewRecorder(f.cfg.LibModel, col)
-			r.AttachLibHook(libRec)
-			recorders = append(recorders, libRec)
-		}
-
+		f.attach(p, r, rep, &recorders)
 		appStart[me] = p.Now()
 		program(p, r)
 		appEnd[me] = p.Now()
-
-		// Detach before the post timing job.
-		r.Proc().DetachHooks()
-		r.DetachLibHooks()
-		if !f.cfg.SkipTimingJob {
-			rep.Post[me] = timingJob(p, r)
-		}
+		f.detach(p, r, rep)
 	})
 
 	var first, last sim.Time
@@ -187,6 +169,39 @@ func (f *Framework) Run(w *mpi.World, command string, program func(p *sim.Proc, 
 		rep.TraceBytes += rec.OutputBytes
 	}
 	return rep
+}
+
+// attach runs rank r's pre-application timing job and then attaches its
+// tracer (strace/ltrace fork+attach at app launch), collecting into rep.
+//
+//go:noinline
+func (f *Framework) attach(p *sim.Proc, r *mpi.Rank, rep *Report, recorders *[]*interpose.Recorder) {
+	me := r.RankID()
+	if !f.cfg.SkipTimingJob {
+		rep.Pre[me] = timingJob(p, r)
+	}
+	col := &interpose.Collector{}
+	rep.PerRank[me] = col
+	sysRec := interpose.NewRecorder(f.cfg.SyscallModel, col)
+	r.Proc().AttachHook(sysRec)
+	*recorders = append(*recorders, sysRec)
+	if f.cfg.Mode == ModeLtrace {
+		libRec := interpose.NewRecorder(f.cfg.LibModel, col)
+		r.AttachLibHook(libRec)
+		*recorders = append(*recorders, libRec)
+	}
+}
+
+// detach removes rank r's tracer and then runs its post-application timing
+// job.
+//
+//go:noinline
+func (f *Framework) detach(p *sim.Proc, r *mpi.Rank, rep *Report) {
+	r.Proc().DetachHooks()
+	r.DetachLibHooks()
+	if !f.cfg.SkipTimingJob {
+		rep.Post[r.RankID()] = timingJob(p, r)
+	}
 }
 
 // timingJob is the "simple MPI job" of the paper: report local time, do a

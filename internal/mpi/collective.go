@@ -142,7 +142,6 @@ func (f *File) writeCollectiveBody(p *sim.Proc, mine []collPiece) (int64, error)
 
 	// Phase 1: ship data to the owning aggregators, one message per
 	// (sender, aggregator) pair carrying all intersecting fragments.
-	const collTag = -950
 	myByAgg := splitContribution(mine, aggOf, domainEnd)
 	// Aggregators are visited in index order, not map-iteration order: the
 	// send sequence reaches the shared simulation clock through tx/rx

@@ -2,6 +2,8 @@ package mpi_test
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"iotaxo/internal/cluster"
@@ -401,6 +403,67 @@ func TestBarrierNonPowerOfTwo(t *testing.T) {
 			}
 			if got != 1234 {
 				t.Errorf("Recv after the barriers got %d bytes, want 1234", got)
+			}
+		})
+	}
+}
+
+// TestReservedTagsRejected: a negative user tag, the range the library's
+// own collective messages use, panics in Send and in Recv alike rather
+// than travel as, or match, library traffic.
+func TestReservedTagsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(p *sim.Proc, r *mpi.Rank)
+	}{
+		{"send", func(p *sim.Proc, r *mpi.Rank) { r.Send(p, 1, -1000, 8) }},
+		{"recv", func(p *sim.Proc, r *mpi.Rank) { r.Recv(p, 1, -777) }},
+		{"send-1", func(p *sim.Proc, r *mpi.Rank) { r.Send(p, 1, -1, 8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, "reserved") {
+					t.Fatalf("panic %q, want a reserved-tag rejection", msg)
+				}
+			}()
+			smallCluster(2).World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+				if r.RankID() == 0 {
+					tc.call(p, r)
+				}
+			})
+		})
+	}
+}
+
+// TestBarriersAllocateNoBytesPerRank: once the free lists, the event queue
+// and every rank's state have warmed up, further barriers allocate no heap
+// byte at all, whatever the rank count. Rank 0 reads the allocation total
+// as it leaves the last warm-up barrier and again after the extra ones,
+// which every rank's share of the rounds falls between.
+func TestBarriersAllocateNoBytesPerRank(t *testing.T) {
+	const warm, extra = 8, 16
+	for _, n := range []int{5, 64, 256} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			var before, after runtime.MemStats
+			done := 0
+			smallCluster(n).World.RunToCompletion(func(p *sim.Proc, r *mpi.Rank) {
+				for i := range warm + extra {
+					r.Barrier(p)
+					if r.RankID() == 0 && i == warm-1 {
+						runtime.ReadMemStats(&before)
+					}
+				}
+				if r.RankID() == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				done++
+			})
+			if done != n {
+				t.Fatalf("%d of %d ranks finished their barriers", done, n)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+				t.Fatalf("%d extra barriers at %d ranks allocated %d bytes (%.1f per rank), want 0",
+					extra, n, b, float64(b)/float64(n))
 			}
 		})
 	}

@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"fmt"
 	"strconv"
 
-	"iotaxo/internal/netsim"
 	"iotaxo/internal/sim"
 	"iotaxo/internal/trace"
 	"iotaxo/internal/vfs"
@@ -15,21 +15,28 @@ type Rank struct {
 	rank  int
 	node  string
 	pc    *vfs.ProcCtx
-	inbox *sim.Mailbox[netsim.Message]
 
-	// recv (deliver) is the rank's inbox receiver and stepFn (barrierStep)
-	// its barrier chain's stage, both bound once in NewWorld, so that a
-	// receive or a barrier allocates nothing.
-	recv   func(netsim.Message)
-	stepFn func()
+	// drainFn (drain) is the rank's drain event and stepFn (barrierStep)
+	// its barrier chain's stage, both bound once in NewWorld, as is its
+	// network receiver (arrive), so that a receive or a barrier allocates
+	// nothing.
+	drainFn func()
+	stepFn  func()
 
-	// The armed receive (recvThen): got holds its source and tag until the
-	// oldest matching message replaces it whole; next runs when that message
-	// arrived later.
-	got  mpiMsg
-	next func()
+	// What has arrived and no receive has matched yet: point-to-point
+	// messages in arrival order, and barrier rounds as bits, bit k of
+	// barArrived[g&1] standing for round k of generation g.
+	arrived    arrivals
+	barArrived [2]uint64
 
-	pending []mpiMsg // arrived but unmatched messages, in arrival order
+	// The armed receive (recvThen, or a barrier round when barWait is set):
+	// got holds a point-to-point receive's source and tag until the oldest
+	// matching message replaces it whole; next runs when the message
+	// arrives later, in the drain event, which draining marks as pending.
+	got      mpiMsg
+	next     func()
+	barWait  bool
+	draining bool
 
 	// The barrier chain in progress (barrierStep): the stages it has done,
 	// the span its messages travel under and the wake that resumes the
@@ -71,7 +78,9 @@ func (r *Rank) libcall(p *sim.Proc, name string, args func() []string, body func
 }
 
 // libcallEnrich is libcall with a record-enrichment callback, used by MPI-IO
-// calls to attach the file path behind the descriptor.
+// calls to attach the file path behind the descriptor. A rank's process
+// parks inside body, so this frame stays on its stack all the while: the
+// record is built in traceExit, whose frame is gone by then.
 func (r *Rank) libcallEnrich(p *sim.Proc, name string, args func() []string, body func() (string, func(*trace.Record))) {
 	for _, h := range r.libHooks {
 		h.Enter(p, name)
@@ -83,30 +92,37 @@ func (r *Rank) libcallEnrich(p *sim.Proc, name string, args func() []string, bod
 	parent := p.SetSpan(span)
 	start := p.Now()
 	ret, enrich := body()
-	dur := p.Now() - start
 	p.SetSpan(parent)
 	r.LibCalls++
 	if len(r.libHooks) > 0 {
-		rec := trace.Record{
-			Time:   r.pc.Kernel().LocalTime(start),
-			Dur:    dur,
-			Node:   r.node,
-			Rank:   r.rank,
-			PID:    r.pc.PID(),
-			Class:  trace.ClassMPI,
-			Name:   name,
-			Args:   args(),
-			Ret:    ret,
-			Span:   span,
-			Parent: parent,
-		}
-		trace.InferIOFields(&rec)
-		if enrich != nil {
-			enrich(&rec)
-		}
-		for _, h := range r.libHooks {
-			h.Exit(p, &rec)
-		}
+		r.traceExit(p, name, args, ret, enrich, start, span, parent)
+	}
+}
+
+// traceExit builds a finished library call's record and hands it to every
+// hook's Exit.
+//
+//go:noinline
+func (r *Rank) traceExit(p *sim.Proc, name string, args func() []string, ret string, enrich func(*trace.Record), start sim.Time, span, parent uint64) {
+	rec := trace.Record{
+		Time:   r.pc.Kernel().LocalTime(start),
+		Dur:    p.Now() - start,
+		Node:   r.node,
+		Rank:   r.rank,
+		PID:    r.pc.PID(),
+		Class:  trace.ClassMPI,
+		Name:   name,
+		Args:   args(),
+		Ret:    ret,
+		Span:   span,
+		Parent: parent,
+	}
+	trace.InferIOFields(&rec)
+	if enrich != nil {
+		enrich(&rec)
+	}
+	for _, h := range r.libHooks {
+		h.Exit(p, &rec)
 	}
 }
 
@@ -159,6 +175,7 @@ func (r *Rank) Send(p *sim.Proc, dest, tag int, bytes int64) {
 // messages carry buffers. Layers such as path-based tracing piggyback their
 // propagation metadata through it.
 func (r *Rank) SendData(p *sim.Proc, dest, tag int, bytes int64, data any) {
+	checkTag(tag)
 	r.libcall(p, "MPI_Send",
 		func() []string { return []string{strconv.FormatInt(bytes, 10), strconv.Itoa(dest), strconv.Itoa(tag)} },
 		func() string {
@@ -175,6 +192,7 @@ func (r *Rank) Recv(p *sim.Proc, src, tag int) int64 {
 
 // RecvData is Recv returning the attached payload as well.
 func (r *Rank) RecvData(p *sim.Proc, src, tag int) (int64, any) {
+	checkTag(tag)
 	var n int64
 	var data any
 	r.libcall(p, "MPI_Recv",
@@ -186,6 +204,15 @@ func (r *Rank) RecvData(p *sim.Proc, src, tag int) (int64, any) {
 			return "0"
 		})
 	return n, data
+}
+
+// checkTag rejects a negative user tag. MPI tags are nonnegative, and the
+// negative ones are the library's own (bcastTag, gatherTag, collTag), so a
+// user message under one could be taken for the library's.
+func checkTag(tag int) {
+	if tag < 0 {
+		panic(fmt.Sprintf("mpi: tag %d is reserved: user tags are nonnegative", tag))
+	}
 }
 
 // Barrier synchronizes all ranks with a dissemination barrier: ceil(log2 N)
@@ -207,12 +234,11 @@ func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
 	if n == 1 {
 		return data
 	}
-	const tag = -777
 	got := data
 	mask := 1
 	for mask < n {
 		if r.rank&mask != 0 {
-			m := r.recvRaw(p, r.rank-mask, tag)
+			m := r.recvRaw(p, r.rank-mask, bcastTag)
 			got = m.Data
 			break
 		}
@@ -220,7 +246,7 @@ func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if r.rank+mask < n {
-			r.sendRaw(p, r.rank+mask, tag, bytes, got)
+			r.sendRaw(p, r.rank+mask, bcastTag, bytes, got)
 		}
 	}
 	return got
@@ -230,15 +256,14 @@ func (r *Rank) bcastBody(p *sim.Proc, bytes int64, data any) any {
 // tracing: the access-set exchange inside collective I/O.
 func (r *Rank) gatherRaw(p *sim.Proc, bytes int64, contribution any) []any {
 	n := len(r.world.ranks)
-	const tag = -889
 	if r.rank != 0 {
-		r.sendRaw(p, 0, tag, bytes, contribution)
+		r.sendRaw(p, 0, gatherTag, bytes, contribution)
 		return nil
 	}
 	out := make([]any, n)
 	out[0] = contribution
 	for i := 1; i < n; i++ {
-		m := r.recvRaw(p, i, tag)
+		m := r.recvRaw(p, i, gatherTag)
 		out[m.From] = m.Data
 	}
 	return out

@@ -2,11 +2,13 @@
 // 1.2.6): ranks with point-to-point messaging and tag matching, a
 // dissemination barrier, binomial-tree collectives, and MPI-IO.
 //
-// A rank's messaging runs as event chains on its inbox: one send stage and
-// one receive-match routine, which the barrier strings into one chain. A
-// rank's process parks once per point-to-point call and once per barrier,
-// however many rounds the barrier takes; the broadcast and gather inside
-// collective I/O await each of their sends and receives.
+// A rank's messaging runs as event chains: one send stage and one
+// receive-match routine, which the barrier strings into one chain. A rank's
+// process parks once per point-to-point call and once per barrier, however
+// many rounds the barrier takes; the broadcast and gather inside collective
+// I/O await each of their sends and receives. What arrives before its
+// receive waits on the rank itself, point-to-point messages in one arrival
+// list and barrier rounds as bits, so an early message costs no heap.
 //
 // MPI-IO calls execute real system calls through the node kernel, so an
 // strace-style tracer attached at the syscall boundary observes the nested
@@ -24,6 +26,15 @@ import (
 
 // PortBase is the first network port used by MPI ranks (one port per rank).
 const PortBase = 7200
+
+// The tags of the library's own point-to-point messages. They are negative,
+// which no user tag may be (checkTag), so they cannot be confused with user
+// traffic. Barrier messages are not tag-matched at all (barrierMsg).
+const (
+	bcastTag  = -777 // the binomial broadcast inside collective I/O
+	gatherTag = -889 // the access-set gather inside collective I/O
+	collTag   = -950 // collective I/O's data shuffle
+)
 
 // LibHook observes library calls on one rank: the attachment point for
 // ltrace-style tracing (LANL-Trace in ltrace mode) and for LD_PRELOAD
@@ -57,15 +68,11 @@ func NewWorld(net_ *netsim.Network, kernels []*vfs.Kernel) *World {
 	for i, k := range kernels {
 		pc := k.Spawn(vfs.Cred{UID: 500, GID: 500, User: "mpiuser"})
 		pc.SetRank(i)
-		w.ranks[i] = Rank{
-			world: w,
-			rank:  i,
-			node:  k.Node(),
-			pc:    pc,
-			inbox: net_.Listen(k.Node(), PortBase+i),
-		}
-		w.ranks[i].recv = w.ranks[i].deliver
-		w.ranks[i].stepFn = w.ranks[i].barrierStep
+		r := &w.ranks[i]
+		*r = Rank{world: w, rank: i, node: k.Node(), pc: pc}
+		r.drainFn = r.drain
+		r.stepFn = r.barrierStep
+		net_.Listen(r.node, PortBase+i, r.arrive)
 	}
 	return w
 }

@@ -5,16 +5,20 @@
 // serializes on A's transmit side (back-to-back sends from one node queue at
 // its NIC), crosses the switch after a fixed latency, serializes on B's
 // receive side (modelling incast: many clients writing to one server contend
-// for the server's ingress), and is then delivered to the mailbox listening
+// for the server's ingress), and is then handed to the receiver listening
 // on the destination port. Per-message software overhead and frame headers
 // make small messages proportionally expensive, which is one of the two
 // mechanisms behind the paper's bandwidth-versus-blocksize curves.
 //
-// The network moves messages and nothing more. A request/response protocol
-// (the parallel file system's RPCs) sends its request to a listening port
-// with SendThen and its response into the requester's own mailbox with
-// SendToThen; which response answers which request is the protocol's
-// business, carried in its payloads.
+// The network moves messages and nothing more. Every message lands by one
+// call of a receiver, a func(Message) its owner binds once: a listening
+// port's (Listen) or the one a sender names (SendToThen). The receiver
+// decides what an arrival costs: a parallel file system server queues it in
+// a sim.Mailbox, an MPI rank files it in its own arrival list. A
+// request/response protocol (the parallel file system's RPCs) sends its
+// request to a listening port with SendThen and its response to the
+// requester's own receiver with SendToThen; which response answers which
+// request is the protocol's business, carried in its payloads.
 package netsim
 
 import (
@@ -64,7 +68,7 @@ type Message struct {
 // by value (slab-friendly: a 65536-node network allocates interfaces in
 // large chunks instead of three objects per node) and the node's listening
 // ports live in a small inline table — nodes listen on one or two ports
-// (the PFS service port, one MPI rank port), so a linear scan beats a
+// (the PFS service port, MPI rank ports), so a linear scan beats a
 // per-node map.
 type Iface struct {
 	name  string
@@ -79,25 +83,25 @@ type Iface struct {
 	MsgsReceived  int64
 }
 
-// portEntry binds one listening port to its mailbox.
+// portEntry binds one listening port to its receiver.
 type portEntry struct {
 	port int
-	box  *sim.Mailbox[Message]
+	recv func(Message)
 }
 
-// box returns the mailbox listening on port, or nil.
-func (i *Iface) box(port int) *sim.Mailbox[Message] {
+// receiver returns the receiver listening on port, or nil.
+func (i *Iface) receiver(port int) func(Message) {
 	for _, e := range i.ports {
 		if e.port == port {
-			return e.box
+			return e.recv
 		}
 	}
 	return nil
 }
 
-// arenaChunk is the slab size for interface and mailbox arenas: large
-// enough to amortize allocation at 65536 nodes, small enough not to waste
-// memory on unit-test networks.
+// arenaChunk is the slab size for the interface arena: large enough to
+// amortize allocation at 65536 nodes, small enough not to waste memory on
+// unit-test networks.
 const arenaChunk = 256
 
 // Network connects named nodes through a single switch.
@@ -106,11 +110,10 @@ type Network struct {
 	cfg    Config
 	ifaces map[string]*Iface
 
-	// Construction arenas: interfaces and mailboxes are handed out from
-	// chunked slabs (pointers into a chunk stay valid because a chunk is
-	// never grown, only replaced when full).
+	// Construction arena: interfaces are handed out from chunked slabs
+	// (pointers into a chunk stay valid because a chunk is never grown,
+	// only replaced when full).
 	ifaceArena []Iface
-	boxArena   []sim.Mailbox[Message]
 
 	// tracer, when set, receives one ClassNetMsg record per message
 	// delivery. Untraced networks pay nothing on the delivery path.
@@ -167,24 +170,19 @@ func (n *Network) Iface(name string) *Iface {
 	return ifc
 }
 
-// Listen returns (creating if needed) the mailbox for (node, port). Layered
-// protocols — the parallel file system, MPI — each claim a port.
-func (n *Network) Listen(node string, port int) *sim.Mailbox[Message] {
+// Listen binds recv to (node, port): every message sent there lands as one
+// call of recv, in the event that ends its receive serialization. Layered
+// protocols — the parallel file system, MPI — each claim a port; a second
+// claim on one port is a configuration bug and panics.
+func (n *Network) Listen(node string, port int, recv func(Message)) {
 	ifc, ok := n.ifaces[node]
 	if !ok {
 		panic(fmt.Sprintf("netsim: Listen on unknown node %q", node))
 	}
-	if mb := ifc.box(port); mb != nil {
-		return mb
+	if ifc.receiver(port) != nil {
+		panic(fmt.Sprintf("netsim: %s:%d already has a listener", node, port))
 	}
-	if len(n.boxArena) == cap(n.boxArena) {
-		n.boxArena = make([]sim.Mailbox[Message], 0, arenaChunk)
-	}
-	n.boxArena = append(n.boxArena, sim.Mailbox[Message]{})
-	mb := &n.boxArena[len(n.boxArena)-1]
-	mb.Init(n.env)
-	ifc.ports = append(ifc.ports, portEntry{port: port, box: mb})
-	return mb
+	ifc.ports = append(ifc.ports, portEntry{port: port, recv: recv})
 }
 
 // mtuPayload is the payload capacity of one frame (standard Ethernet MTU
@@ -203,37 +201,37 @@ func (n *Network) wireBytes(payload int64) int64 {
 	return payload + frames*n.cfg.FrameOverhead
 }
 
-// SendThen transmits msg as a pure event chain to the mailbox listening on
+// SendThen transmits msg as a pure event chain to the receiver listening on
 // (msg.To, msg.Port), calling done once the sender-side cost is paid:
 // per-message CPU, then transmit serialization on the source tx resource.
 func (n *Network) SendThen(msg Message, done func()) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
-	dstBox := dst.box(msg.Port)
-	if dstBox == nil {
+	recv := dst.receiver(msg.Port)
+	if recv == nil {
 		panic(fmt.Sprintf("netsim: send to %s:%d with no listener", msg.To, msg.Port))
 	}
-	n.newDelivery(dst, dstBox, msg, n.wireBytes(msg.Size)).transmit(src, done)
+	n.newDelivery(dst, recv, msg, n.wireBytes(msg.Size)).transmit(src, done)
 }
 
-// SendToThen is SendThen into a mailbox the caller owns instead of a
-// listening port: the message crosses the same wire from msg.From to
-// msg.To (msg.Port is not consulted) and lands in box. Request/response
-// protocols answer on it: the requester sends its own reply mailbox along
-// with the request, the server sends the response into that mailbox, and
-// the pairing of the two lives in the protocol, not here.
-func (n *Network) SendToThen(msg Message, box *sim.Mailbox[Message], done func()) {
+// SendToThen is SendThen to a receiver the caller names instead of a
+// listening port: the message crosses the same wire from msg.From to msg.To
+// (msg.Port is not consulted) and lands as one call of recv.
+// Request/response protocols answer on it: the requester sends its own
+// reply receiver along with the request, the server sends the response to
+// it, and the pairing of the two lives in the protocol, not here.
+func (n *Network) SendToThen(msg Message, recv func(Message), done func()) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
-	n.newDelivery(dst, box, msg, n.wireBytes(msg.Size)).transmit(src, done)
+	n.newDelivery(dst, recv, msg, n.wireBytes(msg.Size)).transmit(src, done)
 }
 
 // delivery is one in-flight message: the pooled, fixed-shape state of its
 // event chain. Its stage methods are bound to func values once, when the
 // struct is first allocated, and the struct returns to its network's free
 // list as the message lands, so a message costs no heap object of its own.
-// It lands in box: the listening port's mailbox for SendThen, the caller's
-// own for SendToThen. The chain has two halves:
+// It lands as a call of recv: the listening port's receiver for SendThen,
+// the one the caller names for SendToThen. The chain has two halves:
 //
 //	transmit:  After(PerMessageCPU) → tx.AcquireThen → After(txTime) → tx.Release
 //	deliver:   After(0) → After(Latency) → rx.AcquireThen → After(rxTime) → rx.Release
@@ -244,7 +242,7 @@ type delivery struct {
 	n    *Network
 	src  *Iface
 	dst  *Iface
-	box  *sim.Mailbox[Message]
+	recv func(Message)
 	msg  Message
 	wire int64
 	done func() // called once the sender-side cost is paid
@@ -259,7 +257,7 @@ type delivery struct {
 
 // newDelivery takes a delivery from the free list (allocating and binding
 // one when the list is empty) and loads it with one message.
-func (n *Network) newDelivery(dst *Iface, box *sim.Mailbox[Message], msg Message, wire int64) *delivery {
+func (n *Network) newDelivery(dst *Iface, recv func(Message), msg Message, wire int64) *delivery {
 	d := n.free
 	if d != nil {
 		n.free = d.next
@@ -274,7 +272,7 @@ func (n *Network) newDelivery(dst *Iface, box *sim.Mailbox[Message], msg Message
 		d.rxHeldFn = d.rxHeld
 		d.rxDoneFn = d.rxDone
 	}
-	d.dst, d.box, d.msg, d.wire = dst, box, msg, wire
+	d.dst, d.recv, d.msg, d.wire = dst, recv, msg, wire
 	return d
 }
 
@@ -293,7 +291,7 @@ func (d *delivery) txHeld() {
 
 // txSent releases the tx unit, books the sender's stats, starts the
 // deliver half (switch latency, receive serialization, receiver stats and
-// mailbox delivery) and resumes the sender.
+// the receiver's call) and resumes the sender.
 func (d *delivery) txSent() {
 	d.src.tx.Release()
 	d.src.BytesSent += d.wire
@@ -314,8 +312,8 @@ func (d *delivery) rxHeld() {
 }
 
 // rxDone releases the rx unit, books the receiver's stats, traces the hop
-// and puts the message in the destination mailbox. The delivery goes back
-// on the free list before the put, its fields copied out first.
+// and hands the message to its receiver. The delivery goes back on the free
+// list before that call, its fields copied out first.
 func (d *delivery) rxDone() {
 	n, dst := d.n, d.dst
 	dst.rx.Release()
@@ -342,10 +340,10 @@ func (d *delivery) rxDone() {
 		})
 		msg.Span = span
 	}
-	box := d.box
-	d.dst, d.box, d.msg = nil, nil, Message{}
+	recv := d.recv
+	d.dst, d.recv, d.msg = nil, nil, Message{}
 	d.next, n.free = n.free, d
-	box.Put(msg)
+	recv(msg)
 }
 
 // Nodes returns the registered node names, sorted.

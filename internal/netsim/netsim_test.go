@@ -26,6 +26,14 @@ func newReceiver[T any](mb *sim.Mailbox[T]) *receiver[T] {
 
 func (r *receiver[T]) start(wake func()) { r.wake = wake; r.mb.GetThen(r.got) }
 
+// listenBox queues the messages sent to (node, port) in a new mailbox, the
+// way the parallel file system's servers receive, and returns it.
+func listenBox(n *Network, node string, port int) *sim.Mailbox[Message] {
+	mb := new(sim.Mailbox[Message]).Init(n.env)
+	n.Listen(node, port, mb.Put)
+	return mb
+}
+
 // Send transmits msg from p, stamped with p's span when it carries none: p
 // awaits SendThen's chain, so it blocks for the sender-side software cost and
 // transmit serialization while delivery proceeds on without it.
@@ -71,7 +79,7 @@ func uncontended(cfg Config, payload, frames int64) sim.Duration {
 func deliveredAt(payload int64) sim.Time {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	inbox := n.Listen("b", 7)
+	inbox := listenBox(n, "b", 7)
 	var at sim.Time
 	env.Go("recv", func(p *sim.Proc) {
 		newReceiver(inbox).get(p)
@@ -87,7 +95,7 @@ func deliveredAt(payload int64) sim.Time {
 func TestSendDelivers(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	inbox := n.Listen("b", 7)
+	inbox := listenBox(n, "b", 7)
 	var got Message
 	var at sim.Time
 	env.Go("recv", func(p *sim.Proc) {
@@ -114,7 +122,20 @@ func TestListenUnknownNodePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	n.Listen("nosuch", 1)
+	listenBox(n, "nosuch", 1)
+}
+
+// TestListenTwicePanics: a port has one receiver, so a second Listen on it
+// is a configuration bug, not a silent rebinding.
+func TestListenTwicePanics(t *testing.T) {
+	n := testNet(sim.NewEnv(1))
+	listenBox(n, "b", 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	listenBox(n, "b", 1)
 }
 
 func TestDuplicateNodePanics(t *testing.T) {
@@ -133,7 +154,7 @@ func TestTxSerialization(t *testing.T) {
 	// Two back-to-back sends from one node must serialize on its NIC.
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	inbox := n.Listen("b", 1)
+	inbox := listenBox(n, "b", 1)
 	var arrivals []sim.Time
 	env.Go("recv", func(p *sim.Proc) {
 		r := newReceiver(inbox)
@@ -164,7 +185,7 @@ func TestIncastRxContention(t *testing.T) {
 	// receiver's single ingress link.
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	inbox := n.Listen("c", 1)
+	inbox := listenBox(n, "c", 1)
 	var last sim.Time
 	env.Go("recv", func(p *sim.Proc) {
 		r := newReceiver(inbox)
@@ -188,7 +209,8 @@ func TestIncastRxContention(t *testing.T) {
 }
 
 // TestCallRoundTrip builds a request/response exchange on SendToThen: the
-// request carries the caller's reply mailbox, and the server answers into it.
+// request carries the caller's reply mailbox, and the server answers into
+// its Put.
 func TestCallRoundTrip(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
@@ -196,13 +218,13 @@ func TestCallRoundTrip(t *testing.T) {
 		req   any
 		reply sim.Mailbox[Message]
 	}
-	inbox := n.Listen("b", 2)
+	inbox := listenBox(n, "b", 2)
 	inbox.GetThen(func(msg Message) {
 		c := msg.Payload.(*call)
 		if c.req != "ping" {
 			t.Errorf("server got %v", c.req)
 		}
-		n.SendToThen(Message{From: "b", To: msg.From, Size: 100, Payload: "pong", Span: msg.Span}, &c.reply, func() {})
+		n.SendToThen(Message{From: "b", To: msg.From, Size: 100, Payload: "pong", Span: msg.Span}, c.reply.Put, func() {})
 	})
 	var reply any
 	env.Go("client", func(p *sim.Proc) {
@@ -217,18 +239,16 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSendToRawPayload: a message sent into a caller-owned mailbox needs no
-// listening port and arrives with its payload exactly as sent.
+// TestSendToRawPayload: a message sent to a caller-named receiver needs no
+// listening port and arrives once, with its payload exactly as sent.
 func TestSendToRawPayload(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	var box sim.Mailbox[Message]
-	box.Init(env)
-	n.SendToThen(Message{From: "a", To: "b", Size: 8, Payload: 42}, &box, func() {})
+	var got []Message
+	n.SendToThen(Message{From: "a", To: "b", Size: 8, Payload: 42}, func(m Message) { got = append(got, m) }, func() {})
 	env.Run()
-	m, ok := box.TryGet()
-	if !ok || m.Payload != 42 {
-		t.Fatalf("raw payload mishandled: got=%v payload=%v", ok, m.Payload)
+	if len(got) != 1 || got[0].Payload != 42 {
+		t.Fatalf("raw payload mishandled: %+v", got)
 	}
 	if n.Iface("b").MsgsReceived != 1 {
 		t.Fatalf("receiver stats: %+v", n.Iface("b"))
@@ -238,7 +258,7 @@ func TestSendToRawPayload(t *testing.T) {
 func TestStatsAccumulate(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	n.Listen("b", 1)
+	listenBox(n, "b", 1)
 	env.Go("send", func(p *sim.Proc) {
 		n.Send(p, Message{From: "a", To: "b", Port: 1, Size: 500})
 	})
@@ -295,7 +315,7 @@ func TestNodesSorted(t *testing.T) {
 func TestDeliverySpawnsNoProcs(t *testing.T) {
 	env := sim.NewEnv(1)
 	n := testNet(env)
-	inbox := n.Listen("b", 1)
+	inbox := listenBox(n, "b", 1)
 	const msgs = 64
 	env.Go("recv", func(p *sim.Proc) {
 		r := newReceiver(inbox)
@@ -332,7 +352,7 @@ func hold(p *sim.Proc, r *sim.Resource, d sim.Duration) {
 func courierSend(n *Network, p *sim.Proc, msg Message) {
 	src := n.Iface(msg.From)
 	dst := n.Iface(msg.To)
-	dstBox := dst.box(msg.Port)
+	recv := dst.receiver(msg.Port)
 	wire := n.wireBytes(msg.Size)
 	p.Sleep(n.cfg.PerMessageCPU)
 	hold(p, &src.tx, sim.DurationOf(wire, n.cfg.BandwidthBps))
@@ -343,7 +363,7 @@ func courierSend(n *Network, p *sim.Proc, msg Message) {
 		hold(c, &dst.rx, sim.DurationOf(wire, n.cfg.BandwidthBps))
 		dst.BytesReceived += wire
 		dst.MsgsReceived++
-		dstBox.Put(msg)
+		recv(msg)
 	})
 }
 
@@ -377,7 +397,7 @@ func TestEventDeliveryMatchesCourierReference(t *testing.T) {
 		n.AddNode("b")
 		n.AddNode("c")
 		n.AddNode("sink")
-		inbox := n.Listen("sink", 1)
+		inbox := listenBox(n, "sink", 1)
 		var arrivals []sim.Time
 		env.Go("recv", func(p *sim.Proc) {
 			r := newReceiver(inbox)
@@ -467,8 +487,8 @@ func TestMessagePathAllocatesNothing(t *testing.T) {
 			if traced {
 				n.SetTracer(func(trace.Record) { records++ })
 			}
-			requests := n.Listen("b", 7)
-			replies := n.Listen("a", 8)
+			requests := listenBox(n, "b", 7)
+			replies := listenBox(n, "a", 8)
 			var serve func(Message)
 			rearm := func() { requests.GetThen(serve) }
 			serve = func(m Message) {

@@ -34,10 +34,11 @@ var opNames = [...]string{
 // call is one in-flight PFS request, from the client's send to the reply
 // it reads back. It travels as the payload of both its request and its
 // reply message, so the wire carries a pointer, not a boxed value, and the
-// server answers into the call's own reply mailbox. Calls are pooled on
-// their System with their stages bound once, so a request allocates
-// nothing once the free list covers the requests in flight. The pool is
-// per System, not global: sweep cells run deployments in parallel.
+// server answers into the call's own reply mailbox through its bound Put.
+// Calls are pooled on their System with their stages bound once, so a
+// request allocates nothing once the free list covers the requests in
+// flight. The pool is per System, not global: sweep cells run deployments
+// in parallel.
 //
 // A data or truncate request's chain is
 //
@@ -67,6 +68,7 @@ type call struct {
 	n     int64    // bytes a data request moved
 	attr  metaFile // a metadata request's view of the file
 	reply sim.Mailbox[netsim.Message]
+	put   func(netsim.Message) // reply.Put, the reply's receiver
 
 	// Client-side completion: the fan-out a data or truncate request
 	// reports to, or the process wake of a metadata request.
@@ -104,7 +106,7 @@ func (s *System) newCall(op callOp, from, to, path string, span uint64) *call {
 	} else {
 		s.madeCalls++
 		c = &call{sys: s}
-		c.reply.Init(s.env)
+		c.put = c.reply.Init(s.env).Put
 		c.sendFn = c.send
 		c.awaitFn = c.await
 		c.repliedFn = c.replied
@@ -159,7 +161,7 @@ func (c *call) replied(netsim.Message) {
 // once the server has paid per-message CPU and tx serialization.
 func (c *call) respond(size int64, done func()) {
 	c.sys.net.SendToThen(netsim.Message{From: c.to, To: c.from, Size: size,
-		Payload: c, Span: c.parent}, &c.reply, done)
+		Payload: c, Span: c.parent}, c.put, done)
 }
 
 // fanout is one process's wait on several requests at once: a transfer's

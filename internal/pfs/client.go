@@ -62,6 +62,16 @@ func (c *Client) Open(p *sim.Proc, path string, flags vfs.OpenFlag, mode int, cr
 	if err != nil {
 		return nil, err
 	}
+	return c.opened(p, path, flags, attr), nil
+}
+
+// opened finishes an Open the metadata server granted: it truncates the
+// file's objects if flags ask for it and returns the handle. It is kept out
+// of Open, whose frame stays on the caller's stack while the metadata
+// request is in flight.
+//
+//go:noinline
+func (c *Client) opened(p *sim.Proc, path string, flags vfs.OpenFlag, attr metaFile) vfs.File {
 	if flags&vfs.OTrunc != 0 && flags.CanWrite() {
 		// Truncation invalidates every server's object state: one request
 		// per server, each kicked off by its own event, and the caller
@@ -81,7 +91,7 @@ func (c *Client) Open(p *sim.Proc, path string, flags vfs.OpenFlag, mode int, cr
 		attr: vfs.FileAttr{
 			Path: path, Size: attr.size, UID: attr.uid, GID: attr.gid, Mode: attr.mode,
 		},
-	}, nil
+	}
 }
 
 // Stat implements vfs.Filesystem.

@@ -19,7 +19,7 @@ type metaFile struct {
 // namespace mutations to a local disk.
 type metaServer struct {
 	sys     *System
-	inbox   *sim.Mailbox[netsim.Message]
+	inbox   sim.Mailbox[netsim.Message]
 	journal *disk.Disk
 	files   map[string]*metaFile
 	jpos    int64
@@ -40,10 +40,10 @@ type metaServer struct {
 func newMetaServer(sys *System) *metaServer {
 	m := &metaServer{
 		sys:     sys,
-		inbox:   sys.net.Listen(sys.mdsNode, Port),
 		journal: disk.NewDisk(sys.env, disk.DefaultDisk()),
 		files:   make(map[string]*metaFile),
 	}
+	sys.net.Listen(sys.mdsNode, Port, m.inbox.Init(sys.env).Put)
 	m.serveFn = m.serve
 	m.armServeFn = m.armServe
 	m.runFn = m.run

@@ -25,7 +25,7 @@ type server struct {
 	idx   int
 	node  string
 	array *disk.Array
-	inbox *sim.Mailbox[netsim.Message]
+	inbox sim.Mailbox[netsim.Message]
 	pool  *sim.Resource
 
 	objects map[string]*objState
@@ -45,10 +45,10 @@ func newServer(sys *System, idx int) *server {
 		idx:     idx,
 		node:    node,
 		array:   disk.NewArray(sys.env, sys.cfg.Array),
-		inbox:   sys.net.Listen(node, Port),
 		pool:    sim.NewResource(sys.env, sys.cfg.ServerProcs),
 		objects: make(map[string]*objState),
 	}
+	sys.net.Listen(node, Port, s.inbox.Init(sys.env).Put)
 	s.dispatchFn = s.dispatch
 	s.releaseFn = s.pool.Release
 	return s

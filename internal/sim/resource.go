@@ -63,8 +63,9 @@ func (r *Resource) Release() {
 // never block (use a Resource to model transmission time); a receiver waits
 // until a message arrives. Receivers are served in FIFO order.
 //
-// A receiver is an event callback (GetThen); a process receives by awaiting
-// one through a receiver it binds once (see mpi's Rank), so a receive
+// A receiver is an event callback (GetThen); an event chain binds its
+// receiver once (see pfs's servers and calls, which bind Put as their
+// network receiver and GetThen as their serve or reply stage), so a receive
 // allocates nothing. Messages and receivers both wait in ring-buffer FIFOs,
 // so a put or a receive costs O(1) however deep a server port's backlog
 // grows. Wake-ups are batched: however many messages arrive at one instant,
@@ -122,13 +123,4 @@ func (m *Mailbox[T]) GetThen(fn func(T)) {
 		return
 	}
 	m.recvq.push(fn)
-}
-
-// TryGet removes and returns the oldest message without blocking; ok is
-// false when the mailbox is empty.
-func (m *Mailbox[T]) TryGet() (v T, ok bool) {
-	if m.items.len() == 0 {
-		return v, false
-	}
-	return m.items.pop(), true
 }

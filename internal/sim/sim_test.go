@@ -617,16 +617,18 @@ func TestMailboxFIFOAcrossReceivers(t *testing.T) {
 	}
 }
 
-func TestMailboxTryGet(t *testing.T) {
+// TestMailboxGetThenTakesQueued: a receiver armed on a mailbox that holds a
+// message runs at once, in the caller, with the oldest message, and
+// schedules nothing.
+func TestMailboxGetThenTakesQueued(t *testing.T) {
 	env := NewEnv(1)
 	mb := new(Mailbox[string]).Init(env)
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty mailbox returned ok")
-	}
 	mb.Put("x")
-	v, ok := mb.TryGet()
-	if !ok || v != "x" {
-		t.Fatalf("TryGet = %q,%v", v, ok)
+	mb.Put("y")
+	var got string
+	mb.GetThen(func(v string) { got = v })
+	if got != "x" || mb.Len() != 1 || env.Pending() != 0 {
+		t.Fatalf("GetThen took %q, %d left, %d events queued; want \"x\", 1, 0", got, mb.Len(), env.Pending())
 	}
 }
 

@@ -103,9 +103,6 @@ func (b *BinaryWriter) Flush() error {
 // Close flushes the final block.
 func (b *BinaryWriter) Close() error { return b.Flush() }
 
-// BytesWritten reports the encoded size so far (flushed blocks only).
-func (b *BinaryWriter) BytesWritten() int64 { return b.n }
-
 // BlocksWritten reports the number of blocks emitted so far.
 func (b *BinaryWriter) BlocksWritten() int64 { return b.blocks }
 

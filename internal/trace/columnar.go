@@ -489,9 +489,6 @@ func (c *ColumnarWriter) Close() error {
 	return c.write(hdr[:], payload.Bytes(), trailer[:])
 }
 
-// BytesWritten reports the encoded size so far.
-func (c *ColumnarWriter) BytesWritten() int64 { return c.n }
-
 // BlocksWritten reports the number of data blocks emitted so far.
 func (c *ColumnarWriter) BlocksWritten() int64 { return int64(len(c.index)) }
 

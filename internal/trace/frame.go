@@ -70,6 +70,10 @@ func newFrameWriter(w io.Writer, magic [8]byte, compress, anonymized bool) frame
 	return f
 }
 
+// BytesWritten reports the encoded size so far: the stream header and every
+// flushed block, so a writer's buffered records are not counted yet.
+func (f *frameWriter) BytesWritten() int64 { return f.n }
+
 // start writes the stream header once and returns the sticky error.
 func (f *frameWriter) start() error {
 	if !f.started && f.err == nil {

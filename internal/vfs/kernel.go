@@ -170,33 +170,41 @@ func (pc *ProcCtx) syscall(p *sim.Proc, name string, args func() []string, body 
 	start := p.Now()
 	p.Sleep(pc.kernel.cfg.SyscallCost)
 	ret, enrich := body()
-	dur := p.Now() - start
 	p.SetSpan(parent)
 	pc.kernel.SyscallCount++
 	if len(pc.hooks) > 0 {
-		rec := trace.Record{
-			Time:   pc.kernel.LocalTime(start),
-			Dur:    dur,
-			Node:   pc.kernel.node,
-			Rank:   pc.rank,
-			PID:    pc.pid,
-			Class:  trace.ClassSyscall,
-			Name:   name,
-			Args:   args(),
-			Ret:    ret,
-			UID:    pc.cred.UID,
-			GID:    pc.cred.GID,
-			Span:   span,
-			Parent: parent,
-		}
-		if enrich != nil {
-			enrich(&rec)
-		}
-		for _, h := range pc.hooks {
-			h.Exit(p, &rec)
-		}
+		pc.traceExit(p, name, args, ret, enrich, start, span, parent)
 	}
 	return ret
+}
+
+// traceExit builds a finished system call's record and hands it to every
+// hook's Exit. It is kept out of syscall, whose frame stays on the process's
+// stack while body parks, so that the record takes no stack then.
+//
+//go:noinline
+func (pc *ProcCtx) traceExit(p *sim.Proc, name string, args func() []string, ret string, enrich func(*trace.Record), start sim.Time, span, parent uint64) {
+	rec := trace.Record{
+		Time:   pc.kernel.LocalTime(start),
+		Dur:    p.Now() - start,
+		Node:   pc.kernel.node,
+		Rank:   pc.rank,
+		PID:    pc.pid,
+		Class:  trace.ClassSyscall,
+		Name:   name,
+		Args:   args(),
+		Ret:    ret,
+		UID:    pc.cred.UID,
+		GID:    pc.cred.GID,
+		Span:   span,
+		Parent: parent,
+	}
+	if enrich != nil {
+		enrich(&rec)
+	}
+	for _, h := range pc.hooks {
+		h.Exit(p, &rec)
+	}
 }
 
 func errnoString(err error) string {

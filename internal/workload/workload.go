@@ -184,6 +184,15 @@ func resultFromStats(params Params, elapsed sim.Duration, perRank []RankStats) R
 	return res
 }
 
+// fail panics with rank me's failed step. It keeps the message's
+// formatting off Program's frame, which stays on the rank's stack while
+// the rank is parked.
+//
+//go:noinline
+func fail(me int, step string, err error) {
+	panic(fmt.Sprintf("workload: rank %d %s: %v", me, step, err))
+}
+
 // Program is the per-rank body of mpi_io_test, exposed separately so
 // tracing frameworks can wrap and replay it. stats may be nil.
 func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
@@ -200,7 +209,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 	}
 	f, err := r.FileOpen(p, params.FileFor(me), amode)
 	if err != nil {
-		panic(fmt.Sprintf("workload: rank %d open: %v", me, err))
+		fail(me, "open", err)
 	}
 
 	if stats != nil {
@@ -215,7 +224,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 		}
 		n, err := f.WriteStridedAll(p, offsets, params.BlockSize)
 		if err != nil {
-			panic(fmt.Sprintf("workload: rank %d collective write: %v", me, err))
+			fail(me, "collective write", err)
 		}
 		if stats != nil {
 			stats.Bytes += n
@@ -225,7 +234,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 			off := params.OffsetFor(ranks, me, i)
 			n, err := f.WriteAt(p, off, params.BlockSize)
 			if err != nil {
-				panic(fmt.Sprintf("workload: rank %d write: %v", me, err))
+				fail(me, "write", err)
 			}
 			if stats != nil {
 				stats.Bytes += n
@@ -246,7 +255,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 	if params.ReadBack {
 		// Make every rank's writes visible before the read phase.
 		if err := f.Sync(p); err != nil {
-			panic(fmt.Sprintf("workload: rank %d sync: %v", me, err))
+			fail(me, "sync", err)
 		}
 		r.Barrier(p)
 		if stats != nil {
@@ -256,7 +265,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 			off := params.OffsetFor(ranks, me, i)
 			n, err := f.ReadAt(p, off, params.BlockSize)
 			if err != nil {
-				panic(fmt.Sprintf("workload: rank %d read: %v", me, err))
+				fail(me, "read", err)
 			}
 			if stats != nil {
 				stats.BytesRead += n
@@ -267,7 +276,7 @@ func Program(p *sim.Proc, r *mpi.Rank, params Params, stats *RankStats) {
 		}
 	}
 	if err := f.Close(p); err != nil {
-		panic(fmt.Sprintf("workload: rank %d close: %v", me, err))
+		fail(me, "close", err)
 	}
 
 	// "# Barrier after /mpi_io_test.exe ..." — Figure 1.
