@@ -144,22 +144,11 @@ func (s *replayableSource) Next() (trace.Record, error) {
 		op := ops[s.op]
 		s.op++
 		s.t += op.Compute
-		name := ""
-		switch op.Kind {
-		case replay.OpOpen:
-			name = "MPI_File_open"
-		case replay.OpWrite:
-			name = "MPI_File_write_at"
-		case replay.OpRead:
-			name = "MPI_File_read_at"
-		case replay.OpClose:
-			name = "MPI_File_close"
-		}
 		return trace.Record{
 			Time:   s.t,
 			Rank:   s.rank,
 			Class:  trace.ClassMPI,
-			Name:   name,
+			Name:   op.Kind.MPIName(),
 			Path:   op.Path,
 			Offset: op.Offset,
 			Bytes:  op.Bytes,

@@ -145,6 +145,14 @@ func TestGeneratePseudoAppBadRank(t *testing.T) {
 	}
 }
 
+func TestGeneratePseudoAppRepeatedRank(t *testing.T) {
+	raw := "# node=n rank=0 pid=1\n00:00:00.000100 SYS_open(\"/f\", 0x41, 0644) = 3 <0.000010>\n"
+	if _, err := GeneratePseudoApp([]string{raw, raw}, sim.Second); err == nil ||
+		!strings.Contains(err.Error(), "repeats rank 0") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
 var _ = cluster.NodeName // keep the import for test helpers above
 
 // rawTraces renders every rank's raw trace text, the files an offline

@@ -15,8 +15,10 @@
 // dependency coverage — and hence replay fidelity — against total tracing
 // time.
 //
-// The replayable trace is replay.FromRecords over the baseline traced run's
-// records, plus the discovered dependency edges. Generate also runs the
+// The replayable trace is replay.FromRecords (the MPI-level builder) over
+// the baseline traced run's records, plus the discovered dependency edges;
+// the throttle picks its calls with the builder's classifier,
+// replay.Classify, so both number the same ops. Generate also runs the
 // application untraced, for callers that want overhead and fidelity on
 // their own; the registry session does not, and reports only the replay's
 // elapsed time for the sweep engine to score against its untraced run.
@@ -109,19 +111,18 @@ func (h *ioHook) Exit(p *sim.Proc, rec *trace.Record) {
 	if n := rec.EstimatedTextSize(); h.model.PerOutputByte > 0 {
 		p.Sleep(sim.Duration(n) * h.model.PerOutputByte)
 	}
-	// Every I/O call maps to a replay op but MPI_File_sync, which is
-	// throttled and traced like the others. events holds the replayable
-	// ones only: their indices are the replay trace's op indices, which the
-	// dependency edges findDeps wires refer to.
-	_, replayable := replay.OpFromRecord(rec)
-	if h.throttle > 0 && (replayable || rec.Name == "MPI_File_sync") {
+	// Every I/O call, op or boundary, is throttled and traced. events holds
+	// the ops only: their indices are the replay trace's op indices, which
+	// the dependency edges findDeps wires refer to.
+	role := replay.Classify(rec)
+	if h.throttle > 0 && role != replay.RoleOther {
 		// Slow this node's I/O responses.
 		p.Sleep(h.throttle)
 	}
 	if h.log != nil {
 		*h.log = append(*h.log, rec.Clone())
 	}
-	if replayable {
+	if role == replay.RoleOp {
 		h.events = append(h.events, opEvent{
 			localStart:  rec.Time,
 			globalStart: h.enterAt,

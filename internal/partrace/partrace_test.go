@@ -8,6 +8,7 @@ import (
 	"iotaxo/internal/mpi"
 	"iotaxo/internal/replay"
 	"iotaxo/internal/sim"
+	"iotaxo/internal/trace"
 	"iotaxo/internal/workload"
 )
 
@@ -241,5 +242,22 @@ func TestSessionMatchesGenerate(t *testing.T) {
 		t.Fatalf("session runs=%d deps=%d tracing=%v replay=%v; Generate runs=%d deps=%d tracing=%v replay=%v",
 			rep.Runs, rep.Deps, rep.TracingElapsed, rep.ReplayElapsed,
 			gen.Runs, gen.DepCount, gen.TracingElapsed, rr.Elapsed)
+	}
+}
+
+// TestThrottleCoversEveryIOCall pins which calls a discovery run slows: every
+// I/O call, MPI_File_sync included, but only the ones with a replay op are
+// numbered as events, so event indices stay the replay trace's op indices.
+func TestThrottleCoversEveryIOCall(t *testing.T) {
+	env := sim.NewEnv(1)
+	h := &ioHook{throttle: sim.Millisecond}
+	env.Go("rank", func(p *sim.Proc) {
+		for _, name := range []string{"MPI_File_open", "MPI_Barrier", "MPI_File_write_at", "MPI_File_sync", "MPI_File_close"} {
+			h.Enter(p, name)
+			h.Exit(p, &trace.Record{Class: trace.ClassMPI, Name: name})
+		}
+	})
+	if end := env.Run(); end != 4*sim.Millisecond || len(h.events) != 3 {
+		t.Fatalf("throttled to %v with %d events, want 4ms (4 I/O calls) and 3 events (3 ops)", end, len(h.events))
 	}
 }

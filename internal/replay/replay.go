@@ -4,7 +4,9 @@
 //
 // A Trace holds, per rank, the sequence of I/O operations with their pure
 // compute ("think") gaps, plus the inter-rank dependency edges //TRACE
-// discovers by throttling. Execute replays the trace against a fresh
+// discovers by throttling. One Builder makes it from trace records at either
+// record level: MPI-IO calls for //TRACE, system calls for LANL-Trace's
+// raw-trace replayer. Execute replays the trace against a fresh
 // simulated cluster: each pseudo-rank sleeps its think time, waits for its
 // dependencies, and issues the recorded I/O through the node kernel.
 // Fidelity is then judged exactly as the paper suggests: "compare the
@@ -16,11 +18,11 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"iotaxo/internal/cluster"
 	"iotaxo/internal/sim"
-	"iotaxo/internal/trace"
 	"iotaxo/internal/vfs"
 )
 
@@ -37,30 +39,17 @@ const (
 
 // String implements fmt.Stringer.
 func (k OpKind) String() string {
-	switch k {
-	case OpOpen:
-		return "open"
-	case OpWrite:
-		return "write"
-	case OpRead:
-		return "read"
-	case OpClose:
-		return "close"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("op(%d)", int(k))
 	}
+	return opKinds[k].text
 }
 
 func parseKind(s string) (OpKind, error) {
-	switch s {
-	case "open":
-		return OpOpen, nil
-	case "write":
-		return OpWrite, nil
-	case "read":
-		return OpRead, nil
-	case "close":
-		return OpClose, nil
+	for k, names := range opKinds {
+		if names.text == s {
+			return OpKind(k), nil
+		}
 	}
 	return 0, fmt.Errorf("replay: unknown op kind %q", s)
 }
@@ -72,91 +61,6 @@ type Op struct {
 	Path    string
 	Offset  int64
 	Bytes   int64
-}
-
-// OpFromRecord maps an MPI-IO trace record to a replayable op. Records that
-// do not correspond to a replayable operation (barriers, syncs, non-MPI
-// calls) report ok=false.
-func OpFromRecord(r *trace.Record) (Op, bool) {
-	switch r.Name {
-	case "MPI_File_open":
-		return Op{Kind: OpOpen, Path: r.Path}, true
-	case "MPI_File_write_at", "MPI_File_write":
-		return Op{Kind: OpWrite, Path: r.Path, Offset: r.Offset, Bytes: r.Bytes}, true
-	case "MPI_File_read_at", "MPI_File_read":
-		return Op{Kind: OpRead, Path: r.Path, Offset: r.Offset, Bytes: r.Bytes}, true
-	case "MPI_File_close":
-		return Op{Kind: OpClose, Path: r.Path}, true
-	}
-	return Op{}, false
-}
-
-// FromRecords builds a replayable trace from a stream of trace records:
-// the Source-consuming constructor of the pseudo-application pipeline.
-// Records must be time-ordered within each rank (interleaving across ranks
-// is fine); think time before each I/O op is the start-time gap from the
-// end of the previous I/O call on the same rank, minus time spent inside
-// non-I/O MPI calls (synchronization becomes dependency edges, not
-// replayed MPI). An MPI_File_sync is an I/O call without a replay op: it
-// ends the think interval but adds no op.
-func FromRecords(src trace.Source, originalElapsed sim.Duration) (*Trace, error) {
-	type rankState struct {
-		ops       []Op
-		lastIOEnd sim.Time
-		nonIO     sim.Duration
-		started   bool
-	}
-	states := make(map[int]*rankState)
-	maxRank := -1
-	_, err := trace.Copy(trace.SinkFunc(func(r *trace.Record) error {
-		if r.Rank < 0 {
-			return fmt.Errorf("replay: record %s has no rank", r.Name)
-		}
-		st := states[r.Rank]
-		if st == nil {
-			st = &rankState{}
-			states[r.Rank] = st
-		}
-		if r.Rank > maxRank {
-			maxRank = r.Rank
-		}
-		if !st.started {
-			st.started = true
-			st.lastIOEnd = r.Time
-		}
-		op, ok := OpFromRecord(r)
-		if !ok && r.Name != "MPI_File_sync" {
-			if r.Class == trace.ClassMPI {
-				st.nonIO += r.Dur
-			}
-			return nil
-		}
-		if ok {
-			op.Compute = max(r.Time-st.lastIOEnd-st.nonIO, 0)
-			st.ops = append(st.ops, op)
-		}
-		st.lastIOEnd = r.Time + sim.Time(r.Dur)
-		st.nonIO = 0
-		return nil
-	}), src)
-	if err != nil {
-		return nil, err
-	}
-	if maxRank < 0 {
-		return nil, fmt.Errorf("replay: no ranked records in stream")
-	}
-	tr := &Trace{
-		Ranks:           maxRank + 1,
-		Ops:             make([][]Op, maxRank+1),
-		OriginalElapsed: originalElapsed,
-	}
-	for rank, st := range states {
-		tr.Ops[rank] = st.ops
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
 }
 
 // Dep is a cross-rank ordering edge: (FromRank, FromOp) must complete
@@ -174,12 +78,20 @@ type Trace struct {
 	OriginalElapsed sim.Duration // untraced application elapsed, for fidelity
 }
 
-// Validate checks structural invariants: shape, edge ranges, and that every
-// dependency is realizable (no self-rank edges pointing forward in ways that
-// deadlock program order is checked at execution; here we check bounds).
+// Validate checks structural invariants: shape, op fields, edge ranges, and
+// that every dependency is realizable (no self-rank edges pointing forward in
+// ways that deadlock program order is checked at execution; here we check
+// bounds). A trace read from outside passes it before anything replays it.
 func (t *Trace) Validate() error {
 	if t.Ranks <= 0 || len(t.Ops) != t.Ranks {
 		return fmt.Errorf("replay: trace has %d rank streams for %d ranks", len(t.Ops), t.Ranks)
+	}
+	for rank, ops := range t.Ops {
+		for k, op := range ops {
+			if err := op.check(); err != nil {
+				return fmt.Errorf("replay: rank %d op %d: %w", rank, k, err)
+			}
+		}
 	}
 	for _, d := range t.Deps {
 		if d.FromRank < 0 || d.FromRank >= t.Ranks || d.ToRank < 0 || d.ToRank >= t.Ranks {
@@ -194,6 +106,20 @@ func (t *Trace) Validate() error {
 		if d.FromRank == d.ToRank {
 			return fmt.Errorf("replay: self-rank dependency: %+v", d)
 		}
+	}
+	return nil
+}
+
+func (op Op) check() error {
+	switch {
+	case !op.Kind.valid():
+		return fmt.Errorf("unknown kind %d", int(op.Kind))
+	case op.Compute < 0:
+		return fmt.Errorf("negative compute %d", int64(op.Compute))
+	case op.Offset < 0 || op.Bytes < 0:
+		return fmt.Errorf("negative offset %d or length %d", op.Offset, op.Bytes)
+	case op.Offset > math.MaxInt64-op.Bytes:
+		return fmt.Errorf("offset %d plus length %d overflows", op.Offset, op.Bytes)
 	}
 	return nil
 }
@@ -319,49 +245,32 @@ func (g *gate) open(env *sim.Env) {
 	}
 }
 
+// executeOp runs one op. A write or read of a path with no open descriptor
+// opens it first, as an open does.
 func executeOp(p *sim.Proc, pc *vfs.ProcCtx, fds map[string]int, op Op) error {
-	switch op.Kind {
-	case OpOpen:
-		fd, err := pc.Open(p, op.Path, vfs.OCreate|vfs.ORdwr, 0o644)
-		if err != nil {
-			return err
-		}
-		fds[op.Path] = fd
-		return nil
-	case OpWrite:
-		fd, ok := fds[op.Path]
-		if !ok {
-			var err error
-			fd, err = pc.Open(p, op.Path, vfs.OCreate|vfs.ORdwr, 0o644)
-			if err != nil {
-				return err
-			}
-			fds[op.Path] = fd
-		}
-		_, err := pc.PWrite(p, fd, op.Offset, op.Bytes)
-		return err
-	case OpRead:
-		fd, ok := fds[op.Path]
-		if !ok {
-			var err error
-			fd, err = pc.Open(p, op.Path, vfs.ORdwr|vfs.OCreate, 0o644)
-			if err != nil {
-				return err
-			}
-			fds[op.Path] = fd
-		}
-		_, err := pc.PRead(p, fd, op.Offset, op.Bytes)
-		return err
-	case OpClose:
-		fd, ok := fds[op.Path]
+	fd, ok := fds[op.Path]
+	if op.Kind == OpClose {
 		if !ok {
 			return nil // already closed or never opened: tolerate
 		}
 		delete(fds, op.Path)
 		return pc.Close(p, fd)
-	default:
-		return fmt.Errorf("replay: bad op kind %d", op.Kind)
 	}
+	if !ok || op.Kind == OpOpen {
+		var err error
+		if fd, err = pc.Open(p, op.Path, vfs.OCreate|vfs.ORdwr, 0o644); err != nil {
+			return err
+		}
+		fds[op.Path] = fd
+	}
+	var err error
+	switch op.Kind {
+	case OpWrite:
+		_, err = pc.PWrite(p, fd, op.Offset, op.Bytes)
+	case OpRead:
+		_, err = pc.PRead(p, fd, op.Offset, op.Bytes)
+	}
+	return err
 }
 
 // --- human-readable serialization (//TRACE emits human-readable traces) ---
@@ -383,6 +292,10 @@ func (t *Trace) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxRanks bounds the rank count a text trace may declare, so that a forged
+// header cannot make ParseText allocate without bound.
+const maxRanks = 1 << 20
+
 // ParseText inverts WriteText.
 func ParseText(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
@@ -400,6 +313,9 @@ func ParseText(r io.Reader) (*Trace, error) {
 			var ranks int
 			var orig int64
 			if _, err := fmt.Sscanf(text, "# partrace replayable v1 ranks=%d original_elapsed=%d", &ranks, &orig); err == nil {
+				if ranks < 1 || ranks > maxRanks {
+					return nil, fmt.Errorf("replay: line %d: %d ranks, want 1 to %d", line, ranks, maxRanks)
+				}
 				tr.Ranks = ranks
 				tr.OriginalElapsed = sim.Duration(orig)
 				tr.Ops = make([][]Op, ranks)

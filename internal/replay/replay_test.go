@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -100,6 +101,82 @@ func TestValidateRejectsBadTraces(t *testing.T) {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
+}
+
+// TestValidateRejectsBadOps covers the op fields a replay file from outside
+// can forge: each case must fail Validate, and ParseText too, before
+// anything replays it.
+func TestValidateRejectsBadOps(t *testing.T) {
+	for name, op := range map[string]Op{
+		"negative compute":  {Kind: OpWrite, Compute: -1, Bytes: 4096},
+		"negative offset":   {Kind: OpWrite, Offset: -4096, Bytes: 4096},
+		"negative length":   {Kind: OpRead, Bytes: -1},
+		"offset overflow":   {Kind: OpWrite, Offset: 9223372036854775000, Bytes: 4096},
+		"unknown kind":      {Kind: OpClose + 1},
+		"negative kind":     {Kind: -1},
+		"one byte past max": {Kind: OpWrite, Offset: 1<<63 - 1, Bytes: 1},
+	} {
+		tr := simpleTrace(2)
+		tr.Ops[1] = append(tr.Ops[1], op)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s: %+v passed Validate", name, op)
+		}
+	}
+	ok := Op{Kind: OpWrite, Offset: 1<<63 - 1 - 4096, Bytes: 4096}
+	tr := simpleTrace(1)
+	tr.Ops[0] = append(tr.Ops[0], ok)
+	if err := tr.Validate(); err != nil {
+		t.Errorf("%+v ends at the largest offset and must pass: %v", ok, err)
+	}
+	for _, src := range []string{
+		overflowTrace,
+		"# partrace replayable v1 ranks=1 original_elapsed=5\nR0 compute=-5 open \"/f\" off=0 len=0\n",
+		"# partrace replayable v1 ranks=1 original_elapsed=5\nR0 compute=0 read \"/f\" off=-1 len=8\n",
+		"# partrace replayable v1 ranks=-1 original_elapsed=5\n",
+		"# partrace replayable v1 ranks=1048577 original_elapsed=5\n",
+	} {
+		if _, err := ParseText(strings.NewReader(src)); err == nil {
+			t.Errorf("no error for %q", src)
+		}
+	}
+}
+
+// overflowTrace's write ends past the largest int64 offset.
+const overflowTrace = "# partrace replayable v1 ranks=1 original_elapsed=0\n" +
+	"R0 compute=0 write \"/pfs/f\" off=9223372036854775000 len=4096\n"
+
+// FuzzParseText holds ParseText to its contract on any input: an error, or
+// a trace that passes Validate and whose text form parses back to an equal
+// trace.
+func FuzzParseText(f *testing.F) {
+	tr := simpleTrace(2)
+	tr.Deps = []Dep{{FromRank: 0, FromOp: 1, ToRank: 1, ToOp: 2}}
+	var buf bytes.Buffer
+	if err := tr.WriteText(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(overflowTrace))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ParseText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("parsed trace fails Validate: %v", err)
+		}
+		var out bytes.Buffer
+		if err := tr.WriteText(&out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseText(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("written trace does not parse: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip differs:\n%+v\n%+v", tr, back)
+		}
+	})
 }
 
 func TestTextRoundTrip(t *testing.T) {
@@ -297,21 +374,83 @@ func TestFromRecordsRejectsUnranked(t *testing.T) {
 	}
 }
 
-func TestOpFromRecordKinds(t *testing.T) {
-	cases := map[string]OpKind{
+func TestClassifyRoles(t *testing.T) {
+	ops := map[string]OpKind{
 		"MPI_File_open": OpOpen, "MPI_File_write_at": OpWrite,
 		"MPI_File_write": OpWrite, "MPI_File_read_at": OpRead,
 		"MPI_File_read": OpRead, "MPI_File_close": OpClose,
+		"SYS_open": OpOpen, "SYS_pwrite": OpWrite, "SYS_write": OpWrite,
+		"SYS_pread": OpRead, "SYS_read": OpRead, "SYS_close": OpClose,
 	}
-	for name, want := range cases {
-		op, ok := OpFromRecord(&trace.Record{Name: name})
-		if !ok || op.Kind != want {
-			t.Fatalf("%s -> %v ok=%v, want %v", name, op.Kind, ok, want)
+	for name, want := range ops {
+		if c := classify(&trace.Record{Name: name, Ret: "3"}); c.role != RoleOp || c.kind != want {
+			t.Errorf("%s -> role %d kind %v, want an op of kind %v", name, c.role, c.kind, want)
 		}
 	}
-	for _, name := range []string{"MPI_File_sync", "MPI_Barrier", "SYS_write"} {
-		if _, ok := OpFromRecord(&trace.Record{Name: name}); ok {
-			t.Fatalf("%s should not be replayable", name)
+	for _, tc := range []struct {
+		rec  trace.Record
+		want Role
+	}{
+		{trace.Record{Name: "MPI_File_sync"}, RoleBoundary},
+		{trace.Record{Name: "SYS_open", Ret: "-1 vfs: no such file"}, RoleBoundary},
+		{trace.Record{Name: "MPI_File_open", Ret: "-1"}, RoleOp},
+		{trace.Record{Name: "MPI_Barrier"}, RoleOther},
+		{trace.Record{Name: "MPI_File_write_at_all"}, RoleOther},
+		{trace.Record{Name: "SYS_fsync"}, RoleOther},
+	} {
+		if got := Classify(&tc.rec); got != tc.want {
+			t.Errorf("%s (ret %q) -> role %d, want %d", tc.rec.Name, tc.rec.Ret, got, tc.want)
+		}
+	}
+}
+
+// TestBuilderReadsOneLevel feeds both builders one rank's ltrace-style
+// stream, where each MPI-IO call encloses the system calls it makes. Each
+// level must count every I/O once, from its own records only, and anchor the
+// rank's first think interval at its own first record.
+func TestBuilderReadsOneLevel(t *testing.T) {
+	ms := sim.Millisecond
+	recs := []trace.Record{
+		{Time: 1 * ms, Dur: 4 * ms, Class: trace.ClassMPI, Name: "MPI_File_open", Path: "/pfs/f"},
+		{Time: 2 * ms, Dur: ms, Class: trace.ClassSyscall, Name: "SYS_open", Path: "/pfs/f", Ret: "3"},
+		{Time: 6 * ms, Dur: ms, Class: trace.ClassMPI, Name: "MPI_Barrier"},
+		{Time: 10 * ms, Dur: 4 * ms, Class: trace.ClassMPI, Name: "MPI_File_write_at",
+			Path: "/pfs/f", Offset: 8, Bytes: 16},
+		{Time: 11 * ms, Dur: 2 * ms, Class: trace.ClassSyscall, Name: "SYS_pwrite",
+			Args: []string{"3", "8", "16"}, Offset: 8, Bytes: 16},
+		{Time: 15 * ms, Dur: ms, Class: trace.ClassSyscall, Name: "SYS_write",
+			Args: []string{"3", "32"}, Bytes: 32},
+		{Time: 20 * ms, Dur: ms, Class: trace.ClassMPI, Name: "MPI_File_close", Path: "/pfs/f"},
+		{Time: 20 * ms, Dur: ms, Class: trace.ClassSyscall, Name: "SYS_close", Args: []string{"3"}},
+	}
+	for _, tc := range []struct {
+		level trace.EventClass
+		want  []Op
+	}{
+		{trace.ClassMPI, []Op{
+			{Kind: OpOpen, Path: "/pfs/f"},
+			{Kind: OpWrite, Path: "/pfs/f", Offset: 8, Bytes: 16, Compute: 4 * ms},
+			{Kind: OpClose, Path: "/pfs/f", Compute: 6 * ms},
+		}},
+		{trace.ClassSyscall, []Op{
+			{Kind: OpOpen, Path: "/pfs/f"},
+			{Kind: OpWrite, Path: "/pfs/f", Offset: 8, Bytes: 16, Compute: 8 * ms},
+			{Kind: OpWrite, Path: "/pfs/f", Offset: 0, Bytes: 32, Compute: 2 * ms},
+			{Kind: OpClose, Path: "/pfs/f", Compute: 4 * ms},
+		}},
+	} {
+		b := NewBuilder(tc.level, 1)
+		for i := range recs {
+			if err := b.Add(&recs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr, err := b.Trace(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(tr.Ops[0], tc.want) {
+			t.Errorf("level %v: ops %+v, want %+v", tc.level, tr.Ops[0], tc.want)
 		}
 	}
 }
